@@ -1,27 +1,15 @@
-"""Microbenchmark: membership-engine tiers vs from-scratch NFAs.
+"""Microbenchmark: the membership engine's dense tier vs its lazy tier.
 
-Two quantities, two acceptance gates:
-
-- **Construction** (ISSUE 1): on the XML target, phase one with the
-  fragment-cached engine must construct at least 5x fewer NFA states
-  than recompiling the current language from scratch after every
-  generalization step. Measured by running phase-1 synthesis in three
-  modes — ``scratch`` (per-step recompilation), ``engine`` (fragment
-  cache, lazy-DFA matching only) and ``engine+dense`` (fragment cache
-  plus dense-table promotion) — and comparing states built. The learned
-  regex must be byte-identical across all three modes: the matcher tier
-  is an execution detail, never a semantic one.
-
-- **Membership** (ISSUE 7): the dense tier must answer membership at
-  least 2x faster than the warm lazy-DFA tier on a realistic probe mix
-  (the learned XML regex probed with its seed, fixed-seed samples of
-  itself, and single-edit mutations of those — the shape of phase-1
-  discard checks and §6.1 coverage tests). Both tiers are timed warm
-  (promotion is paid once, during the agreement check; min-of-passes
-  reporting excludes one-off costs anyway), and the dense path runs the
-  stdlib-only scalar loop, matching the CI bench job's dependency-free
-  environment. Verdict agreement between the tiers is
-  asserted before any timing is trusted.
+One quantity, one acceptance gate: the dense tier must answer
+membership at least 2x faster than the warm lazy-DFA tier on a
+realistic probe mix (the learned XML regex probed with its seed,
+fixed-seed samples of itself, and single-edit mutations of those — the
+shape of phase-1 discard checks and §6.1 coverage tests). The lazy
+tier is timed as ``Engine().compile(regex).matches`` per string, the
+dense tier as ``Engine().matcher(regex).match_many`` over the batch.
+Both are timed warm (promotion is paid once, during the agreement
+check; min-of-passes reporting excludes one-off costs anyway). Verdict
+agreement between the tiers is asserted before any timing is trusted.
 
 Both subjects exercised here learn quickly (xml via the handwritten
 oracle, javascript via the instrumented parser subject), so the whole
@@ -32,8 +20,7 @@ import random
 import time
 
 from repro.core.phase1 import synthesize_regex
-from repro.languages import nfa_match
-from repro.languages.engine import Engine, MembershipSession
+from repro.languages.engine import Engine
 from repro.languages.sampler import sample_regex
 from repro.programs import get_subject
 from repro.targets.xmllang import xml_oracle
@@ -68,40 +55,6 @@ def _oracle_for(name, oracle):
     return get_subject(name).accepts
 
 
-def run_engine_comparison(subject="xml"):
-    """Phase-1 synthesis in all three matcher modes; one row per mode."""
-    name, oracle, seed = next(s for s in SUBJECTS if s[0] == subject)
-    accepts = _oracle_for(name, oracle)
-    rows = []
-    modes = (
-        ("scratch", dict(use_engine=False)),
-        ("engine", dict(use_engine=True, use_dense=False)),
-        ("engine+dense", dict(use_engine=True, use_dense=True)),
-    )
-    for label, kwargs in modes:
-        session = MembershipSession(**kwargs)
-        nfa_match.STATS.reset()
-        started = time.perf_counter()
-        result = synthesize_regex(seed, accepts, session=session)
-        elapsed = time.perf_counter() - started
-        states = (
-            session.engine.states_built
-            if session.engine is not None
-            else nfa_match.STATS.states_built
-        )
-        rows.append(
-            {
-                "subject": name,
-                "mode": label,
-                "states_built": states,
-                "seconds": elapsed,
-                "regex": str(result.regex()),
-                "tiers": session.tier_summary(),
-            }
-        )
-    return rows
-
-
 def _probe_mix(regex, seed_text, n_probes=N_PROBES):
     """A deterministic probe workload shaped like the learner's checks.
 
@@ -132,14 +85,11 @@ def run_membership_benchmark(subject="xml", n_passes=N_PASSES):
     """Warm lazy-DFA tier vs dense tier on the same probe mix."""
     name, oracle, seed = next(s for s in SUBJECTS if s[0] == subject)
     accepts = _oracle_for(name, oracle)
-    regex = synthesize_regex(
-        seed, accepts, session=MembershipSession()
-    ).regex()
+    regex = synthesize_regex(seed, accepts).regex()
     probes = _probe_mix(regex, seed)
 
-    engine_nfa = Engine(dense=False)
-    match_nfa = engine_nfa.matcher(regex)
-    engine_dense = Engine(dense=True)
+    match_nfa = Engine().compile(regex).matches
+    engine_dense = Engine()
     match_dense = engine_dense.matcher(regex)
 
     # Warm the lazy-DFA tier (its steady state is the fair baseline) and
@@ -173,29 +123,6 @@ def run_membership_benchmark(subject="xml", n_passes=N_PASSES):
     }
 
 
-def format_comparison(rows):
-    lines = [
-        "{:<12} {:<12} {:>14} {:>10}".format(
-            "subject", "mode", "states built", "seconds"
-        )
-    ]
-    for row in rows:
-        lines.append(
-            "{:<12} {:<12} {:>14} {:>10.3f}".format(
-                row["subject"], row["mode"], row["states_built"],
-                row["seconds"],
-            )
-        )
-    by_mode = {row["mode"]: row for row in rows}
-    lines.append(
-        "construction ratio: {:.1f}x fewer states with the engine".format(
-            by_mode["scratch"]["states_built"]
-            / by_mode["engine"]["states_built"]
-        )
-    )
-    return "\n".join(lines)
-
-
 def format_membership(result):
     return (
         "membership ({subject}, {probes} probes, min of {passes} passes): "
@@ -204,38 +131,7 @@ def format_membership(result):
     )
 
 
-def _check_identical_regexes(rows):
-    regexes = {row["regex"] for row in rows}
-    if len(regexes) != 1:
-        raise AssertionError(
-            "learned regex differs across matcher modes for {}: {}".format(
-                rows[0]["subject"],
-                sorted(
-                    (row["mode"], row["regex"][:60]) for row in rows
-                ),
-            )
-        )
-
-
 # -- pytest-benchmark entry points ------------------------------------
-
-
-def test_engine_states_built(once):
-    rows = once(lambda: run_engine_comparison("xml"))
-    print()
-    print(format_comparison(rows))
-    _check_identical_regexes(rows)
-    by_mode = {row["mode"]: row for row in rows}
-    assert (
-        by_mode["engine"]["states_built"] * 5
-        <= by_mode["scratch"]["states_built"]
-    )
-    # Dense promotion does not change construction accounting: the
-    # fragment cache is the same object either way.
-    assert (
-        by_mode["engine+dense"]["states_built"]
-        == by_mode["engine"]["states_built"]
-    )
 
 
 def test_membership_speedup(once):
@@ -249,7 +145,7 @@ def test_membership_speedup(once):
 
 
 def main(argv=None):
-    """CLI: print comparisons; ``--json PATH`` also writes the results.
+    """CLI: print the membership timings; ``--json PATH`` also writes them.
 
     The CI benchmark smoke job runs this with ``--json
     BENCH_engine.json`` and uploads the result, so the perf trajectory
@@ -275,16 +171,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    all_rows = []
     membership = {}
     for subject, _oracle, _seed in SUBJECTS:
-        rows = run_engine_comparison(subject)
-        _check_identical_regexes(rows)
-        all_rows.extend(rows)
-        print(format_comparison(rows))
         membership[subject] = run_membership_benchmark(subject)
         print(format_membership(membership[subject]))
-        print()
 
     xml_speedup = membership["xml"]["speedup"]
     failed = xml_speedup < args.min_membership_speedup
@@ -295,17 +185,9 @@ def main(argv=None):
         )
 
     if args.json:
-        by_mode = {
-            row["mode"]: row for row in all_rows if row["subject"] == "xml"
-        }
         payload = {
             "benchmark": "bench_engine",
             "python": platform.python_version(),
-            "rows": all_rows,
-            "construction_ratio": (
-                by_mode["scratch"]["states_built"]
-                / by_mode["engine"]["states_built"]
-            ),
             "membership": membership,
             "min_membership_speedup": args.min_membership_speedup,
         }

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Union
 
 from repro.artifacts.schema import (
@@ -244,7 +244,7 @@ class RunArtifact:
                 )
             return cls(
                 seeds=[SeedRecord(**record) for record in data["seeds"]],
-                config=GladeConfig(**data["config"]),
+                config=_config_from_dict(data["config"]),
                 oracle_spec=data.get("oracle"),
                 stage=stage,
                 status=data["status"],
@@ -272,10 +272,23 @@ class RunArtifact:
                 telemetry=data.get("telemetry"),
                 schema_version=version,
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ArtifactError(
                 "malformed run artifact: {!r}".format(exc)
             )
+
+
+def _config_from_dict(data: Dict[str, Any]) -> GladeConfig:
+    """Rebuild a run's ``GladeConfig``, ignoring keys it no longer has.
+
+    Artifacts written before a config field was retired still carry its
+    key; dropping it keeps them loadable without a schema bump (older
+    builds, in turn, load newer artifacts with their own defaults).
+    """
+    known = {spec.name for spec in fields(GladeConfig)}
+    return GladeConfig(
+        **{key: value for key, value in data.items() if key in known}
+    )
 
 
 def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:

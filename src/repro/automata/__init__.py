@@ -3,7 +3,6 @@
 from repro.automata.dense import DenseDFA, build_classmap, lower_automaton
 from repro.automata.determinize import (
     bounded_subset_construction,
-    nfa_to_dfa,
     regex_to_dfa,
 )
 from repro.automata.dfa import DFA, dfa_from_table
@@ -18,6 +17,5 @@ __all__ = [
     "hopcroft_blocks",
     "lower_automaton",
     "minimize_dfa",
-    "nfa_to_dfa",
     "regex_to_dfa",
 ]

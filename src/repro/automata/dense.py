@@ -15,15 +15,11 @@ classic dense representation instead:
   (``rows[state][class] -> state``) with the dead state pinned at index
   0, so the scalar matcher is two list indexes and a truth test per
   character — no hashing, no allocation.
-- :meth:`DenseDFA.match_many` batches many strings at once. The default
-  batch path is the scalar loop: on the learner's short, ragged,
-  reject-heavy probe mixes it measures 2.8-3.8x over the warm lazy-DFA
-  tier, while the alternative numpy column walker (one vectorized table
-  gather per character position across the whole batch) stalls at
-  ~1.6x — per-column dispatch overhead never amortizes and rejects
-  cannot exit early. The numpy path is therefore opt-in via
-  :data:`NUMPY_BATCH_THRESHOLD` and kept verdict-equivalent by the
-  property tests.
+- :meth:`DenseDFA.match_many` batches many strings with the same
+  scalar loop: on the learner's short, ragged, reject-heavy probe mixes
+  it measures 2.8-3.8x over the warm lazy-DFA tier, where a vectorized
+  column walker stalls at ~1.6x (per-column dispatch never amortizes
+  and rejects cannot exit early).
 
 Characters outside the byte range cannot be class-mapped; ``match``
 returns None for such strings and the caller falls back to the composed
@@ -31,8 +27,8 @@ NFA (which rejects them — no label can contain them — so agreement is
 by construction; the property tests check it anyway).
 
 Tables are immutable and picklable (``bytes``/``array`` state only; the
-derived numpy views are rebuilt lazily after unpickling), so promoted
-tables can cross the process-backend boundary with a task payload.
+row lists are rebuilt after unpickling), so promoted tables can cross
+the process-backend boundary with a task payload.
 
 Minimization reuses :func:`repro.automata.minimize.hopcroft_blocks` and
 determinization reuses
@@ -48,26 +44,11 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.automata.determinize import bounded_subset_construction
 from repro.automata.minimize import hopcroft_blocks
 
-try:  # pragma: no cover - exercised via both branches in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["DenseDFA", "build_classmap", "lower_automaton"]
 
 #: Class-compressed alphabets wider than this cannot be encoded in the
 #: one-byte classmap (class 0 is reserved); such automata stay lazy.
 MAX_CLASSES = 255
-
-#: Batch size from which :meth:`DenseDFA.match_many` routes through the
-#: numpy column walker instead of the scalar loop. None (the default)
-#: disables automatic vectorization: on every workload measured — ragged
-#: learner probes and valid-heavy sampler batches alike, 240 to 4000
-#: strings — the scalar loop wins (numpy pays ~microseconds of dispatch
-#: per column and cannot exit early on dead strings). Set to an int to
-#: experiment; the equivalence property tests cover both paths either
-#: way.
-NUMPY_BATCH_THRESHOLD: Optional[int] = None
 
 
 def build_classmap(
@@ -121,8 +102,7 @@ class DenseDFA:
     State 0 is the dead state (all transitions self-loop, rejecting);
     ``rows[state][cls]`` is the successor. ``table`` keeps the same
     data flat (row-major ``array('i')``) as the canonical picklable
-    form; ``rows`` is derived from it for the scalar hot loop, and the
-    numpy views are derived lazily for the batch path.
+    form; ``rows`` is derived from it for the scalar hot loop.
     """
 
     __slots__ = (
@@ -133,9 +113,6 @@ class DenseDFA:
         "accepting",
         "start",
         "rows",
-        "_np_table",
-        "_np_accepting",
-        "_np_classmap",
     )
 
     def __init__(
@@ -161,9 +138,6 @@ class DenseDFA:
             list(self.table[state * k : (state + 1) * k])
             for state in range(self.n_states)
         ]
-        self._np_table = None
-        self._np_accepting = None
-        self._np_classmap = None
 
     # -- pickling (process-backend shards) -----------------------------
 
@@ -212,92 +186,8 @@ class DenseDFA:
 
     def match_many(self, texts: Sequence[str]) -> List[Optional[bool]]:
         """Batch :meth:`match`: one verdict (or None) per input string."""
-        if (
-            _np is not None
-            and NUMPY_BATCH_THRESHOLD is not None
-            and len(texts) >= NUMPY_BATCH_THRESHOLD
-        ):
-            return self._match_many_numpy(texts)
         match = self.match
         return [match(text) for text in texts]
-
-    def _ensure_numpy(self) -> None:
-        if self._np_table is not None:
-            return
-        k = self.n_classes
-        flat = _np.frombuffer(self.table, dtype=_np.int32)
-        self._np_table = flat.reshape(self.n_states, k).copy()
-        self._np_accepting = (
-            _np.frombuffer(self.accepting, dtype=_np.uint8) != 0
-        )
-        self._np_classmap = _np.frombuffer(
-            self.classmap, dtype=_np.uint8
-        ).astype(_np.int32)
-
-    def _match_many_numpy(
-        self, texts: Sequence[str]
-    ) -> List[Optional[bool]]:
-        """Advance the whole batch one column at a time, vectorized.
-
-        Strings are sorted by length (descending) so each column only
-        touches the *active prefix* — strings still long enough to have
-        a character there. A ragged batch therefore costs O(total
-        characters) table gathers, not O(batch × longest string), and
-        finished strings keep their final state untouched until the
-        acceptance check at the end.
-        """
-        self._ensure_numpy()
-        results: List[Optional[bool]] = [None] * len(texts)
-        encoded = []
-        for position, text in enumerate(texts):
-            try:
-                encoded.append((position, text.encode("latin-1")))
-            except UnicodeEncodeError:
-                pass  # verdict stays None: caller falls back
-        if not encoded:
-            return results
-        # Longest-first, stable: per-column active sets are prefixes.
-        encoded.sort(key=lambda item: -len(item[1]))
-        max_len = len(encoded[0][1])
-        if max_len == 0:
-            start_accepts = bool(self.accepting[self.start])
-            for position, _data in encoded:
-                results[position] = start_accepts
-            return results
-        lengths = _np.array(
-            [len(data) for _position, data in encoded], dtype=_np.int64
-        )
-        # One gather classifies every character of the batch; the
-        # boolean scatter fills the padded matrix row-major, matching
-        # the concatenation order exactly.
-        codes_flat = self._np_classmap[
-            _np.frombuffer(
-                b"".join(data for _position, data in encoded),
-                dtype=_np.uint8,
-            )
-        ]
-        codes = _np.zeros((len(encoded), max_len), dtype=_np.int32)
-        valid = _np.arange(max_len, dtype=_np.int64)[None, :] < lengths[:, None]
-        codes[valid] = codes_flat
-        neg_lengths = -lengths
-        states = _np.full(len(encoded), self.start, dtype=_np.int32)
-        table = self._np_table
-        for column in range(max_len):
-            # Strings with length > column, i.e. the prefix where
-            # -length < -column.
-            active = int(
-                _np.searchsorted(neg_lengths, -column, side="left")
-            )
-            if active == 0:
-                break
-            front = states[:active]
-            states[:active] = table[front, codes[:active, column]]
-            if column % 16 == 15 and not states[:active].any():
-                break  # every active string is dead; none can revive
-        verdicts = self._np_accepting[states]
-        for row, (position, _data) in enumerate(encoded):
-            results[position] = bool(verdicts[row])
-        return results
 
 
 def lower_automaton(

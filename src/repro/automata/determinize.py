@@ -1,11 +1,12 @@
-"""Subset construction: regex/NFA → DFA.
+"""Subset construction: regex → DFA.
 
-Used to build exact reference DFAs for regular target languages, which
-gives the unit tests a *perfect* equivalence oracle for L-Star (the
-paper's experiments use the sampling approximation instead, §8.2), and
-— through :func:`bounded_subset_construction` — the determinization
-step of the dense matching tier (:mod:`repro.automata.dense`), which
-needs the same walk over an opaque automaton with a state budget.
+One walk, :func:`bounded_subset_construction`, serves two callers: the
+determinization step of the dense matching tier
+(:mod:`repro.automata.dense`), which needs it over an opaque automaton
+with a state budget, and :func:`regex_to_dfa`, which builds exact
+reference DFAs for regular target languages — a *perfect* equivalence
+oracle for L-Star in the unit tests (the paper's experiments use the
+sampling approximation instead, §8.2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from collections import deque
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -25,50 +25,8 @@ from typing import (
 
 from repro.automata.dfa import DFA
 from repro.languages import regex as rx
-from repro.languages.nfa_match import NFA, compile_regex
 
 StateSet = TypeVar("StateSet")
-
-
-def nfa_to_dfa(nfa: NFA, alphabet: Iterable[str]) -> DFA:
-    """Determinize ``nfa`` over ``alphabet`` via subset construction.
-
-    Sparse-aware stepping: each popped subset only steps over the
-    characters that actually label an outgoing edge of one of its
-    states, so the construction is O(reachable edges) rather than
-    O(subsets × |alphabet|) — and the old per-subset ``sorted(alphabet)``
-    (recomputed on every loop iteration) is gone with it. Characters
-    with no outgoing edge produced no subset state and no transition
-    before either, so the resulting DFA — including its subset-state
-    numbering — is unchanged.
-    """
-    alphabet = frozenset(alphabet)
-    start_set = nfa.eps_closure(frozenset((nfa.start,)))
-    index: Dict[FrozenSet[int], int] = {start_set: 0}
-    transitions: Dict[Tuple[int, str], int] = {}
-    accepting = set()
-    queue = deque([start_set])
-    while queue:
-        current = queue.popleft()
-        state = index[current]
-        if nfa.accept in current:
-            accepting.add(state)
-        outgoing = set()
-        for s in current:
-            for chars, _dst in nfa.char_edges.get(s, ()):
-                outgoing.update(chars)
-        # Sorted, not raw set order: subset-state numbering (and with
-        # it the transition table layout) must not depend on the salted
-        # iteration order of the character set (detlint DET004).
-        for char in sorted(outgoing & alphabet):
-            moved = nfa.step(current, char)
-            if not moved:
-                continue
-            if moved not in index:
-                index[moved] = len(index)
-                queue.append(moved)
-            transitions[(state, char)] = index[moved]
-    return DFA(alphabet, set(index.values()), 0, accepting, transitions)
 
 
 def bounded_subset_construction(
@@ -121,9 +79,29 @@ def regex_to_dfa(
 ) -> DFA:
     """Compile a regex to a minimal DFA.
 
-    ``alphabet`` defaults to the characters appearing in the expression;
-    pass a larger alphabet if membership of other characters matters
-    (they are rejected either way, but the DFA records the alphabet).
+    Determinizes the membership engine's composed automaton for
+    ``expr`` — the same walk the dense tier lowers through, without a
+    budget — then minimizes. ``alphabet`` defaults to the characters
+    appearing in the expression; pass a larger alphabet if membership
+    of other characters matters (they are rejected either way, but the
+    DFA records the alphabet).
     """
+    # Imported here: the engine imports this module (via the dense tier).
+    from repro.languages.engine import Engine
+
     chars = frozenset(alphabet) if alphabet is not None else expr.alphabet()
-    return nfa_to_dfa(compile_regex(expr), chars).minimize()
+    symbols = sorted(chars)
+    nfa = Engine().compile(expr)
+    exit_state = (0, nfa.root.exit)
+    n_states, moves, accepting = bounded_subset_construction(
+        nfa.eps_closure(frozenset(((0, nfa.root.entry),))),
+        nfa.step,
+        lambda states: exit_state in states,
+        symbols,
+    )
+    transitions = {
+        (state, symbols[sym_index]): target
+        for (state, sym_index), target in moves.items()
+    }
+    final = [state for state in range(n_states) if accepting[state]]
+    return DFA(chars, range(n_states), 0, final, transitions).minimize()

@@ -49,23 +49,13 @@ class GladeConfig:
     restricted to regular languages); ``enable_chargen=False`` gives the
     character-generalization ablation discussed in §8.2.
 
-    ``use_engine`` selects the incremental membership engine
-    (:mod:`repro.languages.engine`): phase one's current-language tests
-    and the §6.1 covered-seed tests then reuse cached NFA fragments of
-    unchanged subtrees and memoize match results per (language version,
-    string). ``use_engine=False`` recompiles every language version
-    from scratch — learned grammars are identical either way (verified
-    by ``tests/languages/test_engine.py``); the flag exists for the
-    equivalence tests and the ``bench_engine`` microbenchmark.
-
-    ``use_dense`` selects the dense matching tier on top of the engine:
-    hot language versions are lowered to minimized byte-transition
-    tables (:mod:`repro.languages.engine` / :mod:`repro.automata.dense`)
-    and batched membership probes walk the flat tables. Every tier is
-    verdict-equivalent and membership probes are oracle-free, so this
-    is an *execution* knob like ``jobs``/``backend``: learned grammars
-    and query counts are byte-identical with it on or off (verified by
-    ``tests/languages/test_tiered.py``).
+    Membership in the learner's own languages (phase one's
+    current-language tests, the §6.1 covered-seed tests) always runs
+    through the incremental membership engine
+    (:mod:`repro.languages.engine`): cached NFA fragments of unchanged
+    subtrees, memoized results per (language version, string), and hot
+    versions lowered to dense byte-transition tables. It is oracle-free
+    and has no knob.
 
     Independent oracle checks (a candidate's residuals, one position's
     character probes, a merge pair's checks) are always dispatched as
@@ -84,12 +74,6 @@ class GladeConfig:
     #: Extended merge checks (see repro.core.phase2); False gives the
     #: paper's literal two checks — exposed for the ablation bench.
     mixed_merge_checks: bool = True
-    #: Incremental membership engine (fragment cache + match memo).
-    use_engine: bool = True
-    #: Dense matching tier: promote hot language versions to minimized
-    #: byte-transition tables (requires ``use_engine``; ignored without
-    #: it). Execution-only — never changes grammars or query counts.
-    use_dense: bool = True
     #: Worker count for seed-sharded phase 1 and pair-sharded phase 2
     #: (see :mod:`repro.exec`). Learned grammars and counted query
     #: totals are identical at any worker count; jobs > 1 trades

@@ -137,19 +137,12 @@ def _passes(checks: List[str], oracle: Oracle, in_current) -> bool:
     """
     if supports_concurrency(oracle):
         # The discard-rule probes are independent here too, so they go
-        # through the matcher's batch path when it has one (the dense
-        # tier answers a batch in one table walk); a plain predicate
-        # gets the per-string loop. Verdicts are identical either way.
-        batch = getattr(in_current, "match_many", None)
-        if batch is not None:
-            verdicts = batch(checks)
-            pending = [
-                check
-                for check, verdict in zip(checks, verdicts)
-                if not verdict
-            ]
-        else:
-            pending = [check for check in checks if not in_current(check)]
+        # through the matcher's batch path (the dense tier answers a
+        # batch in one table walk). Verdicts are identical either way.
+        verdicts = in_current.match_many(checks)
+        pending = [
+            check for check, verdict in zip(checks, verdicts) if not verdict
+        ]
         return query_all(oracle, pending)
     for check in checks:
         if in_current(check):

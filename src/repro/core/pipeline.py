@@ -389,9 +389,7 @@ class LearningPipeline:
                 artifact.execution[key] = prior[key]
         # Parent-side session: tracks kept (USED) languages for the
         # §6.1 covered-seed test. Oracle-free.
-        session = MembershipSession(
-            use_engine=config.use_engine, use_dense=config.use_dense
-        )
+        session = MembershipSession()
         if tracer.enabled:
             observe_engine(session, tracer)
 

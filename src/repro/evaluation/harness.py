@@ -122,7 +122,6 @@ _SEMANTIC_CONFIG_FIELDS = (
     "skip_covered_seeds",
     "record_trace",
     "mixed_merge_checks",
-    "use_engine",
 )
 
 

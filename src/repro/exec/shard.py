@@ -149,9 +149,7 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     shared_session = payload.get("session")
     session = shared_session
     if session is None:
-        session = MembershipSession(
-            use_engine=config.use_engine, use_dense=config.use_dense
-        )
+        session = MembershipSession()
         if tracer.enabled:
             observe_engine(session, tracer)
     with registry.timer("seed.seconds"):
@@ -195,14 +193,11 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def observe_engine(session: MembershipSession, tracer: Tracer) -> None:
     """Wire a session's engine tier transitions to instant trace events."""
-    engine = getattr(session, "engine", None)
-    if engine is None:
-        return
 
     def observer(kind: str, detail: Dict[str, Any]) -> None:
         tracer.event(kind, cat="engine", args=detail)
 
-    engine.observer = observer
+    session.engine.observer = observer
 
 
 def decode_task(raw: Dict[str, Any]) -> SeedResult:

@@ -22,7 +22,6 @@ from repro.languages.engine import (
     Fragment,
     MembershipSession,
 )
-from repro.languages.nfa_match import NFA, compile_regex, regex_matches
 from repro.languages.regex import (
     EMPTY,
     EPSILON,
@@ -58,20 +57,17 @@ __all__ = [
     "GrammarSampler",
     "Lit",
     "MembershipSession",
-    "NFA",
     "Nonterminal",
     "ParseTree",
     "Production",
     "Regex",
     "Star",
     "alt",
-    "compile_regex",
     "concat",
     "grammar_union",
     "literal",
     "parse",
     "recognize",
-    "regex_matches",
     "sample_regex",
     "star",
     "to_python_re",

@@ -1,10 +1,12 @@
-"""Shared membership engine: incremental Thompson compilation + memoization.
+"""The membership engine: incremental Thompson compilation + memoization.
 
-Phase one recompiles the current language L̂ᵢ after *every* generalization
+Phase one needs the current language L̂ᵢ after *every* generalization
 step to implement the §4.3 discard rule, and the §6.1 covered-seed test
 matches every new seed against every learned regex. Rebuilding a Thompson
 NFA from scratch each time costs O(steps × tree-size) construction work —
-the dominant non-oracle cost of the learner. This module removes it:
+the dominant non-oracle cost of the learner. This module avoids it, and
+is the only regex-membership implementation in the package
+(``Regex.matches`` runs through it too):
 
 - :class:`Engine` compiles regex subtrees into :class:`Fragment` objects
   and caches them under the subtree's *structural* hash (regex ASTs
@@ -44,14 +46,14 @@ inlining: instances are interned per (parent instance, call site), so
 every runtime path entering a child instance came through exactly one
 call site and the child's exit returns to exactly that site's return
 state. The property tests in ``tests/languages/test_engine.py`` and
-``tests/languages/test_tiered.py`` check agreement with the
-from-scratch construction — and across all three tiers — on random
-ASTs.
+``tests/languages/test_tiered.py`` check agreement with a plain
+Thompson construction kept test-side (``tests/reference_nfa.py``) — and
+across all three tiers — on random ASTs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.automata.dense import DenseDFA, lower_automaton
 from repro.languages import regex as rx
@@ -62,12 +64,14 @@ class Fragment:
 
     States are local integers ``0..n_states-1`` with distinguished
     ``entry`` and ``exit``. ``eps`` and ``chars`` are intra-fragment
-    edges (as in :class:`~repro.languages.nfa_match.NFA`). ``calls``
-    maps a local state to ``(call_index, child, return_state)`` triples:
-    the automaton may ε-enter ``child`` (in its own instance) from that
-    state and, upon reaching the child's exit, ε-continue at
-    ``return_state``. ``call_index`` is unique within the fragment so
-    distinct call sites of the same child get distinct instances.
+    edges: ``eps[state]`` lists ε-successors, ``chars[state]`` lists
+    ``(label, target)`` pairs whose label is the frozenset of accepted
+    characters. ``calls`` maps a local state to ``(call_index, child,
+    return_state)`` triples: the automaton may ε-enter ``child`` (in
+    its own instance) from that state and, upon reaching the child's
+    exit, ε-continue at ``return_state``. ``call_index`` is unique
+    within the fragment so distinct call sites of the same child get
+    distinct instances.
     """
 
     __slots__ = ("n_states", "entry", "exit", "eps", "chars", "calls")
@@ -93,8 +97,9 @@ class TierStats:
     """Counters describing matcher-tier activity for one engine.
 
     Pure execution telemetry: none of these feed back into learning
-    decisions, so they may differ across dense-on/off runs while the
-    learned grammars and oracle accounting stay byte-identical.
+    decisions (every tier returns the same verdicts), so they may
+    differ across runs — e.g. serial vs sharded — while the learned
+    grammars and oracle accounting stay byte-identical.
     """
 
     __slots__ = (
@@ -129,16 +134,14 @@ class Engine:
 
     ``states_built`` counts states allocated for *freshly built*
     fragments only — cache hits contribute nothing — so it measures the
-    construction work actually done (the quantity
-    ``benchmarks/bench_engine.py`` compares against from-scratch
-    compilation).
+    construction work actually done.
 
-    With ``dense=True`` (the default), :meth:`matcher` hands out
-    :class:`TieredMatcher` objects that promote hot language versions
-    to dense transition tables after ``promote_threshold`` probed
-    strings (a batch counts as its size); ``state_budget`` bounds the
-    subset construction per lowering. Dense tables are cached per root
-    regex (FIFO-bounded) so re-requested versions reuse their table.
+    :meth:`matcher` hands out :class:`TieredMatcher` objects that
+    promote hot language versions to dense transition tables after
+    ``promote_threshold`` probed strings (a batch counts as its size);
+    ``state_budget`` bounds the subset construction per lowering. Dense
+    tables are cached per root regex (FIFO-bounded) so re-requested
+    versions reuse their table.
     """
 
     #: Dense tables retained per engine (FIFO eviction). Tables are a
@@ -163,7 +166,6 @@ class Engine:
 
     def __init__(
         self,
-        dense: bool = True,
         promote_threshold: int = PROMOTE_THRESHOLD,
         state_budget: int = 256,
     ):
@@ -171,7 +173,6 @@ class Engine:
         self.states_built = 0
         self.fragment_hits = 0
         self.fragment_misses = 0
-        self.dense = dense
         self.promote_threshold = promote_threshold
         self.state_budget = state_budget
         self.tier_stats = TierStats()
@@ -196,12 +197,9 @@ class Engine:
         """Compile ``expr`` into a matchable automaton, reusing fragments."""
         return ComposedNFA(self.fragment(expr))
 
-    def matcher(self, expr: rx.Regex) -> Callable[[str], bool]:
-        """A membership predicate for ``expr`` (tiered when ``dense``)."""
-        composed = self.compile(expr)
-        if self.dense:
-            return TieredMatcher(self, expr, composed)
-        return composed.matches
+    def matcher(self, expr: rx.Regex) -> "TieredMatcher":
+        """A tiered membership predicate for ``expr``."""
+        return TieredMatcher(self, expr, self.compile(expr))
 
     def _promote(self, expr: rx.Regex, root: Fragment):
         """Lower ``expr``'s automaton to a dense table (cached per root).
@@ -502,10 +500,6 @@ class TieredMatcher:
         stats.dense_matches += 1
         return verdict
 
-    #: Alias so a TieredMatcher drops in where ``ComposedNFA.matches``
-    #: (a bound method) was passed around before.
-    matches = __call__
-
     def match_many(self, texts: Sequence[str]) -> List[bool]:
         """Batch membership; one verdict per input string."""
         stats = self._engine.tier_stats
@@ -543,7 +537,7 @@ class _MemoMatcher:
 
     __slots__ = ("_match", "_memo")
 
-    def __init__(self, match: Callable[[str], bool]):
+    def __init__(self, match: TieredMatcher):
         self._match = match
         self._memo: Dict[str, bool] = {}
 
@@ -558,22 +552,16 @@ class _MemoMatcher:
         """Batch :meth:`__call__`: memo-aware, dense-tier friendly.
 
         Unmemoized strings are deduplicated and answered in one batch
-        (through the underlying matcher's ``match_many`` when it has
-        one), then every verdict is served from the memo — identical
-        results to calling the predicate per string.
+        through the tiered matcher's ``match_many``, then every verdict
+        is served from the memo — identical results to calling the
+        predicate per string.
         """
         memo = self._memo
         pending = [
             text for text in dict.fromkeys(texts) if text not in memo
         ]
         if pending:
-            batch = getattr(self._match, "match_many", None)
-            if batch is not None:
-                for text, verdict in zip(pending, batch(pending)):
-                    memo[text] = verdict
-            else:
-                for text in pending:
-                    memo[text] = self._match(text)
+            memo.update(zip(pending, self._match.match_many(pending)))
         return [memo[text] for text in texts]
 
 
@@ -605,11 +593,8 @@ class CoverageTracker:
         while self._consumed < len(learned) and self._pending:
             match = learned[self._consumed]
             self._consumed += 1
-            batch = getattr(match, "match_many", None)
-            if batch is not None:
-                verdicts = batch([self._texts[i] for i in self._pending])
-            else:
-                verdicts = [match(self._texts[i]) for i in self._pending]
+            pending = [self._texts[i] for i in self._pending]
+            verdicts = match.match_many(pending)
             still_pending = []
             for i, verdict in zip(self._pending, verdicts):
                 if verdict:
@@ -628,15 +613,8 @@ class MembershipSession:
     (regex-version, string), and structurally equal versions share one
     matcher (a splice that replaces a hole by its literal constant
     leaves the language unchanged, so the previous version's memo is
-    reused wholesale). With ``use_engine=False`` the session instead
-    recompiles every version from scratch with
-    :func:`~repro.languages.nfa_match.compile_regex` and performs no
-    memoization — exactly the pre-engine behavior, kept as the
-    baseline for the equivalence tests and ``bench_engine``.
-    ``use_dense`` selects whether the session's engine promotes hot
-    versions to dense tables (ignored when an explicit ``engine`` is
-    passed — its own setting wins); all tiers are verdict-equivalent,
-    so this is purely an execution knob.
+    reused wholesale). The session builds its own :class:`Engine`
+    unless one is passed in.
 
     ``remember``/``covers`` maintain the union of learned per-seed
     languages for the §6.1 covered-seed test; ``track_coverage`` is the
@@ -651,28 +629,13 @@ class MembershipSession:
     #: state sets alive for the whole learning run.
     MAX_VERSIONS = 8
 
-    def __init__(
-        self,
-        engine: Optional[Engine] = None,
-        use_engine: bool = True,
-        use_dense: bool = True,
-    ):
-        if engine is not None and not use_engine:
-            raise ValueError(
-                "use_engine=False contradicts passing an explicit engine"
-            )
-        if engine is None and use_engine:
-            engine = Engine(dense=use_dense)
-        self.engine = engine
+    def __init__(self, engine: Optional[Engine] = None):
+        self.engine = engine if engine is not None else Engine()
         self._versions: Dict[rx.Regex, _MemoMatcher] = {}
-        self._learned: List[Callable[[str], bool]] = []
+        self._learned: List[_MemoMatcher] = []
 
-    def matcher(self, expr: rx.Regex) -> Callable[[str], bool]:
+    def matcher(self, expr: rx.Regex) -> _MemoMatcher:
         """A memoizing membership predicate for the language of ``expr``."""
-        if self.engine is None:
-            from repro.languages.nfa_match import compile_regex
-
-            return compile_regex(expr).matches
         matcher = self._versions.pop(expr, None)
         if matcher is None:
             matcher = _MemoMatcher(self.engine.matcher(expr))
@@ -687,11 +650,7 @@ class MembershipSession:
         Verdict-identical to probing ``matcher(expr)`` per string, but
         routes unmemoized strings through the dense tier in one batch.
         """
-        matcher = self.matcher(expr)
-        batch = getattr(matcher, "match_many", None)
-        if batch is not None:
-            return batch(texts)
-        return [matcher(text) for text in texts]
+        return self.matcher(expr).match_many(texts)
 
     def remember(self, expr: rx.Regex) -> None:
         """Record a learned per-seed regex for subsequent ``covers`` tests."""
@@ -711,7 +670,5 @@ class MembershipSession:
         return CoverageTracker(self, texts)
 
     def tier_summary(self) -> Dict[str, int]:
-        """Matcher-tier counters of the session's engine (empty if none)."""
-        if self.engine is None:
-            return {}
+        """Matcher-tier counters of the session's engine."""
         return self.engine.tier_summary()

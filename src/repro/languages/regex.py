@@ -5,15 +5,22 @@ the AST those expressions are represented with, together with pretty
 printing in the paper's notation (``+`` for alternation, ``*`` for the
 Kleene star) and structural helpers.
 
-Matching is delegated to a Thompson NFA built by
-:mod:`repro.languages.nfa_match`; ``Regex.matches`` compiles lazily and
-caches the automaton, so repeated membership queries against the same
-expression are cheap.
+Matching is delegated to the membership engine
+(:mod:`repro.languages.engine`); ``Regex.matches`` builds a tiered
+matcher lazily and caches it on the node, so repeated membership
+queries against the same expression are cheap.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import FrozenSet, Iterator, Sequence, Tuple
+
+#: Serializes :meth:`Regex.matches`. The cached matcher fills its lazy
+#: DFA and dense tables on first use (check-then-act on shared tables),
+#: and a regex-backed oracle is one object shared by every worker thread
+#: on the thread execution backend.
+_MATCH_LOCK = threading.Lock()
 
 
 class Regex:
@@ -25,16 +32,17 @@ class Regex:
     subtrees, so repeated structural hashing must be O(1) amortized.
     """
 
-    _nfa = None  # lazily-built Thompson NFA, shared per node
+    _matcher = None  # lazily-built engine matcher, shared per node
     _hash = None  # cached structural hash, shared per node
 
     def matches(self, text: str) -> bool:
         """Return True if ``text`` is in the language of this expression."""
-        if self._nfa is None:
-            from repro.languages.nfa_match import compile_regex
+        with _MATCH_LOCK:
+            if self._matcher is None:
+                from repro.languages.engine import Engine
 
-            self._nfa = compile_regex(self)
-        return self._nfa.matches(text)
+                self._matcher = Engine().matcher(self)
+            return self._matcher(text)
 
     def children(self) -> Tuple["Regex", ...]:
         """Return the direct subexpressions of this node."""
@@ -60,9 +68,16 @@ class Regex:
         """Return True if the empty string is in the language."""
         raise NotImplementedError
 
-    # Subclasses define _key() for equality/hash.
-    def _key(self):
+    # Subclasses define _key(): their constructor arguments, which fix
+    # the structure that equality, hashing and pickling go by.
+    def _key(self) -> tuple:
         raise NotImplementedError
+
+    def __reduce__(self):
+        # Pickled as a constructor call, so the per-node caches stay
+        # behind: the matcher's automata are keyed by this very node,
+        # and the structural hash is salted per process.
+        return type(self), self._key()
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
@@ -84,7 +99,7 @@ class Epsilon(Regex):
     def nullable(self) -> bool:
         return True
 
-    def _key(self):
+    def _key(self) -> tuple:
         return ()
 
     def __str__(self) -> str:
@@ -97,7 +112,7 @@ class EmptySet(Regex):
     def nullable(self) -> bool:
         return False
 
-    def _key(self):
+    def _key(self) -> tuple:
         return ()
 
     def __str__(self) -> str:
@@ -107,20 +122,20 @@ class EmptySet(Regex):
 class Lit(Regex):
     """A literal string; matches exactly ``text`` (must be nonempty)."""
 
-    __slots__ = ("text", "_nfa", "_hash")
+    __slots__ = ("text", "_matcher", "_hash")
 
     def __init__(self, text: str):
         if not text:
             raise ValueError("Lit requires a nonempty string; use Epsilon")
         self.text = text
-        self._nfa = None
+        self._matcher = None
         self._hash = None
 
     def nullable(self) -> bool:
         return False
 
-    def _key(self):
-        return self.text
+    def _key(self) -> tuple:
+        return (self.text,)
 
     def __str__(self) -> str:
         return _quote(self.text)
@@ -134,7 +149,7 @@ class CharClass(Regex):
     re-sort the set on every draw.
     """
 
-    __slots__ = ("chars", "sorted_chars", "_nfa", "_hash")
+    __slots__ = ("chars", "sorted_chars", "_matcher", "_hash")
 
     def __init__(self, chars):
         chars = frozenset(chars)
@@ -145,14 +160,14 @@ class CharClass(Regex):
                 raise ValueError("CharClass members must be single characters")
         self.chars = chars
         self.sorted_chars = tuple(sorted(chars))
-        self._nfa = None
+        self._matcher = None
         self._hash = None
 
     def nullable(self) -> bool:
         return False
 
-    def _key(self):
-        return self.chars
+    def _key(self) -> tuple:
+        return (self.chars,)
 
     def __str__(self) -> str:
         if len(self.chars) == 1:
@@ -163,13 +178,13 @@ class CharClass(Regex):
 class Concat(Regex):
     """Sequencing of two or more subexpressions."""
 
-    __slots__ = ("parts", "_nfa", "_hash")
+    __slots__ = ("parts", "_matcher", "_hash")
 
     def __init__(self, parts: Sequence[Regex]):
         self.parts = tuple(parts)
         if len(self.parts) < 2:
             raise ValueError("Concat requires at least two parts; use concat()")
-        self._nfa = None
+        self._matcher = None
         self._hash = None
 
     def children(self) -> Tuple[Regex, ...]:
@@ -178,8 +193,8 @@ class Concat(Regex):
     def nullable(self) -> bool:
         return all(p.nullable() for p in self.parts)
 
-    def _key(self):
-        return self.parts
+    def _key(self) -> tuple:
+        return (self.parts,)
 
     def __str__(self) -> str:
         rendered = []
@@ -194,13 +209,13 @@ class Concat(Regex):
 class Alt(Regex):
     """Alternation of two or more subexpressions (the paper's ``+``)."""
 
-    __slots__ = ("options", "_nfa", "_hash")
+    __slots__ = ("options", "_matcher", "_hash")
 
     def __init__(self, options: Sequence[Regex]):
         self.options = tuple(options)
         if len(self.options) < 2:
             raise ValueError("Alt requires at least two options; use alt()")
-        self._nfa = None
+        self._matcher = None
         self._hash = None
 
     def children(self) -> Tuple[Regex, ...]:
@@ -209,8 +224,8 @@ class Alt(Regex):
     def nullable(self) -> bool:
         return any(o.nullable() for o in self.options)
 
-    def _key(self):
-        return self.options
+    def _key(self) -> tuple:
+        return (self.options,)
 
     def __str__(self) -> str:
         return " + ".join(str(o) for o in self.options)
@@ -219,11 +234,11 @@ class Alt(Regex):
 class Star(Regex):
     """Kleene star of a subexpression."""
 
-    __slots__ = ("inner", "_nfa", "_hash")
+    __slots__ = ("inner", "_matcher", "_hash")
 
     def __init__(self, inner: Regex):
         self.inner = inner
-        self._nfa = None
+        self._matcher = None
         self._hash = None
 
     def children(self) -> Tuple[Regex, ...]:
@@ -232,7 +247,7 @@ class Star(Regex):
     def nullable(self) -> bool:
         return True
 
-    def _key(self):
+    def _key(self) -> tuple:
         return (self.inner,)
 
     def __str__(self) -> str:

@@ -342,11 +342,8 @@ def grammar_oracle(grammar) -> Oracle:
 
 
 def regex_oracle(expr) -> Oracle:
-    """Membership oracle for a regular expression (Thompson NFA)."""
-    from repro.languages.nfa_match import compile_regex
-
-    nfa = compile_regex(expr)
-    return nfa.matches
+    """Membership oracle for a regular expression (``Regex.matches``)."""
+    return expr.matches
 
 
 def program_oracle(program) -> Oracle:
@@ -362,7 +359,45 @@ def program_oracle(program) -> Oracle:
     return oracle
 
 
-class SubprocessOracle:
+class _FaultCounters:
+    """Mixin: thread-safe per-cause fault counters with drain semantics.
+
+    ``drain_faults`` returns the counts accumulated since the last
+    drain and resets them — so a worker task can ship its own deltas
+    through its telemetry snapshot while the parent (sharing the same
+    oracle object on the serial/thread paths) still accounts exactly
+    once for whatever no task drained.
+    """
+
+    def _init_faults(self) -> None:
+        self._fault_lock = threading.Lock()
+        self._faults: Dict[str, int] = {}
+
+    def _count_fault(self, name: str, value: int = 1) -> None:
+        with self._fault_lock:
+            self._faults[name] = self._faults.get(name, 0) + value
+
+    def drain_faults(self) -> Dict[str, int]:
+        """Return and reset the per-cause fault counters (telemetry)."""
+        with self._fault_lock:
+            drained, self._faults = self._faults, {}
+        return drained
+
+    def __getstate__(self) -> dict:
+        # The counter lock is process-local (detlint PAR002); a pickled
+        # copy shipped to a pool worker starts with a fresh lock and
+        # zeroed counters — its counts travel back via telemetry.
+        state = self.__dict__.copy()
+        del state["_fault_lock"]
+        state["_faults"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._fault_lock = threading.Lock()
+
+
+class SubprocessOracle(_FaultCounters):
     """Run a real executable per query — the paper's §2 oracle, literally.
 
     The candidate input is passed on stdin (default) or as a file
@@ -425,24 +460,12 @@ class SubprocessOracle:
         # batches may race to create the pool.
         self._pool_lock = threading.Lock()
         # Per-cause fault counters (timeouts, spawn failures), drained
-        # into telemetry by the resilience helpers; guarded because the
-        # thread backend shares one oracle object across workers.
-        self._fault_lock = threading.Lock()
-        self._faults: Dict[str, int] = {}
+        # into telemetry by the resilience helpers.
+        self._init_faults()
 
     @property
     def concurrent(self) -> bool:
         return self.max_workers > 1
-
-    def _count_fault(self, name: str) -> None:
-        with self._fault_lock:
-            self._faults[name] = self._faults.get(name, 0) + 1
-
-    def drain_faults(self) -> Dict[str, int]:
-        """Return and reset the per-cause fault counters (telemetry)."""
-        with self._fault_lock:
-            drained, self._faults = self._faults, {}
-        return drained
 
     def __call__(self, text: str) -> bool:
         command = self.command
@@ -554,21 +577,15 @@ class SubprocessOracle:
         self.close()
 
     def __getstate__(self) -> dict:
-        # The lazily created thread pool (and its lock) are
-        # process-local state; a pickled copy (e.g. one shipped to a
-        # ProcessExecutor worker) starts without them and creates its
-        # own on first batch.
-        state = self.__dict__.copy()
+        # Beyond the mixin's lock/counter reset: the lazily created
+        # thread pool (and its lock) are process-local state; a pickled
+        # copy (e.g. one shipped to a ProcessExecutor worker) starts
+        # without them and creates its own on first batch.
+        state = super().__getstate__()
         state["_pool"] = None
         del state["_pool_lock"]
-        del state["_fault_lock"]
-        # Fault counters are per-process telemetry: a worker copy
-        # starts at zero and ships its own deltas back via the task
-        # telemetry snapshot.
-        state["_faults"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         self._pool_lock = threading.Lock()
-        self._fault_lock = threading.Lock()

@@ -30,12 +30,16 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from repro.learning.oracle import Oracle, query_many, supports_concurrency
+from repro.learning.oracle import (
+    Oracle,
+    _FaultCounters,
+    query_many,
+    supports_concurrency,
+)
 
 #: How a query timeout is interpreted (``SubprocessOracle`` /
 #: :class:`ChaosOracle` ``timeout_verdict``):
@@ -130,43 +134,6 @@ class RetryPolicy:
             fraction = int.from_bytes(digest, "big") / 2.0 ** 64
             delay *= 1.0 + self.jitter * fraction
         return delay
-
-
-class _FaultCounters:
-    """Mixin: thread-safe per-cause fault counters with drain semantics.
-
-    ``drain_faults`` returns the counts accumulated since the last
-    drain and resets them — so a worker task can ship its own deltas
-    through its telemetry snapshot while the parent (sharing the same
-    oracle object on the serial/thread paths) still accounts exactly
-    once for whatever no task drained.
-    """
-
-    def _init_faults(self) -> None:
-        self._fault_lock = threading.Lock()
-        self._faults: Dict[str, int] = {}
-
-    def _count_fault(self, name: str, value: int = 1) -> None:
-        with self._fault_lock:
-            self._faults[name] = self._faults.get(name, 0) + value
-
-    def drain_faults(self) -> Dict[str, int]:
-        with self._fault_lock:
-            drained, self._faults = self._faults, {}
-        return drained
-
-    def __getstate__(self) -> dict:
-        # The counter lock is process-local (detlint PAR002); a pickled
-        # copy shipped to a pool worker starts with a fresh lock and
-        # zeroed counters — its counts travel back via telemetry.
-        state = self.__dict__.copy()
-        del state["_fault_lock"]
-        state["_faults"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._fault_lock = threading.Lock()
 
 
 class ResilientOracle(_FaultCounters):
@@ -541,7 +508,7 @@ def drain_fault_counters(oracle: Any) -> Dict[str, int]:
     wrapper in :mod:`repro.learning.oracle` follows), draining any
     layer that exposes ``drain_faults()``. Drain-and-reset semantics
     make the call safe from both worker tasks and the parent without
-    double counting — see :class:`_FaultCounters`.
+    double counting — see :class:`~repro.learning.oracle._FaultCounters`.
     """
     totals: Dict[str, int] = {}
     layer = oracle

@@ -10,15 +10,14 @@ We reproduce it (restricted to lowercase, as our alphabet is lowercase
 ASCII): a scheme with optional ``s``, an optional ``www.`` prefix, a
 host blob of at least two characters from a permissive class, a dot, a
 2-6 character TLD, and an optional path of another permissive class.
-The language is regular; membership is decided by the Thompson NFA and
-the sampling grammar is derived structurally from the same AST — the
-two views cannot drift apart.
+The language is regular; membership is decided by the regex's own
+engine matcher (``Regex.matches``) and the sampling grammar is derived
+structurally from the same AST — the two views cannot drift apart.
 """
 
 from __future__ import annotations
 
 from repro.languages import regex as rx
-from repro.languages.nfa_match import compile_regex
 from repro.languages.to_grammar import regex_to_grammar
 from repro.targets.base import TargetLanguage
 
@@ -61,12 +60,11 @@ def build_url_regex() -> rx.Regex:
 
 
 _URL_REGEX = build_url_regex()
-_URL_NFA = compile_regex(_URL_REGEX)
 
 
 def url_oracle(text: str) -> bool:
-    """Recognize the URL language (exact NFA membership)."""
-    return _URL_NFA.matches(text)
+    """Recognize the URL language (exact regex membership)."""
+    return _URL_REGEX.matches(text)
 
 
 def make_target() -> TargetLanguage:

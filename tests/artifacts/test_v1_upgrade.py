@@ -5,7 +5,8 @@ preserve, so schema bumps upgrade known older documents in place
 instead of refusing them: v1 → v2 re-indexes phase-1 results, v2 → v3
 merely lacks the optional ``phase2_progress`` record. Old documents
 are simulated by downgrading a real current one: stripping every
-newer-than-X field, exactly what the PR-2 / PR-3 builds wrote.
+newer-than-X field, exactly what the PR-2 / PR-3 builds wrote. Config
+keys of retired ``GladeConfig`` fields are ignored on load.
 """
 
 import json
@@ -19,7 +20,10 @@ from repro.artifacts import (
     RunArtifact,
     SEED_USED,
     SEED_VALIDATED,
+    grammar_to_dict,
+    load_artifact,
 )
+from repro.artifacts.run import artifact_digest
 from repro.core.glade import GladeConfig
 from repro.core.pipeline import LearningPipeline
 
@@ -57,6 +61,17 @@ def finished():
     store = MemoryCheckpointStore()
     pipeline = LearningPipeline(xml_like_oracle, config=config, store=store)
     return pipeline.run(SEEDS), store
+
+
+def mid_phase1_snapshot(store):
+    """The first checkpoint with both learned and unlearned seeds."""
+    for index in range(len(store.snapshots)):
+        candidate = store.snapshot(index)
+        if any(s.state == SEED_USED for s in candidate.seeds) and any(
+            s.state == SEED_VALIDATED for s in candidate.seeds
+        ):
+            return candidate
+    raise AssertionError("no mid-phase-1 checkpoint")
 
 
 def test_complete_v1_artifact_loads(finished):
@@ -105,22 +120,37 @@ def test_in_progress_v2_artifact_resumes(finished):
 
 def test_in_progress_v1_artifact_resumes(finished):
     artifact, store = finished
-    snapshot = None
-    for index in range(len(store.snapshots)):
-        candidate = store.snapshot(index)
-        if any(s.state == SEED_USED for s in candidate.seeds) and any(
-            s.state == SEED_VALIDATED for s in candidate.seeds
-        ):
-            snapshot = candidate
-            break
-    assert snapshot is not None
-    v1 = downgrade_to_v1(snapshot.to_dict())
+    v1 = downgrade_to_v1(mid_phase1_snapshot(store).to_dict())
     restored = RunArtifact.from_dict(v1)
     resumed = LearningPipeline(
         xml_like_oracle, config=restored.config
     ).resume(restored)
     assert resumed.status == "complete"
     assert str(resumed.grammar) == str(artifact.grammar)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_retired_config_keys_ignored_on_load(finished, tmp_path, value):
+    """A checkpoint whose config still holds the retired ``use_engine``
+    and ``use_dense`` keys — as every build before their removal wrote,
+    integrity digest included — loads and resumes to the uninterrupted
+    run's grammar and accumulated query count."""
+    artifact, store = finished
+    data = mid_phase1_snapshot(store).to_dict()
+    data["config"].update(use_engine=value, use_dense=value)
+    data["integrity"] = artifact_digest(data)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data, indent=1, sort_keys=True))
+    restored = load_artifact(path)
+    assert restored.config == artifact.config
+    resumed = LearningPipeline(
+        xml_like_oracle, config=restored.config
+    ).resume(restored)
+    assert resumed.status == "complete"
+    assert json.dumps(grammar_to_dict(resumed.grammar)) == json.dumps(
+        grammar_to_dict(artifact.grammar)
+    )
+    assert resumed.oracle_queries == artifact.oracle_queries
 
 
 def test_v1_with_mismatched_results_rejected(finished):

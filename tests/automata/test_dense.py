@@ -2,24 +2,22 @@
 
 Property-based agreement across every representation of the same
 language: the dense table must answer exactly like the engine's
-composed NFA and like the from-scratch Thompson construction, on random
-regex ASTs and random strings — including strings with characters the
+composed NFA and like the test-side Thompson reference, on random regex
+ASTs and random strings — including strings with characters the
 byte-compressed table cannot map, where the contract is a None verdict
-(caller falls back). The scalar and numpy batch paths are checked
-against each other, and tables must survive pickling (process-backend
-task payloads).
+(caller falls back). Batch and single-string matching must agree, and
+tables must survive pickling (process-backend task payloads).
 """
 
 import pickle
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import dense
 from repro.automata.dense import DenseDFA, build_classmap, lower_automaton
 from repro.languages import regex as rx
 from repro.languages.engine import Engine, _lower_fragment
-from repro.languages.nfa_match import compile_regex
+
+from tests.reference_nfa import compile_regex
 
 _ALPHABET = "ab"
 
@@ -54,8 +52,7 @@ probes = st.text(alphabet=_ALPHABET + "xé☃", max_size=8)
 
 def lower_regex(expr, budget=512):
     """The DenseDFA for ``expr`` (None when lowering is refused)."""
-    engine = Engine(dense=False)
-    return _lower_fragment(engine.fragment(expr), budget)
+    return _lower_fragment(Engine().fragment(expr), budget)
 
 
 class TestBuildClassmap:
@@ -97,7 +94,7 @@ class TestAgreement:
         table = lower_regex(expr)
         assert table is not None
         expected = compile_regex(expr).matches(probe)
-        assert Engine(dense=False).matcher(expr)(probe) == expected
+        assert Engine().compile(expr).matches(probe) == expected
         verdict = table.match(probe)
         if any(ord(char) >= 256 for char in probe):
             assert verdict is None  # fallback contract
@@ -114,27 +111,6 @@ class TestAgreement:
         assert table.match_many(texts) == [
             table.match(text) for text in texts
         ]
-
-
-@pytest.mark.skipif(dense._np is None, reason="numpy not installed")
-class TestNumpyPath:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        expr=regex_trees(),
-        texts=st.lists(probes, min_size=0, max_size=12),
-    )
-    def test_numpy_equals_scalar(self, expr, texts):
-        table = lower_regex(expr)
-        scalar = [table.match(text) for text in texts]
-        assert table._match_many_numpy(texts) == scalar
-
-    def test_threshold_routes_to_numpy(self, monkeypatch):
-        table = lower_regex(rx.star(rx.Lit("ab")))
-        texts = ["ab" * n for n in range(6)] + ["aba", "", "☃"]
-        scalar = table.match_many(texts)  # threshold None: scalar path
-        monkeypatch.setattr(dense, "NUMPY_BATCH_THRESHOLD", 1)
-        table._np_table = None  # force a rebuild under the new route
-        assert table.match_many(texts) == scalar
 
 
 class TestLowering:

@@ -1,8 +1,9 @@
-"""Tests for subset construction (regex/NFA → DFA)."""
+"""Tests for subset construction (regex → DFA)."""
 
-from repro.automata.determinize import nfa_to_dfa, regex_to_dfa
+from repro.automata.determinize import regex_to_dfa
 from repro.languages import regex as rx
-from repro.languages.nfa_match import compile_regex
+
+from tests.reference_nfa import compile_regex
 
 
 def test_subset_construction_agrees_with_nfa():
@@ -10,7 +11,7 @@ def test_subset_construction_agrees_with_nfa():
         rx.star(rx.alt(rx.Lit("ab"), rx.Lit("b"))), rx.Lit("a")
     )
     nfa = compile_regex(expr)
-    dfa = nfa_to_dfa(nfa, "ab")
+    dfa = regex_to_dfa(expr, "ab")
     for probe in ["a", "ba", "abba", "ababa", "", "b", "ab"]:
         assert dfa.accepts(probe) == nfa.matches(probe), probe
 

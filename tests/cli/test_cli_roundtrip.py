@@ -66,6 +66,17 @@ def learn_args(oracle_path, out_path):
     return args
 
 
+def read_killed_checkpoint(path):
+    """The newest checkpoint a SIGKILLed ``learn --out`` left at ``path``.
+
+    A kill between the store's rotation and its write leaves only the
+    last-good ``.prev`` generation, which ``resume`` then loads.
+    """
+    if not path.exists():
+        path = path.with_name(path.name + ".prev")
+    return json.loads(path.read_text())
+
+
 def log_lines(tmp_path, log_name):
     path = tmp_path / log_name
     if not path.exists():
@@ -120,8 +131,8 @@ def test_learn_kill_resume_sample_roundtrip(tmp_path, oracle_path):
             if killed_out.exists():
                 try:
                     snapshot = json.loads(killed_out.read_text())
-                except json.JSONDecodeError:
-                    snapshot = None  # mid-replace; retry
+                except (FileNotFoundError, json.JSONDecodeError):
+                    snapshot = None  # mid-rotation or mid-replace; retry
                 if (
                     snapshot
                     and snapshot["status"] == "in_progress"
@@ -138,7 +149,7 @@ def test_learn_kill_resume_sample_roundtrip(tmp_path, oracle_path):
             proc.kill()
             proc.wait(timeout=30)
 
-    checkpoint = json.loads(killed_out.read_text())
+    checkpoint = read_killed_checkpoint(killed_out)
     assert checkpoint["status"] == "in_progress"
     done_states = {"used", "skipped"}
     finished = [s for s in checkpoint["seeds"] if s["state"] in done_states]
@@ -226,8 +237,8 @@ def test_parallel_learn_kill_resume_matches_serial(tmp_path, oracle_path):
             if par_out.exists():
                 try:
                     snapshot = json.loads(par_out.read_text())
-                except json.JSONDecodeError:
-                    snapshot = None  # mid-replace; retry
+                except (FileNotFoundError, json.JSONDecodeError):
+                    snapshot = None  # mid-rotation or mid-replace; retry
                 if (
                     snapshot
                     and snapshot["status"] == "in_progress"
@@ -450,8 +461,8 @@ def test_phase2_kill_resume_matches_serial(tmp_path):
             if kill_out.exists():
                 try:
                     snapshot = json.loads(kill_out.read_text())
-                except json.JSONDecodeError:
-                    snapshot = None  # mid-replace; retry
+                except (FileNotFoundError, json.JSONDecodeError):
+                    snapshot = None  # mid-rotation or mid-replace; retry
                 if snapshot and snapshot["status"] == "in_progress":
                     decisions = snapshot.get("phase2_progress", {}).get(
                         "decisions", []
@@ -471,7 +482,7 @@ def test_phase2_kill_resume_matches_serial(tmp_path):
             proc.kill()
             proc.wait(timeout=30)
 
-    checkpoint = json.loads(kill_out.read_text())
+    checkpoint = read_killed_checkpoint(kill_out)
     assert checkpoint["status"] == "in_progress"
     committed = checkpoint["phase2_progress"]["decisions"]
     assert 0 < len(committed) < checkpoint["phase2_progress"]["pairs"]

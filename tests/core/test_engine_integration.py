@@ -1,25 +1,30 @@
-"""Engine-on vs engine-off equivalence for the GLADE pipeline.
+"""Phase one learns the same trees whoever answers membership.
 
-The incremental membership engine must be a pure optimization: phase-1
-output trees (and everything downstream — chargen widenings, translated
-grammars, phase-2 merges) are byte-identical with the engine on or off,
-while the engine constructs several times fewer NFA states.
+The membership engine must be a pure optimization: phase-1 output trees
+and decision traces are byte-identical to a run whose current-language
+tests go through the test-side Thompson reference instead, recompiled
+from scratch for every language version.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.glade import GladeConfig, learn_grammar
 from repro.core.phase1 import synthesize_regex
-from repro.languages import nfa_match
 from repro.languages.engine import MembershipSession
 from repro.targets.xmllang import xml_oracle
-from repro.targets.xmllang import ALPHABET as XML_TARGET_ALPHABET
 
 from tests.core.helpers import xml_like_oracle
+from tests.reference_nfa import compile_regex
 
 #: A realistic seed for the paper's XML target (§8.2): attributes,
 #: nesting, a comment, and a CDATA section.
 XML_SEED = '<a href="x1">text<b>bold</b><!--note--><![CDATA[raw<>]]></a>'
+
+
+class ReferenceSession:
+    """The part of the session phase one uses, on the reference NFA."""
+
+    def matcher(self, expr):
+        return compile_regex(expr).matches
 
 
 def _trace_key(result):
@@ -29,17 +34,19 @@ def _trace_key(result):
     ]
 
 
-def _run_phase1(seed, oracle, use_engine):
-    session = MembershipSession(use_engine=use_engine)
-    result = synthesize_regex(seed, oracle, record_trace=True, session=session)
-    return result, session
+def _assert_same_phase1(seed, oracle):
+    engine = synthesize_regex(
+        seed, oracle, record_trace=True, session=MembershipSession()
+    )
+    reference = synthesize_regex(
+        seed, oracle, record_trace=True, session=ReferenceSession()
+    )
+    assert str(engine.regex()) == str(reference.regex())
+    assert _trace_key(engine) == _trace_key(reference)
 
 
 def test_phase1_trees_byte_identical_on_xml():
-    on, _ = _run_phase1(XML_SEED, xml_oracle, use_engine=True)
-    off, _ = _run_phase1(XML_SEED, xml_oracle, use_engine=False)
-    assert str(on.regex()) == str(off.regex())
-    assert _trace_key(on) == _trace_key(off)
+    _assert_same_phase1(XML_SEED, xml_oracle)
 
 
 @given(
@@ -47,55 +54,4 @@ def test_phase1_trees_byte_identical_on_xml():
 )
 @settings(max_examples=25, deadline=None)
 def test_phase1_trees_byte_identical_on_random_seeds(seed):
-    on, _ = _run_phase1(seed, xml_like_oracle, use_engine=True)
-    off, _ = _run_phase1(seed, xml_like_oracle, use_engine=False)
-    assert str(on.regex()) == str(off.regex())
-    assert _trace_key(on) == _trace_key(off)
-
-
-def test_engine_builds_5x_fewer_states_on_xml_target():
-    """The ISSUE-1 acceptance criterion, as a deterministic test."""
-    on, session = _run_phase1(XML_SEED, xml_oracle, use_engine=True)
-    nfa_match.STATS.reset()
-    off, _ = _run_phase1(XML_SEED, xml_oracle, use_engine=False)
-    scratch_states = nfa_match.STATS.states_built
-    engine_states = session.engine.states_built
-    assert str(on.regex()) == str(off.regex())  # learned language unchanged
-    assert engine_states * 5 <= scratch_states, (
-        "engine built {} states, scratch {}".format(
-            engine_states, scratch_states
-        )
-    )
-
-
-def test_full_pipeline_identical_with_engine_on_and_off():
-    seeds = ["<a>hi</a>", "<b x=\"y z\">w</b>"]
-    results = {}
-    for use_engine in (True, False):
-        config = GladeConfig(
-            alphabet=XML_TARGET_ALPHABET, use_engine=use_engine
-        )
-        results[use_engine] = learn_grammar(seeds, xml_oracle, config)
-    on, off = results[True], results[False]
-    assert [str(r) for r in on.regexes] == [str(r) for r in off.regexes]
-    assert on.seeds_used == off.seeds_used
-    assert on.seeds_skipped == off.seeds_skipped
-    assert len(on.grammar.productions) == len(off.grammar.productions)
-
-
-def test_query_counts_identical_with_engine_on_and_off():
-    # Phase 2 is excluded: its sampled merge residuals are seeded by the
-    # *global* star counter, so two consecutive runs differ regardless
-    # of the engine (cf. test_deterministic_output in test_glade).
-    seeds = ["<a>hi</a>", "<b x=\"y z\">w</b>"]
-    results = {}
-    for use_engine in (True, False):
-        config = GladeConfig(
-            alphabet=XML_TARGET_ALPHABET,
-            use_engine=use_engine,
-            enable_phase2=False,
-        )
-        results[use_engine] = learn_grammar(seeds, xml_oracle, config)
-    on, off = results[True], results[False]
-    assert on.oracle_queries == off.oracle_queries
-    assert on.unique_queries == off.unique_queries
+    _assert_same_phase1(seed, xml_like_oracle)

@@ -1,9 +1,9 @@
 """Tests for the incremental membership engine.
 
 Covers the fragment-cached compilation (`Engine`/`ComposedNFA`), the
-session façade (`MembershipSession`), agreement with the from-scratch
-Thompson construction on random ASTs, and the fragment-reuse accounting
-the ``bench_engine`` microbenchmark relies on.
+session façade (`MembershipSession`), agreement with the test-side
+Thompson reference (``tests/reference_nfa.py``) on random ASTs, and the
+fragment-reuse accounting.
 """
 
 import random
@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.languages import regex as rx
 from repro.languages.engine import Engine, MembershipSession
-from repro.languages.nfa_match import compile_regex
 from repro.languages.sampler import sample_regex
+
+from tests.reference_nfa import compile_regex
 
 _ALPHABET = "ab"
 
@@ -155,15 +156,6 @@ class TestMembershipSession:
         assert session.covers("bc")
         assert not session.covers("ab")
 
-    def test_engine_off_falls_back_to_scratch(self):
-        session = MembershipSession(use_engine=False)
-        assert session.engine is None
-        match = session.matcher(rx.star(rx.Lit("ab")))
-        assert match("abab")
-        assert not match("aba")
-        session.remember(rx.Lit("z"))
-        assert session.covers("z")
-
 
 @given(expr=regex_trees(), probe=probes)
 @settings(max_examples=150, deadline=None)
@@ -202,7 +194,7 @@ class TestCacheOverflowFallback:
 
     Past the bound, :class:`ComposedNFA` stops interning state sets and
     falls back to plain set-of-states simulation. The fallback must
-    agree with from-scratch matching, and the start-state ε-closure —
+    agree with the reference NFA, and the start-state ε-closure —
     recomputed per call before the fix — is paid once and cached.
     """
 

@@ -1,7 +1,13 @@
-"""Tests for Thompson NFA construction and simulation."""
+"""Regex membership unit cases, plus the reference NFA's primitives.
+
+``TestCompilation`` runs through ``Regex.matches`` (the membership
+engine); ``TestNFAPrimitives`` covers the test-side Thompson reference
+the engine property tests compare against.
+"""
 
 from repro.languages import regex as rx
-from repro.languages.nfa_match import NFA, compile_regex, regex_matches
+
+from tests.reference_nfa import NFA
 
 
 class TestNFAPrimitives:
@@ -36,28 +42,25 @@ class TestCompilation:
         # (a|aa)^16 — catastrophic for backtrackers, linear here.
         unit = rx.alt(rx.Lit("a"), rx.Lit("aa"))
         expr = rx.Concat([unit] * 16)
-        nfa = compile_regex(expr)
-        assert nfa.matches("a" * 16)
-        assert nfa.matches("a" * 24)
-        assert not nfa.matches("a" * 15)
+        assert expr.matches("a" * 16)
+        assert expr.matches("a" * 24)
+        assert not expr.matches("a" * 15)
 
     def test_star_zero_iterations(self):
-        assert regex_matches(rx.star(rx.Lit("abc")), "")
+        assert rx.star(rx.Lit("abc")).matches("")
 
     def test_empty_set_matches_nothing(self):
-        nfa = compile_regex(rx.EMPTY)
-        assert not nfa.matches("")
-        assert not nfa.matches("a")
+        assert not rx.EMPTY.matches("")
+        assert not rx.EMPTY.matches("a")
 
     def test_charclass_edge(self):
-        nfa = compile_regex(rx.CharClass(frozenset("pq")))
-        assert nfa.matches("p")
-        assert nfa.matches("q")
-        assert not nfa.matches("r")
+        expr = rx.CharClass(frozenset("pq"))
+        assert expr.matches("p")
+        assert expr.matches("q")
+        assert not expr.matches("r")
 
     def test_deep_nesting(self):
         expr = rx.Lit("x")
         for _ in range(30):
             expr = rx.star(rx.concat(expr, rx.Lit("y")))
-        nfa = compile_regex(expr)
-        assert nfa.matches("")  # outermost star
+        assert expr.matches("")  # outermost star

@@ -1,8 +1,15 @@
 """Unit tests for the regex AST (construction, printing, matching)."""
 
+import pickle
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.languages import regex as rx
+
+from tests.reference_nfa import compile_regex
 
 
 class TestConstruction:
@@ -128,9 +135,51 @@ class TestMatching:
     def test_matcher_is_cached(self):
         expr = rx.star(rx.Lit("x"))
         assert expr.matches("xx")
-        first = expr._nfa
+        first = expr._matcher
         assert expr.matches("xxx")
-        assert expr._nfa is first
+        assert expr._matcher is first
+
+    def test_matched_regex_pickles(self):
+        # Process-backend payloads pickle regex-backed oracles. The
+        # cached matcher, whose automata are keyed by the node itself,
+        # stays behind and is rebuilt on first use.
+        expr = rx.concat(rx.Lit("a"), rx.star(rx.CharClass(frozenset("bc"))))
+        assert expr.matches("abc")
+        clone = pickle.loads(pickle.dumps(expr.matches))
+        assert clone.__self__ == expr
+        assert clone("acb") and not clone("ba")
+
+    def test_matches_is_thread_safe(self):
+        # A regex-backed oracle (``regex_oracle``, the url target) is one
+        # object shared by every worker thread on the thread backend,
+        # while its cached matcher builds lazy-DFA states and dense
+        # tables on first use.
+        # The non-byte character keeps every probe on the lazy tier,
+        # whose state-set interning is the check-then-act at risk.
+        rng = random.Random(5)
+        probes = [
+            "".join(rng.choice("ab☃") for _ in range(rng.randrange(16)))
+            for _ in range(300)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                expr = rx.concat(
+                    rx.star(rx.CharClass(frozenset("ab☃"))),
+                    rx.Lit("ab" * (trial + 1)),
+                    rx.star(rx.CharClass(frozenset("ab☃"))),
+                )
+                expected = [compile_regex(expr).matches(p) for p in probes]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    runs = pool.map(
+                        lambda _: [expr.matches(p) for p in probes],
+                        range(8),
+                        timeout=60,
+                    )
+                    assert all(run == expected for run in runs)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAlphabetAndWalk:

@@ -1,11 +1,11 @@
 """Tests for the tiered matching engine (`TieredMatcher` + promotion).
 
 The dense tier is an execution detail: every test here pins some part
-of that contract — verdict agreement across tiers on random ASTs,
-structural (version-keyed) invalidation across splices, batched
-coverage tracking equivalent to the serial §6.1 loop, and end-to-end
-learning runs whose grammars and query accounting are byte-identical
-with the dense tier on and off, serial and parallel.
+of that contract — verdict agreement across tiers (and with the
+test-side reference NFA) on random ASTs, structural (version-keyed)
+invalidation across splices, batched coverage tracking equivalent to
+the serial §6.1 loop, and end-to-end learning runs whose grammars and
+query accounting are byte-identical serial and parallel.
 """
 
 import json
@@ -23,8 +23,9 @@ from repro.languages.engine import (
     MembershipSession,
     TieredMatcher,
 )
-from repro.languages.nfa_match import compile_regex
 from repro.targets import get_target
+
+from tests.reference_nfa import compile_regex
 
 _ALPHABET = "ab"
 
@@ -56,7 +57,7 @@ probes = st.text(alphabet=_ALPHABET + "☃", max_size=8)
 def hot_engine(**kwargs):
     """An engine that promotes on the very first probe."""
     kwargs.setdefault("promote_threshold", 1)
-    return Engine(dense=True, **kwargs)
+    return Engine(**kwargs)
 
 
 class TestTieredMatcher:
@@ -67,14 +68,14 @@ class TestTieredMatcher:
     )
     def test_all_tiers_agree(self, expr, texts):
         expected = [compile_regex(expr).matches(text) for text in texts]
-        lazy = Engine(dense=False).matcher(expr)
-        assert [lazy(text) for text in texts] == expected
+        lazy = Engine().compile(expr)
+        assert [lazy.matches(text) for text in texts] == expected
         hot = hot_engine().matcher(expr)
         assert [hot(text) for text in texts] == expected
         assert hot_engine().matcher(expr).match_many(texts) == expected
 
     def test_promotion_after_threshold(self):
-        engine = Engine(dense=True, promote_threshold=3)
+        engine = Engine(promote_threshold=3)
         match = engine.matcher(rx.star(rx.Lit("ab")))
         assert isinstance(match, TieredMatcher)
         assert match("ab") and match("")  # below threshold: lazy tier
@@ -87,7 +88,7 @@ class TestTieredMatcher:
         assert stats["dense_matches"] == 2
 
     def test_batches_count_as_their_size(self):
-        engine = Engine(dense=True, promote_threshold=4)
+        engine = Engine(promote_threshold=4)
         match = engine.matcher(rx.Lit("a"))
         # A 2-probe batch stays lazy (2 < 4)...
         assert match.match_many(["a", "b"]) == [True, False]
@@ -110,7 +111,7 @@ class TestTieredMatcher:
         assert engine.tier_stats.fallback_matches == 1
 
     def test_budget_exhaustion_is_cached(self):
-        engine = Engine(dense=True, promote_threshold=1, state_budget=1)
+        engine = Engine(promote_threshold=1, state_budget=1)
         expr = rx.concat(rx.star(rx.CharClass(frozenset("ab"))), rx.Lit("aba"))
         match = engine.matcher(expr)
         assert match("aba") and not match("ab")
@@ -157,12 +158,16 @@ class TestSessionBatching:
         texts=st.lists(probes, min_size=1, max_size=6),
     )
     def test_covers_many_equals_serial_covers(self, exprs, texts):
-        batched = MembershipSession(use_dense=True)
-        serial = MembershipSession(use_dense=False)
+        batched = MembershipSession()
+        serial = MembershipSession()
         for expr in exprs:
             batched.remember(expr)
             serial.remember(expr)
-        expected = [serial.covers(text) for text in texts]
+        expected = [
+            any(compile_regex(expr).matches(text) for expr in exprs)
+            for text in texts
+        ]
+        assert [serial.covers(text) for text in texts] == expected
         assert batched.covers_many(texts) == expected
         # The incremental tracker gives the same verdicts regardless of
         # the order indexes are inspected in.
@@ -173,7 +178,7 @@ class TestSessionBatching:
         ]
 
     def test_tracker_sees_matchers_learned_after_creation(self):
-        session = MembershipSession(use_dense=True)
+        session = MembershipSession()
         tracker = session.track_coverage(["ab", "ba"])
         assert tracker.covered(0) is False
         session.remember(rx.Lit("ab"))
@@ -186,42 +191,32 @@ class TestSessionBatching:
         texts=st.lists(probes, min_size=1, max_size=8),
     )
     def test_match_many_equals_matcher_loop(self, expr, texts):
-        session = MembershipSession(use_dense=True)
-        expected = [
-            MembershipSession(use_dense=False).matcher(expr)(text)
-            for text in texts
-        ]
+        session = MembershipSession()
+        expected = [compile_regex(expr).matches(text) for text in texts]
         assert session.match_many(expr, texts) == expected
         # Memo warm now; a second batch answers identically.
         assert session.match_many(expr, texts) == expected
 
 
 class TestLearningEquivalence:
-    def _learn(self, use_dense, jobs):
+    def _learn(self, jobs):
         xml = get_target("xml")
         seeds = sorted(xml.sample_seeds(2, seed=0), key=len)
         config = GladeConfig(
             alphabet=xml.alphabet,
             jobs=jobs,
             backend="thread" if jobs > 1 else "serial",
-            use_dense=use_dense,
         )
         return LearningPipeline(xml.oracle, config=config).run(seeds)
 
-    def test_grammars_identical_across_dense_and_jobs(self):
-        reference = self._learn(use_dense=False, jobs=1)
-        ref_grammar = json.dumps(
-            grammar_to_dict(reference.grammar), sort_keys=True
-        )
-        for use_dense, jobs in [(True, 1), (False, 2), (True, 2)]:
-            actual = self._learn(use_dense=use_dense, jobs=jobs)
-            assert (
-                json.dumps(grammar_to_dict(actual.grammar), sort_keys=True)
-                == ref_grammar
-            ), (use_dense, jobs)
-            assert actual.oracle_queries == reference.oracle_queries
-            assert actual.unique_queries == reference.unique_queries
+    def test_grammars_identical_across_jobs(self):
+        reference = self._learn(jobs=1)
+        actual = self._learn(jobs=2)
+        assert json.dumps(
+            grammar_to_dict(actual.grammar), sort_keys=True
+        ) == json.dumps(grammar_to_dict(reference.grammar), sort_keys=True)
+        assert actual.oracle_queries == reference.oracle_queries
+        assert actual.unique_queries == reference.unique_queries
         # Tier telemetry is recorded but never part of the compared
-        # surface — and a dense run actually exercised the tier.
-        dense_run = self._learn(use_dense=True, jobs=1)
-        assert "matcher_tiers" in dense_run.execution
+        # surface — and the run actually exercised the dense tier.
+        assert reference.execution["matcher_tiers"]["dense_matches"] > 0

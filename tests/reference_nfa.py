@@ -1,47 +1,24 @@
-"""Thompson NFA construction and simulation for regex matching.
+"""A plain Thompson NFA: the test-side reference for regex membership.
 
-GLADE needs fast repeated membership queries against the evolving
-phase-one regular expression (to discard checks already in the current
-language, and to decide whether a new seed input is already covered by
-the union of learned regexes, §6.1). A Thompson construction plus
-set-of-states simulation gives worst-case ``O(len(text) * states)``
-matching with no pathological blowup, unlike backtracking engines.
+The package decides membership in a regular language through one
+implementation, the membership engine (:mod:`repro.languages.engine`:
+shared fragments, a lazy DFA, dense tables). This module is an
+independent, deliberately simple construction — one flat automaton per
+expression, set-of-states simulation, no caching across expressions —
+that the engine, tier and dense property tests compare against.
 """
-
-from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.languages import regex as rx
 
 
-class CompileStats:
-    """Counters for from-scratch Thompson construction.
-
-    ``benchmarks/bench_engine.py`` and the engine-equivalence tests use
-    the module-level :data:`STATS` instance to measure how many NFA
-    states non-incremental compilation allocates over a phase-1 run.
-    """
-
-    __slots__ = ("states_built", "compiles")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.states_built = 0
-        self.compiles = 0
-
-
-STATS = CompileStats()
-
-
 class NFA:
     """A nondeterministic finite automaton with ε-moves.
 
-    States are integers. ``char_edges[state]`` maps a state to a list of
-    ``(charset_or_None, target)`` pairs: ``None`` labels an ε-edge,
-    otherwise the label is a frozenset of accepted characters.
+    States are integers. ``char_edges[state]`` lists ``(chars,
+    target)`` pairs, ``chars`` being the frozenset of characters the
+    edge accepts; ``eps_edges[state]`` lists ε-successors.
     """
 
     def __init__(self):
@@ -50,7 +27,6 @@ class NFA:
         self.accept = 0
         self.eps_edges: Dict[int, List[int]] = {}
         self.char_edges: Dict[int, List[Tuple[FrozenSet[str], int]]] = {}
-        self._closure_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     def new_state(self) -> int:
         state = self.n_states
@@ -65,9 +41,6 @@ class NFA:
 
     def eps_closure(self, states: FrozenSet[int]) -> FrozenSet[int]:
         """Return all states reachable from ``states`` via ε-edges."""
-        cached = self._closure_cache.get(states)
-        if cached is not None:
-            return cached
         closure = set(states)
         stack = list(states)
         while stack:
@@ -76,10 +49,7 @@ class NFA:
                 if nxt not in closure:
                     closure.add(nxt)
                     stack.append(nxt)
-        result = frozenset(closure)
-        if len(self._closure_cache) < 4096:
-            self._closure_cache[states] = result
-        return result
+        return frozenset(closure)
 
     def step(self, states: FrozenSet[int], char: str) -> FrozenSet[int]:
         """Advance the state set over one input character."""
@@ -88,8 +58,6 @@ class NFA:
             for chars, dst in self.char_edges.get(state, ()):
                 if char in chars:
                     moved.add(dst)
-        if not moved:
-            return frozenset()
         return self.eps_closure(frozenset(moved))
 
     def matches(self, text: str) -> bool:
@@ -151,14 +119,5 @@ def compile_regex(expr: rx.Regex) -> NFA:
             return s, t
         raise TypeError("unknown regex node: {!r}".format(node))
 
-    start, accept = build(expr)
-    nfa.start = start
-    nfa.accept = accept
-    STATS.states_built += nfa.n_states
-    STATS.compiles += 1
+    nfa.start, nfa.accept = build(expr)
     return nfa
-
-
-def regex_matches(expr: rx.Regex, text: str) -> bool:
-    """One-shot convenience wrapper: compile and match."""
-    return compile_regex(expr).matches(text)
