@@ -46,24 +46,18 @@ from repro.languages.earley import parse, recognize
 from repro.languages.engine import Engine, MembershipSession
 from repro.languages.sampler import GrammarSampler, sample_regex
 from repro.learning.oracle import (
-    BudgetOracle,
     CachingOracle,
     CountingOracle,
     Oracle,
-    OracleBudgetExceeded,
     SubprocessOracle,
     grammar_oracle,
     program_oracle,
-    query_all,
-    query_many,
     regex_oracle,
-    supports_concurrency,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BudgetOracle",
     "CachingOracle",
     "CharSet",
     "CountingOracle",
@@ -83,7 +77,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SeedRejected",
     "Oracle",
-    "OracleBudgetExceeded",
     "ParseTree",
     "Production",
     "SubprocessOracle",
@@ -92,12 +85,9 @@ __all__ = [
     "load_artifact",
     "parse",
     "program_oracle",
-    "query_all",
-    "query_many",
     "recognize",
     "regex_oracle",
     "sample_regex",
     "save_artifact",
-    "supports_concurrency",
     "__version__",
 ]

@@ -428,9 +428,9 @@ def main(argv=None) -> int:
     )
     learn.add_argument(
         "--workers", type=int, default=1,
-        help="max concurrent oracle subprocesses for batched checks; "
-        "the default 1 keeps the paper's short-circuit query counts, "
-        "higher values trade extra queries for wall-clock",
+        help="oracle subprocesses to run at once: independent checks "
+        "run ahead on this many threads; counted queries are the same "
+        "at any value",
     )
     learn.add_argument(
         "--timeout-verdict", default="reject",

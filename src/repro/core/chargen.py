@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.gtree import GNode, constants_of
-from repro.learning.oracle import Oracle, query_many
+from repro.learning.oracle import Oracle, prefetcher
 
 
 def generalize_characters(
@@ -29,9 +29,12 @@ def generalize_characters(
     ``alphabet`` is the program's input alphabet Σ (§2); each constant
     position is offered every other σ ∈ Σ once. All probes of one
     position are independent (they substitute into the same base text),
-    so they are dispatched to the oracle as one batch.
+    so a stack that can run them ahead is handed them first as a hint
+    (:func:`~repro.learning.oracle.prefetcher`); each is then asked in
+    order.
     """
     alphabet = sorted(set(alphabet))
+    prefetch = prefetcher(oracle)
     accepted = 0
     for const in constants_of(root):
         text = const.base_text
@@ -43,8 +46,10 @@ def generalize_characters(
                 const.context.wrap(prefix + sigma + suffix)
                 for sigma in candidates
             ]
-            for sigma, ok in zip(candidates, query_many(oracle, checks)):
-                if ok:
+            if prefetch is not None:
+                prefetch(checks)
+            for sigma, check in zip(candidates, checks):
+                if oracle(check):
                     const.classes[position].add(sigma)
                     accepted += 1
     return accepted

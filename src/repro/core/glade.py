@@ -57,13 +57,10 @@ class GladeConfig:
     versions lowered to dense byte-transition tables. It is oracle-free
     and has no knob.
 
-    Independent oracle checks (a candidate's residuals, one position's
-    character probes, a merge pair's checks) are always dispatched as
-    one batch; oracles that support concurrency (e.g.
-    :class:`~repro.learning.oracle.SubprocessOracle`, whose
-    ``max_workers`` knob sizes its thread pool) answer them in
-    parallel, while in-process oracles answer them sequentially with
-    unchanged semantics.
+    Oracle checks are always asked one at a time, stopping at the first
+    rejection. A :class:`~repro.learning.oracle.SubprocessOracle` with
+    ``max_workers > 1`` runs independent ones ahead on its thread pool,
+    so counted queries are the same at any ``max_workers``.
     """
 
     enable_phase2: bool = True

@@ -25,10 +25,11 @@ Membership in the current language L̂ᵢ is decided through a
 :class:`~repro.languages.engine.MembershipSession`: the incremental
 engine reuses the NFA fragments of every subtree a generalization step
 left unchanged, instead of recompiling the full regex from scratch after
-each splice. The checks that survive the discard rule are independent,
-so a concurrent oracle stack (e.g. subprocess workers) receives them as
-one batch (:func:`~repro.learning.oracle.query_all`); sequential oracles
-keep the short-circuit and its query count.
+each splice. The checks that survive the discard rule are independent;
+they are asked one at a time and stop at the first rejection, and a
+stack that can run them ahead (a multi-worker subprocess oracle, see
+:func:`~repro.learning.oracle.prefetcher`) is handed them first as a
+hint.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.core.gtree import (
     StarIdAllocator,
 )
 from repro.languages.engine import MembershipSession
-from repro.learning.oracle import Oracle, query_all, supports_concurrency
+from repro.learning.oracle import Oracle, prefetcher
 
 
 @dataclass
@@ -102,6 +103,7 @@ def synthesize_regex(
     """
     if session is None:
         session = MembershipSession()
+    prefetch = prefetcher(oracle)
     root = GRoot()
     root.children = [GHole(HoleKind.REP, seed, Context("", ""))]
     result = Phase1Result(root=root)
@@ -117,33 +119,30 @@ def synthesize_regex(
         in_current = session.matcher(root.to_regex())
         if hole.kind is HoleKind.REP:
             record = _generalize_rep(
-                hole, slot, stack, oracle, in_current, allocator
+                hole, slot, stack, oracle, in_current, prefetch, allocator
             )
         else:
-            record = _generalize_alt(hole, slot, stack, oracle, in_current)
+            record = _generalize_alt(
+                hole, slot, stack, oracle, in_current, prefetch
+            )
         if record_trace:
             result.trace.append(record)
     return result
 
 
-def _passes(checks: List[str], oracle: Oracle, in_current) -> bool:
+def _passes(checks: List[str], oracle: Oracle, in_current, prefetch) -> bool:
     """CheckCandidate of Algorithm 1, with the §4.3 discard rule.
 
     Checks α ∈ L̂ᵢ are discarded so every check exercises the newly
-    added strings L̃ \\ L̂ᵢ. On a concurrent oracle stack the surviving
-    checks are independent and go out as one batch; a sequential stack
-    keeps the fully interleaved short-circuit (no membership test is
-    run for checks after the first oracle rejection).
+    added strings L̃ \\ L̂ᵢ. The rest are asked in order, stopping at
+    the first oracle rejection. Without a ``prefetch`` hint the
+    membership test is interleaved too (none runs for checks after the
+    first rejection); with one, the surviving checks are hinted first.
     """
-    if supports_concurrency(oracle):
-        # The discard-rule probes are independent here too, so they go
-        # through the matcher's batch path (the dense tier answers a
-        # batch in one table walk). Verdicts are identical either way.
-        verdicts = in_current.match_many(checks)
-        pending = [
-            check for check, verdict in zip(checks, verdicts) if not verdict
-        ]
-        return query_all(oracle, pending)
+    if prefetch is not None:
+        pending = [check for check in checks if not in_current(check)]
+        prefetch(pending)
+        return all(oracle(check) for check in pending)
     for check in checks:
         if in_current(check):
             continue
@@ -184,6 +183,7 @@ def _generalize_rep(
     stack: List[Slot],
     oracle: Oracle,
     in_current,
+    prefetch,
     allocator: Optional[StarIdAllocator] = None,
 ) -> StepRecord:
     """Generalize ``[α]_rep``: try repetition candidates, else constant."""
@@ -193,7 +193,7 @@ def _generalize_rep(
         tried += 1
         residuals = [a1 + a3, a1 + a2 + a2 + a3]
         checks = [context.wrap(r) for r in residuals]
-        if not _passes(checks, oracle, in_current):
+        if not _passes(checks, oracle, in_current, prefetch):
             continue
         # Accepted: splice  α₁ ([α₂]_alt)* [α₃]_rep  into the tree.
         star_context = context.extend(a1, a3)
@@ -252,6 +252,7 @@ def _generalize_alt(
     stack: List[Slot],
     oracle: Oracle,
     in_current,
+    prefetch,
 ) -> StepRecord:
     """Generalize ``[α]_alt``: try alternations, else fall back to rep."""
     alpha, context = hole.alpha, hole.context
@@ -259,7 +260,7 @@ def _generalize_alt(
     for a1, a2 in _alt_decompositions(alpha):
         tried += 1
         checks = [context.wrap(a1), context.wrap(a2)]
-        if not _passes(checks, oracle, in_current):
+        if not _passes(checks, oracle, in_current, prefetch):
             continue
         # Accepted: splice  ([α₁]_rep + [α₂]_alt)  into the tree.
         left = GHole(

@@ -62,7 +62,7 @@ from repro.core.translate import star_nonterminal
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar, Nonterminal
 from repro.languages.sampler import sample_regex
-from repro.learning.oracle import Oracle, query_all, text_digest
+from repro.learning.oracle import Oracle, prefetcher, text_digest
 
 #: Committed-pair decision codes (artifact schema v3 stores these).
 PAIR_MERGED = "merged"
@@ -362,24 +362,15 @@ class MergeCommitter:
     serial loop's ``uf.find`` skip, so the merge outcome is independent
     of how (and how speculatively) checks were evaluated.
 
-    ``concurrent`` mirrors the oracle stack's batching semantics into
-    the counted-cost rule: a sequential stack short-circuits a pair's
-    checks at the first rejection (counted = evaluated prefix), a
-    concurrent stack is handed every check as one batch (counted = all
-    checks). ``decisions`` is the durable progress record;
-    :meth:`replay` restores a committer from it without re-issuing a
-    single query.
+    A pair's counted cost has one rule: its checks are asked in order up
+    to the first rejection, and that prefix is what counts.
+    ``decisions`` is the durable progress record; :meth:`replay`
+    restores a committer from it without re-issuing a single query.
     """
 
-    def __init__(
-        self,
-        plan: MergePlan,
-        record_trace: bool = False,
-        concurrent: bool = False,
-    ):
+    def __init__(self, plan: MergePlan, record_trace: bool = False):
         self.plan = plan
         self.record_trace = record_trace
-        self.concurrent = concurrent
         self.decisions: List[str] = []
         self.records: List[MergeRecord] = []
         self._uf = _UnionFind(plan.ids)
@@ -447,15 +438,18 @@ class MergeCommitter:
         """Evaluate and commit the next pair inline through ``oracle``.
 
         This is the historical serial loop, one pair at a time: skipped
-        pairs cost nothing, evaluated pairs issue their checks through
-        the oracle stack (which does its own counting/caching, with
-        short-circuit or batch semantics per its ``concurrent`` flag).
+        pairs cost nothing, evaluated pairs ask their checks through the
+        oracle stack (which does its own counting/caching) up to the
+        first rejection, after hinting them all as a prefetch.
         """
         pair = self.next_pair()
         if self.equated(pair.star_i, pair.star_j):
             self._apply(pair, PAIR_SKIPPED)
             return CommitEvent(pair=pair, decision=PAIR_SKIPPED)
-        merged = query_all(oracle, pair.checks)
+        prefetch = prefetcher(oracle)
+        if prefetch is not None:
+            prefetch(pair.checks)
+        merged = all(oracle(check) for check in pair.checks)
         decision = PAIR_MERGED if merged else PAIR_REJECTED
         self._apply(pair, decision)
         return CommitEvent(pair=pair, decision=decision)
@@ -464,12 +458,11 @@ class MergeCommitter:
         """Commit the next pair from worker-evaluated check verdicts.
 
         ``verdicts`` parallels the pair's checks, truncated at the
-        first rejection under sequential (short-circuit) semantics —
-        its length is therefore the pair's counted query cost, and the
-        matching check prefix its counted distinct strings. If the pair
-        turned out transitively equated, the whole cost is discarded to
-        the speculative bucket instead (a serial run never evaluates
-        such pairs).
+        first rejection — its length is therefore the pair's counted
+        query cost, and the matching check prefix its counted distinct
+        strings. If the pair turned out transitively equated, the whole
+        cost is discarded to the speculative bucket instead (a serial
+        run never evaluates such pairs).
         """
         pair = self.next_pair()
         counted = len(verdicts)

@@ -85,7 +85,6 @@ from repro.learning.oracle import (
     CountingOracle,
     Oracle,
     TracingOracle,
-    supports_concurrency,
 )
 from repro.learning.resilience import OracleFailedError, add_fault_counters
 from repro.obs.export import build_telemetry
@@ -569,11 +568,7 @@ class LearningPipeline:
             mixed=config.mixed_merge_checks,
             n_samples=2 if config.mixed_merge_checks else 0,
         )
-        committer = MergeCommitter(
-            plan,
-            record_trace=config.record_trace,
-            concurrent=supports_concurrency(self.oracle),
-        )
+        committer = MergeCommitter(plan, record_trace=config.record_trace)
         committer.replay(artifact.phase2_progress.get("decisions", ()))
         executor = make_executor(
             config.backend, max(1, config.jobs), self.oracle

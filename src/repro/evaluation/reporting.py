@@ -74,6 +74,7 @@ def summarize_artifact(artifact) -> str:
     rather than printed empty.
     """
     from repro.artifacts.run import STAGES
+    from repro.core.phase2 import PAIR_MERGED, PAIR_REJECTED, PAIR_SKIPPED
 
     lines = [
         "status: {} (last completed stage: {})".format(
@@ -145,12 +146,6 @@ def summarize_artifact(artifact) -> str:
             )
         )
     if artifact.phase2_progress:
-        from repro.core.phase2 import (
-            PAIR_MERGED,
-            PAIR_REJECTED,
-            PAIR_SKIPPED,
-        )
-
         progress = artifact.phase2_progress
         decisions = progress.get("decisions", [])
         lines.append(
@@ -201,8 +196,11 @@ def summarize_artifact(artifact) -> str:
             "phase-one regex [{}]: {}".format(index, _elide(str(regex)))
         )
     if artifact.phase2_result is not None:
-        merged = artifact.phase2_result.merged_pairs()
-        tail.append("phase-two merges: {}".format(len(merged)))
+        # Not merged_pairs(): its trace records need ``record_trace``.
+        decisions = artifact.phase2_progress.get("decisions", [])
+        tail.append(
+            "phase-two merges: {}".format(decisions.count(PAIR_MERGED))
+        )
     if artifact.grammar is not None:
         tail.append(
             "grammar: {} nonterminals, {} productions".format(

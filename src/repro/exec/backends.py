@@ -83,8 +83,8 @@ class Executor:
         A worker exception propagates to the consumer *unwrapped* —
         running through an executor is exception-transparent, exactly
         like calling ``fn`` inline. This matters for the oracle stack's
-        control-flow exceptions (``OracleBudgetExceeded``,
-        ``LearningTimeout``), which callers catch by type.
+        control-flow exceptions (``LearningTimeout``,
+        ``OracleFailedError``), which callers catch by type.
         """
         raise NotImplementedError
 

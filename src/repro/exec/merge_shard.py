@@ -21,10 +21,11 @@ backends:
   pairs exactly like the serial loop's ``uf.find`` skip — their cost
   is reported as speculative, and counted query totals stay equal to
   a serial run's.
-- evaluation semantics mirror the oracle stack's: a sequential stack
-  short-circuits a pair's checks at the first rejection (workers stop
-  there too, so the evaluated prefix *is* the counted prefix), while
-  a concurrent stack takes each pair's checks as one batch.
+- a task asks its pair's checks in order and stops at the first
+  rejection, exactly as the serial loop does, so the evaluated prefix
+  *is* the counted prefix. A stack that can run checks ahead is handed
+  the pair's unknown checks first as a hint
+  (:func:`~repro.learning.oracle.prefetcher`).
 
 The division of labor with the pipeline: this module owns scheduling
 (lazy submission through ``unordered_stream``, the known-verdict
@@ -46,7 +47,7 @@ from repro.core.phase2 import (
     MergePlan,
 )
 from repro.exec.backends import Executor
-from repro.learning.oracle import Oracle, TracingOracle, query_many
+from repro.learning.oracle import Oracle, TracingOracle, prefetcher
 from repro.learning.resilience import add_fault_counters
 from repro.obs.metrics import MetricsRegistry, histogram_total
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -61,11 +62,11 @@ class PairOutcome:
     """One pair task's result, decoded on the parent side.
 
     ``verdicts`` parallels the pair's checks, truncated at the first
-    rejection under sequential semantics; ``learned`` holds the
-    verdicts this task had to evaluate itself (its contribution to the
-    known-verdict table); ``invocations`` counts base-oracle calls the
-    task actually performed (the planner's work metric — *not* the
-    counted query cost, which the committer derives from ``verdicts``).
+    rejection; ``learned`` holds the verdicts this task had to evaluate
+    itself (its contribution to the known-verdict table);
+    ``invocations`` counts base-oracle calls the task actually
+    performed (the planner's work metric — *not* the counted query
+    cost, which the committer derives from ``verdicts``).
     """
 
     index: int
@@ -82,7 +83,6 @@ def pair_payload(
     pair: MergePair,
     oracle: Oracle,
     known: Dict[str, bool],
-    concurrent: bool,
     trace: bool = False,
 ) -> Dict[str, Any]:
     """The task payload for one merge-candidate pair.
@@ -107,7 +107,6 @@ def pair_payload(
         "checks": pair.checks,
         "oracle": oracle,
         "known": known,
-        "concurrent": concurrent,
         "trace": trace,
     }
 
@@ -117,9 +116,8 @@ def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Module-level so process pools can pickle it by reference. Verdicts
     for strings in the known table are reused without touching the
-    oracle; sequential mode stops at the first rejection exactly like
-    :func:`~repro.learning.oracle.query_all` over a sequential stack,
-    concurrent mode batches every unknown check at once.
+    oracle, and the task stops at the first rejection exactly like
+    :meth:`~repro.core.phase2.MergeCommitter.commit_serial`.
     """
     checks: Tuple[str, ...] = payload["checks"]
     known: Dict[str, bool] = payload["known"]
@@ -135,35 +133,21 @@ def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         with tracer.span(
             "pair", cat="phase2", args={"index": payload["index"]}
         ):
-            if payload["concurrent"]:
-                unknown = [
-                    c for c in dict.fromkeys(checks) if c not in known
-                ]
-                if unknown:
-                    answers = query_many(oracle, unknown)
-                    learned.update(
-                        zip(unknown, (bool(a) for a in answers))
-                    )
-                    known.update(learned)  # publish to concurrent siblings
-                    invocations += len(unknown)
-                for check in checks:
-                    cached = learned.get(check)
-                    verdicts.append(
-                        cached if cached is not None else known[check]
-                    )
-            else:
-                for check in checks:
-                    verdict = known.get(check)
-                    if verdict is None:
-                        verdict = learned.get(check)
-                    if verdict is None:
-                        verdict = bool(oracle(check))
-                        learned[check] = verdict
-                        known[check] = verdict  # publish to siblings
-                        invocations += 1
-                    verdicts.append(verdict)
-                    if not verdict:
-                        break
+            prefetch = prefetcher(oracle)
+            if prefetch is not None:
+                prefetch([check for check in checks if check not in known])
+            for check in checks:
+                verdict = known.get(check)
+                if verdict is None:
+                    verdict = learned.get(check)
+                if verdict is None:
+                    verdict = bool(oracle(check))
+                    learned[check] = verdict
+                    known[check] = verdict  # publish to siblings
+                    invocations += 1
+                verdicts.append(verdict)
+                if not verdict:
+                    break
     registry.add("exec.phase2.tasks")
     # Fault counters (retries, injections) travel in the task snapshot.
     add_fault_counters(payload["oracle"], registry)
@@ -311,10 +295,7 @@ def run_merge_wavefront(
                     for check in pair.checks
                     if check in table
                 }
-            yield pair_payload(
-                pair, oracle, view, concurrent=committer.concurrent,
-                trace=trace,
-            )
+            yield pair_payload(pair, oracle, view, trace=trace)
 
     drain()
     for _position, raw in executor.unordered_stream(

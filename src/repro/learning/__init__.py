@@ -7,20 +7,15 @@ from repro.learning.lstar import (
     lstar,
 )
 from repro.learning.oracle import (
-    BudgetOracle,
     CachingOracle,
     CountingOracle,
     DeadlineOracle,
     LearningTimeout,
     Oracle,
-    OracleBudgetExceeded,
     SubprocessOracle,
     grammar_oracle,
     program_oracle,
-    query_all,
-    query_many,
     regex_oracle,
-    supports_concurrency,
 )
 from repro.learning.resilience import (
     ChaosOracle,
@@ -34,7 +29,6 @@ from repro.learning.resilience import (
 from repro.learning.rpni import RPNIResult, rpni
 
 __all__ = [
-    "BudgetOracle",
     "CachingOracle",
     "ChaosOracle",
     "CountingOracle",
@@ -43,7 +37,6 @@ __all__ = [
     "LStarResult",
     "LearningTimeout",
     "Oracle",
-    "OracleBudgetExceeded",
     "OracleFailedError",
     "OracleTransientError",
     "PerfectEquivalenceOracle",
@@ -56,9 +49,6 @@ __all__ = [
     "lstar",
     "parse_fault_spec",
     "program_oracle",
-    "query_all",
-    "query_many",
     "regex_oracle",
     "rpni",
-    "supports_concurrency",
 ]

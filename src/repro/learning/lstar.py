@@ -193,8 +193,9 @@ def lstar(
     """Run L-Star; return the first hypothesis the equivalence oracle accepts.
 
     Membership queries may raise
-    :class:`~repro.learning.oracle.OracleBudgetExceeded`; callers that
-    emulate the paper's timeout catch it (see ``repro.evaluation.fig4``).
+    :class:`~repro.learning.oracle.LearningTimeout` through a
+    :class:`~repro.learning.oracle.DeadlineOracle`; callers that emulate
+    the paper's timeout catch it (see ``repro.evaluation.fig4``).
     """
     table = _ObservationTable(alphabet, oracle)
     rounds = 0

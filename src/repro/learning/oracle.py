@@ -5,14 +5,15 @@ The paper models blackbox program access as an oracle
 accepted. Everything in this reproduction that needs membership — GLADE's
 checks, L-Star's queries, RPNI's negatives, the precision metric — goes
 through the callables defined here, so oracles compose (caching, counting,
-budget enforcement) uniformly.
+deadlines) uniformly.
 
-Besides single queries, the stack supports *batched* queries via
-:func:`query_many`: GLADE's candidate checks, character-generalization
-probes, and merge checks are mutually independent, so an oracle that can
-answer them concurrently (notably :class:`SubprocessOracle`) is handed
-the whole batch at once. Wrappers forward batches inward, preserving
-their counting/caching/deadline semantics.
+Every layer answers one query at a time, and the learner asks its checks
+one at a time, stopping at the first rejection, so counted queries are
+the paper's. A set of independent checks (a candidate's residuals, one
+position's character probes, a merge pair's checks) may additionally be
+passed ahead as a hint (:func:`prefetcher`): a multi-worker
+:class:`SubprocessOracle` runs them in parallel, and the calls that
+follow take the finished runs instead of spawning.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
+from functools import partial
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 Oracle = Callable[[str], bool]
 
@@ -45,59 +47,8 @@ def text_digest(text: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class OracleBudgetExceeded(Exception):
-    """Raised when an oracle exceeds its query budget (timeout analog)."""
-
-
 class LearningTimeout(Exception):
     """Raised when a learner exceeds its wall-clock deadline (§8.2)."""
-
-
-def supports_concurrency(oracle: Oracle) -> bool:
-    """True if the oracle stack answers batches genuinely in parallel.
-
-    Wrappers expose a ``concurrent`` property delegating inward, so the
-    flag propagates through counting/caching/deadline layers down to the
-    base oracle (:class:`SubprocessOracle` with more than one worker).
-    """
-    return bool(getattr(oracle, "concurrent", False))
-
-
-def query_many(oracle: Oracle, texts: Sequence[str]) -> List[bool]:
-    """Evaluate a batch of *independent* membership queries.
-
-    A concurrent oracle stack is handed the batch through its own
-    ``query_many`` method (every wrapper below forwards batches inward;
-    :class:`SubprocessOracle` answers them from a thread pool). A
-    sequential stack is queried one string at a time — identical
-    results and counting, without the batch bookkeeping. Results are
-    returned in input order.
-    """
-    if supports_concurrency(oracle):
-        batched = getattr(oracle, "query_many", None)
-        if batched is not None:
-            return batched(texts)
-    return [oracle(text) for text in texts]
-
-
-def query_all(oracle: Oracle, texts: Sequence[str]) -> bool:
-    """True iff every text is accepted (a conjunctive check batch).
-
-    Sequential oracles keep the paper's short-circuit semantics — stop
-    at the first rejection, issuing no further queries — so query counts
-    are unchanged. A concurrent stack is handed the whole batch at once:
-    it may issue more queries than strict short-circuiting, but answers
-    them in parallel, trading queries for wall-clock.
-    """
-    texts = list(texts)
-    if not texts:
-        return True
-    if supports_concurrency(oracle):
-        return all(query_many(oracle, texts))
-    for text in texts:
-        if not oracle(text):
-            return False
-    return True
 
 
 class DeadlineOracle:
@@ -113,26 +64,10 @@ class DeadlineOracle:
         self._oracle = oracle
         self.deadline = deadline
 
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
     def __call__(self, text: str) -> bool:
         if time.monotonic() > self.deadline:
             raise LearningTimeout("oracle deadline exceeded")
         return self._oracle(text)
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        if not supports_concurrency(self._oracle):
-            # Sequential: keep the per-query deadline check of __call__.
-            return [self(text) for text in texts]
-        # Concurrent: the deadline is checked once up front — an
-        # in-flight batch cannot be interrupted, so a batch may overrun
-        # the deadline by up to its own duration before the next check
-        # fires.
-        if time.monotonic() > self.deadline:
-            raise LearningTimeout("oracle deadline exceeded")
-        return query_many(self._oracle, texts)
 
 
 class CountingOracle:
@@ -142,29 +77,22 @@ class CountingOracle:
         self._oracle = oracle
         self.queries = 0
 
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
     def __call__(self, text: str) -> bool:
         self.queries += 1
         return self._oracle(text)
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        self.queries += len(texts)
-        return query_many(self._oracle, texts)
 
 
 class TracingOracle:
     """Pass-through observability wrapper for the oracle stack.
 
-    Records every *base* oracle invocation — count, batch size and
-    wall-clock latency — into a :class:`~repro.obs.metrics
-    .MetricsRegistry` and (when a live tracer is supplied) as
-    ``cat="oracle"`` spans. Strictly transparent otherwise: verdicts,
-    concurrency and batching are forwarded unchanged, so inserting this
-    layer between a cache and its base oracle changes no query
-    accounting. The pipeline only builds it under ``--trace``.
+    Records every *base* oracle invocation — count and wall-clock
+    latency — into a :class:`~repro.obs.metrics.MetricsRegistry` and
+    (when a live tracer is supplied) as ``cat="oracle"`` spans; the
+    prefetch hint (:func:`prefetcher`) records its time here too, as
+    ``oracle.prefetch_seconds``. Strictly transparent otherwise:
+    verdicts are forwarded unchanged, so inserting this layer between a
+    cache and its base oracle changes no query accounting. The pipeline
+    only builds it under ``--trace``.
     """
 
     def __init__(self, oracle: Oracle, registry, tracer=None):
@@ -174,25 +102,11 @@ class TracingOracle:
         self._registry = registry
         self._tracer = tracer if tracer is not None else NULL_TRACER
 
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
     def __call__(self, text: str) -> bool:
         self._registry.add("oracle.calls")
         with self._tracer.span("query", cat="oracle"):
             with self._registry.timer("oracle.seconds"):
                 return self._oracle(text)
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        self._registry.add("oracle.calls", len(texts))
-        self._registry.add("oracle.batches")
-        span = self._tracer.span(
-            "batch", cat="oracle", args={"n": len(texts)}
-        )
-        with span:
-            with self._registry.timer("oracle.seconds"):
-                return query_many(self._oracle, texts)
 
 
 class CachingOracle:
@@ -235,10 +149,6 @@ class CachingOracle:
         """
         return dict(self._cache)
 
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
     def _record(self, text: str, result: bool) -> None:
         fingerprint = text_digest(text)
         if fingerprint not in self._seen:
@@ -253,82 +163,6 @@ class CachingOracle:
         result = self._oracle(text)
         self._record(text, result)
         return result
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        results: Dict[int, bool] = {}
-        misses: List[str] = []
-        miss_positions: Dict[str, List[int]] = {}
-        for index, text in enumerate(texts):
-            if text in self._cache:
-                results[index] = self._cache[text]
-            else:
-                positions = miss_positions.get(text)
-                if positions is None:
-                    miss_positions[text] = positions = []
-                    misses.append(text)
-                positions.append(index)
-        if misses:
-            answers = query_many(self._oracle, misses)
-            for text, answer in zip(misses, answers):
-                self._record(text, answer)
-                for index in miss_positions[text]:
-                    results[index] = answer
-        return [results[index] for index in range(len(texts))]
-
-
-class BudgetOracle:
-    """Wrap an oracle and raise once ``budget`` queries have been made.
-
-    This is the deterministic analog of the paper's 300-second timeout:
-    baselines that issue pathologically many membership queries (§8.2
-    observes this for L-Star) are cut off reproducibly. A batch that
-    would overrun the budget raises before any of it is dispatched.
-    """
-
-    def __init__(self, oracle: Oracle, budget: int):
-        self._oracle = oracle
-        self.budget = budget
-        self.queries = 0
-        # The thread execution backend shares one oracle object across
-        # worker threads; the check-then-increment must be atomic or
-        # the budget can be overshot (`+=` on an attribute is not).
-        self._lock = threading.Lock()
-
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
-    def _charge(self, count: int) -> None:
-        with self._lock:
-            if self.queries + count > self.budget:
-                raise OracleBudgetExceeded(
-                    "membership-query budget of {} exhausted".format(
-                        self.budget
-                    )
-                )
-            self.queries += count
-
-    def __call__(self, text: str) -> bool:
-        self._charge(1)
-        return self._oracle(text)
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        self._charge(len(texts))
-        return query_many(self._oracle, texts)
-
-    def __getstate__(self) -> dict:
-        # The budget guard lock is process-local (detlint PAR002): a
-        # pickled copy shipped to a process-pool worker starts with a
-        # fresh lock and its own snapshot of the count. Cross-process
-        # budget accounting is the parent's job — workers only ever
-        # see per-task slices of the budget.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 def grammar_oracle(grammar) -> Oracle:
@@ -407,12 +241,11 @@ class SubprocessOracle(_FaultCounters):
     that α is a valid input if the program does not print an error
     message").
 
-    Batches (:func:`query_many`) run up to ``max_workers`` subprocesses
-    concurrently; each query is an independent process, so no ordering
-    or state is shared between them. The default ``max_workers=1``
-    keeps the stack sequential — and with it the paper's short-circuit
-    query accounting; concurrency is an explicit opt-in that trades
-    extra queries for wall-clock.
+    With ``max_workers > 1``, :meth:`prefetch` runs independent inputs
+    ahead on that many threads, and a later call for one of them takes
+    the finished run instead of spawning. The learner still asks one
+    check at a time, so verdicts and counted queries are the same at
+    any ``max_workers``; only wall-clock changes.
 
     Failure classification (see :mod:`repro.learning.resilience`): an
     ``OSError`` spawning the subprocess means the query was *never
@@ -455,19 +288,29 @@ class SubprocessOracle(_FaultCounters):
         self.max_workers = max_workers
         self.timeout_verdict = timeout_verdict
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Guards lazy pool creation: the thread execution backend
-        # shares one oracle object across worker threads, so two first
-        # batches may race to create the pool.
-        self._pool_lock = threading.Lock()
+        # Prefetched runs not yet taken by a call: True (accepted),
+        # False (rejected) or None (timed out).
+        self._kept: Dict[str, Optional[bool]] = {}
+        # Guards the lazy pool and the kept runs: the thread execution
+        # backend shares one oracle object across worker threads.
+        self._lock = threading.Lock()
         # Per-cause fault counters (timeouts, spawn failures), drained
         # into telemetry by the resilience helpers.
         self._init_faults()
 
-    @property
-    def concurrent(self) -> bool:
-        return self.max_workers > 1
-
     def __call__(self, text: str) -> bool:
+        with self._lock:
+            kept = text in self._kept
+            outcome = self._kept.pop(text, None)
+        return self._verdict(outcome if kept else self._run(text))
+
+    def _run(self, text: str):
+        """Run the command once on ``text``.
+
+        Returns True (accepted), False (rejected), None (timed out) or
+        the ``OSError`` that kept the process from starting. Counts no
+        fault: :meth:`_verdict` does, for the call that uses the run.
+        """
         command = self.command
         stdin_data: Optional[str] = text
         tmp_path: Optional[str] = None
@@ -489,53 +332,14 @@ class SubprocessOracle(_FaultCounters):
                     timeout=self.timeout_seconds,
                 )
             except subprocess.TimeoutExpired:
-                from repro.learning.resilience import (
-                    OracleFailedError,
-                    OracleTransientError,
-                )
-
-                self._count_fault("timeout")
-                if self.timeout_verdict == "reject":
-                    # The paper's semantics: a hung program did not
-                    # accept the input. Counted separately above so a
-                    # timeout-heavy run is diagnosable from telemetry.
-                    self._count_fault("timeout_reject")
-                    return False
-                if self.timeout_verdict == "error":
-                    raise OracleFailedError(
-                        "oracle command {!r} timed out after {}s "
-                        "(timeout_verdict=error)".format(
-                            self.command[0], self.timeout_seconds
-                        ),
-                        cause="timeout",
-                    ) from None
-                raise OracleTransientError(
-                    "timeout",
-                    "oracle command {!r} timed out after {}s".format(
-                        self.command[0], self.timeout_seconds
-                    ),
-                ) from None
+                return None
             except OSError as exc:
-                from repro.learning.resilience import OracleTransientError
-
-                # The subprocess never ran: no verdict exists. Raising
-                # (instead of the historical silent `return False`)
-                # keeps a fork/exec failure from being cached as a
-                # rejection and corrupting the learned grammar.
-                self._count_fault("spawn")
-                raise OracleTransientError(
-                    "spawn",
-                    "failed to run oracle command {!r}: {}".format(
-                        self.command[0], exc
-                    ),
-                ) from exc
+                return exc
             if completed.returncode != 0:
                 return False
-            if self.error_marker is not None and (
-                self.error_marker in completed.stderr
-            ):
-                return False
-            return True
+            return self.error_marker is None or (
+                self.error_marker not in completed.stderr
+            )
         finally:
             if tmp_path is not None:
                 try:
@@ -543,30 +347,92 @@ class SubprocessOracle(_FaultCounters):
                 except OSError:
                     pass
 
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        texts = list(texts)
-        if len(texts) <= 1:
-            return [self(text) for text in texts]
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    # Created lazily and kept for the oracle's
-                    # lifetime: the learner issues thousands of small
-                    # batches, so per-batch pool setup/teardown would
-                    # dominate. Release with close() (or a with-block)
-                    # in long-lived processes; otherwise the
-                    # interpreter joins the idle workers at exit.
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers
-                    )
-                pool = self._pool
-        return list(pool.map(self, texts))
+    def _verdict(self, outcome) -> bool:
+        """Turn one run's outcome into a verdict, counting its faults."""
+        if isinstance(outcome, bool):
+            return outcome
+        from repro.learning.resilience import (
+            OracleFailedError,
+            OracleTransientError,
+        )
+
+        if isinstance(outcome, OSError):
+            # The subprocess never ran: no verdict exists. Raising
+            # (instead of the historical silent `return False`) keeps a
+            # fork/exec failure from being cached as a rejection and
+            # corrupting the learned grammar.
+            self._count_fault("spawn")
+            raise OracleTransientError(
+                "spawn",
+                "failed to run oracle command {!r}: {}".format(
+                    self.command[0], outcome
+                ),
+            ) from outcome
+        self._count_fault("timeout")
+        if self.timeout_verdict == "reject":
+            # The paper's semantics: a hung program did not accept the
+            # input. Counted separately above so a timeout-heavy run is
+            # diagnosable from telemetry.
+            self._count_fault("timeout_reject")
+            return False
+        if self.timeout_verdict == "error":
+            raise OracleFailedError(
+                "oracle command {!r} timed out after {}s "
+                "(timeout_verdict=error)".format(
+                    self.command[0], self.timeout_seconds
+                ),
+                cause="timeout",
+            )
+        raise OracleTransientError(
+            "timeout",
+            "oracle command {!r} timed out after {}s".format(
+                self.command[0], self.timeout_seconds
+            ),
+        )
+
+    def prefetch(self, texts: Iterable[str]) -> None:
+        """Run independent inputs ahead on the worker pool.
+
+        Keeps per text only what the verdict needs — accepted, rejected
+        or timed out — never process output; a later call takes the
+        run, counting its faults then. A run that could not start keeps
+        nothing, so its call spawns and fails exactly as an unprefetched
+        one. Does nothing with one worker or for fewer than two new
+        texts.
+        """
+        if self.max_workers < 2:
+            return
+        with self._lock:
+            fresh = [
+                text for text in dict.fromkeys(texts)
+                if text not in self._kept
+            ]
+            if len(fresh) < 2:
+                return
+            if self._pool is None:
+                # Kept for the oracle's lifetime (the learner hints
+                # thousands of small sets); close() releases it.
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            pool = self._pool
+        runs = [(text, pool.submit(self._run, text)) for text in fresh]
+        for text, run in runs:
+            try:
+                outcome = run.result()
+            except Exception:
+                # A hint must not fail a run the learner may never ask
+                # for: keep nothing, and the call that runs the text
+                # again raises this itself.
+                continue
+            if not isinstance(outcome, OSError):
+                with self._lock:
+                    self._kept[text] = outcome
 
     def close(self) -> None:
-        """Shut down the batch thread pool (a later batch recreates it)."""
-        with self._pool_lock:
+        """Shut down the prefetch pool and drop the kept runs (a later
+        prefetch recreates the pool)."""
+        with self._lock:
             pool, self._pool = self._pool, None
+            self._kept = {}
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -577,15 +443,51 @@ class SubprocessOracle(_FaultCounters):
         self.close()
 
     def __getstate__(self) -> dict:
-        # Beyond the mixin's lock/counter reset: the lazily created
-        # thread pool (and its lock) are process-local state; a pickled
-        # copy (e.g. one shipped to a ProcessExecutor worker) starts
-        # without them and creates its own on first batch.
+        # Beyond the mixin's lock/counter reset: the pool, its lock and
+        # the kept runs are process-local; a pickled copy (say, in a
+        # ProcessExecutor worker) starts without them.
         state = super().__getstate__()
         state["_pool"] = None
-        del state["_pool_lock"]
+        state["_kept"] = {}
+        del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__(state)
-        self._pool_lock = threading.Lock()
+        self._lock = threading.Lock()
+
+
+def prefetcher(oracle: Oracle) -> Optional[Callable[[Iterable[str]], None]]:
+    """The stack's prefetch hint, or None when nothing would use it.
+
+    Walks ``_oracle`` links (as ``drain_fault_counters`` does) to a
+    :class:`SubprocessOracle` with more than one worker. The hint hands
+    it independent checks to :meth:`~SubprocessOracle.prefetch`, minus
+    those a :class:`CachingOracle` on the way holds; a
+    :class:`TracingOracle` on the way times it. Learner sites resolve
+    it once per seed, constant set or merge pair.
+    """
+    caches = []
+    tracing: Optional[TracingOracle] = None
+    layer = oracle
+    while layer is not None:
+        if isinstance(layer, SubprocessOracle):
+            if layer.max_workers < 2:
+                return None
+            return partial(_prefetch, layer, tuple(caches), tracing)
+        if isinstance(layer, CachingOracle):
+            caches.append(layer)
+        elif isinstance(layer, TracingOracle) and tracing is None:
+            tracing = layer
+        layer = getattr(layer, "_oracle", None)
+    return None
+
+
+def _prefetch(target, caches, tracing, texts: Iterable[str]) -> None:
+    fresh = [t for t in texts if not any(t in c._cache for c in caches)]
+    if tracing is None:
+        target.prefetch(fresh)
+        return
+    with tracing._tracer.span("prefetch", cat="oracle"):
+        with tracing._registry.timer("oracle.prefetch_seconds"):
+            target.prefetch(fresh)

@@ -32,14 +32,9 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, Optional
 
-from repro.learning.oracle import (
-    Oracle,
-    _FaultCounters,
-    query_many,
-    supports_concurrency,
-)
+from repro.learning.oracle import Oracle, _FaultCounters
 
 #: How a query timeout is interpreted (``SubprocessOracle`` /
 #: :class:`ChaosOracle` ``timeout_verdict``):
@@ -101,7 +96,7 @@ class RetryPolicy:
     failures with no intervening success open the circuit breaker:
     every later query fails fast with :class:`OracleFailedError`
     instead of burning its own full retry schedule — the important
-    case is thread-pooled batches, where sibling queries would
+    case is thread-backend workers sharing one oracle, which would
     otherwise each rediscover that the machine is down. ``0`` disables
     the breaker.
     """
@@ -142,9 +137,9 @@ class ResilientOracle(_FaultCounters):
     Placement matters: this layer belongs *inside* the counting and
     caching wrappers (closest to the base oracle), so a retried query
     is still counted once and only real verdicts are ever cached.
-    Transparent to healthy queries — verdicts, concurrency and batching
-    forward unchanged, so counted metrics are byte-identical with the
-    wrapper present or absent.
+    Transparent to healthy queries — verdicts forward unchanged, so
+    counted metrics are byte-identical with the wrapper present or
+    absent.
     """
 
     def __init__(
@@ -157,10 +152,6 @@ class ResilientOracle(_FaultCounters):
         # guarded by the fault lock, shared across worker threads.
         self._consecutive = 0
         self._breaker_open = False
-
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
 
     @property
     def breaker_open(self) -> bool:
@@ -215,26 +206,6 @@ class ResilientOracle(_FaultCounters):
                 continue
             self._record_success()
             return result
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        if not supports_concurrency(self._oracle):
-            # Sequential stacks retry per query, preserving the
-            # wrapped stack's one-at-a-time semantics exactly.
-            return [self(text) for text in texts]
-        self._check_breaker()
-        try:
-            results = query_many(self._oracle, texts)
-        except OracleTransientError as exc:
-            # A concurrent batch failed partway; fall back to per-item
-            # resilient queries. The oracle is a pure function, so
-            # re-asking items the batch already answered returns
-            # identical verdicts — correctness is unaffected, only
-            # (telemetry-level) invocations grow.
-            self._record_transient(exc)
-            self._count_fault("batch_fallbacks")
-            return [self(text) for text in texts]
-        self._record_success()
-        return results
 
 
 # -- deterministic fault injection ----------------------------------------
@@ -391,10 +362,6 @@ class ChaosOracle(_FaultCounters):
         self._init_faults()
         self._invocations = 0
 
-    @property
-    def concurrent(self) -> bool:
-        return supports_concurrency(self._oracle)
-
     def __getstate__(self) -> dict:
         # Beyond the mixin's lock/counter reset: the invocation counter
         # restarts at zero in every pickled copy, keeping the documented
@@ -404,12 +371,6 @@ class ChaosOracle(_FaultCounters):
         state = super().__getstate__()
         state["_invocations"] = 0
         return state
-
-    def _take_indices(self, count: int) -> range:
-        with self._fault_lock:
-            start = self._invocations
-            self._invocations += count
-        return range(start, start + count)
 
     def _maybe_kill(self, index: int) -> None:
         """Die as a crashed pool worker would (process backend only).
@@ -467,35 +428,13 @@ class ChaosOracle(_FaultCounters):
         return None
 
     def __call__(self, text: str) -> bool:
-        (index,) = self._take_indices(1)
+        with self._fault_lock:
+            index = self._invocations
+            self._invocations += 1
         injected = self._inject(index)
         if injected is not None:
             return injected
         return self._oracle(text)
-
-    def query_many(self, texts: Sequence[str]) -> List[bool]:
-        if not supports_concurrency(self._oracle):
-            return [self(text) for text in texts]
-        indices = self._take_indices(len(texts))
-        # Apply per-item injections first so every planned index fires
-        # exactly once, then batch the healthy remainder through the
-        # concurrent stack below. A raising injection aborts the whole
-        # batch (the resilient layer re-runs it per item).
-        forced: Dict[int, bool] = {}
-        for position, index in enumerate(indices):
-            injected = self._inject(index)
-            if injected is not None:
-                forced[position] = injected
-        remainder = [
-            text
-            for position, text in enumerate(texts)
-            if position not in forced
-        ]
-        answers = iter(query_many(self._oracle, remainder))
-        return [
-            forced[position] if position in forced else next(answers)
-            for position in range(len(texts))
-        ]
 
 
 # -- stack-walking helpers -------------------------------------------------

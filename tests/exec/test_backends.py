@@ -49,8 +49,8 @@ def test_unordered_returns_every_result_with_its_index(make):
 )
 def test_worker_exception_propagates_unwrapped(make):
     # Executors are exception-transparent: callers catch the oracle
-    # stack's control-flow exceptions (OracleBudgetExceeded,
-    # LearningTimeout) by their original type, exactly as they would
+    # stack's control-flow exceptions (LearningTimeout,
+    # OracleFailedError) by their original type, exactly as they would
     # around an inline call.
     with make() as executor:
         with pytest.raises(ValueError, match="boom on 7"):
@@ -58,17 +58,27 @@ def test_worker_exception_propagates_unwrapped(make):
 
 
 def test_budget_exception_propagates_through_sharded_run():
+    # The time budget (a DeadlineOracle) runs out inside a phase-1
+    # worker thread; its LearningTimeout reaches the caller unwrapped.
+    import time
+
     from repro.core.glade import GladeConfig
     from repro.core.pipeline import LearningPipeline
-    from repro.learning.oracle import BudgetOracle, OracleBudgetExceeded
+    from repro.learning.oracle import DeadlineOracle, LearningTimeout
+
+    calls = []
 
     def ab(text):
+        calls.append(text)
+        if len(calls) >= 3:
+            # Both seeds are validated; every later query is late.
+            oracle.deadline = time.monotonic() - 1
         return set(text) <= set("ab")
 
     config = GladeConfig(alphabet="ab", enable_chargen=False,
                          jobs=2, backend="thread")
-    oracle = BudgetOracle(ab, budget=3)
-    with pytest.raises(OracleBudgetExceeded):
+    oracle = DeadlineOracle(ab, deadline=time.monotonic() + 3600)
+    with pytest.raises(LearningTimeout):
         LearningPipeline(oracle, config=config).run(["abab", "ab"])
 
 

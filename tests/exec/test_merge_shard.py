@@ -71,9 +71,7 @@ class FakePair:
 class TestPairTask:
     def test_sequential_short_circuits_at_first_rejection(self):
         oracle = CountingBase(lambda text: text != "no")
-        payload = pair_payload(
-            FakePair(3, ["a", "no", "later"]), oracle, {}, concurrent=False
-        )
+        payload = pair_payload(FakePair(3, ["a", "no", "later"]), oracle, {})
         outcome = decode_pair(run_pair_task(payload))
         assert outcome.index == 3
         assert outcome.verdicts == (True, False)
@@ -84,9 +82,7 @@ class TestPairTask:
     def test_known_table_answers_without_oracle(self):
         oracle = CountingBase(lambda text: True)
         known = {"a": True, "b": True, "c": True}
-        payload = pair_payload(
-            FakePair(0, ["a", "b", "c"]), oracle, known, concurrent=False
-        )
+        payload = pair_payload(FakePair(0, ["a", "b", "c"]), oracle, known)
         outcome = decode_pair(run_pair_task(payload))
         assert outcome.verdicts == (True, True, True)
         assert outcome.invocations == 0
@@ -96,8 +92,7 @@ class TestPairTask:
     def test_known_rejection_short_circuits_for_free(self):
         oracle = CountingBase(lambda text: True)
         payload = pair_payload(
-            FakePair(0, ["bad", "x"]), oracle, {"bad": False},
-            concurrent=False,
+            FakePair(0, ["bad", "x"]), oracle, {"bad": False}
         )
         outcome = decode_pair(run_pair_task(payload))
         assert outcome.verdicts == (False,)
@@ -105,23 +100,10 @@ class TestPairTask:
 
     def test_duplicate_checks_within_a_task_query_once(self):
         oracle = CountingBase(lambda text: True)
-        payload = pair_payload(
-            FakePair(0, ["a", "a", "b"]), oracle, {}, concurrent=False
-        )
+        payload = pair_payload(FakePair(0, ["a", "a", "b"]), oracle, {})
         outcome = decode_pair(run_pair_task(payload))
         assert outcome.verdicts == (True, True, True)
         assert outcome.invocations == 2
-
-    def test_concurrent_mode_evaluates_every_check(self):
-        # A concurrent oracle stack takes the pair's checks as one
-        # batch — no short-circuit — matching query_all's semantics.
-        oracle = CountingBase(lambda text: text != "no")
-        payload = pair_payload(
-            FakePair(0, ["a", "no", "later"]), oracle, {}, concurrent=True
-        )
-        outcome = decode_pair(run_pair_task(payload))
-        assert outcome.verdicts == (True, False, True)
-        assert outcome.invocations == 3
 
 
 class ReorderingExecutor(Executor):

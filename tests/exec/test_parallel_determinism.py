@@ -9,6 +9,7 @@ to exactly the uninterrupted result. The oracle is the XML target's
 """
 
 import json
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.artifacts import (
 )
 from repro.core.glade import GladeConfig
 from repro.core.pipeline import LearningPipeline
+from repro.learning.oracle import SubprocessOracle
 from repro.targets import get_target
 
 
@@ -234,3 +236,46 @@ def test_interrupted_serial_phase2_resumes_without_requerying(xml, seeds):
     assert resumed.oracle_queries == full.oracle_queries
     # Only post-checkpoint pairs were evaluated.
     assert oracle.calls <= full.oracle_queries - base_queries
+
+
+# Balanced parentheses over a, ( and ), checked by a real subprocess.
+_BALANCED = (
+    "import sys\n"
+    "text = sys.stdin.read()\n"
+    "depth = 0\n"
+    "for char in text:\n"
+    "    depth += (char == '(') - (char == ')')\n"
+    "    if depth < 0:\n"
+    "        break\n"
+    "sys.exit(0 if text and set(text) <= set('a()') and depth == 0 "
+    "else 1)\n"
+)
+
+
+def test_subprocess_workers_change_no_grammar_or_count():
+    """Oracle workers run checks ahead; they never change what counts.
+
+    ``max_workers=4`` prefetches every candidate's checks, character
+    probes and merge pair on the subprocess pool, serially and under a
+    thread-backend sharded run, yet the learner still asks one check at
+    a time with the short-circuit — so grammar, ``oracle_queries`` and
+    ``unique_queries`` equal the one-worker run's.
+    """
+
+    def learn_with(max_workers, jobs=1, backend="serial"):
+        oracle = SubprocessOracle(
+            [sys.executable, "-S", "-c", _BALANCED], max_workers=max_workers
+        )
+        config = GladeConfig(alphabet="a()", jobs=jobs, backend=backend)
+        artifact = LearningPipeline(oracle, config=config).run(["(a)", "a()"])
+        assert (oracle._pool is not None) == (max_workers > 1)
+        oracle.close()
+        return (
+            serialized(artifact),
+            artifact.oracle_queries,
+            artifact.unique_queries,
+        )
+
+    reference = learn_with(1)
+    assert learn_with(4) == reference
+    assert learn_with(4, jobs=2, backend="thread") == reference

@@ -7,18 +7,13 @@ import pytest
 from repro.languages.cfg import Grammar, Nonterminal, Production
 from repro.languages.regex import Lit, star
 from repro.learning.oracle import (
-    BudgetOracle,
     CachingOracle,
     CountingOracle,
     DeadlineOracle,
     LearningTimeout,
-    OracleBudgetExceeded,
     grammar_oracle,
     program_oracle,
-    query_all,
-    query_many,
     regex_oracle,
-    supports_concurrency,
 )
 
 
@@ -62,14 +57,6 @@ def test_bounded_cache_unique_queries_counts_distinct_strings():
     assert cached.unique_queries == 2
 
 
-def test_budget_oracle_raises():
-    oracle = BudgetOracle(base_oracle, budget=2)
-    oracle("x")
-    oracle("y")
-    with pytest.raises(OracleBudgetExceeded):
-        oracle("z")
-
-
 def test_deadline_oracle_raises_after_deadline():
     oracle = DeadlineOracle(base_oracle, deadline=time.monotonic() - 1)
     with pytest.raises(LearningTimeout):
@@ -79,100 +66,6 @@ def test_deadline_oracle_raises_after_deadline():
 def test_deadline_oracle_passes_before_deadline():
     oracle = DeadlineOracle(base_oracle, deadline=time.monotonic() + 60)
     assert oracle("yes")
-
-
-class _ConcurrentFake:
-    """A fake batch-capable oracle that records how it was queried."""
-
-    concurrent = True
-
-    def __init__(self):
-        self.single_calls = []
-        self.batches = []
-
-    def __call__(self, text):
-        self.single_calls.append(text)
-        return text == "yes"
-
-    def query_many(self, texts):
-        texts = list(texts)
-        self.batches.append(texts)
-        return [text == "yes" for text in texts]
-
-
-class TestQueryBatching:
-    def test_sequential_stack_is_not_concurrent(self):
-        stack = CountingOracle(CachingOracle(base_oracle))
-        assert not supports_concurrency(stack)
-
-    def test_concurrency_flag_propagates_through_wrappers(self):
-        stack = CountingOracle(
-            CachingOracle(DeadlineOracle(_ConcurrentFake(), 1e18))
-        )
-        assert supports_concurrency(stack)
-
-    def test_query_many_plain_callable_falls_back_to_loop(self):
-        assert query_many(base_oracle, ["yes", "no"]) == [True, False]
-
-    def test_query_many_sequential_stack_counts_per_query(self):
-        counting = CountingOracle(base_oracle)
-        assert query_many(counting, ["yes", "no", "yes"]) == [
-            True,
-            False,
-            True,
-        ]
-        assert counting.queries == 3
-
-    def test_query_many_concurrent_stack_forwards_batch(self):
-        fake = _ConcurrentFake()
-        counting = CountingOracle(CachingOracle(fake))
-        assert query_many(counting, ["yes", "no"]) == [True, False]
-        assert fake.batches == [["yes", "no"]]
-        assert fake.single_calls == []
-        assert counting.queries == 2
-
-    def test_caching_query_many_deduplicates_batch(self):
-        fake = _ConcurrentFake()
-        cached = CachingOracle(fake)
-        results = query_many(cached, ["yes", "no", "yes"])
-        assert results == [True, False, True]
-        assert fake.batches == [["yes", "no"]]  # duplicate asked once
-        assert cached.unique_queries == 2
-        # Second batch is answered fully from the cache.
-        assert query_many(cached, ["no", "yes"]) == [False, True]
-        assert fake.batches == [["yes", "no"]]
-
-    def test_query_all_short_circuits_sequentially(self):
-        calls = []
-
-        def oracle(text):
-            calls.append(text)
-            return False
-
-        assert not query_all(oracle, ["a", "b", "c"])
-        assert calls == ["a"]
-        assert query_all(oracle, [])
-
-    def test_query_all_batches_on_concurrent_stack(self):
-        fake = _ConcurrentFake()
-        assert not query_all(fake, ["yes", "no", "yes"])
-        assert fake.batches == [["yes", "no", "yes"]]
-        assert query_all(fake, ["yes", "yes"])
-
-    def test_budget_oracle_rejects_overrunning_batch(self):
-        budget = BudgetOracle(base_oracle, budget=2)
-        with pytest.raises(OracleBudgetExceeded):
-            budget.query_many(["a", "b", "c"])
-        assert budget.query_many(["yes", "no"]) == [True, False]
-        with pytest.raises(OracleBudgetExceeded):
-            budget.query_many(["x"])
-
-    def test_deadline_oracle_batch_respects_deadline(self):
-        expired = DeadlineOracle(base_oracle, deadline=time.monotonic() - 1)
-        with pytest.raises(LearningTimeout):
-            expired.query_many(["a"])
-        live = DeadlineOracle(base_oracle, deadline=time.monotonic() + 60)
-        assert live.query_many(["yes", "no"]) == [True, False]
 
 
 def test_grammar_oracle():

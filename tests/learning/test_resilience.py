@@ -147,15 +147,6 @@ class TestResilientOracle:
                 resilient("aa")
         assert not resilient.breaker_open
 
-    def test_query_many_sequential_path(self):
-        flaky = FlakyOracle(fail_calls={1})
-        resilient = ResilientOracle(
-            flaky, fast_policy(max_attempts=3)
-        )
-        assert resilient.query_many(["aa", "b", "a"]) == [
-            True, False, True,
-        ]
-
     def test_pickle_roundtrip(self):
         resilient = ResilientOracle(FlakyOracle(), fast_policy())
         resilient._count_fault("retries")

@@ -5,11 +5,19 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
-from repro.learning.oracle import CachingOracle, SubprocessOracle
+from repro.learning.oracle import (
+    CachingOracle,
+    CountingOracle,
+    SubprocessOracle,
+    TracingOracle,
+    prefetcher,
+)
 from repro.learning.resilience import (
     OracleFailedError,
     OracleTransientError,
+    ResilientOracle,
 )
+from repro.obs.metrics import MetricsRegistry
 
 # A tiny validator run as a real subprocess: accepts strings of a's.
 _VALIDATOR = (
@@ -134,62 +142,206 @@ class TestSubprocessOracle:
         with pytest.raises(ValueError):
             SubprocessOracle(["true"], max_workers=0)
 
-    def test_concurrent_flag(self):
-        # Concurrency is an explicit opt-in: the default stays
-        # sequential to preserve short-circuit query accounting.
-        assert not _oracle().concurrent
-        assert _oracle(max_workers=4).concurrent
-
-    def test_query_many_runs_batch(self):
-        oracle = _oracle(max_workers=4)
-        texts = ["aaa", "abc", "", "a", "aa"]
-        assert oracle.query_many(texts) == [True, False, False, True, True]
-
-    def test_query_many_single_item(self):
-        assert _oracle().query_many(["aa"]) == [True]
-        assert _oracle().query_many([]) == []
-
     def test_close_releases_pool_and_later_batches_recreate_it(self):
         oracle = _oracle(max_workers=2)
-        assert oracle.query_many(["aa", "bc"]) == [True, False]
+        oracle.prefetch(["aa", "bc"])
+        assert oracle._pool is not None
         oracle.close()
         assert oracle._pool is None
-        assert oracle.query_many(["a", "c"]) == [True, False]
+        assert oracle._kept == {}
+        oracle.prefetch(["a", "c"])
+        assert oracle._pool is not None
+        assert oracle("a") and not oracle("c")
         oracle.close()
 
     def test_context_manager_closes_pool(self):
         with _oracle(max_workers=2) as oracle:
-            assert oracle.query_many(["aa", "bc"]) == [True, False]
+            oracle.prefetch(["aa", "bc"])
+            assert oracle("aa") and not oracle("bc")
         assert oracle._pool is None
 
     def test_successive_batches_share_one_pool(self):
         # Regression: the lazily created pool must be reused across
-        # batches, not rebuilt per batch (the learner issues thousands
-        # of small batches; per-batch pool setup would dominate).
+        # prefetches, not rebuilt per call (the learner hints thousands
+        # of small sets; per-set pool setup would dominate).
         oracle = _oracle(max_workers=2)
         assert oracle._pool is None  # created lazily, not in __init__
-        assert oracle.query_many(["aa", "bc"]) == [True, False]
+        oracle.prefetch(["aa", "bc"])
         first_pool = oracle._pool
         assert first_pool is not None
-        assert oracle.query_many(["a", "aaa"]) == [True, True]
+        oracle.prefetch(["a", "aaa"])
         assert oracle._pool is first_pool
         oracle.close()
 
     def test_pickle_roundtrip_drops_pool(self):
         # Process-backend workers receive a pickled copy; the thread
-        # pool is process-local state and must not travel with it.
+        # pool and the kept runs are process-local state and must not
+        # travel with it.
         import pickle
 
         oracle = _oracle(max_workers=2)
-        assert oracle.query_many(["aa", "bc"]) == [True, False]
-        assert oracle._pool is not None
+        oracle.prefetch(["aa", "bc"])
+        assert oracle._pool is not None and oracle._kept
         clone = pickle.loads(pickle.dumps(oracle))
         assert clone._pool is None
+        assert clone._kept == {}
         assert clone.max_workers == 2
         assert clone("aa") and not clone("bc")
-        assert clone.query_many(["a", "c"]) == [True, False]
+        clone.prefetch(["a", "c"])
+        assert clone("a") and not clone("c")
         clone.close()
         oracle.close()
+
+
+def _logging_oracle(log, **kwargs) -> SubprocessOracle:
+    """The a's validator, appending every input it runs on to ``log``."""
+    script = (
+        "import sys; text = sys.stdin.read(); "
+        "open(sys.argv[1], 'a').write(repr(text) + '\\n'); "
+        "sys.exit(0 if text and set(text) <= {'a'} else 1)"
+    )
+    return SubprocessOracle(
+        [sys.executable, "-c", script, str(log)], **kwargs
+    )
+
+
+def _runs(log):
+    return log.read_text().splitlines() if log.exists() else []
+
+
+def _outcome(oracle, text):
+    """A call's verdict or classified failure, for side-by-side checks."""
+    try:
+        return oracle(text)
+    except (OracleTransientError, OracleFailedError) as exc:
+        return type(exc).__name__, exc.cause
+
+
+class TestPrefetch:
+    def test_each_text_runs_once_and_calls_reuse_the_run(self, tmp_path):
+        log = tmp_path / "runs.log"
+        oracle = _logging_oracle(log, max_workers=4)
+        oracle.prefetch(["aa", "bc", "aa", "a"])
+        assert sorted(_runs(log)) == ["'a'", "'aa'", "'bc'"]
+        assert oracle("aa") and not oracle("bc") and oracle("a")
+        assert len(_runs(log)) == 3  # every call took a finished run
+        assert oracle._kept == {}
+        # A taken run is gone: asking again runs the program again.
+        assert oracle("aa")
+        assert len(_runs(log)) == 4
+        oracle.close()
+
+    def test_kept_run_is_not_run_again_by_a_later_prefetch(self, tmp_path):
+        log = tmp_path / "runs.log"
+        oracle = _logging_oracle(log, max_workers=2)
+        oracle.prefetch(["a", "b"])
+        oracle.prefetch(["a", "b", "aa"])  # one new text: nothing runs
+        assert len(_runs(log)) == 2
+        oracle.close()
+
+    def test_one_worker_or_one_new_text_does_nothing(self, tmp_path):
+        log = tmp_path / "runs.log"
+        single = _logging_oracle(log)
+        single.prefetch(["a", "b"])
+        assert _runs(log) == [] and single._pool is None
+        oracle = _logging_oracle(log, max_workers=2)
+        oracle.prefetch(["a", "a"])
+        assert _runs(log) == [] and oracle._pool is None
+
+    def test_threads_sharing_one_oracle_take_each_run_once(self, tmp_path):
+        # Thread-backend workers share one oracle. A kept run lost to a
+        # race would make its call run the program again.
+        import threading
+
+        log = tmp_path / "runs.log"
+        oracle = _logging_oracle(log, max_workers=4)
+        batches = [["a" * n + tail for tail in ("", "b", "c")]
+                   for n in range(1, 7)]
+        errors = []
+
+        def work(batch):
+            try:
+                oracle.prefetch(batch)
+                for text in batch:
+                    assert oracle(text) == (set(text) == {"a"})
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(b,)) for b in batches]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert oracle._kept == {}
+        assert len(_runs(log)) == sum(len(b) for b in batches)
+        oracle.close()
+
+    def test_spawn_failure_surfaces_on_the_consuming_call(self):
+        oracle = SubprocessOracle(["/nonexistent/binary-xyz"], max_workers=2)
+        oracle.prefetch(["x", "y"])
+        assert oracle._kept == {}
+        assert oracle.drain_faults() == {}
+        plain = SubprocessOracle(["/nonexistent/binary-xyz"])
+        assert _outcome(oracle, "x") == _outcome(plain, "x") == (
+            "OracleTransientError", "spawn",
+        )
+        assert oracle.drain_faults() == plain.drain_faults() == {
+            "spawn": 1,
+        }
+        oracle.close()
+
+    @pytest.mark.parametrize("verdict", ["reject", "retry", "error"])
+    def test_timeout_surfaces_on_the_consuming_call(self, verdict):
+        def sleeper(**kwargs):
+            return SubprocessOracle(
+                [sys.executable, "-c", "import time; time.sleep(30)"],
+                timeout_seconds=0.1,
+                timeout_verdict=verdict,
+                **kwargs,
+            )
+
+        oracle = sleeper(max_workers=2)
+        oracle.prefetch(["x", "y"])
+        assert oracle._kept == {"x": None, "y": None}
+        assert oracle.drain_faults() == {}  # counted by the call
+        plain = sleeper()
+        assert _outcome(oracle, "x") == _outcome(plain, "x")
+        assert oracle.drain_faults() == plain.drain_faults()
+        assert oracle._kept == {"y": None}
+        oracle.close()
+
+
+class TestPrefetcher:
+    def test_in_process_and_single_worker_stacks_have_none(self):
+        assert prefetcher(CountingOracle(CachingOracle(str.isalpha))) is None
+        assert prefetcher(CachingOracle(_oracle())) is None
+
+    def test_walks_wrappers_and_skips_cached_texts(self, tmp_path):
+        # The pipeline's traced stack: counter, cache, tracing, retries.
+        log = tmp_path / "runs.log"
+        base = _logging_oracle(log, max_workers=2)
+        registry = MetricsRegistry()
+        cached = CachingOracle(
+            TracingOracle(ResilientOracle(base), registry)
+        )
+        counting = CountingOracle(cached)
+        assert counting("a")
+        prefetch = prefetcher(counting)
+        prefetch(["a", "aa", "bc"])
+        assert sorted(_runs(log)) == ["'a'", "'aa'", "'bc'"]
+        assert counting("aa") and not counting("bc")
+        assert len(_runs(log)) == 3
+        assert counting.queries == 3 and cached.unique_queries == 3
+        histograms = registry.snapshot()["histograms"]
+        assert histograms["oracle.prefetch_seconds"]["count"] == 1
+        base.close()
 
 
 class TestCLI:
