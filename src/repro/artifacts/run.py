@@ -224,9 +224,11 @@ class RunArtifact:
             # exactly right: resume re-runs the stage from its start.
             data = dict(data, schema_version=3)
             version = 3
-        if version == 3:
-            # v3 → v4 adds only the optional ``telemetry`` section;
-            # absent means the run was not traced.
+        if version in (3, 4):
+            # v3 → v4 adds only the optional ``telemetry`` section
+            # (absent: the run was not traced); v4 → v5 only drops keys
+            # the loader ignores (phase-1 ``trace``, phase-2 ``records``
+            # and their config switch).
             data = dict(data, schema_version=SCHEMA_VERSION)
             version = SCHEMA_VERSION
         if version != SCHEMA_VERSION:

@@ -41,8 +41,8 @@ from repro.core.gtree import (
     HoleKind,
     reserve_ad_hoc_star_ids,
 )
-from repro.core.phase1 import Phase1Result, StepRecord
-from repro.core.phase2 import MergeRecord, Phase2Result
+from repro.core.phase1 import Phase1Result
+from repro.core.phase2 import Phase2Result
 from repro.languages import regex as rx
 from repro.languages.cfg import (
     CharSet,
@@ -66,7 +66,12 @@ from repro.languages.cfg import (
 #: section (:mod:`repro.obs.export`: spans + metrics snapshot) written
 #: by ``--trace`` runs. Absent/None means the run was not traced;
 #: nothing in it participates in deterministic comparisons.
-SCHEMA_VERSION = 4
+#: v5: phase-1 results drop ``trace`` and the phase-2 result drops
+#: ``records``, the step and merge logs of the retired config switch
+#: that filled them. Phase one's steps are ``step`` events in
+#: ``telemetry``; phase two's decisions are
+#: ``phase2_progress["decisions"]``.
+SCHEMA_VERSION = 5
 
 
 class ArtifactError(ValueError):
@@ -291,34 +296,11 @@ def grammar_from_dict(data: Dict[str, Any]) -> Grammar:
 # Phase results
 
 
-def _step_record_to_dict(record: StepRecord) -> Dict[str, Any]:
-    return {
-        "kind": record.kind.value,
-        "alpha": record.alpha,
-        "context": context_to_list(record.context),
-        "chosen": record.chosen,
-        "checks": list(record.checks),
-        "candidates_tried": record.candidates_tried,
-    }
-
-
-def _step_record_from_dict(data: Dict[str, Any]) -> StepRecord:
-    return StepRecord(
-        kind=HoleKind(data["kind"]),
-        alpha=data["alpha"],
-        context=context_from_list(data["context"]),
-        chosen=data["chosen"],
-        checks=tuple(data["checks"]),
-        candidates_tried=data["candidates_tried"],
-    )
-
-
 def phase1_result_to_dict(result: Phase1Result) -> Dict[str, Any]:
-    """Encode a per-seed phase-one result (tree plus optional trace)."""
+    """Encode a per-seed phase-one result (its tree and seed index)."""
     return {
         "seed_index": result.seed_index,
         "root": gtree_to_dict(result.root),
-        "trace": [_step_record_to_dict(r) for r in result.trace],
     }
 
 
@@ -326,11 +308,7 @@ def phase1_result_from_dict(data: Dict[str, Any]) -> Phase1Result:
     root = gtree_from_dict(data["root"])
     if not isinstance(root, GRoot):
         raise ArtifactError("phase-1 root is not a GRoot node")
-    return Phase1Result(
-        root=root,
-        trace=[_step_record_from_dict(r) for r in data["trace"]],
-        seed_index=data.get("seed_index", -1),
-    )
+    return Phase1Result(root=root, seed_index=data.get("seed_index", -1))
 
 
 def phase2_result_to_dict(result: Phase2Result) -> Dict[str, Any]:
@@ -342,15 +320,6 @@ def phase2_result_to_dict(result: Phase2Result) -> Dict[str, Any]:
     return {
         "grammar": grammar_to_dict(result.grammar),
         "representative": sorted(result.representative.items()),
-        "records": [
-            {
-                "star_i": r.star_i,
-                "star_j": r.star_j,
-                "checks": list(r.checks),
-                "merged": r.merged,
-            }
-            for r in result.records
-        ],
     }
 
 
@@ -358,13 +327,4 @@ def phase2_result_from_dict(data: Dict[str, Any]) -> Phase2Result:
     return Phase2Result(
         grammar=grammar_from_dict(data["grammar"]),
         representative={i: rep for i, rep in data["representative"]},
-        records=[
-            MergeRecord(
-                star_i=r["star_i"],
-                star_j=r["star_j"],
-                checks=tuple(r["checks"]),
-                merged=r["merged"],
-            )
-            for r in data["records"]
-        ],
     )

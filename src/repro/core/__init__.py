@@ -21,8 +21,8 @@ from repro.core.gtree import (
     holes_of,
     stars_of,
 )
-from repro.core.phase1 import Phase1Result, StepRecord, synthesize_regex
-from repro.core.phase2 import MergeRecord, Phase2Result, merge_repetitions
+from repro.core.phase1 import Phase1Result, synthesize_regex
+from repro.core.phase2 import Phase2Result, merge_repetitions
 from repro.core.translate import star_nonterminal, translate_trees
 
 __all__ = [
@@ -38,10 +38,8 @@ __all__ = [
     "GladeConfig",
     "GladeResult",
     "HoleKind",
-    "MergeRecord",
     "Phase1Result",
     "Phase2Result",
-    "StepRecord",
     "constants_of",
     "generalize_characters",
     "holes_of",

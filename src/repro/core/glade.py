@@ -67,7 +67,6 @@ class GladeConfig:
     enable_chargen: bool = True
     alphabet: str = DEFAULT_ALPHABET
     skip_covered_seeds: bool = True
-    record_trace: bool = False
     #: Extended merge checks (see repro.core.phase2); False gives the
     #: paper's literal two checks — exposed for the ablation bench.
     mixed_merge_checks: bool = True
@@ -82,8 +81,10 @@ class GladeConfig:
     #: "auto" picks serial for one job, else process when the oracle is
     #: picklable and threads otherwise.
     backend: str = "auto"
-    #: Structured tracing (:mod:`repro.obs`): record spans and metrics
-    #: into the artifact's ``telemetry`` section. Observation-only —
+    #: Structured tracing (:mod:`repro.obs`): record spans, metrics and
+    #: phase one's per-step ``step`` events (Figure 2's R1…R9) into the
+    #: artifact's ``telemetry`` section; phase two's decisions are the
+    #: artifact's ``phase2_progress`` log either way. Observation-only —
     #: grammars and counted query totals are byte-identical with it on
     #: or off (gated in ``tests/obs/``); off by default, and the
     #: disabled path is a shared no-op tracer.

@@ -30,12 +30,19 @@ they are asked one at a time and stop at the first rejection, and a
 stack that can run them ahead (a multi-worker subprocess oracle, see
 :func:`~repro.learning.oracle.prefetcher`) is handed them first as a
 hint.
+
+Under ``--trace`` every generalization step — one line of Figure 2 —
+is an instant ``step`` event (category ``phase1``) on the seed task's
+tracer, nested under its ``synthesize`` span. Its args are the hole's
+``kind``, ``alpha`` and ``context`` (``[left, right]``), the ``chosen``
+candidate, that candidate's ``checks``, and the number of candidates
+``tried``; ``repro trace`` exports them with the rest of the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.context import Context
 from repro.core.gtree import (
@@ -52,18 +59,10 @@ from repro.core.gtree import (
 )
 from repro.languages.engine import MembershipSession
 from repro.learning.oracle import Oracle, prefetcher
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
-
-@dataclass
-class StepRecord:
-    """Trace of one generalization step (for tests and debugging)."""
-
-    kind: HoleKind
-    alpha: str
-    context: Context
-    chosen: str
-    checks: Tuple[str, ...]
-    candidates_tried: int
+#: A generalization step's (chosen candidate, its checks, tried count).
+Step = Tuple[str, Sequence[str], int]
 
 
 @dataclass
@@ -77,7 +76,6 @@ class Phase1Result:
     """
 
     root: GRoot
-    trace: List[StepRecord] = field(default_factory=list)
     seed_index: int = -1
 
     def regex(self):
@@ -87,7 +85,7 @@ class Phase1Result:
 def synthesize_regex(
     seed: str,
     oracle: Oracle,
-    record_trace: bool = False,
+    tracer: Union[Tracer, NullTracer] = NULL_TRACER,
     session: Optional[MembershipSession] = None,
     allocator: Optional[StarIdAllocator] = None,
 ) -> Phase1Result:
@@ -100,6 +98,8 @@ def synthesize_regex(
     introduces; sharded runs pass the seed's disjoint block allocator
     (:func:`repro.core.gtree.seed_block_allocator`) so ids are
     deterministic regardless of which worker learns the seed when.
+    ``tracer`` receives one ``step`` event per generalization step (see
+    the module docstring); the default records nothing.
     """
     if session is None:
         session = MembershipSession()
@@ -118,15 +118,22 @@ def synthesize_regex(
         # reuses fragments of unchanged subtrees and memoizes results.
         in_current = session.matcher(root.to_regex())
         if hole.kind is HoleKind.REP:
-            record = _generalize_rep(
+            chosen, checks, tried = _generalize_rep(
                 hole, slot, stack, oracle, in_current, prefetch, allocator
             )
         else:
-            record = _generalize_alt(
+            chosen, checks, tried = _generalize_alt(
                 hole, slot, stack, oracle, in_current, prefetch
             )
-        if record_trace:
-            result.trace.append(record)
+        if tracer.enabled:
+            tracer.event("step", cat="phase1", args={
+                "kind": hole.kind.value,
+                "alpha": hole.alpha,
+                "context": [hole.context.left, hole.context.right],
+                "chosen": chosen,
+                "checks": list(checks),
+                "tried": tried,
+            })
     return result
 
 
@@ -185,7 +192,7 @@ def _generalize_rep(
     in_current,
     prefetch,
     allocator: Optional[StarIdAllocator] = None,
-) -> StepRecord:
+) -> Step:
     """Generalize ``[α]_rep``: try repetition candidates, else constant."""
     alpha, context = hole.alpha, hole.context
     tried = 0
@@ -225,25 +232,10 @@ def _generalize_rep(
                     stack.append(Slot(replacement, index))
         else:
             stack.append(Slot(star, 0))
-        chosen = "{}([{}]alt)*[{}]rep".format(a1, a2, a3)
-        return StepRecord(
-            kind=HoleKind.REP,
-            alpha=alpha,
-            context=context,
-            chosen=chosen,
-            checks=tuple(checks),
-            candidates_tried=tried,
-        )
+        return "{}([{}]alt)*[{}]rep".format(a1, a2, a3), checks, tried
     # Last candidate: α as a constant (the meta-grammar leaf β).
     slot.set(GConst(alpha, context))
-    return StepRecord(
-        kind=HoleKind.REP,
-        alpha=alpha,
-        context=context,
-        chosen="const",
-        checks=(),
-        candidates_tried=tried + 1,
-    )
+    return "const", (), tried + 1
 
 
 def _generalize_alt(
@@ -253,7 +245,7 @@ def _generalize_alt(
     oracle: Oracle,
     in_current,
     prefetch,
-) -> StepRecord:
+) -> Step:
     """Generalize ``[α]_alt``: try alternations, else fall back to rep."""
     alpha, context = hole.alpha, hole.context
     tried = 0
@@ -271,24 +263,9 @@ def _generalize_alt(
         slot.set(replacement)
         stack.append(Slot(replacement, 0))  # [α₁]_rep
         stack.append(Slot(replacement, 1))  # [α₂]_alt — popped first
-        chosen = "[{}]rep + [{}]alt".format(a1, a2)
-        return StepRecord(
-            kind=HoleKind.ALT,
-            alpha=alpha,
-            context=context,
-            chosen=chosen,
-            checks=tuple(checks),
-            candidates_tried=tried,
-        )
+        return "[{}]rep + [{}]alt".format(a1, a2), checks, tried
     # Last candidate: T_alt ::= T_rep — continue generalizing as [α]_rep.
     replacement = GHole(HoleKind.REP, alpha, context, allow_full_star=False)
     slot.set(replacement)
     stack.append(slot)
-    return StepRecord(
-        kind=HoleKind.ALT,
-        alpha=alpha,
-        context=context,
-        chosen="to-rep",
-        checks=(),
-        candidates_tried=tried + 1,
-    )
+    return "to-rep", (), tried + 1

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gtree import GStar
@@ -71,25 +71,17 @@ PAIR_SKIPPED = "skipped"
 
 
 @dataclass
-class MergeRecord:
-    """Trace of one considered merge candidate (for tests/debugging)."""
-
-    star_i: int
-    star_j: int
-    checks: Tuple[str, ...]
-    merged: bool
-
-
-@dataclass
 class Phase2Result:
-    """Outcome of the merging phase."""
+    """Outcome of the merging phase.
+
+    ``representative`` maps every star id to its union-find root; each
+    merge equates two stars not yet equated, so the stars that are not
+    their own representative count the merges. Which pairs merged is
+    the committer's decision log (``phase2_progress["decisions"]``).
+    """
 
     grammar: Grammar
     representative: Dict[int, int]
-    records: List[MergeRecord] = field(default_factory=list)
-
-    def merged_pairs(self) -> List[Tuple[int, int]]:
-        return [(r.star_i, r.star_j) for r in self.records if r.merged]
 
 
 class _UnionFind:
@@ -368,11 +360,9 @@ class MergeCommitter:
     restores a committer from it without re-issuing a single query.
     """
 
-    def __init__(self, plan: MergePlan, record_trace: bool = False):
+    def __init__(self, plan: MergePlan):
         self.plan = plan
-        self.record_trace = record_trace
         self.decisions: List[str] = []
-        self.records: List[MergeRecord] = []
         self._uf = _UnionFind(plan.ids)
 
     @property
@@ -399,21 +389,13 @@ class MergeCommitter:
         if decision == PAIR_MERGED:
             self._uf.union(pair.star_i, pair.star_j)
         self.decisions.append(decision)
-        if self.record_trace and decision != PAIR_SKIPPED:
-            self.records.append(
-                MergeRecord(
-                    star_i=pair.star_i,
-                    star_j=pair.star_j,
-                    checks=pair.checks,
-                    merged=decision == PAIR_MERGED,
-                )
-            )
 
     def replay(self, decisions: Sequence[str]) -> None:
         """Restore committed progress from a checkpoint's decision log.
 
-        Replay is oracle-free: merges re-apply to the union-find and
-        trace records are rebuilt from the (deterministic) plan.
+        Replay is oracle-free: merges re-apply to the union-find in
+        (deterministic) plan order, and the replayed decisions become
+        this committer's decision log.
         """
         if len(decisions) > self.plan.n_pairs - self.committed:
             raise ValueError(
@@ -493,9 +475,7 @@ class MergeCommitter:
             grammar.rename_nonterminals(mapping) if mapping else grammar
         )
         return Phase2Result(
-            grammar=merged_grammar,
-            representative=representative,
-            records=self.records,
+            grammar=merged_grammar, representative=representative
         )
 
 
@@ -503,7 +483,6 @@ def merge_repetitions(
     grammar: Grammar,
     stars: Sequence[GStar],
     oracle: Oracle,
-    record_trace: bool = False,
     mixed_checks: bool = True,
 ) -> Phase2Result:
     """Run phase two serially: try every pair, equate those that check out."""
@@ -512,7 +491,7 @@ def merge_repetitions(
         mixed=mixed_checks,
         n_samples=2 if mixed_checks else 0,
     )
-    committer = MergeCommitter(plan, record_trace=record_trace)
+    committer = MergeCommitter(plan)
     while not committer.done:
         committer.commit_serial(oracle)
     return committer.finish(grammar)

@@ -568,7 +568,7 @@ class LearningPipeline:
             mixed=config.mixed_merge_checks,
             n_samples=2 if config.mixed_merge_checks else 0,
         )
-        committer = MergeCommitter(plan, record_trace=config.record_trace)
+        committer = MergeCommitter(plan)
         committer.replay(artifact.phase2_progress.get("decisions", ()))
         executor = make_executor(
             config.backend, max(1, config.jobs), self.oracle

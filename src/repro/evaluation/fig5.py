@@ -173,11 +173,7 @@ def run_fig5() -> List[Fig5Row]:
     """Synthesize the four Figure-5 example grammars."""
     rows = []
     for name, description, oracle, seeds, alphabet in _ROWS:
-        result = learn_grammar(
-            seeds,
-            oracle,
-            GladeConfig(alphabet=alphabet, record_trace=True),
-        )
+        result = learn_grammar(seeds, oracle, GladeConfig(alphabet=alphabet))
         rows.append(
             Fig5Row(
                 name=name,

@@ -120,7 +120,6 @@ _SEMANTIC_CONFIG_FIELDS = (
     "enable_chargen",
     "alphabet",
     "skip_covered_seeds",
-    "record_trace",
     "mixed_merge_checks",
 )
 

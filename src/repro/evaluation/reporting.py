@@ -196,7 +196,6 @@ def summarize_artifact(artifact) -> str:
             "phase-one regex [{}]: {}".format(index, _elide(str(regex)))
         )
     if artifact.phase2_result is not None:
-        # Not merged_pairs(): its trace records need ``record_trace``.
         decisions = artifact.phase2_progress.get("decisions", [])
         tail.append(
             "phase-two merges: {}".format(decisions.count(PAIR_MERGED))

@@ -49,7 +49,7 @@ from repro.core.phase2 import (
 from repro.exec.backends import Executor
 from repro.learning.oracle import Oracle, TracingOracle, prefetcher
 from repro.learning.resilience import add_fault_counters
-from repro.obs.metrics import MetricsRegistry, histogram_total
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 #: Worker functions executor backends run as task payloads (walked by
@@ -73,7 +73,6 @@ class PairOutcome:
     verdicts: Tuple[bool, ...]
     learned: Dict[str, bool]
     invocations: int
-    seconds: float
     #: The task's wire telemetry: ``{"metrics": <registry snapshot>,
     #: "spans": [...]}`` (spans empty unless the run traces).
     telemetry: Dict[str, Any] = field(default_factory=dict)
@@ -164,16 +163,14 @@ def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def decode_pair(raw: Dict[str, Any]) -> PairOutcome:
-    """Decode a worker's wire-format result (``seconds`` is read out
-    of the task's metrics snapshot)."""
-    telemetry = raw.get("telemetry") or {}
+    """Decode a worker's wire-format result (``pair.seconds`` stays in
+    the task's metrics snapshot, which the run's registry merges)."""
     return PairOutcome(
         index=raw["index"],
         verdicts=tuple(raw["verdicts"]),
         learned=dict(raw["learned"]),
         invocations=raw["invocations"],
-        seconds=histogram_total(telemetry.get("metrics"), "pair.seconds"),
-        telemetry=telemetry,
+        telemetry=raw.get("telemetry") or {},
     )
 
 

@@ -45,11 +45,7 @@ from repro.learning.oracle import (
     TracingOracle,
 )
 from repro.learning.resilience import add_fault_counters
-from repro.obs.metrics import (
-    MetricsRegistry,
-    counters_with_prefix,
-    histogram_total,
-)
+from repro.obs.metrics import MetricsRegistry, histogram_total
 from repro.obs.trace import NULL_TRACER, Tracer
 
 #: Worker functions executor backends run as task payloads. detlint's
@@ -63,13 +59,11 @@ TASK_ENTRY_POINTS = ("run_seed_task",)
 class SeedResult:
     """One seed's merged phase-1 outcome, decoded on the parent side.
 
-    ``seconds`` and ``tiers`` are derived views of ``telemetry`` — the
-    task's metrics-registry snapshot (plus its spans under ``--trace``)
-    — kept as named fields because the pipeline's artifact merge reads
-    them. ``tiers`` is the task session's matcher-tier counters
-    (:meth:`~repro.languages.engine.Engine.tier_summary`); empty when
-    the task shared the parent's session (the parent's own counters
-    already include the task's work).
+    ``seconds`` is a derived view of ``telemetry`` — the task's
+    metrics-registry snapshot (plus its spans under ``--trace``) — kept
+    as a named field because the pipeline's artifact merge reads it.
+    The snapshot's ``engine.*`` matcher-tier counters reach the run's
+    ``execution["matcher_tiers"]`` through the merged registry.
     """
 
     index: int
@@ -77,9 +71,9 @@ class SeedResult:
     queries: int
     digests: FrozenSet[int]
     seconds: float
-    tiers: Dict[str, int]
     #: The task's wire telemetry: ``{"metrics": <registry snapshot>,
-    #: "spans": [...]}`` (spans empty unless the run traces).
+    #: "spans": [...]}``; spans (phase one's ``step`` events among
+    #: them) are empty unless the run traces.
     telemetry: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -158,7 +152,7 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 result = synthesize_regex(
                     payload["text"],
                     counting,
-                    record_trace=config.record_trace,
+                    tracer=tracer,
                     session=session,
                     allocator=seed_block_allocator(index),
                 )
@@ -203,21 +197,19 @@ def observe_engine(session: MembershipSession, tracer: Tracer) -> None:
 def decode_task(raw: Dict[str, Any]) -> SeedResult:
     """Decode a worker's wire-format result into live objects.
 
-    The per-seed ``seconds`` and matcher-tier counters are read out of
-    the task's metrics snapshot — the registry is the single source of
-    timing truth; no parallel hand-rolled accumulation.
+    The per-seed ``seconds`` is read out of the task's metrics snapshot
+    — the registry is the single source of timing truth; no parallel
+    hand-rolled accumulation.
     """
     from repro.artifacts.schema import phase1_result_from_dict
 
     telemetry = raw.get("telemetry") or {}
-    metrics = telemetry.get("metrics")
     return SeedResult(
         index=raw["index"],
         result=phase1_result_from_dict(raw["result"]),
         queries=raw["queries"],
         digests=frozenset(raw["digests"]),
-        seconds=histogram_total(metrics, "seed.seconds"),
-        tiers=counters_with_prefix(metrics, "engine."),
+        seconds=histogram_total(telemetry.get("metrics"), "seed.seconds"),
         telemetry=telemetry,
     )
 

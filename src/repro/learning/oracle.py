@@ -116,22 +116,18 @@ class CachingOracle:
     times (e.g. the ε check of every star candidate); caching keeps the
     *distinct*-query count equal to what the algorithm fundamentally
     needs. ``unique_queries`` reports that count: the number of distinct
-    strings ever forwarded to the wrapped oracle. A separate seen-set
-    keeps the count exact even when ``max_size`` bounds the result
-    cache (results for overflow strings are recomputed, but a string is
-    never counted twice).
+    strings ever forwarded to the wrapped oracle. The cache is
+    unbounded, and every distinct string's digest is kept beside it
+    (:attr:`seen_digests`).
     """
 
-    def __init__(self, oracle: Oracle, max_size: Optional[int] = None):
+    def __init__(self, oracle: Oracle):
         self._oracle = oracle
         self._cache: Dict[str, bool] = {}
-        # Distinct strings are tracked by deterministic digest, not by
-        # value, so a bounded cache stays memory-bounded per distinct
-        # string (O(1) instead of retaining every evicted string), and
+        # Distinct strings are also tracked by deterministic digest, so
         # the sets can be unioned across worker processes for global
         # unique-query accounting (see :func:`text_digest`).
         self._seen: Set[int] = set()
-        self._max_size = max_size
         self.unique_queries = 0
 
     @property
@@ -154,8 +150,7 @@ class CachingOracle:
         if fingerprint not in self._seen:
             self._seen.add(fingerprint)
             self.unique_queries += 1
-        if self._max_size is None or len(self._cache) < self._max_size:
-            self._cache[text] = result
+        self._cache[text] = result
 
     def __call__(self, text: str) -> bool:
         if text in self._cache:

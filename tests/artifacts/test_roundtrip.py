@@ -131,14 +131,14 @@ def test_gtree_roundtrip_manual_tree():
 
 
 def test_gtree_roundtrip_learned_trees():
-    config = GladeConfig(alphabet="ab<>/", record_trace=True)
+    config = GladeConfig(alphabet="ab<>/")
     result = learn_grammar(["<a>ab</a>"], xml_like_oracle, config)
     for p1 in result.phase1_results:
         data = json_roundtrip(phase1_result_to_dict(p1))
         restored = phase1_result_from_dict(data)
         assert_trees_equal(p1.root, restored.root)
         assert restored.root.to_regex() == p1.root.to_regex()
-        assert restored.trace == p1.trace
+        assert restored.seed_index == p1.seed_index
 
 
 def test_gtree_roundtrip_restores_star_ids_verbatim():
@@ -219,11 +219,10 @@ def test_grammar_malformed_rejected():
 
 
 def test_phase2_result_roundtrip():
-    config = GladeConfig(alphabet="ab<>/", record_trace=True)
+    config = GladeConfig(alphabet="ab<>/")
     result = learn_grammar(["<a>ab</a>"], xml_like_oracle, config)
     assert result.phase2_result is not None
     data = json_roundtrip(phase2_result_to_dict(result.phase2_result))
     restored = phase2_result_from_dict(data)
     assert restored.representative == result.phase2_result.representative
-    assert restored.records == result.phase2_result.records
     assert str(restored.grammar) == str(result.phase2_result.grammar)

@@ -3,10 +3,11 @@
 Checkpoints are the one thing the artifact subsystem exists to
 preserve, so schema bumps upgrade known older documents in place
 instead of refusing them: v1 → v2 re-indexes phase-1 results, v2 → v3
-merely lacks the optional ``phase2_progress`` record. Old documents
-are simulated by downgrading a real current one: stripping every
-newer-than-X field, exactly what the PR-2 / PR-3 builds wrote. Config
-keys of retired ``GladeConfig`` fields are ignored on load.
+merely lacks the optional ``phase2_progress`` record, and v4 → v5 only
+dropped keys. Old documents are simulated from a real current one:
+stripping every newer-than-X field, or adding back the keys a later
+version dropped, exactly what the older builds wrote. Config keys of
+retired ``GladeConfig`` fields are ignored on load.
 """
 
 import json
@@ -22,10 +23,15 @@ from repro.artifacts import (
     SEED_VALIDATED,
     grammar_to_dict,
     load_artifact,
+    save_artifact,
 )
 from repro.artifacts.run import artifact_digest
 from repro.core.glade import GladeConfig
+from repro.core.gtree import stars_of
+from repro.core.phase1 import synthesize_regex
+from repro.core.phase2 import PAIR_MERGED, PAIR_SKIPPED, plan_merges
 from repro.core.pipeline import LearningPipeline
+from repro.obs.trace import Tracer
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
 
@@ -53,6 +59,65 @@ def downgrade_to_v1(data):
     for key in ("jobs", "backend"):
         v1["config"].pop(key, None)
     return v1
+
+
+def v4_document(artifact):
+    """What a v4 build wrote for ``artifact`` under ``record_trace``.
+
+    v4 kept a per-seed list of generalization steps on every phase-1
+    result (``trace``), the evaluated merge pairs on the phase-2 result
+    (``records``) and the ``record_trace`` config key; the document
+    carries the integrity digest ``save_artifact`` embeds.
+    """
+    data = json.loads(json.dumps(artifact.to_dict()))
+    data["schema_version"] = 4
+    data["config"]["record_trace"] = True
+    for result in data["phase1_results"]:
+        tracer = Tracer()
+        seed = data["seeds"][result["seed_index"]]["text"]
+        synthesize_regex(seed, xml_like_oracle, tracer=tracer)
+        result["trace"] = [
+            {
+                "kind": step["kind"],
+                "alpha": step["alpha"],
+                "context": step["context"],
+                "chosen": step["chosen"],
+                "checks": step["checks"],
+                "candidates_tried": step["tried"],
+            }
+            for step in (span["args"] for span in tracer.snapshot())
+        ]
+        assert result["trace"]
+    if data["phase2_result"] is not None:
+        plan = plan_merges(
+            [star for tree in artifact.trees() for star in stars_of(tree)]
+        )
+        data["phase2_result"]["records"] = [
+            {
+                "star_i": pair.star_i,
+                "star_j": pair.star_j,
+                "checks": list(pair.checks),
+                "merged": decision == PAIR_MERGED,
+            }
+            for pair, decision in zip(
+                plan.pairs, artifact.phase2_progress["decisions"]
+            )
+            if decision != PAIR_SKIPPED
+        ]
+        assert data["phase2_result"]["records"]
+    data["integrity"] = artifact_digest(data)
+    return data
+
+
+def assert_saves_v5(artifact, path):
+    """Re-saving writes the current schema without the retired keys."""
+    save_artifact(artifact, path)
+    data = json.loads(path.read_text())
+    assert data["schema_version"] == SCHEMA_VERSION == 5
+    assert "record_trace" not in data["config"]
+    assert all("trace" not in r for r in data["phase1_results"])
+    if data["phase2_result"] is not None:
+        assert "records" not in data["phase2_result"]
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +216,47 @@ def test_retired_config_keys_ignored_on_load(finished, tmp_path, value):
         grammar_to_dict(artifact.grammar)
     )
     assert resumed.oracle_queries == artifact.oracle_queries
+
+
+def test_complete_v4_artifact_loads(finished, tmp_path):
+    artifact, _store = finished
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(v4_document(artifact), indent=1))
+    restored = load_artifact(path)
+    assert restored.config == artifact.config
+    assert str(restored.grammar) == str(artifact.grammar)
+    assert (
+        restored.phase2_result.representative
+        == artifact.phase2_result.representative
+    )
+    assert restored.phase2_progress == artifact.phase2_progress
+    assert restored.oracle_queries == artifact.oracle_queries
+    assert_saves_v5(restored, tmp_path / "v5.json")
+
+
+def test_mid_phase2_v4_checkpoint_resumes(finished, tmp_path):
+    """A v4 checkpoint written mid-phase-2 under ``record_trace`` loads
+    and resumes to the uninterrupted run's grammar and query count."""
+    artifact, store = finished
+    pairs = artifact.phase2_progress["pairs"]
+    snapshot = next(
+        candidate
+        for candidate in map(store.snapshot, range(len(store.snapshots)))
+        if 0 < len(candidate.phase2_progress.get("decisions", ())) < pairs
+    )
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(v4_document(snapshot), indent=1))
+    restored = load_artifact(path)
+    assert restored.stage == "translate"
+    resumed = LearningPipeline(
+        xml_like_oracle, config=restored.config
+    ).resume(restored)
+    assert resumed.status == "complete"
+    assert json.dumps(grammar_to_dict(resumed.grammar)) == json.dumps(
+        grammar_to_dict(artifact.grammar)
+    )
+    assert resumed.oracle_queries == artifact.oracle_queries
+    assert_saves_v5(resumed, tmp_path / "v5.json")
 
 
 def test_v1_with_mismatched_results_rejected(finished):

@@ -2,9 +2,10 @@
 
 Exercises the user-facing surface of the observability layer over a
 real subprocess oracle: the traced artifact carries a telemetry
-section, ``repro trace`` converts it to valid Chrome trace_event JSON,
-``repro show --stats`` renders the counters, and an untraced artifact
-degrades with a clear error instead of an empty file.
+section, ``repro trace`` converts it to valid Chrome trace_event JSON
+holding phase one's generalization steps, ``repro show --stats``
+renders the counters, and an untraced artifact degrades with a clear
+error instead of an empty file.
 """
 
 import json
@@ -62,6 +63,20 @@ def test_traced_learn_exports_chrome_trace_and_stats(tmp_path):
     assert data["traceEvents"]
     assert all("pid" in event and "ph" in event
                for event in data["traceEvents"])
+    # Seed ``aa``'s Figure-2-style generalization steps, in order.
+    steps = [
+        event for event in data["traceEvents"] if event["name"] == "step"
+    ]
+    assert [event["args"]["chosen"] for event in steps] == [
+        "([a]alt)*[a]rep",
+        "([a]alt)*[]rep",
+        "to-rep",
+        "const",
+        "to-rep",
+        "const",
+    ]
+    assert all(event["cat"] == "phase1" and event["ph"] == "i"
+               for event in steps)
 
     stats = run_cli(tmp_path, "show", "run.json", "--stats")
     assert stats.returncode == 0, stats.stderr

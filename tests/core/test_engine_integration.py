@@ -1,15 +1,16 @@
 """Phase one learns the same trees whoever answers membership.
 
 The membership engine must be a pure optimization: phase-1 output trees
-and decision traces are byte-identical to a run whose current-language
-tests go through the test-side Thompson reference instead, recompiled
-from scratch for every language version.
+and every traced generalization step are byte-identical to a run whose
+current-language tests go through the test-side Thompson reference
+instead, recompiled from scratch for every language version.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.phase1 import synthesize_regex
 from repro.languages.engine import MembershipSession
+from repro.obs.trace import Tracer
 from repro.targets.xmllang import xml_oracle
 
 from tests.core.helpers import xml_like_oracle
@@ -27,22 +28,24 @@ class ReferenceSession:
         return compile_regex(expr).matches
 
 
-def _trace_key(result):
-    return [
-        (r.kind, r.alpha, r.context, r.chosen, r.checks, r.candidates_tried)
-        for r in result.trace
+STEP_ARGS = {"kind", "alpha", "context", "chosen", "checks", "tried"}
+
+
+def _traced_phase1(seed, oracle, session):
+    """The learned regex and the args of every ``step`` event."""
+    tracer = Tracer()
+    result = synthesize_regex(seed, oracle, tracer=tracer, session=session)
+    steps = [
+        span["args"] for span in tracer.snapshot() if span["name"] == "step"
     ]
+    assert steps and all(set(step) == STEP_ARGS for step in steps)
+    return str(result.regex()), steps
 
 
 def _assert_same_phase1(seed, oracle):
-    engine = synthesize_regex(
-        seed, oracle, record_trace=True, session=MembershipSession()
-    )
-    reference = synthesize_regex(
-        seed, oracle, record_trace=True, session=ReferenceSession()
-    )
-    assert str(engine.regex()) == str(reference.regex())
-    assert _trace_key(engine) == _trace_key(reference)
+    engine = _traced_phase1(seed, oracle, MembershipSession())
+    reference = _traced_phase1(seed, oracle, ReferenceSession())
+    assert engine == reference
 
 
 def test_phase1_trees_byte_identical_on_xml():

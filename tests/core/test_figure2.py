@@ -12,12 +12,14 @@ import pytest
 
 from repro.core import (
     GladeConfig,
-    HoleKind,
     learn_grammar,
+    stars_of,
     synthesize_regex,
 )
+from repro.core.phase2 import plan_merges
 from repro.languages.earley import recognize
 from repro.languages.sampler import GrammarSampler
+from repro.obs.trace import Tracer
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
 
@@ -25,9 +27,21 @@ SEED = "<a>hi</a>"
 
 
 @pytest.fixture(scope="module")
-def phase1_trace():
-    result = synthesize_regex(SEED, xml_like_oracle, record_trace=True)
-    return result
+def phase1_run():
+    tracer = Tracer()
+    result = synthesize_regex(SEED, xml_like_oracle, tracer=tracer)
+    return result, tracer
+
+
+@pytest.fixture(scope="module")
+def steps(phase1_run):
+    """The args of phase one's ``step`` events, in order."""
+    _result, tracer = phase1_run
+    return [
+        span["args"]
+        for span in tracer.snapshot()
+        if span["name"] == "step" and span["cat"] == "phase1"
+    ]
 
 
 def test_oracle_sanity():
@@ -38,64 +52,65 @@ def test_oracle_sanity():
     assert not xml_like_oracle("<a><b>x</b></a>")
 
 
-def test_phase1_regex_matches_paper(phase1_trace):
-    assert str(phase1_trace.regex()) == "(<a>(h + i)*</a>)*"
+def test_phase1_regex_matches_paper(phase1_run):
+    result, _tracer = phase1_run
+    assert str(result.regex()) == "(<a>(h + i)*</a>)*"
 
 
-def test_phase1_steps_match_figure2(phase1_trace):
-    steps = [
-        (record.kind, record.alpha, record.chosen)
-        for record in phase1_trace.trace
-    ]
-    assert steps == [
+def test_phase1_steps_match_figure2(steps):
+    assert [(s["kind"], s["alpha"], s["chosen"]) for s in steps] == [
         # R1: seed bracketed as rep, full star chosen.
-        (HoleKind.REP, "<a>hi</a>", "([<a>hi</a>]alt)*[]rep"),
+        ("rep", "<a>hi</a>", "([<a>hi</a>]alt)*[]rep"),
         # R2: no alternation split passes; fall back to rep.
-        (HoleKind.ALT, "<a>hi</a>", "to-rep"),
+        ("alt", "<a>hi</a>", "to-rep"),
         # R3: <a> ([hi]_alt)* [</a>]_rep.
-        (HoleKind.REP, "<a>hi</a>", "<a>([hi]alt)*[</a>]rep"),
+        ("rep", "<a>hi</a>", "<a>([hi]alt)*[</a>]rep"),
         # R4: </a> becomes a constant.
-        (HoleKind.REP, "</a>", "const"),
+        ("rep", "</a>", "const"),
         # R5: hi splits into h + i.
-        (HoleKind.ALT, "hi", "[h]rep + [i]alt"),
+        ("alt", "hi", "[h]rep + [i]alt"),
         # R6-R8: i and h settle as constants.
-        (HoleKind.ALT, "i", "to-rep"),
-        (HoleKind.REP, "i", "const"),
-        (HoleKind.REP, "h", "const"),
+        ("alt", "i", "to-rep"),
+        ("rep", "i", "const"),
+        ("rep", "h", "const"),
     ]
 
 
-def test_figure2_r3_checks(phase1_trace):
+def test_figure2_r3_checks(steps):
     """The chosen R3 candidate's checks are <a></a> and <a>hihi</a>."""
-    r3 = phase1_trace.trace[2]
-    assert set(r3.checks) == {"<a></a>", "<a>hihi</a>"}
+    r3 = steps[2]
+    assert r3["context"] == ["", ""]
+    assert set(r3["checks"]) == {"<a></a>", "<a>hihi</a>"}
 
 
-def test_figure2_r5_checks(phase1_trace):
+def test_figure2_r5_checks(steps):
     """The chosen R5 candidate's checks are <a>h</a> and <a>i</a>."""
-    r5 = phase1_trace.trace[4]
-    assert set(r5.checks) == {"<a>h</a>", "<a>i</a>"}
+    r5 = steps[4]
+    assert r5["context"] == ["<a>", "</a>"]
+    assert set(r5["checks"]) == {"<a>h</a>", "<a>i</a>"}
 
 
 @pytest.fixture(scope="module")
 def full_result():
-    config = GladeConfig(alphabet=XML_ALPHABET, record_trace=True)
+    config = GladeConfig(alphabet=XML_ALPHABET)
     return learn_grammar([SEED], xml_like_oracle, config)
 
 
 def test_phase2_merges_the_two_stars(full_result):
-    merged = full_result.phase2_result.merged_pairs()
-    assert len(merged) == 1  # C1 of Figure 2
+    # C1 of Figure 2: the two stars share one representative.
+    representative = full_result.phase2_result.representative
+    assert len(representative) == 2
+    assert len(set(representative.values())) == 1
 
 
 def test_phase2_merge_checks_match_paper(full_result):
-    records = full_result.phase2_result.records
-    assert len(records) == 1
+    plan = plan_merges(stars_of(full_result.trees[0]))
+    assert len(plan.pairs) == 1
     # The paper's §5.3 checks — hihi and <a><a>hi</a><a>hi</a></a> —
     # must be among the constructed checks (our merge adds the
     # mixed-adjacency residuals on top; see repro.core.phase2).
     assert {"hihi", "<a><a>hi</a><a>hi</a></a>"} <= set(
-        records[0].checks
+        plan.pairs[0].checks
     )
 
 

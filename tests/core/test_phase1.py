@@ -112,8 +112,7 @@ class TestMonotonicity:
             oracle_calls.append(text)
             return set(text) <= set("ab!")
 
-        result = synthesize_regex("a!b", oracle, record_trace=True)
-        del result
+        synthesize_regex("a!b", oracle)
         # Every check query was derived from the seed's alphabet.
         assert all(set(c) <= set("ab!") or not oracle(c)
                    for c in oracle_calls)

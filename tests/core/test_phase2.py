@@ -21,13 +21,21 @@ def _two_star_tree():
     return root, star_x, star_y
 
 
+def _merges(result):
+    """Merges a phase-2 run made: each equates two stars not yet
+    equated, so it is the count of stars that are not their own
+    representative."""
+    return sum(1 for i, rep in result.representative.items() if i != rep)
+
+
 def test_merge_accepted_when_oracle_allows():
     root, star_x, star_y = _two_star_tree()
     grammar = translate_trees([root])
-    result = merge_repetitions(
-        grammar, [star_x, star_y], lambda s: True, record_trace=True
-    )
-    assert result.merged_pairs() == [(star_x.star_id, star_y.star_id)]
+    result = merge_repetitions(grammar, [star_x, star_y], lambda s: True)
+    assert result.representative == {
+        star_x.star_id: star_x.star_id,
+        star_y.star_id: star_x.star_id,
+    }
     # After merging, y may appear where only x could, and vice versa.
     assert recognize(result.grammar, "y-x")
 
@@ -35,10 +43,8 @@ def test_merge_accepted_when_oracle_allows():
 def test_merge_rejected_when_oracle_refuses():
     root, star_x, star_y = _two_star_tree()
     grammar = translate_trees([root])
-    result = merge_repetitions(
-        grammar, [star_x, star_y], lambda s: False, record_trace=True
-    )
-    assert result.merged_pairs() == []
+    result = merge_repetitions(grammar, [star_x, star_y], lambda s: False)
+    assert _merges(result) == 0
     assert not recognize(result.grammar, "y-x")
     assert recognize(result.grammar, "xx-yy")
 
@@ -68,10 +74,8 @@ def test_both_checks_required():
     def oracle(text):
         return text == "yy-y"  # only the first check passes
 
-    result = merge_repetitions(
-        grammar, [star_x, star_y], oracle, record_trace=True
-    )
-    assert result.merged_pairs() == []
+    result = merge_repetitions(grammar, [star_x, star_y], oracle)
+    assert _merges(result) == 0
 
 
 def test_transitive_merges_skip_redundant_pairs():
@@ -89,11 +93,15 @@ def test_transitive_merges_skip_redundant_pairs():
         queries.append(text)
         return True
 
-    result = merge_repetitions(grammar, stars, oracle, record_trace=True)
+    result = merge_repetitions(grammar, stars, oracle)
     # (a,b) merges, (a,c) merges; (b,c) is skipped as already equal.
-    assert len(result.merged_pairs()) == 2
-    representative = result.representative
-    assert len(set(representative.values())) == 1
+    assert _merges(result) == 2
+    assert set(result.representative.values()) == {stars[0].star_id}
+    # Only the two merged pairs asked their checks; (b,c) asked none.
+    from repro.core.phase2 import plan_merges
+
+    pairs = plan_merges(stars).pairs
+    assert len(queries) == len(pairs[0].checks) + len(pairs[1].checks)
 
 
 def test_merge_monotonicity():
@@ -251,12 +259,12 @@ class TestMergeCommitter:
         assert event.queries == 2
         assert len(event.digests) == 2
 
-    def test_replay_reproduces_state_and_records(self):
+    def test_replay_reproduces_state_and_decisions(self):
         from repro.core.phase2 import MergeCommitter, plan_merges
 
         grammar, stars = _star_row(["ab", "cd", "ab", "cd"])
         plan = plan_merges(stars)
-        reference = MergeCommitter(plan, record_trace=True)
+        reference = MergeCommitter(plan)
         while not reference.done:
             pair = reference.next_pair()
             if reference.next_is_skip():
@@ -268,14 +276,12 @@ class TestMergeCommitter:
                     [True] * len(pair.checks) if same else [True, False]
                 )
 
-        replayed = MergeCommitter(plan, record_trace=True)
+        replayed = MergeCommitter(plan)
         replayed.replay(reference.decisions)
         assert replayed.decisions == reference.decisions
-        assert replayed.records == reference.records
-        assert (
-            str(replayed.finish(grammar).grammar)
-            == str(reference.finish(grammar).grammar)
-        )
+        expected, restored = reference.finish(grammar), replayed.finish(grammar)
+        assert restored.representative == expected.representative
+        assert str(restored.grammar) == str(expected.grammar)
 
     def test_replay_rejects_malformed_progress(self):
         import pytest

@@ -193,7 +193,7 @@ def test_empty_seed_list_rejected():
 
 
 def test_run_artifact_roundtrips_through_store():
-    config = GladeConfig(alphabet=XML_ALPHABET, record_trace=True)
+    config = GladeConfig(alphabet=XML_ALPHABET)
     full, store, _oracle = run_uninterrupted(config)
     restored = store.snapshot(-1)
     assert isinstance(restored, RunArtifact)

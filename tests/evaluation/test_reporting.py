@@ -54,14 +54,14 @@ class TestSummarizeArtifact:
         assert "oracle queries: {}".format(artifact.oracle_queries) in rendered
 
     def test_merge_count_comes_from_the_decision_log(self):
-        # Default config keeps no merge trace records; the report must
-        # still count Figure 2's one merge (C1).
+        # The report counts Figure 2's one merge (C1) from the
+        # committed decision log.
         from repro.core.pipeline import LearningPipeline
         from repro.evaluation.reporting import summarize_artifact
         from tests.core.helpers import xml_like_oracle
 
         artifact = LearningPipeline(xml_like_oracle).run(["<a>hi</a>"])
-        assert artifact.phase2_result.merged_pairs() == []
+        assert artifact.phase2_progress["decisions"] == ["merged"]
         rendered = summarize_artifact(artifact)
         assert "(1 merged, 0 rejected, 0 skipped)" in rendered
         assert "phase-two merges: 1" in rendered

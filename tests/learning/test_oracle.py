@@ -39,24 +39,6 @@ def test_caching_oracle_deduplicates():
     assert cached.unique_queries == 2
 
 
-def test_caching_oracle_respects_max_size():
-    counting = CountingOracle(base_oracle)
-    cached = CachingOracle(counting, max_size=1)
-    cached("a")
-    cached("b")  # not cached: over limit
-    cached("b")
-    assert counting.queries == 3
-
-
-def test_bounded_cache_unique_queries_counts_distinct_strings():
-    """Repeated uncached strings must not inflate ``unique_queries``."""
-    cached = CachingOracle(base_oracle, max_size=1)
-    cached("a")
-    for _ in range(3):
-        cached("b")  # recomputed each time (cache full), one distinct string
-    assert cached.unique_queries == 2
-
-
 def test_deadline_oracle_raises_after_deadline():
     oracle = DeadlineOracle(base_oracle, deadline=time.monotonic() - 1)
     with pytest.raises(LearningTimeout):
