@@ -23,7 +23,7 @@ import json
 import os
 import pathlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.artifacts.schema import (
     SCHEMA_VERSION,
@@ -169,36 +169,45 @@ class RunArtifact:
 
     # -- serialization ----------------------------------------------------
 
+    def sections(self) -> List[Tuple[str, Any, Optional[Callable]]]:
+        """The encoding's top-level sections, as ``(key, value, codec)``.
+
+        ``codec`` is None when ``value`` already is JSON data. Otherwise
+        ``value`` holds recorded learning results — the
+        ``Phase1Result`` list, the ``Grammar``, the ``Phase2Result``,
+        each possibly None — and ``codec`` encodes one result. Both
+        :meth:`to_dict` and :class:`ArtifactEncoder` read this list, so
+        the two encodings cannot drift apart.
+        """
+        return [
+            ("schema_version", self.schema_version, None),
+            ("kind", "glade-run", None),
+            ("status", self.status, None),
+            ("stage", self.stage, None),
+            ("seeds", [asdict(record) for record in self.seeds], None),
+            ("config", asdict(self.config), None),
+            ("oracle", self.oracle_spec, None),
+            ("phase1_results", self.phase1_results, phase1_result_to_dict),
+            ("grammar", self.grammar, grammar_to_dict),
+            ("phase2_result", self.phase2_result, phase2_result_to_dict),
+            ("oracle_queries", self.oracle_queries, None),
+            ("unique_queries", self.unique_queries, None),
+            ("speculative_queries", self.speculative_queries, None),
+            ("execution", dict(self.execution), None),
+            ("phase2_progress", _copy_progress(self.phase2_progress), None),
+            ("timings", dict(self.timings), None),
+            ("telemetry", self.telemetry, None),
+        ]
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "kind": "glade-run",
-            "status": self.status,
-            "stage": self.stage,
-            "seeds": [asdict(record) for record in self.seeds],
-            "config": asdict(self.config),
-            "oracle": self.oracle_spec,
-            "phase1_results": [
-                phase1_result_to_dict(r) for r in self.phase1_results
-            ],
-            "grammar": (
-                grammar_to_dict(self.grammar)
-                if self.grammar is not None
-                else None
-            ),
-            "phase2_result": (
-                phase2_result_to_dict(self.phase2_result)
-                if self.phase2_result is not None
-                else None
-            ),
-            "oracle_queries": self.oracle_queries,
-            "unique_queries": self.unique_queries,
-            "speculative_queries": self.speculative_queries,
-            "execution": dict(self.execution),
-            "phase2_progress": _copy_progress(self.phase2_progress),
-            "timings": dict(self.timings),
-            "telemetry": self.telemetry,
-        }
+        data = {}
+        for key, value, codec in self.sections():
+            if codec is not None and isinstance(value, list):
+                value = [codec(item) for item in value]
+            elif codec is not None and value is not None:
+                value = codec(value)
+            data[key] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunArtifact":
@@ -336,6 +345,16 @@ def _copy_progress(progress: Dict[str, Any]) -> Dict[str, Any]:
     return copied
 
 
+#: The canonical JSON encoding the integrity digest is defined over:
+#: sorted keys, no whitespace, ASCII output. Without ``indent`` CPython
+#: runs it on the C encoder.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(canonical: str) -> str:
+    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def artifact_digest(data: Dict[str, Any]) -> str:
     """Content digest of an artifact dict (integrity key excluded).
 
@@ -346,28 +365,102 @@ def artifact_digest(data: Dict[str, Any]) -> str:
     rename — the checkpoint store then falls back to the previous
     generation rather than resuming from corrupted state.
     """
-    body = json.dumps(
-        {k: v for k, v in data.items() if k != "integrity"},
-        sort_keys=True,
-        separators=(",", ":"),
+    return _sha256(
+        _CANONICAL.encode({k: v for k, v in data.items() if k != "integrity"})
     )
-    return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+class _Encoded(str):
+    """Canonical JSON text, joined into an object verbatim."""
+
+
+def _members(data: Dict[str, Any]) -> List[str]:
+    """A JSON object's ``"key":value`` members in canonical (key) order;
+    :class:`_Encoded` values are already canonical text."""
+    return [
+        _CANONICAL.encode(key) + ":" + (
+            value if isinstance(value, _Encoded) else _CANONICAL.encode(value)
+        )
+        for key, value in sorted(data.items())
+    ]
+
+
+class ArtifactEncoder:
+    """Encode artifacts to file text, reusing the text of unchanged results.
+
+    Recorded learning results — each ``Phase1Result``, the ``Grammar``
+    and the ``Phase2Result`` — are never changed once recorded: trees
+    are edited only while their seed is learned, and translation, phase
+    two and finalize build new grammars. So the encoder keeps each one's
+    canonical text from the previous call, keyed by identity and
+    holding a reference to the object (an id cannot be reused while it
+    is cached), and drops it once the object has left the artifact (a
+    discarded speculative seed takes its result with it). Each call
+    encodes only the small sections that do change — seeds, config,
+    counters, ``execution``, ``phase2_progress``, ``timings`` and
+    ``telemetry`` — so a checkpoint costs what changed, plus the hash and
+    the write.
+    """
+
+    def __init__(self) -> None:
+        self._texts: Dict[int, Tuple[Any, str]] = {}
+
+    def encode(self, artifact: RunArtifact) -> str:
+        """The artifact's file text: its canonical encoding with the
+        ``integrity`` digest added, one top-level key per line."""
+        previous, self._texts = self._texts, {}
+        data: Dict[str, Any] = {}
+        for key, value, codec in artifact.sections():
+            if codec is not None and isinstance(value, list):
+                text = "[" + ",".join(
+                    self._recorded(item, codec, previous) for item in value
+                ) + "]"
+            elif codec is not None and value is not None:
+                text = self._recorded(value, codec, previous)
+            else:
+                text = _CANONICAL.encode(value)
+            data[key] = _Encoded(text)
+        data["integrity"] = _sha256("{" + ",".join(_members(data)) + "}")
+        return "{\n" + ",\n".join(_members(data)) + "\n}\n"
+
+    def _recorded(self, obj: Any, codec: Callable, previous) -> _Encoded:
+        entry = self._texts.get(id(obj)) or previous.get(id(obj))
+        if entry is None:
+            if isinstance(obj, Phase2Result):
+                # The merged grammar is also the artifact's grammar
+                # section until finalize: encode it once, through here.
+                data = codec(obj, encode_grammar=lambda grammar: (
+                    self._recorded(grammar, grammar_to_dict, previous)
+                ))
+                text = "{" + ",".join(_members(data)) + "}"
+            else:
+                text = _CANONICAL.encode(codec(obj))
+            entry = (obj, _Encoded(text))
+        self._texts[id(obj)] = entry
+        return entry[1]
 
 
 def save_artifact(
-    artifact: RunArtifact, path: Union[str, os.PathLike]
+    artifact: RunArtifact,
+    path: Union[str, os.PathLike],
+    encoder: Optional[ArtifactEncoder] = None,
 ) -> None:
     """Write an artifact as JSON, atomically (write-temp + rename).
 
-    The payload embeds a content digest (``integrity`` key) that
-    :func:`load_artifact` verifies; pre-digest artifacts stay loadable.
+    The artifact is encoded once, canonically (sorted keys, compact,
+    ASCII — the encoding :func:`artifact_digest` is defined over); the
+    digest of those bytes becomes the ``integrity`` key that
+    :func:`load_artifact` verifies, and the file holds the same
+    members, one top-level key per line. ``encoder`` carries reusable
+    section text from one save to the next (a checkpoint store keeps
+    one); without it everything is encoded afresh. Pre-digest artifacts
+    stay loadable.
     """
     path = pathlib.Path(path)
-    data = artifact.to_dict()
-    data["integrity"] = artifact_digest(data)
-    payload = json.dumps(data, indent=1, sort_keys=True)
+    if encoder is None:
+        encoder = ArtifactEncoder()
     tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(payload)
+    tmp_path.write_text(encoder.encode(artifact))
     os.replace(tmp_path, path)
 
 
@@ -379,18 +472,29 @@ def load_artifact(path: Union[str, os.PathLike]) -> RunArtifact:
     :class:`~repro.artifacts.schema.ArtifactError` for undecodable
     JSON — also a corruption signal for a file this module wrote).
     """
+    return decode_artifact(
+        pathlib.Path(path).read_text(), "artifact {}".format(path)
+    )
+
+
+def decode_artifact(text: str, source: str) -> RunArtifact:
+    """Decode an artifact's JSON text, verifying its integrity digest.
+
+    The one loader behind :func:`load_artifact` and in-memory
+    checkpoints; ``source`` names the text in error messages.
+    """
     try:
-        data = json.loads(pathlib.Path(path).read_text())
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArtifactError(
-            "artifact {} is not valid JSON: {}".format(path, exc)
+            "{} is not valid JSON: {}".format(source, exc)
         )
     if isinstance(data, dict):
         stored = data.pop("integrity", None)
         if stored is not None and stored != artifact_digest(data):
             raise ArtifactCorrupt(
-                "artifact {} failed its integrity check (stored digest "
-                "does not match content): the file was truncated or "
-                "corrupted after writing".format(path)
+                "{} failed its integrity check (stored digest does not "
+                "match content): the file was truncated or corrupted "
+                "after writing".format(source)
             )
     return RunArtifact.from_dict(data)

@@ -4,21 +4,29 @@ The pipeline calls :meth:`CheckpointStore.save` after every completed
 stage (per seed during phase one). A store decides what durability
 means: :class:`FileCheckpointStore` writes the JSON artifact atomically
 to disk (the CLI's ``learn --out`` / ``resume`` path);
-:class:`MemoryCheckpointStore` keeps the serialized snapshots in memory
-— every save is pushed through the full JSON encoding, so tests that
-resume from a mid-run snapshot exercise exactly what a crash-and-reload
-would; :class:`NullCheckpointStore` does nothing (the default for
-in-process :func:`~repro.core.glade.learn_grammar` calls, which then
-pay zero serialization overhead).
+:class:`MemoryCheckpointStore` keeps the same file text in memory —
+integrity digest included — and decodes snapshots through the same
+digest-checking loader, so tests that resume from a mid-run snapshot
+exercise exactly what a crash-and-reload would;
+:class:`NullCheckpointStore` does nothing (the default for in-process
+:func:`~repro.core.glade.learn_grammar` calls, which then pay zero
+serialization overhead). Both persisting stores encode through one
+:class:`~repro.artifacts.run.ArtifactEncoder` per store, so a save
+re-encodes only what changed since the previous one.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List, Optional, Union
 
-from repro.artifacts.run import RunArtifact, load_artifact, save_artifact
+from repro.artifacts.run import (
+    ArtifactEncoder,
+    RunArtifact,
+    decode_artifact,
+    load_artifact,
+    save_artifact,
+)
 from repro.artifacts.schema import ArtifactError
 
 
@@ -44,19 +52,22 @@ class NullCheckpointStore(CheckpointStore):
 
 
 class MemoryCheckpointStore(CheckpointStore):
-    """Keep every checkpoint as a JSON string, for tests.
+    """Keep every checkpoint's file text in memory, for tests.
 
-    ``snapshots`` grows by one entry per save; ``snapshot(i)``
-    deserializes entry ``i`` into a fresh :class:`RunArtifact` —
-    resuming from it reproduces a crash that lost everything after that
-    save.
+    ``snapshots`` grows by one entry per save: the text
+    :class:`FileCheckpointStore` would have written, ``integrity``
+    digest included. ``snapshot(i)`` decodes entry ``i`` through the
+    loader :func:`~repro.artifacts.run.load_artifact` uses, digest check
+    included, into a fresh :class:`RunArtifact` — resuming from it
+    reproduces a crash that lost everything after that save.
     """
 
     def __init__(self):
         self.snapshots: List[str] = []
+        self._encoder = ArtifactEncoder()
 
     def save(self, artifact: RunArtifact) -> None:
-        self.snapshots.append(json.dumps(artifact.to_dict()))
+        self.snapshots.append(self._encoder.encode(artifact))
 
     def load(self) -> Optional[RunArtifact]:
         if not self.snapshots:
@@ -64,7 +75,9 @@ class MemoryCheckpointStore(CheckpointStore):
         return self.snapshot(-1)
 
     def snapshot(self, index: int) -> RunArtifact:
-        return RunArtifact.from_dict(json.loads(self.snapshots[index]))
+        return decode_artifact(
+            self.snapshots[index], "checkpoint snapshot {}".format(index)
+        )
 
 
 class FileCheckpointStore(CheckpointStore):
@@ -82,6 +95,10 @@ class FileCheckpointStore(CheckpointStore):
     :attr:`recovered_from` so the CLI can tell the user. Resuming from
     the previous generation merely re-runs whatever the lost save had
     added; completed stages re-issue zero queries.
+
+    Its :class:`~repro.artifacts.run.ArtifactEncoder` encodes each
+    recorded phase-1 result, grammar and phase-2 result once, and
+    reuses that text while the object stays in the artifact.
     """
 
     def __init__(
@@ -92,6 +109,7 @@ class FileCheckpointStore(CheckpointStore):
         #: Set by :meth:`load` when the current checkpoint was corrupt
         #: and the previous generation was loaded instead.
         self.recovered_from: Optional[str] = None
+        self._encoder = ArtifactEncoder()
 
     @property
     def previous_path(self) -> str:
@@ -103,7 +121,7 @@ class FileCheckpointStore(CheckpointStore):
             # renames leaves .prev as the newest complete checkpoint,
             # which load() then serves.
             os.replace(self.path, self.previous_path)
-        save_artifact(artifact, self.path)
+        save_artifact(artifact, self.path, self._encoder)
 
     def load(self) -> Optional[RunArtifact]:
         self.recovered_from = None

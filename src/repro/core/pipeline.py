@@ -55,7 +55,15 @@ since the membership cache does not persist across restarts.
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
-from typing import Any, Dict, FrozenSet, Iterator, Optional, Sequence
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    Optional,
+    Sequence,
+)
 
 from repro.artifacts.run import (
     SEED_LEARNED,
@@ -220,16 +228,24 @@ class LearningPipeline:
         persistent = not isinstance(self.store, NullCheckpointStore)
 
         def checkpoint(final: bool = False) -> None:
-            artifact.timings = clock.timings()
-            artifact.oracle_queries = (
-                base_queries + counting.queries + state.queries_delta
-            )
-            artifact.unique_queries = base_unique + state.unique(
-                cached.seen_digests
-            )
-            if tracer.enabled and (persistent or final):
-                artifact.telemetry = build_telemetry(tracer, registry)
-            self.store.save(artifact)
+            """Bring the artifact's counters up to date and save it.
+
+            Each call is timed into the registry's ``pipeline.checkpoint``
+            histogram (its count is the number of checkpoints). A save's
+            own time lands there only after the save, so the telemetry a
+            save writes — the final one's too — lacks that save's time.
+            """
+            with registry.timer("pipeline.checkpoint"):
+                artifact.timings = clock.timings()
+                artifact.oracle_queries = (
+                    base_queries + counting.queries + state.queries_delta
+                )
+                artifact.unique_queries = base_unique + state.unique(
+                    cached.seen_digests
+                )
+                if tracer.enabled and (persistent or final):
+                    artifact.telemetry = build_telemetry(tracer, registry)
+                self.store.save(artifact)
 
         try:
             if not artifact.stage_done("validate"):
@@ -643,12 +659,21 @@ class _RunAccounting:
     committed from worker verdicts — so the artifact's totals can (a)
     exclude speculative work the in-order filters discard and (b) count
     distinct strings globally across shards (union of per-shard digest
-    sets plus the parent oracle's own)."""
+    sets plus the parent oracle's own).
+
+    The union of shard digests and counted phase-2 digests is kept
+    incrementally: :meth:`absorb` and :meth:`add_counted` add to it,
+    and only :meth:`discard` rebuilds it (at most once per seed), so
+    :meth:`unique` at a checkpoint costs O(the smaller of that union
+    and the parent's digest set) — O(1) on the serial path, where
+    every query goes through the parent's cache.
+    """
 
     def __init__(self):
         self.queries_delta = 0
         self._digests: Dict[int, FrozenSet[int]] = {}
         self._counted_digests: set = set()
+        self._union: set = set()
 
     def absorb(self, artifact: RunArtifact, outcome: SeedResult) -> None:
         """Record a freshly completed seed task (any backend)."""
@@ -657,6 +682,7 @@ class _RunAccounting:
         record.seconds = outcome.seconds
         self.queries_delta += outcome.queries
         self._digests[outcome.index] = outcome.digests
+        self._union.update(outcome.digests)
         artifact.phase1_results.append(outcome.result)
         artifact.phase1_results.sort(key=lambda r: r.seed_index)
 
@@ -671,7 +697,11 @@ class _RunAccounting:
         self.queries_delta -= record.queries
         artifact.speculative_queries += record.queries
         record.queries = 0
-        self._digests.pop(index, None)
+        if self._digests.pop(index, None) is not None:
+            # Other shards may share its strings: rebuild the union.
+            self._union = set(self._counted_digests)
+            for digests in self._digests.values():
+                self._union.update(digests)
         artifact.phase1_results = [
             r for r in artifact.phase1_results if r.seed_index != index
         ]
@@ -687,14 +717,14 @@ class _RunAccounting:
         """
         self.queries_delta += queries
         self._counted_digests.update(digests)
+        self._union.update(digests)
 
-    def unique(self, parent_digests: FrozenSet[int]) -> int:
-        """Distinct strings queried this process, across all shards."""
-        union = set(parent_digests)
-        union.update(self._counted_digests)
-        for digests in self._digests.values():
-            union.update(digests)
-        return len(union)
+    def unique(self, parent_digests: AbstractSet[int]) -> int:
+        """Distinct strings queried this process, across all shards:
+        the size of ``parent_digests`` ∪ the shard union, found by
+        looking each member of the smaller set up in the larger."""
+        small, large = sorted((parent_digests, self._union), key=len)
+        return len(large) + sum(1 for digest in small if digest not in large)
 
     @staticmethod
     def result_of(artifact: RunArtifact, index: int):

@@ -26,7 +26,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
+from typing import AbstractSet, Callable, Dict, Iterable, Optional
 
 Oracle = Callable[[str], bool]
 
@@ -126,14 +126,22 @@ class CachingOracle:
         self._cache: Dict[str, bool] = {}
         # Distinct strings are also tracked by deterministic digest, so
         # the sets can be unioned across worker processes for global
-        # unique-query accounting (see :func:`text_digest`).
-        self._seen: Set[int] = set()
+        # unique-query accounting (see :func:`text_digest`). A dict
+        # used as a set: its keys view is the read-only live view
+        # :attr:`seen_digests` hands out.
+        self._seen: Dict[int, None] = {}
         self.unique_queries = 0
 
     @property
-    def seen_digests(self) -> FrozenSet[int]:
-        """Digests of every distinct string forwarded to the oracle."""
-        return frozenset(self._seen)
+    def seen_digests(self) -> AbstractSet[int]:
+        """Digests of every distinct string forwarded to the oracle.
+
+        A live read-only view, not a copy: it grows with later queries,
+        so callers read it at once (the pipeline's checkpoint counts
+        through it; a seed task ships ``tuple(...)`` of it). Taking it
+        costs O(1), however many strings were queried.
+        """
+        return self._seen.keys()
 
     def known_results(self) -> Dict[str, bool]:
         """A snapshot of every cached (string, verdict) pair.
@@ -148,7 +156,7 @@ class CachingOracle:
     def _record(self, text: str, result: bool) -> None:
         fingerprint = text_digest(text)
         if fingerprint not in self._seen:
-            self._seen.add(fingerprint)
+            self._seen[fingerprint] = None
             self.unique_queries += 1
         self._cache[text] = result
 

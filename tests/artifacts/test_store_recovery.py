@@ -4,23 +4,32 @@ Acceptance criteria for the durable-store layer: a truncated or
 bit-flipped checkpoint is *detected* on load (never deserialized into a
 half-wrong artifact), the store falls back to the last-good generation,
 and resuming from that generation re-issues zero oracle queries for
-stages it already records.
+stages it already records. Checkpoints reuse the text of unchanged
+results, so every save is also checked against a fresh encoding.
 """
 
+import hashlib
 import json
+import pathlib
+import random
 
 import pytest
 
+import repro.artifacts.run as run_mod
+import repro.artifacts.schema as schema_mod
 from repro.artifacts import RunArtifact
-from repro.artifacts.run import (
-    artifact_digest,
-    load_artifact,
-    save_artifact,
-)
+from repro.artifacts.run import SeedRecord, artifact_digest, load_artifact
 from repro.artifacts.schema import ArtifactCorrupt, ArtifactError
-from repro.artifacts.store import FileCheckpointStore
+from repro.artifacts.store import (
+    CheckpointStore,
+    FileCheckpointStore,
+    MemoryCheckpointStore,
+)
 from repro.core.glade import GladeConfig
-from repro.core.pipeline import LearningPipeline
+from repro.core.gtree import GRoot
+from repro.core.phase1 import Phase1Result
+from repro.core.pipeline import LearningPipeline, _RunAccounting
+from repro.exec.shard import SeedResult
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
 
@@ -168,3 +177,256 @@ class TestResumeAfterCorruption:
         assert oracle.calls == 0
         assert str(resumed.grammar) == str(reference.grammar)
         assert resumed.oracle_queries == reference.oracle_queries
+
+
+def ab_oracle(text):
+    """Accepts any string over {a, b}."""
+    return set(text) <= set("ab")
+
+
+class FreshEncodingStore(FileCheckpointStore):
+    """Checks at every save that the file holds exactly what a fresh,
+    uncached encoding of the artifact would: the same data, and an
+    ``integrity`` digest that verifies."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.saves = 0
+        self.phase1_counts = set()
+
+    def save(self, artifact):
+        super().save(artifact)
+        data = json.loads(pathlib.Path(self.path).read_text())
+        integrity = data.pop("integrity")
+        assert data == json.loads(json.dumps(artifact.to_dict()))
+        assert integrity == artifact_digest(data)
+        self.saves += 1
+        self.phase1_counts.add(len(artifact.phase1_results))
+
+
+class TestEverySaveEqualsFreshEncoding:
+    def test_serial_run_through_phase2(self, tmp_path):
+        store = FreshEncodingStore(tmp_path / "run.json")
+        artifact = LearningPipeline(
+            xml_like_oracle,
+            config=GladeConfig(alphabet=XML_ALPHABET),
+            store=store,
+        ).run(SEEDS)
+        assert artifact.status == "complete"
+        assert artifact.phase2_progress["decisions"]
+        assert store.saves > len(artifact.phase2_progress["decisions"])
+
+    def test_thread_run_drops_a_discarded_result(self, tmp_path):
+        # Both seeds are learned speculatively; the covered one's
+        # result then leaves phase1_results.
+        store = FreshEncodingStore(tmp_path / "run.json")
+        config = GladeConfig(
+            alphabet="ab", enable_chargen=False, jobs=2, backend="thread"
+        )
+        artifact = LearningPipeline(
+            ab_oracle, config=config, store=store
+        ).run(["ab", "abab"])
+        assert artifact.seeds[1].state == "skipped"
+        assert len(artifact.phase1_results) == 1
+        assert store.phase1_counts >= {1, 2}
+
+    def test_resume_from_mid_phase2_checkpoint(self, tmp_path):
+        reference, mid = mid_phase2_checkpoint()
+        # A new store: its encoder starts with nothing cached.
+        store = FreshEncodingStore(tmp_path / "resumed.json")
+        resumed = LearningPipeline(
+            xml_like_oracle,
+            config=GladeConfig(alphabet=XML_ALPHABET),
+            store=store,
+        ).resume(mid)
+        assert store.saves > 1
+        assert str(resumed.grammar) == str(reference.grammar)
+        assert resumed.oracle_queries == reference.oracle_queries
+
+
+def mid_phase2_checkpoint():
+    """A complete run, and a checkpoint it wrote halfway through phase 2
+    (decoded through the memory store's digest-checking loader)."""
+    memory = MemoryCheckpointStore()
+    reference = LearningPipeline(
+        xml_like_oracle,
+        config=GladeConfig(alphabet=XML_ALPHABET),
+        store=memory,
+    ).run(SEEDS)
+    snapshots = map(memory.snapshot, range(len(memory.snapshots)))
+    mid = next(
+        snap for snap in snapshots
+        if snap.stage == "translate"
+        and 0 < len(snap.phase2_progress.get("decisions", ()))
+        < snap.phase2_progress["pairs"]
+    )
+    return reference, mid
+
+
+class TestFileFormat:
+    def test_canonical_members_one_key_per_line(self, tmp_path):
+        path = tmp_path / "run.json"
+        learn_to(path)
+        text = path.read_text()
+        data = json.loads(text)
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        members = [line.rstrip(",") for line in lines[1:-1]]
+        assert [next(iter(json.loads("{" + m + "}"))) for m in members] == (
+            sorted(data)
+        )
+        # Without the integrity line, the members joined are the
+        # canonical encoding the digest is defined over.
+        canonical = "{" + ",".join(
+            m for m in members if not m.startswith('"integrity":')
+        ) + "}"
+        body = {k: v for k, v in data.items() if k != "integrity"}
+        assert canonical == json.dumps(
+            body, sort_keys=True, separators=(",", ":")
+        )
+        assert data["integrity"] == (
+            "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        )
+
+    def test_indented_artifact_of_earlier_builds_resumes(self, tmp_path):
+        # Earlier builds wrote ``json.dumps(data, indent=1,
+        # sort_keys=True)`` around the same digest.
+        reference, mid = mid_phase2_checkpoint()
+        data = mid.to_dict()
+        data["integrity"] = artifact_digest(data)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(data, indent=1, sort_keys=True))
+        resumed = LearningPipeline(
+            xml_like_oracle,
+            config=GladeConfig(alphabet=XML_ALPHABET),
+            store=FileCheckpointStore(path),
+        ).resume(load_artifact(path))
+        assert str(resumed.grammar) == str(reference.grammar)
+        assert resumed.oracle_queries == reference.oracle_queries
+        assert json.loads(path.read_text())["status"] == "complete"
+
+    def test_memory_snapshot_is_the_file_text_and_verified(self, tmp_path):
+        memory = MemoryCheckpointStore()
+        path = tmp_path / "run.json"
+        artifact, _store = learn_to(path)
+        memory.save(artifact)
+        assert memory.snapshots[0] == path.read_text()
+        memory.snapshots[0] = memory.snapshots[0].replace(
+            '"status":"complete"', '"status":"in_progress"'
+        )
+        with pytest.raises(ArtifactCorrupt):
+            memory.snapshot(0)
+
+
+def test_each_result_and_grammar_is_encoded_once(tmp_path, monkeypatch):
+    """Over one file-backed learn, every Phase1Result and every grammar
+    object is encoded at most once, however many saves there are."""
+    encoded = {"phase1": [], "grammar": []}
+
+    def counting(kind, codec):
+        def wrapper(obj, *args, **kwargs):
+            encoded[kind].append(obj)  # keeps ids unique while counted
+            return codec(obj, *args, **kwargs)
+        return wrapper
+
+    for module in (run_mod, schema_mod):
+        monkeypatch.setattr(
+            module, "phase1_result_to_dict",
+            counting("phase1", schema_mod.phase1_result_to_dict),
+        )
+        monkeypatch.setattr(
+            module, "grammar_to_dict",
+            counting("grammar", schema_mod.grammar_to_dict),
+        )
+    saved = []
+
+    class CountingStore(FileCheckpointStore):
+        def save(self, artifact):
+            super().save(artifact)
+            saved.append(artifact.stage)
+
+    store = CountingStore(tmp_path / "run.json")
+    artifact = LearningPipeline(
+        xml_like_oracle,
+        config=GladeConfig(alphabet=XML_ALPHABET),
+        store=store,
+    ).run(SEEDS)
+    assert artifact.status == "complete"
+    for kind in ("phase1", "grammar"):
+        objects = encoded[kind]
+        assert objects
+        assert len(objects) == len({id(obj) for obj in objects}), kind
+        assert len(objects) < len(saved)
+    # Translate, phase 2 and finalize each built one grammar.
+    assert len(encoded["grammar"]) == 3
+    assert load_artifact(store.path).grammar is not None
+
+
+class TestUniqueQueryAccounting:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_incremental_union_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        n_seeds = 6
+        artifact = RunArtifact(
+            seeds=[SeedRecord(text=str(i)) for i in range(n_seeds)]
+        )
+        state = _RunAccounting()
+        parent = {}
+        shards, counted = {}, set()
+
+        def digests():
+            return {rng.randrange(60) for _ in range(rng.randrange(12))}
+
+        for _step in range(120):
+            move = rng.choice(("absorb", "counted", "discard", "parent"))
+            if move == "absorb":
+                index = rng.randrange(n_seeds)
+                if index in shards:
+                    continue
+                shards[index] = frozenset(digests())
+                state.absorb(artifact, SeedResult(
+                    index=index,
+                    result=Phase1Result(root=GRoot(), seed_index=index),
+                    queries=rng.randrange(1, 9),
+                    digests=shards[index],
+                    seconds=0.0,
+                ))
+            elif move == "counted":
+                added = digests()
+                counted |= added
+                state.add_counted(len(added), sorted(added))
+            elif move == "discard":
+                index = rng.randrange(n_seeds)
+                state.discard(artifact, index)
+                shards.pop(index, None)
+            else:
+                parent.update(dict.fromkeys(digests()))
+            union = set(parent) | counted
+            for shard in shards.values():
+                union |= shard
+            assert state.unique(parent.keys()) == len(union)
+            assert state.unique(set(parent)) == len(union)
+
+    def test_every_serial_save_counts_distinct_strings_asked(self):
+        asked = set()
+
+        def recording(text):
+            asked.add(text)
+            return xml_like_oracle(text)
+
+        class Probe(CheckpointStore):
+            saves = 0
+
+            def save(self, artifact):
+                assert artifact.unique_queries == len(asked)
+                Probe.saves += 1
+
+            def load(self):
+                return None
+
+        artifact = LearningPipeline(
+            recording, config=GladeConfig(alphabet=XML_ALPHABET),
+            store=Probe(),
+        ).run(SEEDS)
+        assert Probe.saves > 5
+        assert artifact.unique_queries == len(asked)

@@ -139,3 +139,30 @@ def test_stats_degrade_without_telemetry(xml, seeds):
     assert artifact.telemetry is None
     assert "--trace" in format_stats(artifact)
     assert "telemetry:" not in summarize_artifact(artifact)
+
+
+def test_checkpoints_timed_in_registry_not_spans(xml, seeds):
+    """``pipeline.checkpoint`` counts and times every checkpoint in the
+    registry. A save's own time is observed after that save, so the
+    final telemetry holds every checkpoint but the final one; no span
+    records them, so the compared span structure is unchanged."""
+    from repro.artifacts.store import NullCheckpointStore
+    from repro.evaluation.reporting import format_stats
+
+    class CountingStore(NullCheckpointStore):
+        saves = 0
+
+        def save(self, artifact):
+            CountingStore.saves += 1
+
+    config = GladeConfig(alphabet=xml.alphabet, trace=True)
+    artifact = LearningPipeline(
+        xml.oracle, config=config, store=CountingStore()
+    ).run(seeds[:2])
+    timer = artifact.telemetry["metrics"]["histograms"]["pipeline.checkpoint"]
+    assert timer["count"] == CountingStore.saves - 1 > 0
+    assert timer["total"] > 0
+    assert not any(
+        "checkpoint" in span["name"] for span in artifact.telemetry["spans"]
+    )
+    assert "pipeline.checkpoint" in format_stats(artifact)
