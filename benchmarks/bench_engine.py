@@ -1,22 +1,24 @@
-"""Microbenchmark: the membership engine's dense tier vs its lazy tier.
+"""Microbenchmark: the membership engine against the reference NFA.
 
-One quantity, one acceptance gate: the dense tier must answer
-membership at least 2x faster than the warm lazy-DFA tier on a
-realistic probe mix (the learned XML regex probed with its seed,
-fixed-seed samples of itself, and single-edit mutations of those — the
-shape of phase-1 discard checks and §6.1 coverage tests). The lazy
-tier is timed as ``Engine().compile(regex).matches`` per string, the
-dense tier as ``Engine().matcher(regex).match_many`` over the batch.
-Both are timed warm (promotion is paid once, during the agreement
-check; min-of-passes reporting excludes one-off costs anyway). Verdict
-agreement between the tiers is asserted before any timing is trusted.
+One quantity, one acceptance gate: the warm membership engine must
+answer at least 5x faster than the test-side Thompson reference
+(``tests/reference_nfa.py``) on a realistic probe mix (the learned
+regex probed with its seed, fixed-seed samples of itself, and
+single-edit mutations of those — the shape of phase-1 discard checks
+and §6.1 coverage tests). The engine is timed as
+``Engine().compile(regex).matches`` per string, after one warm-up pass
+has filled its lazy DFA; the reference is timed as its per-string
+set-of-states simulation. Verdict agreement with the reference on every
+probe is asserted before any timing is trusted.
 
 Both subjects exercised here learn quickly (xml via the handwritten
 oracle, javascript via the instrumented parser subject), so the whole
 benchmark stays in smoke-test territory.
 """
 
+import os
 import random
+import sys
 import time
 
 from repro.core.phase1 import synthesize_regex
@@ -24,6 +26,11 @@ from repro.languages.engine import Engine
 from repro.languages.sampler import sample_regex
 from repro.programs import get_subject
 from repro.targets.xmllang import xml_oracle
+
+#: The repository root, where the test-side reference is importable
+#: from; a script run (``PYTHONPATH=src python
+#: benchmarks/bench_engine.py``) does not have it on ``sys.path``.
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Same realistic §8.2 XML seed as tests/core/test_engine_integration.py.
 XML_SEED = '<a href="x1">text<b>bold</b><!--note--><![CDATA[raw<>]]></a>'
@@ -40,13 +47,14 @@ SUBJECTS = (
 )
 
 #: Membership probe-mix size and timing passes. min-of-passes is
-#: reported (robust to scheduler noise; totals are printed too).
+#: reported (robust to scheduler noise).
 N_PROBES = 240
-N_PASSES = 30
+N_PASSES = 15
 
-#: The membership gate (xml): dense must beat the warm lazy-DFA tier by
-#: at least this factor. Measured headroom on a quiet machine is ~2.7x.
-MIN_MEMBERSHIP_SPEEDUP = 2.0
+#: The membership gate (xml): the warm engine must beat the reference's
+#: per-string simulation by at least this factor. Measured on a 2-core
+#: x86_64 box under CPython 3.11: ~16x on xml, ~11x on javascript.
+MIN_MEMBERSHIP_SPEEDUP = 5.0
 
 
 def _oracle_for(name, oracle):
@@ -81,52 +89,68 @@ def _probe_mix(regex, seed_text, n_probes=N_PROBES):
     return probes
 
 
+def _reference_matcher(regex):
+    """The reference NFA's per-string matcher for ``regex``."""
+    if _ROOT not in sys.path:
+        sys.path.insert(0, _ROOT)
+    from tests.reference_nfa import compile_regex
+
+    return compile_regex(regex).matches
+
+
+def _best_pass(match, probes, n_passes):
+    """The fastest of ``n_passes`` per-string loops over ``probes``."""
+    best = float("inf")
+    for _ in range(n_passes):
+        started = time.perf_counter()
+        for probe in probes:
+            match(probe)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
 def run_membership_benchmark(subject="xml", n_passes=N_PASSES):
-    """Warm lazy-DFA tier vs dense tier on the same probe mix."""
+    """Warm engine vs reference NFA simulation on the same probe mix."""
     name, oracle, seed = next(s for s in SUBJECTS if s[0] == subject)
     accepts = _oracle_for(name, oracle)
     regex = synthesize_regex(seed, accepts).regex()
     probes = _probe_mix(regex, seed)
 
-    match_nfa = Engine().compile(regex).matches
-    engine_dense = Engine()
-    match_dense = engine_dense.matcher(regex)
+    match_engine = Engine().compile(regex).matches
+    match_reference = _reference_matcher(regex)
 
-    # Warm the lazy-DFA tier (its steady state is the fair baseline) and
-    # check verdict agreement before timing anything.
-    reference = [match_nfa(probe) for probe in probes]
-    if match_dense.match_many(probes) != reference:
+    # The warm-up pass doubles as the agreement check: no timing is
+    # trusted unless the engine answers exactly like the reference.
+    disagree = [
+        probe for probe in probes
+        if match_engine(probe) != match_reference(probe)
+    ]
+    if disagree:
         raise AssertionError(
-            "dense tier disagrees with the lazy-DFA tier on {}".format(name)
+            "engine disagrees with the reference NFA on {} of {} {} "
+            "probes, e.g. {!r}".format(
+                len(disagree), len(probes), name, disagree[0]
+            )
         )
 
-    nfa_seconds = []
-    dense_seconds = []
-    for _ in range(n_passes):
-        started = time.perf_counter()
-        for probe in probes:
-            match_nfa(probe)
-        nfa_seconds.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        match_dense.match_many(probes)
-        dense_seconds.append(time.perf_counter() - started)
-    best_nfa = min(nfa_seconds)
-    best_dense = min(dense_seconds)
+    reference_seconds = _best_pass(match_reference, probes, n_passes)
+    engine_seconds = _best_pass(match_engine, probes, n_passes)
     return {
         "subject": name,
         "probes": len(probes),
+        "accepted": sum(1 for probe in probes if match_engine(probe)),
         "passes": n_passes,
-        "nfa_seconds": best_nfa,
-        "dense_seconds": best_dense,
-        "speedup": best_nfa / best_dense,
-        "tiers": engine_dense.tier_summary(),
+        "reference_seconds": reference_seconds,
+        "engine_seconds": engine_seconds,
+        "speedup": reference_seconds / engine_seconds,
     }
 
 
 def format_membership(result):
     return (
-        "membership ({subject}, {probes} probes, min of {passes} passes): "
-        "lazy-DFA {nfa_seconds:.4f}s, dense {dense_seconds:.4f}s "
+        "membership ({subject}, {probes} probes, {accepted} accepted, "
+        "min of {passes} passes): reference NFA "
+        "{reference_seconds:.4f}s, engine {engine_seconds:.4f}s "
         "-> {speedup:.2f}x".format(**result)
     )
 
@@ -138,10 +162,9 @@ def test_membership_speedup(once):
     result = once(lambda: run_membership_benchmark("xml"))
     print()
     print(format_membership(result))
-    assert result["tiers"]["fragments_promoted"] >= 1
     # Loose bound under pytest (dev machines are noisy); the strict
     # MIN_MEMBERSHIP_SPEEDUP gate runs in main() on the CI bench job.
-    assert result["speedup"] >= 1.2
+    assert result["speedup"] >= 2.0
 
 
 def main(argv=None):
@@ -150,8 +173,8 @@ def main(argv=None):
     The CI benchmark smoke job runs this with ``--json
     BENCH_engine.json`` and uploads the result, so the perf trajectory
     is recorded per commit; ``--min-membership-speedup`` (default
-    {gate}x, on xml) makes the run fail when the dense tier loses its
-    win.
+    {gate}x, on xml) makes the run fail when the warm engine loses its
+    lead over the reference NFA.
     """.format(gate=MIN_MEMBERSHIP_SPEEDUP)
 
     import argparse
@@ -166,8 +189,9 @@ def main(argv=None):
     parser.add_argument(
         "--min-membership-speedup", type=float,
         default=MIN_MEMBERSHIP_SPEEDUP, metavar="X",
-        help="fail unless dense membership on xml is at least X times "
-        "faster than the warm lazy-DFA tier (default %(default)s)",
+        help="fail unless the warm engine answers the xml probes at "
+        "least X times faster than the reference NFA (default "
+        "%(default)s)",
     )
     args = parser.parse_args(argv)
 

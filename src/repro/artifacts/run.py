@@ -22,13 +22,14 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.artifacts.schema import (
     SCHEMA_VERSION,
     ArtifactCorrupt,
     ArtifactError,
+    from_known_fields,
     grammar_from_dict,
     grammar_to_dict,
     phase1_result_from_dict,
@@ -255,7 +256,7 @@ class RunArtifact:
                 )
             return cls(
                 seeds=[SeedRecord(**record) for record in data["seeds"]],
-                config=_config_from_dict(data["config"]),
+                config=from_known_fields(GladeConfig, data["config"]),
                 oracle_spec=data.get("oracle"),
                 stage=stage,
                 status=data["status"],
@@ -287,19 +288,6 @@ class RunArtifact:
             raise ArtifactError(
                 "malformed run artifact: {!r}".format(exc)
             )
-
-
-def _config_from_dict(data: Dict[str, Any]) -> GladeConfig:
-    """Rebuild a run's ``GladeConfig``, ignoring keys it no longer has.
-
-    Artifacts written before a config field was retired still carry its
-    key; dropping it keeps them loadable without a schema bump (older
-    builds, in turn, load newer artifacts with their own defaults).
-    """
-    known = {spec.name for spec in fields(GladeConfig)}
-    return GladeConfig(
-        **{key: value for key, value in data.items() if key in known}
-    )
 
 
 def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:

@@ -26,6 +26,7 @@ compatibility policy).
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.context import Context
@@ -85,6 +86,19 @@ class ArtifactCorrupt(ArtifactError):
     store can fall back to the last-good generation on truncation or
     bit rot, while schema/version problems still fail loudly.
     """
+
+
+def from_known_fields(cls, data: Dict[str, Any]):
+    """Build dataclass ``cls`` from ``data``, ignoring keys it no longer has.
+
+    Documents written before a field was retired still carry its key (a
+    run config's ``use_dense``, a suite subject's matcher-tier perf
+    counters); dropping it keeps them loadable without a schema bump
+    (older builds, in turn, load newer documents with their own
+    defaults).
+    """
+    known = {spec.name for spec in fields(cls)}
+    return cls(**{key: value for key, value in data.items() if key in known})
 
 
 def _tag(data: Dict[str, Any], what: str) -> str:

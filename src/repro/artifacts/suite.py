@@ -41,7 +41,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Union
 
-from repro.artifacts.schema import ArtifactError
+from repro.artifacts.schema import ArtifactError, from_known_fields
 
 SUITE_SCHEMA_VERSION = 1
 
@@ -115,11 +115,6 @@ class SubjectPerf:
     #: Oracle queries spent on speculation that in-order filters
     #: discarded (zero for serial learning; varies with job count).
     speculative_queries: int = 0
-    #: Matcher-tier telemetry from the learning run (fragments promoted
-    #: to dense tables, table states, dense vs fallback vs lazy-NFA
-    #: match counts; see ``Engine.tier_summary``). Execution detail:
-    #: recorded for trajectories, never compared by the gate.
-    matcher_tiers: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -182,7 +177,7 @@ class SuiteResult:
                     for name, m in data["metrics"].items()
                 },
                 perf={
-                    name: SubjectPerf(**p)
+                    name: from_known_fields(SubjectPerf, p)
                     for name, p in data["perf"].items()
                 },
                 execution=dict(data.get("execution") or {}),
@@ -190,7 +185,7 @@ class SuiteResult:
                 telemetry=data.get("telemetry"),
                 schema_version=version,
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ArtifactError(
                 "malformed suite artifact: {!r}".format(exc)
             )

@@ -1,6 +1,5 @@
-"""Finite automata: DFAs, determinization, minimization, dense tables."""
+"""Finite automata: DFAs, determinization, minimization."""
 
-from repro.automata.dense import DenseDFA, build_classmap, lower_automaton
 from repro.automata.determinize import (
     bounded_subset_construction,
     regex_to_dfa,
@@ -10,12 +9,9 @@ from repro.automata.minimize import hopcroft_blocks, minimize_dfa
 
 __all__ = [
     "DFA",
-    "DenseDFA",
     "bounded_subset_construction",
-    "build_classmap",
     "dfa_from_table",
     "hopcroft_blocks",
-    "lower_automaton",
     "minimize_dfa",
     "regex_to_dfa",
 ]

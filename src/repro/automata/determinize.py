@@ -1,12 +1,10 @@
 """Subset construction: regex → DFA.
 
-One walk, :func:`bounded_subset_construction`, serves two callers: the
-determinization step of the dense matching tier
-(:mod:`repro.automata.dense`), which needs it over an opaque automaton
-with a state budget, and :func:`regex_to_dfa`, which builds exact
-reference DFAs for regular target languages — a *perfect* equivalence
-oracle for L-Star in the unit tests (the paper's experiments use the
-sampling approximation instead, §8.2).
+:func:`regex_to_dfa` determinizes the membership engine's composed
+automaton with :func:`bounded_subset_construction` and minimizes the
+result. It builds exact reference DFAs for regular target languages —
+a *perfect* equivalence oracle for L-Star in the unit tests (the
+paper's experiments use the sampling approximation instead, §8.2).
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from typing import (
 
 from repro.automata.dfa import DFA
 from repro.languages import regex as rx
+from repro.languages.engine import Engine
 
 StateSet = TypeVar("StateSet")
 
@@ -34,22 +33,17 @@ def bounded_subset_construction(
     step: Callable[[StateSet, str], StateSet],
     is_accepting: Callable[[StateSet], bool],
     symbols: Sequence[str],
-    max_states: Optional[int] = None,
-) -> Optional[Tuple[int, Dict[Tuple[int, int], int], List[bool]]]:
+) -> Tuple[int, Dict[Tuple[int, int], int], List[bool]]:
     """Generic subset construction over opaque ε-closed state sets.
 
     ``start`` is the ε-closed start set (any hashable); ``step(current,
     symbol)`` returns the ε-closed successor set (falsy means dead);
-    ``symbols`` is the ordered symbol sequence (the dense tier passes
-    one representative character per equivalence class). Subset states
-    are numbered in discovery order — BFS over symbols in the given
-    order — so the result is deterministic given the inputs.
+    ``symbols`` is the ordered symbol sequence. Subset states are
+    numbered in discovery order — BFS over symbols in the given order —
+    so the result is deterministic given the inputs.
 
     Returns ``(n_states, transitions, accepting)`` with ``transitions``
-    keyed by ``(state, symbol_index)`` (missing entries are dead), or
-    None as soon as more than ``max_states`` subset states would be
-    created — the caller's budget signal for "this region is too big to
-    lower; keep the lazy tier".
+    keyed by ``(state, symbol_index)`` (missing entries are dead).
     """
     index: Dict[StateSet, int] = {start: 0}
     transitions: Dict[Tuple[int, int], int] = {}
@@ -64,8 +58,6 @@ def bounded_subset_construction(
                 continue
             target = index.get(moved)
             if target is None:
-                if max_states is not None and len(index) >= max_states:
-                    return None
                 target = len(index)
                 index[moved] = target
                 accepting.append(bool(is_accepting(moved)))
@@ -80,15 +72,11 @@ def regex_to_dfa(
     """Compile a regex to a minimal DFA.
 
     Determinizes the membership engine's composed automaton for
-    ``expr`` — the same walk the dense tier lowers through, without a
-    budget — then minimizes. ``alphabet`` defaults to the characters
+    ``expr``, then minimizes. ``alphabet`` defaults to the characters
     appearing in the expression; pass a larger alphabet if membership
     of other characters matters (they are rejected either way, but the
     DFA records the alphabet).
     """
-    # Imported here: the engine imports this module (via the dense tier).
-    from repro.languages.engine import Engine
-
     chars = frozenset(alphabet) if alphabet is not None else expr.alphabet()
     symbols = sorted(chars)
     nfa = Engine().compile(expr)

@@ -161,11 +161,7 @@ class DFA:
     def minimize(self) -> "DFA":
         """Return the minimal equivalent DFA (Hopcroft refinement).
 
-        Delegates to :func:`repro.automata.minimize.minimize_dfa` — the
-        same verified path the dense lowering
-        (:mod:`repro.automata.dense`) minimizes its transition tables
-        through, so the baselines and the matching tier share one
-        minimization implementation.
+        Delegates to :func:`repro.automata.minimize.minimize_dfa`.
         """
         from repro.automata.minimize import minimize_dfa
 

@@ -1,13 +1,11 @@
 """DFA minimization: Hopcroft's partition refinement.
 
-One verified minimization path shared by both consumers in the tree:
-:meth:`repro.automata.dfa.DFA.minimize` (the normal form the L*/RPNI
-baseline tests compare hypotheses in) and the dense lowering of
-:mod:`repro.automata.dense` (which minimizes its class-compressed
-transition table before laying it out flat). The core therefore works
-on the flat-table form — states ``0..n-1``, symbols ``0..k-1``, a total
-transition function ``delta[state * k + symbol]`` — which both callers
-already have or can build cheaply.
+The minimization path behind :meth:`repro.automata.dfa.DFA.minimize`
+(the normal form the L*/RPNI baselines and their tests compare
+hypotheses in). The core works on the flat-table form — states
+``0..n-1``, symbols ``0..k-1``, a total transition function
+``delta[state * k + symbol]`` — which :func:`minimize_dfa` builds from
+a :class:`~repro.automata.dfa.DFA`.
 
 Block numbering is canonical: blocks are numbered by the smallest state
 they contain, in state order, so the output is a pure function of the

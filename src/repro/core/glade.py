@@ -53,9 +53,8 @@ class GladeConfig:
     current-language tests, the §6.1 covered-seed tests) always runs
     through the incremental membership engine
     (:mod:`repro.languages.engine`): cached NFA fragments of unchanged
-    subtrees, memoized results per (language version, string), and hot
-    versions lowered to dense byte-transition tables. It is oracle-free
-    and has no knob.
+    subtrees, a lazy DFA per language version, and memoized results per
+    (language version, string). It is oracle-free and has no knob.
 
     Oracle checks are always asked one at a time, stopping at the first
     rejection. A :class:`~repro.learning.oracle.SubprocessOracle` with

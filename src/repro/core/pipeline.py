@@ -81,12 +81,7 @@ from repro.core.phase2 import MergeCommitter, plan_merges
 from repro.core.translate import translate_trees
 from repro.exec.backends import make_executor
 from repro.exec.merge_shard import run_merge_wavefront
-from repro.exec.shard import (
-    SeedResult,
-    observe_engine,
-    run_pending,
-    seed_payload,
-)
+from repro.exec.shard import SeedResult, run_pending, seed_payload
 from repro.languages.engine import MembershipSession
 from repro.learning.oracle import (
     CachingOracle,
@@ -187,7 +182,7 @@ class LearningPipeline:
     def _execute(self, artifact: RunArtifact) -> RunArtifact:
         config = artifact.config
         # Observability: the metrics registry always runs (it is the
-        # single source for the artifact's timing/tier fields); the
+        # single source for the artifact's timing and fault fields); the
         # span tracer is live only under ``--trace`` — otherwise every
         # call site hits the shared no-op tracer.
         registry = MetricsRegistry()
@@ -405,14 +400,11 @@ class LearningPipeline:
         # Parent-side session: tracks kept (USED) languages for the
         # §6.1 covered-seed test. Oracle-free.
         session = MembershipSession()
-        if tracer.enabled:
-            observe_engine(session, tracer)
 
         def absorb_outcome(outcome: SeedResult) -> None:
             state.absorb(artifact, outcome)
             # Worker telemetry merges in task order: metrics counters
-            # (including the task's ``engine.*`` tier counters) into
-            # the registry, spans under the seed's shard.
+            # into the registry, spans under the seed's shard.
             registry.merge(outcome.telemetry.get("metrics"))
             if tracer.enabled:
                 tracer.absorb(
@@ -464,16 +456,6 @@ class LearningPipeline:
             "exec.phase1.tasks_resubmitted", executor.tasks_resubmitted
         )
         registry.observe("exec.phase1.peak_in_flight", executor.peak_in_flight)
-        # Matcher-tier telemetry: the parent session's counters (§6.1
-        # coverage probes; on the serial path also every task's, since
-        # tasks share this session) plus the worker-side ``engine.*``
-        # deltas already merged into the registry. Execution metadata
-        # only — never compared by the eval gate.
-        for name, value in session.tier_summary().items():
-            registry.add("engine." + name, value)
-        artifact.execution["matcher_tiers"] = counters_with_prefix(
-            registry.snapshot(), "engine."
-        )
 
     def _settle_seeds(
         self,
@@ -496,18 +478,7 @@ class LearningPipeline:
         or yielded as task payloads for the serial executor. Yielding
         is lazy, so by the time seed *i*'s payload is requested, every
         earlier seed has been settled and remembered.
-
-        Coverage runs through a :class:`~repro.languages.engine
-        .CoverageTracker` rather than per-string ``covers`` calls: the
-        tracker batches still-uncovered seed texts against each newly
-        learned language (feeding the engine's dense tier) and its
-        verdicts are identical to ``session.covers`` at every decision
-        point, so seed states — and with them grammars and query
-        accounting — are unchanged.
         """
-        tracker = session.track_coverage(
-            [record.text for record in artifact.seeds]
-        )
         for index, record in enumerate(artifact.seeds):
             if record.state == SEED_SKIPPED:
                 continue
@@ -515,7 +486,7 @@ class LearningPipeline:
                 session.remember(state.result_of(artifact, index))
                 continue
             if record.state == SEED_LEARNED:
-                if config.skip_covered_seeds and tracker.covered(index):
+                if config.skip_covered_seeds and session.covers(record.text):
                     state.discard(artifact, index)
                     record.state = SEED_SKIPPED
                     # The discarded speculation's spans go with it: a
@@ -531,7 +502,7 @@ class LearningPipeline:
             if not emit_pending:
                 yield seed_payload(index, record.text, config, oracle)
                 continue
-            if config.skip_covered_seeds and tracker.covered(index):
+            if config.skip_covered_seeds and session.covers(record.text):
                 record.state = SEED_SKIPPED
                 checkpoint()
                 continue

@@ -30,7 +30,6 @@ from repro.languages.sampler import GrammarSampler
 from repro.programs import (
     SUBJECT_NAMES,
     Subject,
-    accepts_many,
     coverable_lines,
     get_subject,
     measure_coverage,
@@ -124,9 +123,7 @@ class SubjectHarness:
             self.coverable, self.seed_lines, covered | self.seed_lines
         )
         valid = sum(
-            1
-            for verdict in accepts_many(self.subject.accepts, samples)
-            if verdict
+            1 for sample in samples if self.subject.accepts(sample)
         ) / max(1, len(samples))
         return report, valid
 

@@ -59,7 +59,6 @@ from repro.fuzzing.grammar_fuzzer import GrammarFuzzer
 from repro.programs import (
     SUBJECT_NAMES,
     Subject,
-    accepts_many,
     coverable_lines,
     get_subject,
     measure_coverage,
@@ -285,23 +284,18 @@ def search_valid_sample(
 
     Returns ``(sample, valid, n_tried)`` — the first valid candidate of
     at least ``min_length`` characters, else the longest valid one seen.
-    Deterministic given the grammar and ``seed``.
-
-    Candidates are generated up front and validity-tested as one batch
-    (:func:`~repro.programs.base.accepts_many`, the dense-tier seam);
-    ``n_tried`` is then recovered as the winning candidate's position,
-    so the returned triple is identical to the historical
-    generate-test-one-at-a-time loop.
+    Deterministic given the grammar and ``seed``: candidates are
+    generated and tested one at a time, so the search stops at the
+    first long-enough valid one.
     """
     fuzzer = GrammarFuzzer(grammar, seeds, random.Random(seed))
-    candidates = [fuzzer.generate_one() for _ in range(n_candidates)]
-    verdicts = accepts_many(accepts, candidates)
     best = ""
-    for index, (candidate, valid) in enumerate(zip(candidates, verdicts)):
-        if not valid:
+    for tried in range(1, n_candidates + 1):
+        candidate = fuzzer.generate_one()
+        if not accepts(candidate):
             continue
         if len(candidate) >= min_length:
-            return candidate, True, index + 1
+            return candidate, True, tried
         if len(candidate) > len(best):
             best = candidate
     return best, bool(best), n_candidates
@@ -347,7 +341,7 @@ def derive_subject_metrics(
     )
     samples = fuzzer.generate(params.fuzz_samples)
     valid_fraction = sum(
-        1 for verdict in accepts_many(subject.accepts, samples) if verdict
+        1 for sample in samples if subject.accepts(sample)
     ) / max(1, len(samples))
     coverable = set()
     for module in subject.modules:
@@ -387,9 +381,6 @@ def derive_subject_metrics(
         synthesis_seconds=artifact.duration_seconds(),
         metrics_seconds=watch.seconds,
         speculative_queries=artifact.speculative_queries,
-        matcher_tiers=dict(
-            (artifact.execution or {}).get("matcher_tiers") or {}
-        ),
     )
     return metrics, perf
 
@@ -761,7 +752,12 @@ def compare(
 
 
 def format_comparison(comparison: SuiteComparison) -> str:
-    """Render a comparison: changed metrics first, then a verdict."""
+    """Render a comparison: changed metrics first, then two verdicts.
+
+    The deterministic verdict always has a line of its own
+    (``deterministic metrics: ...``), apart from the warn-only
+    wall-clock verdict that machine load can flip.
+    """
     changed = [
         d for d in comparison.deltas if d.classification != STABLE
     ]
@@ -782,23 +778,18 @@ def format_comparison(comparison: SuiteComparison) -> str:
             for d in changed
         ]
         lines.append(format_table(headers, rows))
-    else:
-        lines.append("all metrics stable against the baseline")
     regressions = comparison.regressions()
     if regressions:
-        lines.append(
-            "{} deterministic regression(s) against the baseline".format(
-                len(regressions)
-            )
+        verdict = "{} regression(s) against the baseline".format(
+            len(regressions)
         )
-    elif changed:
-        if any(d.kind == "exact" for d in changed):
-            lines.append(
-                "no blocking drift; refresh the baseline to adopt the "
-                "improved deterministic metrics"
-            )
-        else:
-            lines.append(
-                "no blocking drift (wall-clock only; not gated)"
-            )
+    elif any(d.kind == "exact" for d in changed):
+        verdict = "improved; refresh the baseline to adopt them"
+    else:
+        verdict = "stable"
+    lines.append("deterministic metrics: " + verdict)
+    if any(d.kind == "banded" for d in changed):
+        lines.append("wall-clock metrics: drifted (warn only; not gated)")
+    else:
+        lines.append("wall-clock metrics: stable")
     return "\n".join(lines)

@@ -103,20 +103,6 @@ def summarize_artifact(artifact) -> str:
                 artifact.speculative_queries
             )
         lines.append(line)
-        tiers = artifact.execution.get("matcher_tiers") or {}
-        if tiers:
-            lines.append(
-                "matcher tiers: {} fragment(s) promoted to dense "
-                "({} table states, {} failed), matches: {} dense / "
-                "{} fallback / {} lazy-NFA".format(
-                    tiers.get("fragments_promoted", 0),
-                    tiers.get("dense_states", 0),
-                    tiers.get("promotion_failures", 0),
-                    tiers.get("dense_matches", 0),
-                    tiers.get("fallback_matches", 0),
-                    tiers.get("nfa_matches", 0),
-                )
-            )
         faults = artifact.execution.get("faults") or {}
         if faults:
             lines.append(

@@ -168,13 +168,15 @@ class _PoolExecutor(Executor):
 
     Both iteration methods recover from a dead worker: when a future
     surfaces ``BrokenProcessPool``/``BrokenThreadPool`` (their common
-    base is ``BrokenExecutor``), the broken pool is replaced and every
-    task it lost — in-flight or queued — is resubmitted to the fresh
-    pool, bounded by :attr:`max_pool_restarts`. Tasks that already
-    finished keep their results, resubmitted tasks keep their original
-    indices, and the consumer merges by index as always — so a
-    mid-phase worker death changes *nothing* about the merged output
-    (grammars stay byte-identical; see ``benchmarks/bench_faults.py``).
+    base is ``BrokenExecutor``), or ``submit`` raises it because a
+    worker died before any of its futures was seen, the broken pool is
+    replaced and every task it lost — in-flight, queued or not yet
+    submitted — is resubmitted to the fresh pool, bounded by
+    :attr:`max_pool_restarts`. Tasks that already finished keep their
+    results, resubmitted tasks keep their original indices, and the
+    consumer merges by index as always — so a mid-phase worker death
+    changes *nothing* about the merged output (grammars stay
+    byte-identical; see ``benchmarks/bench_faults.py``).
     """
 
     #: Bounded pool rebuilds per executor: a crash loop (e.g. a task
@@ -227,15 +229,35 @@ class _PoolExecutor(Executor):
         self.tasks_resubmitted += len(lost)
         return True
 
+    def _submit(
+        self,
+        fn: Callable[[Any], Any],
+        entries: dict,
+        index: int,
+        payload: Any,
+    ) -> None:
+        """Submit one task into ``entries``, restarting a broken pool.
+
+        The unsubmitted payload is the restart's first lost task, as a
+        future that surfaced the breakage would be.
+        """
+        try:
+            future = self._pool.submit(fn, payload)
+        except BrokenExecutor:
+            if not self._restart(fn, entries, (index, payload)):
+                raise
+            return
+        entries[future] = (index, payload)
+
     def unordered(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> Iterator[Tuple[int, Any]]:
         entries = {}
-        for index, payload in enumerate(payloads):
-            entries[self._pool.submit(fn, payload)] = (index, payload)
-        self.submitted += len(entries)
-        self.peak_in_flight = max(self.peak_in_flight, len(entries))
         try:
+            for index, payload in enumerate(payloads):
+                self._submit(fn, entries, index, payload)
+            self.submitted += len(entries)
+            self.peak_in_flight = max(self.peak_in_flight, len(entries))
             while entries:
                 done, _pending = wait(
                     entries, return_when=FIRST_COMPLETED
@@ -287,10 +309,7 @@ class _PoolExecutor(Executor):
                 except StopIteration:
                     exhausted = True
                     break
-                entries[self._pool.submit(fn, payload)] = (
-                    position,
-                    payload,
-                )
+                self._submit(fn, entries, position, payload)
                 position += 1
                 self.submitted += 1
                 if len(entries) > self.peak_in_flight:

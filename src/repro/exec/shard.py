@@ -37,7 +37,6 @@ from repro.core.chargen import generalize_characters
 from repro.core.gtree import seed_block_allocator
 from repro.core.phase1 import Phase1Result, synthesize_regex
 from repro.exec.backends import Executor
-from repro.languages.engine import MembershipSession
 from repro.learning.oracle import (
     CachingOracle,
     CountingOracle,
@@ -62,8 +61,6 @@ class SeedResult:
     ``seconds`` is a derived view of ``telemetry`` — the task's
     metrics-registry snapshot (plus its spans under ``--trace``) — kept
     as a named field because the pipeline's artifact merge reads it.
-    The snapshot's ``engine.*`` matcher-tier counters reach the run's
-    ``execution["matcher_tiers"]`` through the merged registry.
     """
 
     index: int
@@ -125,8 +122,8 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     index = payload["index"]
     config = payload["config"]
     # Task-local observability: the registry always runs (it backs the
-    # per-seed ``seconds`` and matcher-tier fields the artifact has
-    # always recorded); spans only under ``--trace``.
+    # per-seed ``seconds`` the artifact has always recorded); spans only
+    # under ``--trace``.
     registry = MetricsRegistry()
     tracer = Tracer() if getattr(config, "trace", False) else NULL_TRACER
     if payload.get("shared_cache"):
@@ -140,12 +137,6 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             base = TracingOracle(base, registry, tracer)
         cached = CachingOracle(base)
         counting = CountingOracle(cached)
-    shared_session = payload.get("session")
-    session = shared_session
-    if session is None:
-        session = MembershipSession()
-        if tracer.enabled:
-            observe_engine(session, tracer)
     with registry.timer("seed.seconds"):
         with tracer.span("seed", cat="phase1", args={"index": index}):
             with tracer.span("synthesize", cat="phase1"):
@@ -153,7 +144,7 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                     payload["text"],
                     counting,
                     tracer=tracer,
-                    session=session,
+                    session=payload.get("session"),
                     allocator=seed_block_allocator(index),
                 )
             if config.enable_chargen:
@@ -162,12 +153,6 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                         result.root, counting, config.alphabet
                     )
     result.seed_index = index
-    # Fresh sessions report their own tier counters (under the
-    # ``engine.`` prefix); shared ones report nothing — the parent
-    # session's counters cover their work.
-    if shared_session is None:
-        for name, value in session.tier_summary().items():
-            registry.add("engine." + name, value)
     registry.add("exec.phase1.tasks")
     # Drain the oracle stack's fault counters (retries, timeouts,
     # injected faults) into this task's snapshot so they merge into the
@@ -183,15 +168,6 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             "spans": tracer.snapshot(),
         },
     }
-
-
-def observe_engine(session: MembershipSession, tracer: Tracer) -> None:
-    """Wire a session's engine tier transitions to instant trace events."""
-
-    def observer(kind: str, detail: Dict[str, Any]) -> None:
-        tracer.event(kind, cat="engine", args=detail)
-
-    session.engine.observer = observer
 
 
 def decode_task(raw: Dict[str, Any]) -> SeedResult:

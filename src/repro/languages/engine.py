@@ -22,40 +22,28 @@ is the only regex-membership implementation in the package
   subtrees are all cached is therefore O(1), and matching never pays for
   subtrees the input does not reach.
 
-- Hot language versions are *promoted* to a third tier: once a
-  :class:`TieredMatcher` has answered enough probes for one version,
-  the engine lowers the composed automaton to a minimized dense
-  byte-transition table (:mod:`repro.automata.dense`) under a bounded
-  subset-construction budget, and subsequent probes walk the flat
-  table. Lowering that would exceed the state budget (or an alphabet
-  that cannot be byte-class-compressed) is remembered as failed and the
-  lazy tier stays authoritative; strings with characters outside the
-  byte range always fall back to the composed NFA. Promotion is keyed
-  by the root regex's *structural* identity, so a splice — which
-  produces a structurally different root — can never be served by a
-  stale table (version-keyed invalidation for free).
+- Matching runs on-the-fly subset construction over the composed
+  automaton (a lazy DFA, see :class:`ComposedNFA`): after the first few
+  probes against a language version, each input character costs one
+  dictionary lookup.
 
 - :class:`MembershipSession` is the façade the learner uses: it hands
-  out memoizing matchers keyed per (regex-version, string) — with a
-  ``match_many`` batch path feeding the dense tier — and tracks the
-  union of learned per-seed languages for the covered-seed test
-  (batched incrementally by :class:`CoverageTracker`).
+  out memoizing matchers keyed per (regex-version, string) and tracks
+  the union of learned per-seed languages for the covered-seed test.
 
 Correctness relies on the call/return discipline being equivalent to
 inlining: instances are interned per (parent instance, call site), so
 every runtime path entering a child instance came through exactly one
 call site and the child's exit returns to exactly that site's return
-state. The property tests in ``tests/languages/test_engine.py`` and
-``tests/languages/test_tiered.py`` check agreement with a plain
-Thompson construction kept test-side (``tests/reference_nfa.py``) — and
-across all three tiers — on random ASTs.
+state. The property tests in ``tests/languages/test_engine.py`` check
+agreement with a plain Thompson construction kept test-side
+(``tests/reference_nfa.py``) on random ASTs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.automata.dense import DenseDFA, lower_automaton
 from repro.languages import regex as rx
 
 
@@ -93,93 +81,19 @@ class Fragment:
         self.calls = calls
 
 
-class TierStats:
-    """Counters describing matcher-tier activity for one engine.
-
-    Pure execution telemetry: none of these feed back into learning
-    decisions (every tier returns the same verdicts), so they may
-    differ across runs — e.g. serial vs sharded — while the learned
-    grammars and oracle accounting stay byte-identical.
-    """
-
-    __slots__ = (
-        "fragments_promoted",
-        "promotion_failures",
-        "dense_states",
-        "dense_matches",
-        "fallback_matches",
-        "nfa_matches",
-    )
-
-    def __init__(self):
-        self.fragments_promoted = 0
-        self.promotion_failures = 0
-        self.dense_states = 0
-        self.dense_matches = 0
-        self.fallback_matches = 0
-        self.nfa_matches = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-#: Sentinel cached for language versions whose lowering exceeded the
-#: state budget (or whose alphabet cannot be byte-compressed), so the
-#: failed attempt is paid at most once per version.
-_FAILED = object()
-
-
 class Engine:
     """Structurally-hashed fragment cache shared across compilations.
 
     ``states_built`` counts states allocated for *freshly built*
     fragments only — cache hits contribute nothing — so it measures the
     construction work actually done.
-
-    :meth:`matcher` hands out :class:`TieredMatcher` objects that
-    promote hot language versions to dense transition tables after
-    ``promote_threshold`` probed strings (a batch counts as its size);
-    ``state_budget`` bounds the subset construction per lowering. Dense
-    tables are cached per root regex (FIFO-bounded) so re-requested
-    versions reuse their table.
     """
 
-    #: Dense tables retained per engine (FIFO eviction). Tables are a
-    #: few KB each; learning revisits only recent versions, like the
-    #: session's memo LRU.
-    MAX_DENSE_TABLES = 64
-
-    #: Default probe count before a version is lowered. Calibrated
-    #: against the lowering cost: one subset-construction+Hopcroft pass
-    #: costs a few ms — thousands of lazy-DFA probes — so promoting the
-    #: many short-lived versions phase-1 splices through is a net loss,
-    #: while versions that survive this many probes (remembered §6.1
-    #: matchers, the final grammar's regexes under sampling) repay the
-    #: lowering many times over.
-    PROMOTE_THRESHOLD = 64
-
-    #: Optional tier-transition hook: ``observer(kind, detail)`` called
-    #: on dense promotions/failures (``--trace`` wires this to instant
-    #: trace events). Observation-only — it must never influence
-    #: matching.
-    observer = None
-
-    def __init__(
-        self,
-        promote_threshold: int = PROMOTE_THRESHOLD,
-        state_budget: int = 256,
-    ):
+    def __init__(self):
         self._fragments: Dict[rx.Regex, Fragment] = {}
         self.states_built = 0
         self.fragment_hits = 0
         self.fragment_misses = 0
-        self.promote_threshold = promote_threshold
-        self.state_budget = state_budget
-        self.tier_stats = TierStats()
-        # Root regex -> DenseDFA or _FAILED. Keyed structurally, like
-        # the fragment cache: a splice yields a new root, never a stale
-        # table.
-        self._dense_tables: Dict[rx.Regex, object] = {}
 
     def fragment(self, expr: rx.Regex) -> Fragment:
         """Return the (cached) fragment for ``expr``."""
@@ -197,39 +111,9 @@ class Engine:
         """Compile ``expr`` into a matchable automaton, reusing fragments."""
         return ComposedNFA(self.fragment(expr))
 
-    def matcher(self, expr: rx.Regex) -> "TieredMatcher":
-        """A tiered membership predicate for ``expr``."""
-        return TieredMatcher(self, expr, self.compile(expr))
-
-    def _promote(self, expr: rx.Regex, root: Fragment):
-        """Lower ``expr``'s automaton to a dense table (cached per root).
-
-        Returns the :class:`~repro.automata.dense.DenseDFA`, or
-        :data:`_FAILED` when the version cannot be lowered within
-        budget — remembered so the attempt is made once per version.
-        """
-        cached = self._dense_tables.get(expr)
-        if cached is None:
-            table = _lower_fragment(root, self.state_budget)
-            if table is None:
-                self.tier_stats.promotion_failures += 1
-                cached = _FAILED
-                if self.observer is not None:
-                    self.observer("promotion_failed", {})
-            else:
-                self.tier_stats.fragments_promoted += 1
-                self.tier_stats.dense_states += table.n_states
-                cached = table
-                if self.observer is not None:
-                    self.observer("promoted", {"states": table.n_states})
-            while len(self._dense_tables) >= self.MAX_DENSE_TABLES:
-                self._dense_tables.pop(next(iter(self._dense_tables)))
-            self._dense_tables[expr] = cached
-        return cached
-
-    def tier_summary(self) -> Dict[str, int]:
-        """The tier counters as a plain dict (for artifact execution)."""
-        return self.tier_stats.as_dict()
+    def matcher(self, expr: rx.Regex) -> Callable[[str], bool]:
+        """A membership predicate for ``expr`` (its lazy-DFA matcher)."""
+        return self.compile(expr).matches
 
     def _build(self, expr: rx.Regex) -> Fragment:
         if isinstance(expr, rx.Epsilon):
@@ -415,129 +299,12 @@ class ComposedNFA:
         return (0, self.root.exit) in current
 
 
-def _lower_fragment(root: Fragment, budget: int) -> Optional[DenseDFA]:
-    """Lower ``root``'s composed automaton to a dense table, or None.
-
-    Collects the transition labels of the whole fragment DAG (for
-    alphabet compression) in a deterministic traversal order, then runs
-    the bounded subset construction against a *private*
-    :class:`ComposedNFA` — the exhaustive walk must not pollute or
-    overflow the live matcher's lazy-DFA caches, especially when the
-    lowering fails and the live matcher stays authoritative.
-    """
-    labels: List[FrozenSet[str]] = []
-    seen_labels = set()
-    seen_fragments = set()
-    stack = [root]
-    while stack:
-        frag = stack.pop()
-        if id(frag) in seen_fragments:
-            continue
-        seen_fragments.add(id(frag))
-        for state in range(frag.n_states):
-            for chars, _dst in frag.chars.get(state, ()):
-                if chars not in seen_labels:
-                    seen_labels.add(chars)
-                    labels.append(chars)
-            for _index, child, _ret in frag.calls.get(state, ()):
-                stack.append(child)
-    probe = ComposedNFA(root)
-    start = probe.eps_closure(frozenset(((0, root.entry),)))
-    exit_state = (0, root.exit)
-    return lower_automaton(
-        start,
-        probe.step,
-        lambda states: exit_state in states,
-        labels,
-        state_budget=budget,
-    )
-
-
-class TieredMatcher:
-    """Membership predicate that promotes its language version to dense.
-
-    Tier policy: probes are answered by the composed NFA while a hit
-    counter warms up (a batch counts as its size in hits); crossing
-    ``promote_threshold`` triggers lowering via
-    :meth:`Engine._promote`. A
-    version that fails to lower (budget / alphabet) stays on the
-    composed tier permanently; a promoted version answers from the
-    dense table except for strings with non-byte characters, which fall
-    back to the composed NFA per string. All tiers are
-    verdict-equivalent, so the choice is invisible to the learner.
-    """
-
-    __slots__ = ("_engine", "_expr", "_composed", "_dense", "_hits")
-
-    def __init__(self, engine: Engine, expr: rx.Regex, composed: ComposedNFA):
-        self._engine = engine
-        self._expr = expr
-        self._composed = composed
-        self._dense = None  # None = undecided; _FAILED = stay composed
-        self._hits = 0
-
-    def _table(self) -> Optional[DenseDFA]:
-        if self._dense is None:
-            self._dense = self._engine._promote(self._expr, self._composed.root)
-        table = self._dense
-        return None if table is _FAILED else table
-
-    def __call__(self, text: str) -> bool:
-        stats = self._engine.tier_stats
-        if self._dense is None:
-            self._hits += 1
-            if self._hits < self._engine.promote_threshold:
-                stats.nfa_matches += 1
-                return self._composed.matches(text)
-        table = self._table()
-        if table is None:
-            stats.nfa_matches += 1
-            return self._composed.matches(text)
-        verdict = table.match(text)
-        if verdict is None:
-            stats.fallback_matches += 1
-            return self._composed.matches(text)
-        stats.dense_matches += 1
-        return verdict
-
-    def match_many(self, texts: Sequence[str]) -> List[bool]:
-        """Batch membership; one verdict per input string."""
-        stats = self._engine.tier_stats
-        if self._dense is None:
-            # A batch is worth its size in hits: a large batch promotes
-            # at once, but the handful-sized batches a *fresh* language
-            # version sees (phase-1 discard checks probe each candidate
-            # version a few strings at a time, then splice to a new
-            # version) stay on the lazy tier rather than paying a
-            # lowering per short-lived version.
-            self._hits += len(texts)
-            if self._hits < self._engine.promote_threshold:
-                stats.nfa_matches += len(texts)
-                return [self._composed.matches(text) for text in texts]
-        table = self._table()
-        if table is None:
-            stats.nfa_matches += len(texts)
-            return [self._composed.matches(text) for text in texts]
-        verdicts = table.match_many(texts)
-        # Stats in bulk and no per-string work in the common all-decided
-        # case: the wrapper must not give back the table's speedup.
-        fallbacks = verdicts.count(None)
-        stats.dense_matches += len(verdicts) - fallbacks
-        if not fallbacks:
-            return verdicts
-        stats.fallback_matches += fallbacks
-        return [
-            self._composed.matches(text) if verdict is None else verdict
-            for text, verdict in zip(texts, verdicts)
-        ]
-
-
 class _MemoMatcher:
     """A membership predicate with a per-version result memo."""
 
     __slots__ = ("_match", "_memo")
 
-    def __init__(self, match: TieredMatcher):
+    def __init__(self, match: Callable[[str], bool]):
         self._match = match
         self._memo: Dict[str, bool] = {}
 
@@ -547,62 +314,6 @@ class _MemoMatcher:
             result = self._match(text)
             self._memo[text] = result
         return result
-
-    def match_many(self, texts: Sequence[str]) -> List[bool]:
-        """Batch :meth:`__call__`: memo-aware, dense-tier friendly.
-
-        Unmemoized strings are deduplicated and answered in one batch
-        through the tiered matcher's ``match_many``, then every verdict
-        is served from the memo — identical results to calling the
-        predicate per string.
-        """
-        memo = self._memo
-        pending = [
-            text for text in dict.fromkeys(texts) if text not in memo
-        ]
-        if pending:
-            memo.update(zip(pending, self._match.match_many(pending)))
-        return [memo[text] for text in texts]
-
-
-class CoverageTracker:
-    """Incrementally batched §6.1 covered-seed evaluation.
-
-    Created by :meth:`MembershipSession.track_coverage` over a fixed
-    text list. :meth:`covered` lazily catches up on matchers the
-    session has learned since the last call, batch-matching only the
-    still-uncovered texts against each newly learned matcher — the
-    verdict for text *i* is exactly what
-    :meth:`MembershipSession.covers` would return for it at the same
-    point in the learning run, but the probes arrive in dense-tier
-    sized batches instead of one string at a time.
-    """
-
-    __slots__ = ("_session", "_texts", "_results", "_pending", "_consumed")
-
-    def __init__(self, session: "MembershipSession", texts: Sequence[str]):
-        self._session = session
-        self._texts = list(texts)
-        self._results = [False] * len(self._texts)
-        self._pending = list(range(len(self._texts)))
-        self._consumed = 0  # prefix of session._learned already applied
-
-    def covered(self, index: int) -> bool:
-        """Whether text ``index`` is covered by the languages learned so far."""
-        learned = self._session._learned
-        while self._consumed < len(learned) and self._pending:
-            match = learned[self._consumed]
-            self._consumed += 1
-            pending = [self._texts[i] for i in self._pending]
-            verdicts = match.match_many(pending)
-            still_pending = []
-            for i, verdict in zip(self._pending, verdicts):
-                if verdict:
-                    self._results[i] = True
-                else:
-                    still_pending.append(i)
-            self._pending = still_pending
-        return self._results[index]
 
 
 class MembershipSession:
@@ -617,9 +328,7 @@ class MembershipSession:
     unless one is passed in.
 
     ``remember``/``covers`` maintain the union of learned per-seed
-    languages for the §6.1 covered-seed test; ``track_coverage`` is the
-    batched incremental form and ``match_many``/``covers_many`` the
-    batched one-shot forms.
+    languages for the §6.1 covered-seed test.
     """
 
     #: Language versions retained for memo reuse. Version reuse is
@@ -645,12 +354,9 @@ class MembershipSession:
         return matcher
 
     def match_many(self, expr: rx.Regex, texts: Sequence[str]) -> List[bool]:
-        """Batch membership for one language version.
-
-        Verdict-identical to probing ``matcher(expr)`` per string, but
-        routes unmemoized strings through the dense tier in one batch.
-        """
-        return self.matcher(expr).match_many(texts)
+        """Membership of each string in one language version."""
+        match = self.matcher(expr)
+        return [match(text) for text in texts]
 
     def remember(self, expr: rx.Regex) -> None:
         """Record a learned per-seed regex for subsequent ``covers`` tests."""
@@ -659,16 +365,3 @@ class MembershipSession:
     def covers(self, text: str) -> bool:
         """True if any remembered (learned) language contains ``text``."""
         return any(match(text) for match in self._learned)
-
-    def covers_many(self, texts: Sequence[str]) -> List[bool]:
-        """Batch :meth:`covers` over the languages learned so far."""
-        tracker = CoverageTracker(self, texts)
-        return [tracker.covered(i) for i in range(len(texts))]
-
-    def track_coverage(self, texts: Sequence[str]) -> CoverageTracker:
-        """An incremental, batch-matching view of :meth:`covers`."""
-        return CoverageTracker(self, texts)
-
-    def tier_summary(self) -> Dict[str, int]:
-        """Matcher-tier counters of the session's engine."""
-        return self.engine.tier_summary()

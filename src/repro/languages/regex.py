@@ -6,9 +6,9 @@ printing in the paper's notation (``+`` for alternation, ``*`` for the
 Kleene star) and structural helpers.
 
 Matching is delegated to the membership engine
-(:mod:`repro.languages.engine`); ``Regex.matches`` builds a tiered
-matcher lazily and caches it on the node, so repeated membership
-queries against the same expression are cheap.
+(:mod:`repro.languages.engine`); ``Regex.matches`` builds the engine's
+lazy-DFA matcher on first use and caches it on the node, so repeated
+membership queries against the same expression are cheap.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import threading
 from typing import FrozenSet, Iterator, Sequence, Tuple
 
 #: Serializes :meth:`Regex.matches`. The cached matcher fills its lazy
-#: DFA and dense tables on first use (check-then-act on shared tables),
+#: DFA as it matches (check-then-act on shared tables),
 #: and a regex-backed oracle is one object shared by every worker thread
 #: on the thread execution backend.
 _MATCH_LOCK = threading.Lock()

@@ -30,8 +30,8 @@ from repro.obs.trace import NullTracer, Tracer, _natural_key
 TELEMETRY_VERSION = 1
 
 #: Span categories whose structure is deterministic across backends
-#: and job counts (``span_structure`` compares only these; oracle and
-#: engine spans depend on cache state and scheduling).
+#: and job counts (``span_structure`` compares only these; oracle spans
+#: depend on cache state and scheduling).
 DETERMINISTIC_CATS = ("pipeline", "phase1", "phase2")
 
 

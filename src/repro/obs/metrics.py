@@ -1,7 +1,7 @@
 """Counter/histogram registry and the timing helpers built on it.
 
 A :class:`MetricsRegistry` is a plain in-process accumulator: counters
-are exact integers (cache hits, tier promotions, task counts) and
+are exact integers (cache hits, pool restarts, task counts) and
 histograms keep the four moments we actually render (count / total /
 min / max) for latency-style observations. Snapshots are plain dicts
 so they cross process boundaries inside the existing picklable task
@@ -151,9 +151,9 @@ def counters_with_prefix(
 ) -> Dict[str, int]:
     """Counters under a dotted prefix, with the prefix stripped.
 
-    ``counters_with_prefix(snap, "engine.")`` turns the registry's
-    ``engine.fragments_promoted`` style counters back into the plain
-    ``matcher_tiers`` dict the artifacts have always recorded.
+    ``counters_with_prefix(snap, "oracle.fault.")`` turns the
+    registry's ``oracle.fault.<name>`` counters back into the plain
+    ``faults`` dict an artifact's execution record holds.
     """
     if not snapshot:
         return {}

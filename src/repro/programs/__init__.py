@@ -17,7 +17,7 @@ from repro.programs import (
     sed_prog,
     xml_prog,
 )
-from repro.programs.base import ParseError, Subject, accepts_many
+from repro.programs.base import ParseError, Subject
 from repro.programs.coverage import (
     CoverageReport,
     CoverageTracer,
@@ -74,7 +74,6 @@ __all__ = [
     "ParseError",
     "SUBJECT_NAMES",
     "Subject",
-    "accepts_many",
     "all_subjects",
     "coverable_lines",
     "get_subject",

@@ -37,23 +37,6 @@ class Subject:
         return sum(max(1, seed.count("\n") + 1) for seed in self.seeds)
 
 
-def accepts_many(accepts: Callable[[str], bool], texts) -> List[bool]:
-    """Batch a membership predicate over many strings.
-
-    Dispatches to the predicate's ``match_many`` when it has one (the
-    membership engine's tiered matchers answer a whole batch in one
-    dense-table walk); a plain predicate — e.g. a subject's blackbox
-    ``accepts``, which runs the actual program per input and has no
-    sound batch form — gets the per-string loop. Verdicts are identical
-    either way, so callers use this unconditionally as their batching
-    seam.
-    """
-    batch = getattr(accepts, "match_many", None)
-    if batch is not None:
-        return list(batch(texts))
-    return [accepts(text) for text in texts]
-
-
 class ParseError(Exception):
     """Raised by the mini-parsers on invalid input.
 

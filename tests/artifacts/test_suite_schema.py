@@ -93,6 +93,14 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="malformed"):
             SuiteResult.from_dict(data)
 
+    def test_retired_perf_keys_ignored_on_load(self):
+        # Suites written before ``matcher_tiers`` was retired carry it
+        # under every subject's perf; perf is never compared, so they
+        # still load (metrics stay strict, see above).
+        data = make_suite().to_dict()
+        data["perf"]["sed"]["matcher_tiers"] = {"dense_matches": 3}
+        assert SuiteResult.from_dict(data) == make_suite()
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

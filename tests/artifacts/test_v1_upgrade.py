@@ -26,6 +26,7 @@ from repro.artifacts import (
     save_artifact,
 )
 from repro.artifacts.run import artifact_digest
+from repro.cli import main as cli_main
 from repro.core.glade import GladeConfig
 from repro.core.gtree import stars_of
 from repro.core.phase1 import synthesize_regex
@@ -195,17 +196,26 @@ def test_in_progress_v1_artifact_resumes(finished):
 
 
 @pytest.mark.parametrize("value", [True, False])
-def test_retired_config_keys_ignored_on_load(finished, tmp_path, value):
+def test_retired_config_keys_ignored_on_load(
+    finished, tmp_path, capsys, value
+):
     """A checkpoint whose config still holds the retired ``use_engine``
-    and ``use_dense`` keys — as every build before their removal wrote,
-    integrity digest included — loads and resumes to the uninterrupted
-    run's grammar and accumulated query count."""
+    and ``use_dense`` keys, and whose execution record still holds the
+    retired ``matcher_tiers`` telemetry — as every build before their
+    removal wrote, integrity digest included — loads, prints under
+    ``repro show``, and resumes to the uninterrupted run's grammar and
+    accumulated query count."""
     artifact, store = finished
     data = mid_phase1_snapshot(store).to_dict()
     data["config"].update(use_engine=value, use_dense=value)
+    data["execution"]["matcher_tiers"] = {
+        "dense_matches": 12, "nfa_matches": 40, "fragments_promoted": 1,
+    }
     data["integrity"] = artifact_digest(data)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True))
+    assert cli_main(["show", str(path)]) == 0
+    assert "execution:" in capsys.readouterr().out
     restored = load_artifact(path)
     assert restored.config == artifact.config
     resumed = LearningPipeline(

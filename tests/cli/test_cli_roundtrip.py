@@ -273,11 +273,9 @@ def test_parallel_learn_kill_resume_matches_serial(tmp_path, oracle_path):
     assert [s["queries"] for s in final["seeds"]] == [
         s["queries"] for s in ref["seeds"]
     ]
-    # The artifact records how phase 1 actually executed (plus
-    # matcher-tier telemetry, which may differ across backends).
+    # The artifact records how phase 1 actually executed.
     assert final["execution"]["backend"] == "thread"
     assert final["execution"]["jobs"] == 4
-    assert "matcher_tiers" in final["execution"]
 
     # Samples drawn from both artifacts are identical.
     a = run_cli(["sample", str(ref_out), "-n", "6", "--rng-seed", "3"], env)

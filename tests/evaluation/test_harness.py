@@ -277,6 +277,10 @@ class TestComparator:
         assert delta.classification == "regressed"
         assert not delta.blocking
         assert comparison.ok()
+        # Load-driven drift never reaches the deterministic verdict.
+        lines = harness.format_comparison(comparison).splitlines()
+        assert "deterministic metrics: stable" in lines
+        assert "wall-clock metrics: drifted (warn only; not gated)" in lines
 
     def test_speculative_growth_from_zero_warns_but_never_blocks(self):
         """Every perf field is compared (warn-only) — including integer
@@ -335,7 +339,10 @@ class TestComparator:
 
     def test_format_comparison_stable(self):
         rendered = harness.format_comparison(self.classify(lambda s: None))
-        assert "stable" in rendered
+        assert rendered.splitlines() == [
+            "deterministic metrics: stable",
+            "wall-clock metrics: stable",
+        ]
 
 
 class TestResolveSubjects:

@@ -104,3 +104,58 @@ class TestAbort:
         # The pool is shut down; new submissions are refused.
         with pytest.raises(RuntimeError):
             executor._pool.submit(square, 1)
+
+
+class _SubmitBreaksAfter:
+    """A thread pool whose submits fail after ``ok`` successful ones.
+
+    Past that count ``submit`` raises ``BrokenExecutor``, as a process
+    pool's does once a worker died before any of its futures was seen.
+    """
+
+    def __init__(self, pool, ok):
+        self._pool = pool
+        self._ok = ok
+
+    def submit(self, fn, *args):
+        if self._ok == 0:
+            raise BrokenExecutor("a worker died before this submit")
+        self._ok -= 1
+        return self._pool.submit(fn, *args)
+
+    def shutdown(self, *args, **kwargs):
+        self._pool.shutdown(*args, **kwargs)
+
+
+class _BreaksAtSubmit(ThreadExecutor):
+    """A thread executor whose first pool breaks at submit time."""
+
+    def __init__(self, jobs, ok):
+        self._ok = ok
+        super().__init__(jobs)
+
+    def _make_pool(self, jobs):
+        pool = super()._make_pool(jobs)
+        if self._ok is None:
+            return pool
+        broken = _SubmitBreaksAfter(pool, self._ok)
+        self._ok = None  # the replacement pool is healthy
+        return broken
+
+
+class TestSubmitTimeBreakage:
+    def test_breakage_at_submit_restarts_the_pool(self):
+        # No worker dies here and nothing depends on timing: the pool
+        # refuses the fourth submit, which both iteration methods must
+        # route through a restart instead of raising to the caller.
+        payloads = list(range(6))
+        expected = {i: i * i for i in payloads}
+        with _BreaksAtSubmit(2, ok=3) as executor:
+            assert dict(executor.unordered(square, payloads)) == expected
+        assert executor.pool_restarts == 1
+        with _BreaksAtSubmit(2, ok=3) as executor:
+            stream = executor.unordered_stream(
+                square, iter(payloads), window=2
+            )
+            assert dict(stream) == expected
+        assert executor.pool_restarts == 1

@@ -3,7 +3,8 @@
 Covers the fragment-cached compilation (`Engine`/`ComposedNFA`), the
 session façade (`MembershipSession`), agreement with the test-side
 Thompson reference (``tests/reference_nfa.py``) on random ASTs, and the
-fragment-reuse accounting.
+fragment-reuse accounting. Random probes also hold a character on no
+transition label (``x``) and a non-byte character (``☃``).
 """
 
 import random
@@ -42,7 +43,7 @@ def regex_trees(max_leaves: int = 5):
     )
 
 
-probes = st.text(alphabet=_ALPHABET, max_size=8)
+probes = st.text(alphabet=_ALPHABET + "x☃", max_size=8)
 
 
 class TestComposedNFA:
@@ -175,6 +176,33 @@ def test_engine_agrees_with_python_re(expr, probe):
 def test_engine_accepts_sampled_members(expr, seed):
     text = sample_regex(expr, random.Random(seed))
     assert Engine().matcher(expr)(text)
+
+
+@given(
+    exprs=st.lists(regex_trees(), min_size=1, max_size=3),
+    texts=st.lists(probes, min_size=1, max_size=6),
+)
+@settings(max_examples=50, deadline=None)
+def test_covers_agrees_with_reference(exprs, texts):
+    """The §6.1 covered-seed test: membership in any remembered language."""
+    session = MembershipSession()
+    for expr in exprs:
+        session.remember(expr)
+    expected = [
+        any(compile_regex(expr).matches(text) for expr in exprs)
+        for text in texts
+    ]
+    assert [session.covers(text) for text in texts] == expected
+
+
+@given(expr=regex_trees(), texts=st.lists(probes, min_size=1, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_match_many_equals_matcher_loop(expr, texts):
+    session = MembershipSession()
+    expected = [compile_regex(expr).matches(text) for text in texts]
+    assert session.match_many(expr, texts) == expected
+    # Memo warm now; a second batch answers identically.
+    assert session.match_many(expr, texts) == expected
 
 
 @given(expr=regex_trees(), seed=st.integers(0, 10_000), probe=probes)

@@ -152,10 +152,8 @@ class TestMatching:
     def test_matches_is_thread_safe(self):
         # A regex-backed oracle (``regex_oracle``, the url target) is one
         # object shared by every worker thread on the thread backend,
-        # while its cached matcher builds lazy-DFA states and dense
-        # tables on first use.
-        # The non-byte character keeps every probe on the lazy tier,
-        # whose state-set interning is the check-then-act at risk.
+        # while its cached matcher builds lazy-DFA states on first use;
+        # their state-set interning is the check-then-act at risk.
         rng = random.Random(5)
         probes = [
             "".join(rng.choice("ab☃") for _ in range(rng.randrange(16)))

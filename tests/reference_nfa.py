@@ -2,10 +2,11 @@
 
 The package decides membership in a regular language through one
 implementation, the membership engine (:mod:`repro.languages.engine`:
-shared fragments, a lazy DFA, dense tables). This module is an
-independent, deliberately simple construction — one flat automaton per
-expression, set-of-states simulation, no caching across expressions —
-that the engine, tier and dense property tests compare against.
+shared fragments and a lazy DFA). This module is an independent,
+deliberately simple construction — one flat automaton per expression,
+set-of-states simulation, no caching across expressions — that the
+engine's property tests and ``benchmarks/bench_engine.py`` compare
+against.
 """
 
 from typing import Dict, FrozenSet, List, Tuple
