@@ -339,6 +339,15 @@ def derive_subject_metrics(
         fuzz_seeds,
         random.Random(stable_seed("fuzz", name, params.rng_seed)),
     )
+    if fuzzer.unparsed_seeds:
+        # GLADE guarantees E_in ⊆ L(Ĉ): a retained seed outside the
+        # learned language is a learner bug, not something to fuzz around.
+        raise ArtifactError(
+            "{}: the learned grammar does not parse {} retained seed(s), "
+            "first {!r}".format(
+                name, len(fuzzer.unparsed_seeds), fuzzer.unparsed_seeds[0]
+            )
+        )
     samples = fuzzer.generate(params.fuzz_samples)
     valid_fraction = sum(
         1 for sample in samples if subject.accepts(sample)

@@ -79,11 +79,19 @@ class Production:
 
 
 class Grammar:
-    """A context-free grammar: a start symbol plus a production list."""
+    """A context-free grammar: a start symbol plus a production list.
+
+    A grammar is immutable once built: no code mutates ``productions``
+    after construction, and every transformation (renaming, restriction,
+    union) returns a new grammar. The Earley parser relies on this. It
+    compiles a grammar into integer tables on first use and caches them
+    on the instance (``_earley_tables``), so they cannot go stale.
+    """
 
     def __init__(self, start: Nonterminal, productions: Iterable[Production]):
         self.start = start
         self.productions: List[Production] = list(productions)
+        self._earley_tables = None
         self._by_head: Dict[Nonterminal, List[Production]] = {}
         for prod in self.productions:
             self._by_head.setdefault(prod.head, []).append(prod)
@@ -227,22 +235,33 @@ class ParseTree:
     production: Production
     children: List[Union["ParseTree", str]] = field(default_factory=list)
 
+    # text() and nodes() walk the tree on an explicit stack: a tree can
+    # be as deep as its text is long.
+
     def text(self) -> str:
         """Return the terminal string this tree derives."""
         parts = []
-        for child in self.children:
-            if isinstance(child, ParseTree):
-                parts.append(child.text())
+        stack: List[Union[ParseTree, str]] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
             else:
-                parts.append(child)
+                stack.extend(node.children[::-1])
         return "".join(parts)
 
     def nodes(self) -> List["ParseTree"]:
         """Return all nonterminal nodes in the tree, pre-order."""
         out = [self]
-        for child in self.children:
-            if isinstance(child, ParseTree):
-                out.extend(child.nodes())
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, ParseTree):
+                    out.append(child)
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
         return out
 
     def size(self) -> int:

@@ -7,121 +7,202 @@ Two entry points:
 - :func:`parse` — build a :class:`~repro.languages.cfg.ParseTree` (used by
   the grammar-based fuzzer of §8.3, which mutates seed-input parse trees).
 
-The implementation handles ε-productions via the Aycock–Horspool fix
-(predicting a nullable nonterminal immediately advances the predicting
-item) and supports multi-character literal terminals by letting the scan
-step jump ``len(literal)`` positions at once.
+Each grammar is compiled once into integer-coded tables
+(:class:`_Tables`, cached on the grammar object). Nonterminals are
+numbered, and every (production, dot) position is one *state* that
+records the kind and value of the symbol after the dot. An Earley item
+is one int, ``state * (n + 1) + origin`` for an input of length ``n``,
+so advancing an item over a symbol adds ``n + 1``. Each position keeps,
+per nonterminal, the advanced items waiting on it: completion visits
+only those items instead of the origin's whole item set. ε-productions
+are handled by the Aycock–Horspool fix (predicting a nullable
+nonterminal immediately advances the predicting item), multi-character
+literal terminals let the scan step jump ``len(literal)`` positions at
+once, and the recognizer stops as soon as no item reaches past the
+current position.
+
+The learned grammars expand stars left-recursively, which this parses
+in linear time. Right recursion (``S → 'a' S | ε``) stays quadratic:
+there is no Leo optimization.
+
+:func:`parse` reconstructs one tree from the completed spans, searching
+the head's productions in grammar order and each nonterminal child's
+spans longest first, so the choice among ambiguous parses is
+deterministic. The search runs on an explicit stack, so tree depth is
+bounded by memory rather than the recursion limit. The uncompiled
+implementation this replaced is kept test-side as the differential
+reference (``tests/reference_earley.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.languages.cfg import (
-    CharSet,
-    Grammar,
-    Nonterminal,
-    ParseTree,
-    
-    Symbol,
-)
+from repro.languages.cfg import CharSet, Grammar, Nonterminal, ParseTree
 
-# An Earley item: (production index, dot position, origin position).
-Item = Tuple[int, int, int]
+# The kind of a state's next symbol. A _DONE state has its dot at the
+# end of the body; its value is the production's head.
+_NONTERMINAL, _CHARSET, _LITERAL, _DONE = range(4)
 
 
-class _Chart:
-    """Earley chart: one item set per input position, plus completions.
+class _Tables:
+    """One grammar compiled for Earley parsing.
 
-    ``completed[(head, start)]`` collects every end position at which a
-    constituent ``head`` spanning from ``start`` was completed; the parse
-    reconstruction walks these spans.
+    States are numbered so that a production's dot positions are
+    consecutive: advancing the dot adds one to the state. ``kind[s]``
+    and ``value[s]`` describe the symbol after state ``s``'s dot: a
+    nonterminal number, a character set, a literal string, or (for
+    ``_DONE``) the head's number. ``production[s]`` is the index of
+    the state's production in ``grammar.productions``. Per nonterminal
+    number, ``starts`` lists its productions' first states in grammar
+    order and ``nullable`` says whether it derives ε.
     """
 
-    def __init__(self, n_positions: int):
-        self.sets: List[Set[Item]] = [set() for _ in range(n_positions)]
-        self.completed: Dict[Tuple[Nonterminal, int], Set[int]] = {}
+    def __init__(self, grammar: Grammar):
+        numbers: Dict[Nonterminal, int] = {grammar.start: 0}
+        for prod in grammar.productions:
+            for symbol in (prod.head,) + prod.body:
+                if isinstance(symbol, Nonterminal):
+                    numbers.setdefault(symbol, len(numbers))
+        self.start = 0
+        self.kind: List[int] = []
+        self.value: List[object] = []
+        self.production: List[int] = []
+        self.starts: List[List[int]] = [[] for _ in numbers]
+        for index, prod in enumerate(grammar.productions):
+            self.starts[numbers[prod.head]].append(len(self.kind))
+            for symbol in prod.body:
+                if isinstance(symbol, Nonterminal):
+                    self.kind.append(_NONTERMINAL)
+                    self.value.append(numbers[symbol])
+                elif isinstance(symbol, CharSet):
+                    self.kind.append(_CHARSET)
+                    self.value.append(symbol.chars)
+                else:
+                    self.kind.append(_LITERAL)
+                    self.value.append(symbol)
+            self.kind.append(_DONE)
+            self.value.append(numbers[prod.head])
+            self.production.extend([index] * (len(prod.body) + 1))
+        nullable = grammar.nullable_nonterminals()
+        self.nullable = [nt in nullable for nt in numbers]
 
-    def add(self, position: int, item: Item) -> bool:
-        """Add ``item`` at ``position``; return True if it is new."""
-        items = self.sets[position]
-        if item in items:
-            return False
-        items.add(item)
-        return True
+
+def _tables(grammar: Grammar) -> _Tables:
+    """The grammar's tables, compiled on first use and cached on it."""
+    tables = grammar._earley_tables
+    if tables is None:
+        tables = grammar._earley_tables = _Tables(grammar)
+    return tables
 
 
-def _run_earley(grammar: Grammar, text: str) -> Optional[_Chart]:
-    """Run the Earley recognizer; return the chart, or None on failure.
+def _run_earley(
+    tables: _Tables, text: str
+) -> Optional[Dict[int, List[int]]]:
+    """Run the recognizer; return the completed spans, or None on failure.
 
-    Failure here means an early exhausted item set, in which case the
-    string is definitely not in the language.
+    The result maps ``head * (n + 1) + start`` to the ascending list of
+    every end position at which nonterminal ``head`` was completed from
+    ``start``; the tree builder walks these spans. Failure means that
+    no item reached past some position before the end of ``text``, in
+    which case the string is definitely not in the language.
     """
-    productions = grammar.productions
-    prods_by_head: Dict[Nonterminal, List[int]] = {}
-    for index, prod in enumerate(productions):
-        prods_by_head.setdefault(prod.head, []).append(index)
-    nullable = grammar.nullable_nonterminals()
-
+    kind, value = tables.kind, tables.value
+    starts, nullable = tables.starts, tables.nullable
     n = len(text)
-    chart = _Chart(n + 1)
-    worklists: List[List[Item]] = [[] for _ in range(n + 1)]
+    n1 = n + 1
+    sets: List[Optional[Set[int]]] = [None] * n1
+    waiting: List[Optional[Dict[int, List[int]]]] = [None] * n1
+    completed: Dict[int, List[int]] = {}
+    sets[0] = {state * n1 for state in starts[tables.start]}
+    furthest = 0
 
-    def add(position: int, item: Item) -> None:
-        if chart.add(position, item):
-            worklists[position].append(item)
-
-    for prod_index in prods_by_head.get(grammar.start, ()):
-        add(0, (prod_index, 0, 0))
-
-    for position in range(n + 1):
-        worklist = worklists[position]
+    for position in range(n1):
+        if position > furthest:
+            return None
+        items = sets[position]
+        if items is None:
+            continue  # a literal jumped over this position
+        here = waiting[position] = {}
+        worklist = list(items)
         while worklist:
-            prod_index, dot, origin = worklist.pop()
-            production = productions[prod_index]
-            body = production.body
-            if dot == len(body):
-                # Completion: advance every item waiting on this head.
-                head = production.head
-                chart.completed.setdefault((head, origin), set()).add(
-                    position
-                )
-                for w_index, w_dot, w_origin in list(chart.sets[origin]):
-                    w_body = productions[w_index].body
-                    if (
-                        w_dot < len(w_body)
-                        and w_body[w_dot] == head
-                    ):
-                        add(position, (w_index, w_dot + 1, w_origin))
-                continue
-            symbol = body[dot]
-            if isinstance(symbol, Nonterminal):
-                # Prediction (+ Aycock–Horspool nullable advance).
-                for p_index in prods_by_head.get(symbol, ()):
-                    add(position, (p_index, 0, position))
-                if symbol in nullable:
-                    add(position, (prod_index, dot + 1, origin))
-                # If this nonterminal was already completed from here
-                # (possible when items arrive after the completion), catch up.
-                for end in chart.completed.get((symbol, position), ()):
-                    add(end, (prod_index, dot + 1, origin))
-            elif isinstance(symbol, CharSet):
-                if position < n and text[position] in symbol.chars:
-                    add(position + 1, (prod_index, dot + 1, origin))
-            else:  # literal string
-                end = position + len(symbol)
-                if text.startswith(symbol, position) and end <= n:
-                    add(end, (prod_index, dot + 1, origin))
-    return chart
+            item = worklist.pop()
+            state = item // n1
+            symbol_kind = kind[state]
+            if symbol_kind == _NONTERMINAL:
+                # Prediction, once per (nonterminal, position); the
+                # advanced item waits here for the nonterminal.
+                symbol = value[state]
+                advanced = item + n1
+                waiters = here.get(symbol)
+                if waiters is None:
+                    here[symbol] = [advanced]
+                    for start_state in starts[symbol]:
+                        new = start_state * n1 + position
+                        if new not in items:
+                            items.add(new)
+                            worklist.append(new)
+                else:
+                    waiters.append(advanced)
+                # Aycock–Horspool nullable advance. It is also the
+                # catch-up for items that arrive after ``symbol`` was
+                # completed at this position: a completion from here to
+                # here means ``symbol`` derives ε.
+                if nullable[symbol] and advanced not in items:
+                    items.add(advanced)
+                    worklist.append(advanced)
+            elif symbol_kind == _DONE:
+                # Completion: advance only the items waiting on the head.
+                origin = item - state * n1
+                head = value[state]
+                key = head * n1 + origin
+                ends = completed.get(key)
+                if ends is None:
+                    completed[key] = [position]
+                elif ends[-1] != position:
+                    ends.append(position)
+                for advanced in waiting[origin].get(head, ()):
+                    if advanced not in items:
+                        items.add(advanced)
+                        worklist.append(advanced)
+            elif symbol_kind == _CHARSET:
+                if position < n and text[position] in value[state]:
+                    _add(sets, position + 1, item + n1)
+                    if position >= furthest:
+                        furthest = position + 1
+            elif text.startswith(value[state], position):
+                end = position + len(value[state])
+                _add(sets, end, item + n1)
+                if end > furthest:
+                    furthest = end
+    return completed
+
+
+def _add(sets: List[Optional[Set[int]]], position: int, item: int) -> None:
+    items = sets[position]
+    if items is None:
+        sets[position] = {item}
+    else:
+        items.add(item)
+
+
+def _root_spans(
+    tables: _Tables, text: str
+) -> Optional[Dict[int, List[int]]]:
+    """The completed spans if the start symbol derives all of ``text``."""
+    completed = _run_earley(tables, text)
+    if completed is None:
+        return None
+    ends = completed.get(tables.start * (len(text) + 1))
+    if not ends or ends[-1] != len(text):
+        return None
+    return completed
 
 
 def recognize(grammar: Grammar, text: str) -> bool:
     """Return True if ``text`` is in the language of ``grammar``."""
-    chart = _run_earley(grammar, text)
-    if chart is None:
-        return False
-    ends = chart.completed.get((grammar.start, 0), ())
-    return len(text) in ends
+    return _root_spans(_tables(grammar), text) is not None
 
 
 def parse(grammar: Grammar, text: str) -> Optional[ParseTree]:
@@ -130,103 +211,121 @@ def parse(grammar: Grammar, text: str) -> Optional[ParseTree]:
     For ambiguous grammars an arbitrary (deterministically chosen) parse
     is returned.
     """
-    chart = _run_earley(grammar, text)
-    if chart is None:
+    tables = _tables(grammar)
+    completed = _root_spans(tables, text)
+    if completed is None:
         return None
-    ends = chart.completed.get((grammar.start, 0), ())
-    if len(text) not in ends:
-        return None
-    builder = _TreeBuilder(grammar, text, chart)
-    tree = builder.build_nonterminal(grammar.start, 0, len(text))
+    builder = _TreeBuilder(grammar, tables, text, completed)
+    tree = builder.build(tables.start, 0, len(text))
     if tree is None:
         raise AssertionError("recognized string failed tree reconstruction")
     return tree
 
 
-class _TreeBuilder:
-    """Reconstruct a parse tree from a completed Earley chart.
+# A search frame: a generator that yields the frames of its sub-searches
+# and receives their results, returning its own.
+_Frame = Iterator
 
-    Works by recursive descent over completed spans with memoized
-    failures, which keeps reconstruction near-linear for the grammars we
-    synthesize (their ambiguity is mild).
+
+class _TreeBuilder:
+    """Reconstruct a parse tree from the completed spans of a recognition.
+
+    A depth-first search over completed spans: the head's productions in
+    grammar order, each nonterminal child's spans longest first (learned
+    grammars are repetition-heavy, and this converges faster), the body
+    derived right to left. A (head, start, end) already on the search
+    path is a cyclic derivation (e.g. ``A -> A`` via unit productions on
+    an empty span) and is cut. Failed (state, start, end) searches are
+    memoized, but only when no cut happened beneath them: a cut depends
+    on the path that led to it, so a failure it caused does not hold in
+    another context.
+
+    The search's frames are generators run by :meth:`build` on an
+    explicit stack, so a tree as deep as the input is long needs no
+    recursion.
     """
 
-    def __init__(self, grammar: Grammar, text: str, chart: _Chart):
-        self.grammar = grammar
+    def __init__(
+        self,
+        grammar: Grammar,
+        tables: _Tables,
+        text: str,
+        completed: Dict[int, List[int]],
+    ):
+        self.productions = grammar.productions
+        self.tables = tables
         self.text = text
-        self.chart = chart
-        self._failed: Set[Tuple[int, int, int, int]] = set()
-        self._building: Set[Tuple[Nonterminal, int, int]] = set()
+        self.completed = completed
+        self.n1 = len(text) + 1
+        self._failed: Set[Tuple[int, int, int]] = set()
+        self._building: Set[Tuple[int, int, int]] = set()
+        self._cuts = 0
 
-    def build_nonterminal(
-        self, head: Nonterminal, start: int, end: int
-    ) -> Optional[ParseTree]:
-        ends = self.chart.completed.get((head, start), ())
-        if end not in ends:
-            return None
+    def build(self, head: int, start: int, end: int) -> Optional[ParseTree]:
+        """Derive ``text[start:end]`` from nonterminal number ``head``."""
+        stack: List[_Frame] = [self._nonterminal(head, start, end)]
+        result = None
+        while stack:
+            try:
+                call = stack[-1].send(result)
+            except StopIteration as returned:
+                stack.pop()
+                result = returned.value
+            else:
+                stack.append(call)
+                result = None
+        return result
+
+    def _nonterminal(self, head: int, start: int, end: int) -> _Frame:
         key = (head, start, end)
         if key in self._building:
-            # Cyclic derivation (e.g. A -> A via unit productions on an
-            # empty span); refuse this path and let another production win.
+            self._cuts += 1
             return None
         self._building.add(key)
-        try:
-            for prod_index, production in enumerate(
-                self.grammar.productions
-            ):
-                if production.head != head:
-                    continue
-                children = self._build_body(
-                    prod_index, production.body, 0, start, end
+        for state in self.tables.starts[head]:
+            children = yield self._body(state, start, end)
+            if children is not None:
+                self._building.discard(key)
+                production = self.productions[self.tables.production[state]]
+                return ParseTree(
+                    symbol=production.head,
+                    production=production,
+                    children=children,
                 )
-                if children is not None:
-                    return ParseTree(
-                        symbol=head,
-                        production=production,
-                        children=children,
-                    )
-            return None
-        finally:
-            self._building.discard(key)
+        self._building.discard(key)
+        return None
 
-    def _build_body(
-        self,
-        prod_index: int,
-        body: Tuple[Symbol, ...],
-        dot: int,
-        start: int,
-        end: int,
-    ) -> Optional[List]:
-        """Try to derive ``text[start:end]`` from ``body[dot:]``."""
-        key = (prod_index, dot, start, end)
+    def _body(self, state: int, start: int, end: int) -> _Frame:
+        """Derive ``text[start:end]`` from the body after ``state``'s dot."""
+        kind = self.tables.kind[state]
+        if kind == _DONE:
+            return [] if start == end else None
+        key = (state, start, end)
         if key in self._failed:
             return None
-        if dot == len(body):
-            return [] if start == end else None
-        symbol = body[dot]
-        if isinstance(symbol, CharSet):
-            if start < end and self.text[start] in symbol.chars:
-                rest = self._build_body(
-                    prod_index, body, dot + 1, start + 1, end
-                )
+        cuts = self._cuts
+        symbol = self.tables.value[state]
+        if kind == _CHARSET:
+            if start < end and self.text[start] in symbol:
+                rest = yield self._body(state + 1, start + 1, end)
                 if rest is not None:
                     return [self.text[start]] + rest
-        elif isinstance(symbol, str):
+        elif kind == _LITERAL:
             mid = start + len(symbol)
             if mid <= end and self.text.startswith(symbol, start):
-                rest = self._build_body(prod_index, body, dot + 1, mid, end)
+                rest = yield self._body(state + 1, mid, end)
                 if rest is not None:
                     return [symbol] + rest
-        else:  # Nonterminal
-            spans = self.chart.completed.get((symbol, start), ())
-            # Prefer longer spans first: learned grammars are
-            # repetition-heavy and this converges faster.
-            for mid in sorted((m for m in spans if m <= end), reverse=True):
-                rest = self._build_body(prod_index, body, dot + 1, mid, end)
+        else:
+            spans = self.completed.get(symbol * self.n1 + start, ())
+            for index in range(bisect_right(spans, end) - 1, -1, -1):
+                mid = spans[index]
+                rest = yield self._body(state + 1, mid, end)
                 if rest is None:
                     continue
-                child = self.build_nonterminal(symbol, start, mid)
+                child = yield self._nonterminal(symbol, start, mid)
                 if child is not None:
                     return [child] + rest
-        self._failed.add(key)
+        if self._cuts == cuts:
+            self._failed.add(key)
         return None

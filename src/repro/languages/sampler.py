@@ -52,6 +52,22 @@ class GrammarSampler:
                 "grammar start symbol derives no terminal string "
                 "(unproductive nonterminals: {})".format(unproductive)
             )
+        # Per nonterminal, in production order: the productive options,
+        # and those of minimal height (the forced-termination choice).
+        self._options: Dict[Nonterminal, List[Production]] = {}
+        self._shortest: Dict[Nonterminal, List[Production]] = {}
+        for head in grammar.nonterminals():
+            rated = [
+                (prod, self._production_height(prod))
+                for prod in grammar.productions_for(head)
+            ]
+            rated = [(p, h) for p, h in rated if h is not None]
+            if rated:
+                best = min(height for _prod, height in rated)
+                self._options[head] = [prod for prod, _height in rated]
+                self._shortest[head] = [
+                    prod for prod, height in rated if height == best
+                ]
 
     def sample(self, symbol: Optional[Nonterminal] = None) -> str:
         """Sample a random string derivable from ``symbol`` (default start)."""
@@ -64,12 +80,8 @@ class GrammarSampler:
         return self._sample_nonterminal(head, 0)
 
     def _sample_nonterminal(self, head: Nonterminal, depth: int) -> ParseTree:
-        options = [
-            prod
-            for prod in self.grammar.productions_for(head)
-            if self._production_height(prod) is not None
-        ]
-        if not options:
+        options = self._options.get(head)
+        if options is None:
             raise ValueError("nonterminal {} is unproductive".format(head))
         self._nodes_sampled += 1
         if depth >= self.max_depth or self._nodes_sampled > self.max_nodes:
@@ -78,10 +90,7 @@ class GrammarSampler:
             # several recursive productions per nonterminal, so the
             # uniform distribution's tree-size tail is heavy (§8.1
             # sampling note in DESIGN.md).
-            best = min(self._production_height(p) for p in options)
-            options = [
-                p for p in options if self._production_height(p) == best
-            ]
+            options = self._shortest[head]
         production = self.rng.choice(options)
         children: List[Union[ParseTree, str]] = []
         for sym in production.body:
@@ -97,7 +106,7 @@ class GrammarSampler:
         height = 0
         for sym in production.body:
             if isinstance(sym, Nonterminal):
-                sub = self._height[sym]
+                sub = self._height.get(sym)
                 if sub is None:
                     return None
                 height = max(height, sub)

@@ -150,6 +150,25 @@ class TestSuiteDeterminism:
         rendered = harness.format_suite(suite)
         assert "sed" in rendered
 
+    def test_retained_seed_outside_the_grammar_fails_derivation(self):
+        """GLADE guarantees E_in ⊆ L(Ĉ), so metric derivation refuses an
+        artifact whose grammar misses a retained seed instead of
+        fuzzing from the seeds that do parse."""
+        from repro.artifacts import ArtifactError, SeedRecord
+        from repro.artifacts.run import SEED_SKIPPED
+        from repro.languages.earley import recognize
+
+        artifact = copy.deepcopy(harness.subject_artifact("sed"))
+        params = SuiteParams(
+            eval_samples=4, fuzz_samples=4, sample_candidates=4
+        )
+        harness.derive_subject_metrics("sed", artifact, params)
+        stray = "\x00"
+        assert not recognize(artifact.grammar, stray)
+        artifact.seeds.append(SeedRecord(text=stray, state=SEED_SKIPPED))
+        with pytest.raises(ArtifactError, match="1 retained seed"):
+            harness.derive_subject_metrics("sed", artifact, params)
+
     @pytest.mark.slow
     def test_all_subjects_learn_once_and_match_across_jobs(self):
         """Acceptance criterion at full scale: all eight subjects,

@@ -1,8 +1,17 @@
 """Earley parser tests: classic grammars, ε-handling, parse trees."""
 
+import pytest
 
-from repro.languages.cfg import CharSet, Grammar, Nonterminal, Production
+from repro.languages import earley
+from repro.languages.cfg import (
+    CharSet,
+    Grammar,
+    Nonterminal,
+    ParseTree,
+    Production,
+)
 from repro.languages.earley import parse, recognize
+from tests.reference_earley import parse as reference_parse
 
 
 def balanced_parens() -> Grammar:
@@ -154,3 +163,113 @@ class TestAgainstRegexEngine:
         expr = star(Lit("ab"))
         for probe in ["", "ab", "abab", "aba", "ba", "ababab"]:
             assert recognize(grammar, probe) == expr.matches(probe), probe
+
+
+def left_recursive() -> Grammar:
+    # The shape learned grammars give a star: S -> S 'a' | ε.
+    s = Nonterminal("S")
+    return Grammar(s, [Production(s, (s, "a")), Production(s, ())])
+
+
+def preorder(tree: ParseTree) -> list:
+    out = [tree]
+    for child in tree.children:
+        if isinstance(child, ParseTree):
+            out.extend(preorder(child))
+    return out
+
+
+class TestCompiledTables:
+    def test_tables_are_built_once_per_grammar(self):
+        grammar = arithmetic()
+        assert grammar._earley_tables is None
+        assert recognize(grammar, "1+2")
+        tables = grammar._earley_tables
+        assert tables is not None
+        parse(grammar, "1*2")
+        assert grammar._earley_tables is tables
+
+    def test_renamed_grammar_compiles_its_own_tables(self):
+        grammar = balanced_parens()
+        assert recognize(grammar, "()")
+        renamed = grammar.rename_nonterminals(
+            {Nonterminal("S"): Nonterminal("T")}
+        )
+        assert renamed._earley_tables is None
+        assert recognize(renamed, "(())")
+
+    def test_stops_once_no_item_reaches_past_a_position(self):
+        tables = earley._tables(left_recursive())
+        assert earley._run_earley(tables, "b" + "a" * 50) is None
+        # A literal may jump over a position that holds no item.
+        s = Nonterminal("S")
+        jump = earley._tables(Grammar(s, [Production(s, ("abc", "d"))]))
+        assert earley._run_earley(jump, "abcd") is not None
+        assert earley._run_earley(jump, "abcx") is None
+
+
+class TestCyclicDerivations:
+    def test_cut_failure_is_not_reused_in_another_context(self):
+        # S -> S X S | ε; X -> 'a' | ε: "a" is recognized, and the
+        # reference builder memoizes a failure that a cycle cut caused,
+        # then fails reconstruction.
+        s, x = Nonterminal("S"), Nonterminal("X")
+        grammar = Grammar(
+            s,
+            [
+                Production(s, (s, x, s)),
+                Production(s, ()),
+                Production(x, ("a",)),
+                Production(x, ()),
+            ],
+        )
+        assert recognize(grammar, "a")
+        with pytest.raises(AssertionError, match="tree reconstruction"):
+            reference_parse(grammar, "a")
+        tree = parse(grammar, "a")
+        assert tree is not None
+        assert tree.text() == "a"
+
+    def test_unit_cycle_parses(self):
+        a, b = Nonterminal("A"), Nonterminal("B")
+        grammar = Grammar(
+            a,
+            [
+                Production(a, (b,)),
+                Production(b, (a,)),
+                Production(a, ("x",)),
+            ],
+        )
+        tree = parse(grammar, "x")
+        assert tree is not None
+        assert tree.text() == "x"
+
+
+class TestLongInputs:
+    def test_left_recursion_at_10k_chars(self):
+        grammar = left_recursive()
+        text = "a" * 10_000
+        assert recognize(grammar, text)
+        assert not recognize(grammar, text + "b")
+        tree = parse(grammar, text)
+        assert tree.text() == text
+        nodes = tree.nodes()
+        assert len(nodes) == 10_001
+        assert nodes[0] is tree
+        assert nodes[1] is tree.children[0]
+
+    def test_right_recursion_at_1500_chars(self):
+        # Quadratic (no Leo optimization), but no RecursionError.
+        s = Nonterminal("S")
+        grammar = Grammar(s, [Production(s, ("a", s)), Production(s, ())])
+        text = "a" * 1_500
+        tree = parse(grammar, text)
+        assert tree.text() == text
+        assert tree.size() == 1_501
+
+    def test_nodes_are_preorder(self):
+        tree = parse(arithmetic(), "(1+2)*3+4*(5)")
+        assert tree.nodes() == preorder(tree)
+        assert [id(n) for n in tree.nodes()] == [
+            id(n) for n in preorder(tree)
+        ]
