@@ -44,8 +44,8 @@ def main() -> None:
             subject.seeds, subject.alphabet, random.Random(1)
         ).generate(N_SAMPLES),
         "afl": AFLFuzzer(subject, random.Random(2)).run(N_SAMPLES),
-        "glade": GrammarFuzzer(
-            result.grammar, result.seeds_used, random.Random(3)
+        "glade": GrammarFuzzer.from_artifact(
+            result, random.Random(3)
         ).generate(N_SAMPLES),
     }
 

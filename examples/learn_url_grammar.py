@@ -75,7 +75,7 @@ def main() -> None:
             )
         )
     print()
-    print("one of GLADE's learned regexes:", result.regexes[0])
+    print("one of GLADE's learned regexes:", result.regexes()[0])
 
 
 if __name__ == "__main__":

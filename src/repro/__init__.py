@@ -31,7 +31,6 @@ from repro.artifacts import (
 from repro.core.glade import (
     DEFAULT_ALPHABET,
     GladeConfig,
-    GladeResult,
     learn_grammar,
 )
 from repro.core.pipeline import LearningPipeline, SeedRejected
@@ -65,7 +64,6 @@ __all__ = [
     "Engine",
     "FileCheckpointStore",
     "GladeConfig",
-    "GladeResult",
     "Grammar",
     "GrammarSampler",
     "LearningPipeline",

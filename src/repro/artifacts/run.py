@@ -37,9 +37,10 @@ from repro.artifacts.schema import (
     phase2_result_from_dict,
     phase2_result_to_dict,
 )
-from repro.core.glade import GladeConfig, GladeResult
+from repro.core.glade import GladeConfig
 from repro.core.phase1 import Phase1Result
 from repro.core.phase2 import Phase2Result
+from repro.languages import regex as rx
 from repro.languages.cfg import Grammar
 
 #: Pipeline stages in execution order; ``RunArtifact.stage`` names the
@@ -133,6 +134,15 @@ class RunArtifact:
     def regexes(self):
         return [root.to_regex() for root in self.trees()]
 
+    def regex(self) -> rx.Regex:
+        """The combined phase-one regex R̂ = R̂₁ + ... + R̂ₙ."""
+        regexes = self.regexes()
+        if not regexes:
+            return rx.EPSILON
+        if len(regexes) == 1:
+            return regexes[0]
+        return rx.alt(*regexes)
+
     def seeds_used(self) -> List[str]:
         return [s.text for s in self.seeds if s.state == SEED_USED]
 
@@ -151,22 +161,6 @@ class RunArtifact:
                 "run first".format(self.stage)
             )
         return self.grammar
-
-    def to_glade_result(self) -> GladeResult:
-        """View the completed run as a :class:`~repro.core.glade.GladeResult`."""
-        self.require_grammar()
-        return GladeResult(
-            grammar=self.grammar,
-            regexes=self.regexes(),
-            trees=self.trees(),
-            seeds_used=self.seeds_used(),
-            seeds_skipped=self.seeds_skipped(),
-            phase1_results=self.phase1_results,
-            phase2_result=self.phase2_result,
-            oracle_queries=self.oracle_queries,
-            unique_queries=self.unique_queries,
-            duration_seconds=self.duration_seconds(),
-        )
 
     # -- serialization ----------------------------------------------------
 

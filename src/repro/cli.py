@@ -115,16 +115,16 @@ def _oracle_from_spec(spec: dict) -> ResilientOracle:
 
 
 def _print_artifact_result(artifact: RunArtifact) -> None:
-    result = artifact.to_glade_result()
-    print("# phase-one regex: {}".format(result.regex()))
+    grammar = artifact.require_grammar()
+    print("# phase-one regex: {}".format(artifact.regex()))
     print(
         "# {} oracle queries ({} unique), {:.1f}s".format(
-            result.oracle_queries,
-            result.unique_queries,
-            result.duration_seconds,
+            artifact.oracle_queries,
+            artifact.unique_queries,
+            artifact.duration_seconds(),
         )
     )
-    print(result.grammar)
+    print(grammar)
 
 
 def _print_samples(artifact: RunArtifact, count: int, rng_seed: int) -> None:

@@ -5,7 +5,6 @@ from repro.core.context import Context
 from repro.core.glade import (
     DEFAULT_ALPHABET,
     GladeConfig,
-    GladeResult,
     learn_grammar,
 )
 from repro.core.gtree import (
@@ -36,7 +35,6 @@ __all__ = [
     "GRoot",
     "GStar",
     "GladeConfig",
-    "GladeResult",
     "HoleKind",
     "Phase1Result",
     "Phase2Result",

@@ -2,12 +2,12 @@
 
 :func:`learn_grammar` is the convenience entry point of this
 reproduction. It takes seed inputs and a membership oracle and returns
-a :class:`GladeResult` holding the synthesized context-free grammar
-together with per-seed regexes, merge information, and query
-statistics. The actual work runs in the staged
+the completed :class:`~repro.artifacts.run.RunArtifact`: the
+synthesized context-free grammar together with per-seed regexes, merge
+information, and query statistics. The actual work runs in the staged
 :class:`~repro.core.pipeline.LearningPipeline` (which additionally
 supports durable checkpoints and resumable runs); this module keeps the
-configuration and result types.
+configuration type.
 
 Pipeline (matching §7's discussion of phase ordering):
 
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.gtree import GRoot
-from repro.core.phase1 import Phase1Result
-from repro.core.phase2 import Phase2Result
-from repro.languages import regex as rx
-from repro.languages.cfg import Grammar
 from repro.learning.oracle import Oracle
+
+if TYPE_CHECKING:
+    from repro.artifacts.run import RunArtifact
 
 #: Default input alphabet Σ for character generalization: printable
 #: ASCII (the paper's setting: programs take ASCII inputs, §2).
@@ -90,56 +88,23 @@ class GladeConfig:
     trace: bool = False
 
 
-@dataclass
-class GladeResult:
-    """Everything GLADE learned, plus bookkeeping for the evaluation."""
-
-    grammar: Grammar
-    regexes: List[rx.Regex]
-    trees: List[GRoot]
-    seeds_used: List[str]
-    seeds_skipped: List[str]
-    phase1_results: List[Phase1Result]
-    phase2_result: Optional[Phase2Result]
-    oracle_queries: int
-    unique_queries: int
-    duration_seconds: float
-
-    def regex(self) -> rx.Regex:
-        """The combined phase-one regex R̂ = R̂₁ + ... + R̂ₙ."""
-        if not self.regexes:
-            return rx.EPSILON
-        if len(self.regexes) == 1:
-            return self.regexes[0]
-        return rx.alt(*self.regexes)
-
-
 def learn_grammar(
     seeds: Sequence[str],
     oracle: Oracle,
     config: Optional[GladeConfig] = None,
-    store=None,
-    sources: Optional[Sequence[str]] = None,
-) -> GladeResult:
+) -> RunArtifact:
     """Synthesize a context-free grammar from seeds and a membership oracle.
 
-    This is a convenience wrapper over
-    :class:`~repro.core.pipeline.LearningPipeline`, which runs the
-    staged version of Algorithm 1 (validate → per-seed phase 1 +
-    chargen → translate → phase 2 → finalize). ``store`` optionally
-    names a :class:`~repro.artifacts.store.CheckpointStore` to persist
-    per-stage checkpoints through; ``sources`` optionally labels each
-    seed's provenance for error messages. By default nothing is
-    persisted and the call behaves exactly as before the pipeline
-    existed.
+    Runs :class:`~repro.core.pipeline.LearningPipeline`, the staged
+    version of Algorithm 1 (validate → per-seed phase 1 + chargen →
+    translate → phase 2 → finalize), without persisting anything, and
+    returns its completed :class:`~repro.artifacts.run.RunArtifact` —
+    the same record ``repro learn --out`` writes. Construct the
+    pipeline directly for checkpoint stores or seed provenance.
 
-    Raises ValueError if a seed is rejected by the oracle (the paper
-    requires E_in ⊆ L*).
+    Raises ValueError when no seed is given or a seed is rejected by
+    the oracle (the paper requires E_in ⊆ L*).
     """
     from repro.core.pipeline import LearningPipeline
 
-    if not seeds:
-        raise ValueError("learn_grammar requires at least one seed input")
-    pipeline = LearningPipeline(oracle, config=config, store=store)
-    artifact = pipeline.run(seeds, sources=sources)
-    return artifact.to_glade_result()
+    return LearningPipeline(oracle, config=config).run(seeds)

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.artifacts.run import RunArtifact
 from repro.core.glade import GladeConfig, learn_grammar
 from repro.evaluation.metrics import (
     DFAView,
@@ -80,39 +79,6 @@ def _learn_incrementally(
     return best, best_count, timed_out
 
 
-def score_artifact(
-    target_name: str,
-    artifact: RunArtifact,
-    algorithm: str = "glade",
-    eval_samples: int = 1000,
-    seed: int = 0,
-) -> Fig4Cell:
-    """Score an already-learned run artifact as one Fig-4 cell.
-
-    No learning happens here — the artifact (e.g. from the unified
-    harness's cache) supplies the grammar, its recorded stage timings
-    supply the time column, and only the §8.2 precision/recall sampling
-    runs. This is the figure's "accept a learned artifact" entry point.
-    """
-    target = get_target(target_name)
-    scores = evaluate_language(
-        GrammarView(artifact.require_grammar()),
-        target,
-        n_samples=eval_samples,
-        seed=seed + 5,
-    )
-    return Fig4Cell(
-        target=target_name,
-        algorithm=algorithm,
-        precision=scores.precision,
-        recall=scores.recall,
-        f1=scores.f1,
-        seconds=artifact.duration_seconds(),
-        seeds_used=len(artifact.seeds_used()),
-        timed_out=False,
-    )
-
-
 def run_cell(
     target_name: str,
     algorithm: str,
@@ -120,22 +86,8 @@ def run_cell(
     time_limit: float = 60.0,
     eval_samples: int = 1000,
     seed: int = 0,
-    artifact: Optional[RunArtifact] = None,
 ) -> Fig4Cell:
-    """Run one learner on one target and score it.
-
-    ``artifact`` short-circuits learning entirely (see
-    :func:`score_artifact`); the remaining parameters then only shape
-    the evaluation sampling.
-    """
-    if artifact is not None:
-        return score_artifact(
-            target_name,
-            artifact,
-            algorithm=algorithm,
-            eval_samples=eval_samples,
-            seed=seed,
-        )
+    """Run one learner on one target and score it."""
     target = get_target(target_name)
     seeds = sorted(target.sample_seeds(n_seeds, seed=seed), key=len)
     started = time.monotonic()

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.glade import GladeConfig, GladeResult, learn_grammar
+from repro.artifacts.run import RunArtifact
+from repro.core.glade import GladeConfig, learn_grammar
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -23,7 +24,7 @@ class Fig5Row:
     name: str
     target_description: str
     seeds: List[str]
-    result: GladeResult
+    result: RunArtifact
 
 
 def _url_oracle(text: str) -> bool:

@@ -10,10 +10,8 @@ the expensive subjects) is the reproduction target (EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.artifacts.run import RunArtifact
-from repro.core.glade import GladeConfig, GladeResult
 from repro.evaluation.harness import SubjectArtifactCache, subject_artifact
 from repro.evaluation.reporting import format_table
 from repro.programs import SUBJECT_NAMES, get_subject
@@ -26,45 +24,23 @@ class Fig6Row:
     seed_lines: int
     synthesis_seconds: float
     oracle_queries: int
-    result: GladeResult
-
-
-def learn_subject_grammar(
-    subject,
-    config: Optional[GladeConfig] = None,
-    cache: Optional[SubjectArtifactCache] = None,
-) -> GladeResult:
-    """Run GLADE on a program under test (shared by Figures 6-8).
-
-    Legacy entry point: now routes through the harness's per-subject
-    artifact cache, so a combined figure run learns each subject's
-    grammar exactly once (``cache=None`` is the process-wide shared
-    cache).
-    """
-    artifact = subject_artifact(subject, config=config, cache=cache)
-    return artifact.to_glade_result()
 
 
 def run_fig6(
     subjects: Sequence[str] = tuple(SUBJECT_NAMES),
-    artifacts: Optional[Dict[str, RunArtifact]] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> List[Fig6Row]:
     """Build the Figure 6 table from learned artifacts.
 
-    ``artifacts`` maps subject names to already-learned run artifacts
-    (e.g. the suite harness's); missing subjects come from ``cache``
-    (learned at most once per cache). Synthesis time is the artifact's
-    recorded stage wall-clock, so a cache hit reports the time the
-    learning run actually took rather than ~0.
+    Each subject's artifact comes from ``cache`` (learned at most once
+    per cache). Synthesis time is the artifact's recorded stage
+    wall-clock, so a cache hit reports the time the learning run
+    actually took rather than ~0.
     """
     rows = []
     for name in subjects:
         subject = get_subject(name)
-        if artifacts is not None and name in artifacts:
-            artifact = artifacts[name]
-        else:
-            artifact = subject_artifact(subject, cache=cache)
+        artifact = subject_artifact(subject, cache=cache)
         rows.append(
             Fig6Row(
                 program=name,
@@ -72,7 +48,6 @@ def run_fig6(
                 seed_lines=subject.seed_line_count(),
                 synthesis_seconds=artifact.duration_seconds(),
                 oracle_queries=artifact.oracle_queries,
-                result=artifact.to_glade_result(),
             )
         )
     return rows

@@ -19,11 +19,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.artifacts.run import RunArtifact
-from repro.core.glade import GladeResult
 from repro.evaluation.corpora import CORPORA
-from repro.evaluation.fig6 import learn_subject_grammar
-from repro.evaluation.harness import SubjectArtifactCache, stable_seed
+from repro.evaluation.harness import (
+    SubjectArtifactCache,
+    stable_seed,
+    subject_artifact,
+)
 from repro.evaluation.reporting import format_series, format_table
 from repro.fuzzing import AFLFuzzer, GrammarFuzzer, NaiveFuzzer
 from repro.languages.sampler import GrammarSampler
@@ -61,17 +62,15 @@ class Fig7Row:
 class SubjectHarness:
     """Shared state for fuzzing one subject: grammar, seeds, coverage.
 
-    ``glade_result`` accepts a pre-learned result (e.g. derived from a
-    suite artifact); otherwise learning routes through the per-subject
-    artifact cache, so several harnesses — and the other figures — in
-    one process share a single learning run per subject.
+    The GLADE fuzzer's artifact comes from the per-subject artifact
+    cache, so several harnesses — and the other figures — in one
+    process share a single learning run per subject.
     """
 
     def __init__(
         self,
         name: str,
         seed: int = 0,
-        glade_result: Optional[GladeResult] = None,
         cache: Optional[SubjectArtifactCache] = None,
     ):
         self.name = name
@@ -82,14 +81,6 @@ class SubjectHarness:
         for module in self.subject.modules:
             self.coverable |= coverable_lines(module)
         self.seed_lines = measure_coverage(self.subject, self.subject.seeds)
-        self._glade: Optional[GladeResult] = glade_result
-
-    def glade_result(self) -> GladeResult:
-        if self._glade is None:
-            self._glade = learn_subject_grammar(
-                self.subject, cache=self.cache
-            )
-        return self._glade
 
     def generate(self, fuzzer: str, n_samples: int) -> List[str]:
         # stable_seed, not hash(): str hashes are salted per process,
@@ -102,10 +93,10 @@ class SubjectHarness:
         if fuzzer == "afl":
             return AFLFuzzer(self.subject, rng).run(n_samples)
         if fuzzer == "glade":
-            result = self.glade_result()
-            return GrammarFuzzer(
-                result.grammar, result.seeds_used, rng
-            ).generate(n_samples)
+            artifact = subject_artifact(self.subject, cache=self.cache)
+            return GrammarFuzzer.from_artifact(artifact, rng).generate(
+                n_samples
+            )
         if fuzzer == "handwritten-grammar":
             target = get_target(self.name)
             sampler = GrammarSampler(target.grammar, rng=rng, max_depth=20)
@@ -128,30 +119,15 @@ class SubjectHarness:
         return report, valid
 
 
-def _subject_harness(
-    name: str,
-    seed: int,
-    artifacts: Optional[Dict[str, RunArtifact]],
-    cache: Optional[SubjectArtifactCache],
-) -> SubjectHarness:
-    glade_result = None
-    if artifacts is not None and name in artifacts:
-        glade_result = artifacts[name].to_glade_result()
-    return SubjectHarness(
-        name, seed=seed, glade_result=glade_result, cache=cache
-    )
-
-
 def run_fig7a(
     subjects: Sequence[str] = tuple(SUBJECT_NAMES),
     n_samples: int = 1000,
     seed: int = 0,
-    artifacts: Optional[Dict[str, RunArtifact]] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> List[Fig7Row]:
     rows: List[Fig7Row] = []
     for name in subjects:
-        harness = _subject_harness(name, seed, artifacts, cache)
+        harness = SubjectHarness(name, seed=seed, cache=cache)
         baseline_report: Optional[CoverageReport] = None
         for fuzzer in FUZZERS:
             samples = harness.generate(fuzzer, n_samples)
@@ -174,12 +150,11 @@ def run_fig7b(
     subjects: Sequence[str] = tuple(UPPER_BOUND_PROXIES),
     n_samples: int = 1000,
     seed: int = 0,
-    artifacts: Optional[Dict[str, RunArtifact]] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> List[Fig7Row]:
     rows: List[Fig7Row] = []
     for name in subjects:
-        harness = _subject_harness(name, seed, artifacts, cache)
+        harness = SubjectHarness(name, seed=seed, cache=cache)
         baseline_report: Optional[CoverageReport] = None
         for fuzzer in ["naive", "glade", UPPER_BOUND_PROXIES[name]]:
             samples = harness.generate(fuzzer, n_samples)
@@ -202,11 +177,10 @@ def run_fig7c(
     subject_name: str = "python",
     checkpoints: Sequence[int] = (100, 250, 500, 1000, 2000),
     seed: int = 0,
-    artifacts: Optional[Dict[str, RunArtifact]] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> Dict[str, List[float]]:
     """Coverage growth with sample count (normalized by naive's final)."""
-    harness = _subject_harness(subject_name, seed, artifacts, cache)
+    harness = SubjectHarness(subject_name, seed=seed, cache=cache)
     total = max(checkpoints)
     streams = {
         fuzzer: harness.generate(fuzzer, total) for fuzzer in FUZZERS

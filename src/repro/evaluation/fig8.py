@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.artifacts.run import RunArtifact
 from repro.evaluation.harness import (
     SubjectArtifactCache,
     search_valid_sample,
@@ -32,22 +31,17 @@ def run_fig8(
     n_candidates: int = 200,
     seed: int = 7,
     min_length: int = 40,
-    artifact: Optional[RunArtifact] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> Fig8Result:
     """Generate Figure 8's sample: a large valid fuzzed XML document.
 
-    ``artifact`` reuses an already-learned XML run artifact; otherwise
-    the harness's artifact cache supplies one (shared with Figure 6/7
-    runs in the same process, so the XML grammar is learned once).
+    The harness's artifact cache supplies the XML run artifact (shared
+    with Figure 6/7 runs in the same process, so the XML grammar is
+    learned once).
     """
     subject = get_subject("xml")
-    if artifact is None:
-        artifact = subject_artifact(subject, cache=cache)
-    result = artifact.to_glade_result()
     sample, valid, tried = search_valid_sample(
-        result.grammar,
-        result.seeds_used,
+        subject_artifact(subject, cache=cache),
         subject.accepts,
         n_candidates=n_candidates,
         seed=seed,

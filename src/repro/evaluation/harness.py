@@ -254,10 +254,10 @@ def shared_cache() -> SubjectArtifactCache:
 
 def subject_artifact(
     subject: Union[Subject, str],
-    config: Optional[GladeConfig] = None,
     cache: Optional[SubjectArtifactCache] = None,
 ) -> RunArtifact:
-    """The learned artifact for a subject, through a cache.
+    """The learned artifact for a subject at its default configuration,
+    through a cache.
 
     The single entry point every figure path uses; ``cache=None`` means
     the process-wide shared cache.
@@ -266,15 +266,14 @@ def subject_artifact(
         subject = get_subject(subject)
     if cache is None:
         cache = _SHARED_CACHE
-    return cache.get(subject, config)
+    return cache.get(subject)
 
 
 # -- metric derivation (the figures' measurements, from one artifact) ------
 
 
 def search_valid_sample(
-    grammar,
-    seeds: Sequence[str],
+    artifact: RunArtifact,
     accepts,
     n_candidates: int = 200,
     seed: int = 7,
@@ -284,11 +283,11 @@ def search_valid_sample(
 
     Returns ``(sample, valid, n_tried)`` — the first valid candidate of
     at least ``min_length`` characters, else the longest valid one seen.
-    Deterministic given the grammar and ``seed``: candidates are
+    Deterministic given the artifact and ``seed``: candidates are
     generated and tested one at a time, so the search stops at the
     first long-enough valid one.
     """
-    fuzzer = GrammarFuzzer(grammar, seeds, random.Random(seed))
+    fuzzer = GrammarFuzzer.from_artifact(artifact, random.Random(seed))
     best = ""
     for tried in range(1, n_candidates + 1):
         candidate = fuzzer.generate_one()
@@ -333,11 +332,8 @@ def derive_subject_metrics(
     ) / max(1, len(corpus))
 
     # Fig 7: fuzzing yield — validity rate and incremental coverage.
-    fuzz_seeds = artifact.seeds_used() + artifact.seeds_skipped()
-    fuzzer = GrammarFuzzer(
-        grammar,
-        fuzz_seeds,
-        random.Random(stable_seed("fuzz", name, params.rng_seed)),
+    fuzzer = GrammarFuzzer.from_artifact(
+        artifact, random.Random(stable_seed("fuzz", name, params.rng_seed))
     )
     if fuzzer.unparsed_seeds:
         # GLADE guarantees E_in ⊆ L(Ĉ): a retained seed outside the
@@ -362,8 +358,7 @@ def derive_subject_metrics(
 
     # Fig 8: a large valid sample exists.
     sample, sample_valid, _tried = search_valid_sample(
-        grammar,
-        fuzz_seeds,
+        artifact,
         subject.accepts,
         n_candidates=params.sample_candidates,
         seed=stable_seed("sample", name, params.rng_seed),

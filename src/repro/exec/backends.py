@@ -34,15 +34,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Iterable, Iterator, Tuple
 
 #: Backend names accepted by :func:`make_executor` / the CLI.
 BACKENDS = ("serial", "thread", "process")
@@ -76,37 +68,26 @@ class Executor:
     tasks_resubmitted: int = 0
 
     def unordered(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
+        self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, fn(payloads[index]))`` in completion order.
+        """Yield ``(index, fn(payload))`` in completion order.
+
+        ``index`` is the payload's position in ``payloads`` (submission
+        order). Payloads are pulled lazily, at most ``2 * jobs`` tasks
+        are in flight at once, and the iterator is advanced only when a
+        submission slot frees up, on the *consumer's* thread — after
+        the consumer has processed every previously yielded result. So
+        ``payloads`` may be a generator whose elements depend on results
+        the consumer has already received: a scheduler can make
+        submission decisions (skip a task, enrich its payload) from
+        state that earlier completions updated — the phase-2 merge
+        wavefront's reason for existing.
 
         A worker exception propagates to the consumer *unwrapped* —
         running through an executor is exception-transparent, exactly
         like calling ``fn`` inline. This matters for the oracle stack's
         control-flow exceptions (``LearningTimeout``,
         ``OracleFailedError``), which callers catch by type.
-        """
-        raise NotImplementedError
-
-    def unordered_stream(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Iterable[Any],
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, Any]]:
-        """Like :meth:`unordered`, but pull payloads lazily, bounded in
-        flight.
-
-        ``payloads`` may be a generator whose elements depend on
-        results the consumer has already received: at most ``window``
-        tasks are in flight at once, the iterator is advanced only when
-        a submission slot frees up, and it is advanced on the
-        *consumer's* thread — after the consumer has processed every
-        previously yielded result. This is what lets a scheduler make
-        submission decisions (skip a task, enrich its payload) from
-        state that earlier completions updated — the phase-2 merge
-        wavefront's reason for existing. The yielded index is the
-        payload's position in the stream (submission order).
         """
         raise NotImplementedError
 
@@ -143,7 +124,7 @@ class SerialExecutor(Executor):
     in_process = True
 
     def unordered(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
+        self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Tuple[int, Any]]:
         for index, payload in enumerate(payloads):
             self.submitted += 1
@@ -152,21 +133,11 @@ class SerialExecutor(Executor):
             self.completed += 1
             yield index, result
 
-    def unordered_stream(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Iterable[Any],
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, Any]]:
-        # Inline execution is already lazy and one-at-a-time, which is
-        # the strongest possible stream guarantee; ``window`` is moot.
-        return self.unordered(fn, payloads)
-
 
 class _PoolExecutor(Executor):
     """Shared future-driving logic for the concurrent.futures backends.
 
-    Both iteration methods recover from a dead worker: when a future
+    :meth:`unordered` recovers from a dead worker: when a future
     surfaces ``BrokenProcessPool``/``BrokenThreadPool`` (their common
     base is ``BrokenExecutor``), or ``submit`` raises it because a
     worker died before any of its futures was seen, the broken pool is
@@ -250,52 +221,13 @@ class _PoolExecutor(Executor):
         entries[future] = (index, payload)
 
     def unordered(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
+        self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Tuple[int, Any]]:
-        entries = {}
-        try:
-            for index, payload in enumerate(payloads):
-                self._submit(fn, entries, index, payload)
-            self.submitted += len(entries)
-            self.peak_in_flight = max(self.peak_in_flight, len(entries))
-            while entries:
-                done, _pending = wait(
-                    entries, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    index, payload = entries.pop(future)
-                    try:
-                        # .result() re-raises the worker's exception
-                        # as-is (the process backend reconstructs it by
-                        # pickle), preserving exception-transparency.
-                        result = future.result()
-                    except BrokenExecutor:
-                        if not self._restart(
-                            fn, entries, (index, payload)
-                        ):
-                            raise
-                        # Remaining done futures stay in ``entries``
-                        # and are re-drawn from the next wait().
-                        break
-                    self.completed += 1
-                    yield index, result
-        finally:
-            for future in entries:
-                future.cancel()
-
-    def unordered_stream(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Iterable[Any],
-        window: Optional[int] = None,
-    ) -> Iterator[Tuple[int, Any]]:
-        if window is None:
-            # Twice the worker count keeps every worker busy while the
-            # consumer processes a result, without racing far ahead of
-            # the in-order commit frontier (each in-flight task past
-            # the frontier is potential speculative waste).
-            window = 2 * self.jobs
-        window = max(1, window)
+        # Twice the worker count keeps every worker busy while the
+        # consumer processes a result, without racing far ahead of the
+        # consumer (each in-flight task past an in-order commit
+        # frontier is potential speculative waste).
+        window = 2 * self.jobs
         iterator = iter(payloads)
         entries = {}
         position = 0
@@ -330,6 +262,9 @@ class _PoolExecutor(Executor):
                 future = done.pop()
                 index, payload = entries.pop(future)
                 try:
+                    # .result() re-raises the worker's exception as-is
+                    # (the process backend reconstructs it by pickle),
+                    # preserving exception-transparency.
                     result = future.result()
                 except BrokenExecutor:
                     if not self._restart(fn, entries, (index, payload)):

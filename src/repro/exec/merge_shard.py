@@ -28,7 +28,7 @@ backends:
   (:func:`~repro.learning.oracle.prefetcher`).
 
 The division of labor with the pipeline: this module owns scheduling
-(lazy submission through ``unordered_stream``, the known-verdict
+(lazy submission through ``Executor.unordered``, the known-verdict
 table, completion buffering); the committer owns ordering, decisions
 and counted-cost accounting; the pipeline persists each commit.
 """
@@ -204,7 +204,6 @@ def run_merge_wavefront(
     oracle: Oracle,
     known: Optional[Dict[str, bool]] = None,
     dedup: bool = True,
-    window: Optional[int] = None,
     on_commit: Optional[Callable[..., None]] = None,
     registry: Optional[MetricsRegistry] = None,
     tracer: Any = None,
@@ -295,9 +294,7 @@ def run_merge_wavefront(
             yield pair_payload(pair, oracle, view, trace=trace)
 
     drain()
-    for _position, raw in executor.unordered_stream(
-        run_pair_task, payloads(), window=window
-    ):
+    for _position, raw in executor.unordered(run_pair_task, payloads()):
         outcome = decode_pair(raw)
         stats.invocations += outcome.invocations
         stats.table_hits += len(outcome.verdicts) - outcome.invocations

@@ -104,7 +104,7 @@ def test_phase2_merges_the_two_stars(full_result):
 
 
 def test_phase2_merge_checks_match_paper(full_result):
-    plan = plan_merges(stars_of(full_result.trees[0]))
+    plan = plan_merges(stars_of(full_result.trees()[0]))
     assert len(plan.pairs) == 1
     # The paper's §5.3 checks — hihi and <a><a>hi</a><a>hi</a></a> —
     # must be among the constructed checks (our merge adds the

@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.core.glade import GladeConfig, GladeResult, learn_grammar
+from repro.artifacts.run import RunArtifact
+from repro.core.glade import GladeConfig, learn_grammar
 from repro.languages.earley import recognize
 from repro.languages.sampler import GrammarSampler
 
@@ -27,9 +28,9 @@ def test_multi_seed_skip_optimization():
         ["ab", "abab", "ba"], lambda s: set(s) <= set("ab"), config
     )
     # "abab" is covered by the language learned from "ab".
-    assert "abab" in result.seeds_skipped
-    assert "ab" in result.seeds_used
-    assert "ba" in result.seeds_used or recognize(result.grammar, "ba")
+    assert "abab" in result.seeds_skipped()
+    assert "ab" in result.seeds_used()
+    assert "ba" in result.seeds_used() or recognize(result.grammar, "ba")
 
 
 def test_skip_optimization_can_be_disabled():
@@ -39,8 +40,8 @@ def test_skip_optimization_can_be_disabled():
     result = learn_grammar(
         ["ab", "abab"], lambda s: set(s) <= set("ab"), config
     )
-    assert result.seeds_skipped == []
-    assert len(result.seeds_used) == 2
+    assert result.seeds_skipped() == []
+    assert len(result.seeds_used()) == 2
 
 
 def test_all_seeds_in_final_language():
@@ -75,8 +76,8 @@ def test_statistics_populated():
     result = learn_grammar(["<a>hi</a>"], xml_like_oracle, config)
     assert result.oracle_queries > 0
     assert result.unique_queries <= result.oracle_queries
-    assert result.duration_seconds >= 0
-    assert isinstance(result, GladeResult)
+    assert result.duration_seconds() >= 0
+    assert isinstance(result, RunArtifact)
 
 
 def test_oracle_queries_count_cache_hits():

@@ -5,6 +5,8 @@ honest: each harness must run end-to-end and report the paper's shape
 (GLADE ≥ baselines where the paper says so).
 """
 
+import random
+
 import pytest
 
 from repro.evaluation.fig4 import (
@@ -23,6 +25,8 @@ from repro.evaluation.fig7 import (
     run_fig7c,
 )
 from repro.evaluation.fig8 import format_fig8, run_fig8
+from repro.evaluation.harness import stable_seed, subject_artifact
+from repro.fuzzing import GrammarFuzzer
 
 
 class TestFig4:
@@ -92,6 +96,18 @@ class TestFig7:
         for fuzzer in ["naive", "afl", "glade"]:
             samples = harness.generate(fuzzer, 40)
             assert len(samples) == 40
+
+    def test_glade_fuzzer_starts_from_every_retained_seed(self):
+        # grep keeps §6.1-skipped seeds besides its used ones; both lie
+        # in the learned language, and the suite's fuzzer starts from
+        # both, so Figure 7's must too.
+        artifact = subject_artifact("grep")
+        assert artifact.seeds_skipped()
+        expected = GrammarFuzzer.from_artifact(
+            artifact, random.Random(stable_seed("fig7", "glade", 0))
+        ).generate(30)
+        harness = SubjectHarness("grep", seed=0)
+        assert harness.generate("glade", 30) == expected
 
     @pytest.mark.slow
     def test_fig7a_subset(self):

@@ -178,7 +178,8 @@ def test_jobs_must_be_positive():
 
 
 class TestUnorderedStream:
-    """Lazy, windowed submission — the wavefront scheduler's substrate."""
+    """``unordered`` over a payload stream: lazy submission bounded at
+    ``2 * jobs`` in flight — the wavefront scheduler's substrate."""
 
     @pytest.mark.parametrize(
         "make", [SerialExecutor, lambda: ThreadExecutor(2),
@@ -188,7 +189,7 @@ class TestUnorderedStream:
     def test_stream_returns_every_result_with_its_index(self, make):
         with make() as executor:
             results = dict(
-                executor.unordered_stream(square, iter([3, 1, 4, 1, 5]))
+                executor.unordered(square, iter([3, 1, 4, 1, 5]))
             )
         assert results == {0: 9, 1: 1, 2: 16, 3: 1, 4: 25}
 
@@ -199,11 +200,11 @@ class TestUnorderedStream:
     def test_stream_exception_propagates_unwrapped(self, make):
         with make() as executor:
             with pytest.raises(ValueError, match="boom on 7"):
-                list(executor.unordered_stream(explode, iter([7])))
+                list(executor.unordered(explode, iter([7])))
 
     def test_window_bounds_in_flight_submissions(self):
-        # With window 2, at most 2 payloads may ever have been pulled
-        # beyond the number of results already yielded.
+        # One worker gives a window of 2: at most 2 payloads may ever
+        # have been pulled beyond the number of results already yielded.
         pulls = []
 
         def payloads():
@@ -211,14 +212,13 @@ class TestUnorderedStream:
                 pulls.append(value)
                 yield value
 
-        with ThreadExecutor(4) as executor:
+        with ThreadExecutor(1) as executor:
             seen = 0
-            for _index, _result in executor.unordered_stream(
-                square, payloads(), window=2
-            ):
+            for _index, _result in executor.unordered(square, payloads()):
                 assert len(pulls) <= seen + 2
                 seen += 1
         assert seen == 6
+        assert executor.peak_in_flight == 2
 
     def test_pulls_happen_on_consumer_thread_after_each_result(self):
         # The payload generator must observe state the consumer updated
@@ -228,36 +228,20 @@ class TestUnorderedStream:
         main_thread = threading.current_thread()
 
         def payloads():
-            for value in range(4):
+            for value in range(6):
                 assert threading.current_thread() is main_thread
                 yield (value, tuple(committed))
 
         def task(payload):
             return payload
 
-        with ThreadExecutor(2) as executor:
-            for _index, (value, snapshot) in executor.unordered_stream(
-                task, payloads(), window=1
+        with ThreadExecutor(1) as executor:
+            for _index, (value, snapshot) in executor.unordered(
+                task, payloads()
             ):
-                # window=1 serializes: payload k was generated after
-                # every earlier result was consumed and recorded.
-                assert len(snapshot) == value
+                # With a window of 2, payload k was generated after
+                # exactly k - 1 earlier results were consumed and
+                # recorded (payloads 0 and 1 fill the first window).
+                assert len(snapshot) == max(0, value - 1)
                 committed.append(value)
-
-    def test_serial_stream_is_lazy_and_in_order(self):
-        events = []
-
-        def payloads():
-            for value in range(3):
-                events.append(("pulled", value))
-                yield value
-
-        for index, result in SerialExecutor().unordered_stream(
-            square, payloads()
-        ):
-            events.append(("done", index, result))
-        assert events == [
-            ("pulled", 0), ("done", 0, 0),
-            ("pulled", 1), ("done", 1, 1),
-            ("pulled", 2), ("done", 2, 4),
-        ]
+        assert len(committed) == 6

@@ -117,7 +117,7 @@ class ReorderingExecutor(Executor):
     name = "reordering"
     jobs = 2
 
-    def unordered_stream(self, fn, payloads, window=None):
+    def unordered(self, fn, payloads):
         results = [(i, fn(p)) for i, p in enumerate(payloads)]
         return iter(list(reversed(results)))
 
@@ -180,7 +180,7 @@ class EagerInOrderExecutor(Executor):
     name = "eager"
     jobs = 2
 
-    def unordered_stream(self, fn, payloads, window=None):
+    def unordered(self, fn, payloads):
         return iter([(i, fn(p)) for i, p in enumerate(payloads)])
 
 

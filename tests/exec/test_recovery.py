@@ -54,13 +54,13 @@ class TestProcessRecovery:
         assert executor.tasks_resubmitted >= 1
         assert os.path.exists(marker)
 
-    def test_unordered_stream_survives_one_worker_death(self, tmp_path):
+    def test_unordered_survives_one_worker_death_on_a_generator(
+        self, tmp_path
+    ):
         marker = str(tmp_path / "kill-once")
         payloads = ((i, marker if i == 1 else None) for i in range(5))
         with ProcessExecutor(2) as executor:
-            results = dict(
-                executor.unordered_stream(die_once, payloads, window=2)
-            )
+            results = dict(executor.unordered(die_once, payloads))
         assert results == {i: i * i for i in range(5)}
         assert executor.pool_restarts == 1
 
@@ -146,16 +146,11 @@ class _BreaksAtSubmit(ThreadExecutor):
 class TestSubmitTimeBreakage:
     def test_breakage_at_submit_restarts_the_pool(self):
         # No worker dies here and nothing depends on timing: the pool
-        # refuses the fourth submit, which both iteration methods must
-        # route through a restart instead of raising to the caller.
+        # refuses the fourth submit, inside the first window of 2 * 2,
+        # which must route through a restart instead of raising to the
+        # caller.
         payloads = list(range(6))
         expected = {i: i * i for i in payloads}
         with _BreaksAtSubmit(2, ok=3) as executor:
             assert dict(executor.unordered(square, payloads)) == expected
-        assert executor.pool_restarts == 1
-        with _BreaksAtSubmit(2, ok=3) as executor:
-            stream = executor.unordered_stream(
-                square, iter(payloads), window=2
-            )
-            assert dict(stream) == expected
         assert executor.pool_restarts == 1
