@@ -81,28 +81,27 @@ def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
         oracle = LatencyOracle(latency)
         plan = plan_merges(stars)
         started = time.perf_counter()
+        # Every row commits through the pipeline's counting/caching
+        # stack, which counts the pairs.
+        cached = CachingOracle(oracle)
+        counting = CountingOracle(cached)
+        committer = MergeCommitter(plan)
         if jobs == 1:
-            # The pipeline's serial path: inline evaluation through the
-            # counting/caching stack, full short-circuit economy.
-            cached = CachingOracle(oracle)
-            counting = CountingOracle(cached)
-            committer = MergeCommitter(plan)
+            # The pipeline's one-worker path: inline evaluation, full
+            # short-circuit economy.
             while not committer.done:
                 committer.commit_serial(counting)
-            result = committer.finish(grammar)
-            counted = counting.queries
             invocations = cached.unique_queries
             speculative = 0
         else:
-            committer = MergeCommitter(plan)
             with make_executor(backend, jobs, oracle) as executor:
                 stats = run_merge_wavefront(
-                    executor, plan, committer, oracle
+                    executor, plan, committer, oracle, counting, cached
                 )
-            result = committer.finish(grammar)
-            counted = stats.counted_queries
             invocations = stats.invocations
             speculative = stats.speculative_queries
+        result = committer.finish(grammar)
+        counted = counting.queries
         elapsed = time.perf_counter() - started
         rows.append(
             {
@@ -135,14 +134,17 @@ def run_planner_ablation(latency: float = DEFAULT_LATENCY,
         oracle = LatencyOracle(latency)
         plan = plan_merges(stars)
         committer = MergeCommitter(plan)
+        cached = CachingOracle(oracle)
+        counting = CountingOracle(cached)
         with make_executor(backend, jobs, oracle) as executor:
             stats = run_merge_wavefront(
-                executor, plan, committer, oracle, dedup=dedup
+                executor, plan, committer, oracle, counting, cached,
+                dedup=dedup,
             )
         out["planner" if dedup else "naive"] = {
             "invocations": stats.invocations,
             "table_hits": stats.table_hits,
-            "counted_queries": stats.counted_queries,
+            "counted_queries": counting.queries,
             "grammar": str(committer.finish(grammar).grammar),
         }
     return out

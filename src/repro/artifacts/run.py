@@ -91,11 +91,12 @@ class RunArtifact:
     phase2_result: Optional[Phase2Result] = None
     oracle_queries: int = 0
     unique_queries: int = 0
-    #: Oracle queries spent on speculative phase-1 work that the §6.1
-    #: covered-seed filter later discarded (parallel runs learn every
-    #: validated seed concurrently; a sequential run would have skipped
-    #: covered ones). Excluded from ``oracle_queries`` so reported
-    #: metrics match a serial run exactly.
+    #: Oracle queries spent on speculative work that was discarded:
+    #: seeds the §6.1 covered-seed filter dropped after a parallel run
+    #: learned them ahead of a covering predecessor, and phase-2 pairs
+    #: a worker evaluated that were transitively equated by their turn.
+    #: Excluded from ``oracle_queries`` so reported metrics match a
+    #: serial run exactly.
     speculative_queries: int = 0
     #: Resolved execution backend + worker count of the (last) phase-1
     #: run, e.g. ``{"backend": "process", "jobs": 4}``.

@@ -69,10 +69,12 @@ class GladeConfig:
     mixed_merge_checks: bool = True
     #: Worker count for seed-sharded phase 1 and pair-sharded phase 2
     #: (see :mod:`repro.exec`). Learned grammars and counted query
-    #: totals are identical at any worker count; jobs > 1 trades
-    #: speculative oracle work (seeds the §6.1 skip would have avoided,
-    #: merge pairs the transitive skip would have avoided — both
-    #: evaluated anyway and discarded) for wall-clock.
+    #: totals are identical at any worker count: both phases settle
+    #: and commit in order on the run's counting stack. jobs > 1
+    #: trades speculative oracle work (a seed submitted while a
+    #: predecessor that covers it was still in flight, merge pairs the
+    #: transitive skip would have avoided — evaluated anyway and
+    #: discarded) for wall-clock.
     jobs: int = 1
     #: Execution backend: "auto", "serial", "thread", or "process".
     #: "auto" picks serial for one job, else process when the oracle is

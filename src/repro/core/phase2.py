@@ -35,13 +35,14 @@ serially or sharded across workers with identical results:
   star's residuals exactly once (they used to be re-sampled for every
   partner) and materializes every pair's check strings up front, in the
   deterministic merge order.
-- :class:`MergeCommitter` applies pair verdicts strictly in plan order
-  (the *wavefront*). A pair whose stars are already transitively
-  equated at commit time is discarded exactly like the serial loop's
-  ``uf.find`` skip — however its checks were evaluated, and on whatever
-  worker. Because commits are in-order and check verdicts are
-  deterministic, the merge outcome — and the counted query cost — is
-  identical at any worker count.
+- :class:`MergeCommitter` commits pairs strictly in plan order (the
+  *wavefront*), each through :meth:`~MergeCommitter.commit_serial` on
+  the run's counting/caching oracle stack. A pair whose stars are
+  already transitively equated at commit time is skipped without a
+  query, exactly like the serial loop's ``uf.find`` skip. Workers only
+  evaluate pairs ahead of the commits and pre-fill the cache, so the
+  merge outcome — and the counted query cost — is identical at any
+  worker count.
 
 The committer's per-pair decisions (``merged`` / ``rejected`` /
 ``skipped``) double as the phase's checkpoint format: replaying them
@@ -62,7 +63,7 @@ from repro.core.translate import star_nonterminal
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar, Nonterminal
 from repro.languages.sampler import sample_regex
-from repro.learning.oracle import Oracle, prefetcher, text_digest
+from repro.learning.oracle import Oracle
 
 #: Committed-pair decision codes (artifact schema v3 stores these).
 PAIR_MERGED = "merged"
@@ -253,30 +254,19 @@ class MergePair:
 class MergePlan:
     """The oracle-free plan for one phase-2 run.
 
-    ``ids`` is the deterministic merge order (sorted star ids),
-    ``residuals`` each star's residual samples — computed exactly once
-    per star — and ``pairs`` every unordered candidate pair with its
-    check strings materialized. The plan is a pure function of the
-    stars, so a resumed run rebuilds the identical plan and can replay
-    committed decisions against it.
+    ``ids`` is the deterministic merge order (sorted star ids) and
+    ``pairs`` every unordered candidate pair with its check strings
+    materialized. The plan is a pure function of the stars, so a
+    resumed run rebuilds the identical plan and can replay committed
+    decisions against it.
     """
 
     ids: List[int]
     pairs: List[MergePair]
-    residuals: Dict[int, List[str]]
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
-
-    def distinct_checks(self) -> int:
-        """Distinct check strings across all pairs (the dedup headroom:
-        ``sum(len(p.checks))`` minus this is what a per-pair evaluator
-        would re-query)."""
-        distinct = set()
-        for pair in self.pairs:
-            distinct.update(pair.checks)
-        return len(distinct)
 
 
 def plan_merges(
@@ -317,24 +307,20 @@ def plan_merges(
                     ),
                 )
             )
-    return MergePlan(ids=ids, pairs=pairs, residuals=residuals)
+    return MergePlan(ids=ids, pairs=pairs)
 
 
 @dataclass
 class CommitEvent:
     """What committing one pair did, for accounting and checkpoints.
 
-    ``queries``/``digests`` are the pair's *counted* cost under the
-    serial accounting rules (only set on the parallel path — the serial
-    path counts through the oracle stack itself); ``discarded`` is the
-    speculative cost of an evaluated pair the wavefront skipped at
-    commit time.
+    ``discarded`` is the speculative cost of a pair a worker evaluated
+    but the wavefront skipped: its verdict count, which a serial run
+    never spends.
     """
 
     pair: MergePair
     decision: str
-    queries: int = 0
-    digests: Tuple[int, ...] = ()
     discarded: int = 0
 
     @property
@@ -343,19 +329,18 @@ class CommitEvent:
 
 
 class MergeCommitter:
-    """Apply pair verdicts strictly in plan order (the wavefront).
+    """Commit pairs strictly in plan order (the wavefront).
 
-    The committer owns the union-find and the decision log. Verdicts
-    may be produced out of order by parallel workers; callers commit
-    them in plan order via :meth:`commit_outcome` (or
-    :meth:`commit_serial`, which evaluates inline through an oracle
-    stack). A pair already transitively equated when its turn comes is
-    committed as ``skipped`` — evaluated or not — which is exactly the
-    serial loop's ``uf.find`` skip, so the merge outcome is independent
-    of how (and how speculatively) checks were evaluated.
+    The committer owns the union-find and the decision log, and
+    :meth:`commit_serial` is the one way a pair commits. A pair already
+    transitively equated when its turn comes is committed as
+    ``skipped`` without a query — the serial loop's ``uf.find`` skip.
+    Any other pair asks its checks in order through the oracle stack,
+    which counts and caches them, up to the first rejection. Workers
+    that evaluated the pair ahead of time only pre-fill the stack's
+    cache, so the merge outcome and the counted cost are independent of
+    how (and how speculatively) checks were evaluated.
 
-    A pair's counted cost has one rule: its checks are asked in order up
-    to the first rejection, and that prefix is what counts.
     ``decisions`` is the durable progress record; :meth:`replay`
     restores a committer from it without re-issuing a single query.
     """
@@ -380,10 +365,6 @@ class MergeCommitter:
 
     def next_pair(self) -> MergePair:
         return self.plan.pairs[self.committed]
-
-    def next_is_skip(self) -> bool:
-        pair = self.next_pair()
-        return self.equated(pair.star_i, pair.star_j)
 
     def _apply(self, pair: MergePair, decision: str) -> None:
         if decision == PAIR_MERGED:
@@ -410,58 +391,23 @@ class MergeCommitter:
                 )
             self._apply(self.next_pair(), decision)
 
-    def commit_skip(self) -> CommitEvent:
-        """Commit the next pair as transitively-equated (no queries)."""
-        pair = self.next_pair()
-        self._apply(pair, PAIR_SKIPPED)
-        return CommitEvent(pair=pair, decision=PAIR_SKIPPED)
-
     def commit_serial(self, oracle: Oracle) -> CommitEvent:
-        """Evaluate and commit the next pair inline through ``oracle``.
+        """Commit the next pair, asking its checks through ``oracle``.
 
-        This is the historical serial loop, one pair at a time: skipped
-        pairs cost nothing, evaluated pairs ask their checks through the
-        oracle stack (which does its own counting/caching) up to the
-        first rejection, after hinting them all as a prefetch.
+        Skipped pairs cost nothing; evaluated pairs ask their checks in
+        order through the oracle stack (which does its own counting and
+        caching) up to the first rejection. Callers hint the checks to
+        a prefetching stack beforehand, if they want them run ahead.
         """
         pair = self.next_pair()
         if self.equated(pair.star_i, pair.star_j):
-            self._apply(pair, PAIR_SKIPPED)
-            return CommitEvent(pair=pair, decision=PAIR_SKIPPED)
-        prefetch = prefetcher(oracle)
-        if prefetch is not None:
-            prefetch(pair.checks)
-        merged = all(oracle(check) for check in pair.checks)
-        decision = PAIR_MERGED if merged else PAIR_REJECTED
+            decision = PAIR_SKIPPED
+        elif all(oracle(check) for check in pair.checks):
+            decision = PAIR_MERGED
+        else:
+            decision = PAIR_REJECTED
         self._apply(pair, decision)
         return CommitEvent(pair=pair, decision=decision)
-
-    def commit_outcome(self, verdicts: Sequence[bool]) -> CommitEvent:
-        """Commit the next pair from worker-evaluated check verdicts.
-
-        ``verdicts`` parallels the pair's checks, truncated at the
-        first rejection — its length is therefore the pair's counted
-        query cost, and the matching check prefix its counted distinct
-        strings. If the pair turned out transitively equated, the whole
-        cost is discarded to the speculative bucket instead (a serial
-        run never evaluates such pairs).
-        """
-        pair = self.next_pair()
-        counted = len(verdicts)
-        if self.equated(pair.star_i, pair.star_j):
-            self._apply(pair, PAIR_SKIPPED)
-            return CommitEvent(
-                pair=pair, decision=PAIR_SKIPPED, discarded=counted
-            )
-        merged = counted == len(pair.checks) and all(verdicts)
-        decision = PAIR_MERGED if merged else PAIR_REJECTED
-        self._apply(pair, decision)
-        return CommitEvent(
-            pair=pair,
-            decision=decision,
-            queries=counted,
-            digests=tuple(text_digest(c) for c in pair.checks[:counted]),
-        )
 
     def finish(self, grammar: Grammar) -> Phase2Result:
         """Equate merged nonterminals and wrap up the phase."""

@@ -7,28 +7,31 @@ plus the §6 extensions) into named stages:
              ──► translate (§5.1) ──► phase2 (§5 merging) ──► finalize
 
 Phase one is *seed-sharded* (:mod:`repro.exec`): every seed's work is a
-self-contained task — fresh membership session, its own query counters,
-the seed's disjoint star-id block — executed on a pluggable backend
-(``GladeConfig.jobs`` / ``backend``). Results merge deterministically in
-seed order regardless of completion order, so the learned grammar is
-byte-identical at any worker count. The §6.1 covered-seed rule is
-applied as an in-order decision: the serial backend skips covered seeds
-before spending any oracle queries on them (the paper's optimization),
-while parallel backends learn every validated seed concurrently and let
-the same rule discard covered results afterwards — the discarded
+self-contained task — its own query counters, the seed's disjoint
+star-id block — executed on a pluggable backend (``GladeConfig.jobs``
+/ ``backend``). Results settle in seed order regardless of completion
+order, so the learned grammar is byte-identical at any worker count.
+The §6.1 covered-seed rule runs in one in-order loop on every backend:
+a seed whose predecessors have all settled is skipped before any
+oracle query is spent on it if a kept seed's language covers it (the
+paper's optimization). With several workers a seed may be submitted
+while a predecessor is still in flight; if that predecessor then
+covers it, the same rule discards its result, and the discarded
 speculative queries are excluded from ``oracle_queries`` (and reported
 as ``speculative_queries``), which keeps counted metrics identical to a
-serial run.
+serial run. The serial backend never speculates.
 
 Phase two is *pair-sharded* on the same backends
 (:mod:`repro.exec.merge_shard`): merge-candidate pairs are planned up
 front (:func:`repro.core.phase2.plan_merges` samples each star's
-residuals once and dedupes check strings across pairs through a shared
-verdict table), evaluated speculatively on workers, and committed
-strictly in plan order — a pair transitively equated by the time it
-commits is discarded exactly like the serial loop's skip, with its
-cost routed to ``speculative_queries``. The same wavefront rule makes
-phase 2's grammar and counted metrics independent of the job count.
+residuals once), and every pair commits strictly in plan order through
+:meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the run's
+counting/caching stack, which counts it. With several workers, pairs
+are evaluated ahead of the commits behind a cross-pair verdict table;
+a pair transitively equated by the time it commits is skipped exactly
+like the serial loop's skip, with its speculative cost routed to
+``speculative_queries``. So phase 2's grammar and counted metrics are
+independent of the job count.
 
 After every completed stage — after *every seed* inside phase one, and
 after *every evaluated pair* inside phase two — the pipeline writes
@@ -88,6 +91,7 @@ from repro.learning.oracle import (
     CountingOracle,
     Oracle,
     TracingOracle,
+    prefetcher,
 )
 from repro.learning.resilience import OracleFailedError, add_fault_counters
 from repro.obs.export import build_telemetry
@@ -284,8 +288,7 @@ class LearningPipeline:
                     if config.enable_phase2:
                         self._run_phase2(
                             artifact, config, trees, cached, counting,
-                            state, checkpoint, registry, tracer,
-                            stage_span.id,
+                            checkpoint, registry, tracer, stage_span.id,
                         )
                     artifact.stage = "phase2"
                     checkpoint()
@@ -349,23 +352,19 @@ class LearningPipeline:
         if merged:
             artifact.execution["faults"] = merged
         exec_counters = counters_with_prefix(snapshot, "exec.")
-        restarts = sum(
-            value - exec_baseline.get(name, 0)
-            for name, value in exec_counters.items()
-            if name.endswith(".pool_restarts")
-        )
-        resubmitted = sum(
-            value - exec_baseline.get(name, 0)
-            for name, value in exec_counters.items()
-            if name.endswith(".tasks_resubmitted")
-        )
-        recovery = dict(artifact.execution.get("recovery") or {})
-        if restarts or resubmitted or recovery:
+        deltas = {
+            key: sum(
+                value - exec_baseline.get(name, 0)
+                for name, value in exec_counters.items()
+                if name.endswith("." + key)
+            )
+            for key in ("pool_restarts", "tasks_resubmitted")
+        }
+        recovery = artifact.execution.get("recovery") or {}
+        if any(deltas.values()) or recovery:
             artifact.execution["recovery"] = {
-                "pool_restarts": recovery.get("pool_restarts", 0)
-                + restarts,
-                "tasks_resubmitted": recovery.get("tasks_resubmitted", 0)
-                + resubmitted,
+                key: recovery.get(key, 0) + delta
+                for key, delta in deltas.items()
             }
 
     # -- phase 1: seed-sharded execution ----------------------------------
@@ -381,8 +380,19 @@ class LearningPipeline:
         tracer,
         stage_span_id,
     ) -> None:
-        """Learn every validated seed on the configured backend, then
-        settle final seed states in seed order (the §6.1 rule)."""
+        """Learn every validated seed on the configured backend, settling
+        seed states in seed order (the §6.1 rule) as results arrive.
+
+        One loop serves every backend. Before the payload generator
+        yields seed *i*, it settles every seed it can, in order: a USED
+        seed re-enters the session, a LEARNED one is kept or discarded
+        by the covered-seed rule. If every seed before *i* is settled, a
+        covered *i* is skipped without a query; otherwise *i* is
+        submitted, speculatively if a predecessor is still in flight.
+        ``Executor.unordered`` pulls the next payload only after the
+        consumer has handled every earlier result, so the serial
+        executor settles every predecessor first and never speculates.
+        """
         executor = make_executor(
             config.backend, max(1, config.jobs), self.oracle
         )
@@ -400,124 +410,75 @@ class LearningPipeline:
         # Parent-side session: tracks kept (USED) languages for the
         # §6.1 covered-seed test. Oracle-free.
         session = MembershipSession()
+        # With one worker nothing runs speculatively, so tasks share the
+        # parent's cache (one memo across seeds, every query counted)
+        # and its session (one NFA fragment cache). With several, each
+        # task builds its own stack over the base oracle.
+        shared = executor.jobs == 1
+        seeds = artifact.seeds
+        frontier = 0  # every seed before it is settled
+        # Seeds found uncovered when submitted with every predecessor
+        # settled: nothing is kept between then and their settling.
+        uncovered = set()
 
-        def absorb_outcome(outcome: SeedResult) -> None:
-            state.absorb(artifact, outcome)
-            # Worker telemetry merges in task order: metrics counters
-            # into the registry, spans under the seed's shard.
-            registry.merge(outcome.telemetry.get("metrics"))
-            if tracer.enabled:
-                tracer.absorb(
-                    "seed:{}".format(outcome.index),
-                    outcome.telemetry.get("spans", ()),
-                    parent=stage_span_id,
+        def settle() -> None:
+            nonlocal frontier
+            while frontier < len(seeds):
+                record = seeds[frontier]
+                if record.state == SEED_LEARNED:
+                    if (
+                        config.skip_covered_seeds
+                        and frontier not in uncovered
+                        and session.covers(record.text)
+                    ):
+                        state.discard(artifact, frontier)
+                        record.state = SEED_SKIPPED
+                        # The discarded speculation's spans go with it:
+                        # a serial run never did this work, and the
+                        # trace structure must match the serial run's.
+                        tracer.discard_shard("seed:{}".format(frontier))
+                    else:
+                        record.state = SEED_USED
+                if record.state == SEED_USED:
+                    session.remember(state.result_of(artifact, frontier))
+                elif record.state != SEED_SKIPPED:
+                    return  # in flight, or not yet submitted
+                frontier += 1
+
+        def payloads() -> Iterator[Dict[str, Any]]:
+            for index, record in enumerate(seeds):
+                settle()
+                if record.state != SEED_VALIDATED:
+                    continue
+                if frontier == index and config.skip_covered_seeds:
+                    if session.covers(record.text):
+                        record.state = SEED_SKIPPED
+                        checkpoint()
+                        continue
+                    uncovered.add(index)
+                yield seed_payload(
+                    index, record.text, config,
+                    cached if shared else self.oracle,
+                    session=session if shared else None,
                 )
 
         with executor:
-            if executor.name == "serial":
-                # In-order: covered seeds are skipped *before* any
-                # oracle query is spent on them, exactly as the
-                # sequential algorithm does. Tasks route through the
-                # parent's caching layer (one cache across seeds) and
-                # share the parent session (one NFA fragment cache).
-                payloads = self._settle_seeds(
-                    artifact, config, session, state, checkpoint,
-                    oracle=cached, emit_pending=True,
-                    task_session=session, tracer=tracer,
-                )
-                for outcome in run_pending(executor, payloads):
-                    absorb_outcome(outcome)
-                    self._keep(artifact, outcome.index, session)
-                    checkpoint()
-            else:
-                # Parallel: learn every validated seed speculatively,
-                # checkpointing each as soon as it finishes (completion
-                # order), then settle states in seed order.
-                payloads = [
-                    seed_payload(index, record.text, config, self.oracle)
-                    for index, record in enumerate(artifact.seeds)
-                    if record.state == SEED_VALIDATED
-                ]
-                for outcome in run_pending(executor, payloads):
-                    absorb_outcome(outcome)
-                    artifact.seeds[outcome.index].state = SEED_LEARNED
-                    checkpoint()
-                for _ in self._settle_seeds(
-                    artifact, config, session, state, checkpoint,
-                    oracle=None, emit_pending=False, tracer=tracer,
-                ):
-                    raise AssertionError(
-                        "validated seed left after parallel learning"
+            for outcome in run_pending(executor, payloads()):
+                state.absorb(artifact, outcome)
+                # Worker telemetry merges in arrival order: metrics
+                # counters into the registry, spans under the seed's
+                # shard.
+                registry.merge(outcome.telemetry.get("metrics"))
+                if tracer.enabled:
+                    tracer.absorb(
+                        "seed:{}".format(outcome.index),
+                        outcome.telemetry.get("spans", ()),
+                        parent=stage_span_id,
                     )
-        registry.add("exec.phase1.submitted", executor.submitted)
-        registry.add("exec.phase1.completed", executor.completed)
-        registry.add("exec.phase1.pool_restarts", executor.pool_restarts)
-        registry.add(
-            "exec.phase1.tasks_resubmitted", executor.tasks_resubmitted
-        )
-        registry.observe("exec.phase1.peak_in_flight", executor.peak_in_flight)
-
-    def _settle_seeds(
-        self,
-        artifact: RunArtifact,
-        config: GladeConfig,
-        session: MembershipSession,
-        state: "_RunAccounting",
-        checkpoint,
-        oracle,
-        emit_pending: bool,
-        task_session: Optional[MembershipSession] = None,
-        tracer=NULL_TRACER,
-    ) -> Iterator[Dict[str, Any]]:
-        """Walk seeds in order, settling states and yielding payloads.
-
-        The single place the §6.1 covered-seed rule runs: USED seeds
-        re-enter the session, LEARNED (speculative) results are kept or
-        discarded against the kept languages so far, and — with
-        ``emit_pending`` — VALIDATED seeds are either skipped (covered)
-        or yielded as task payloads for the serial executor. Yielding
-        is lazy, so by the time seed *i*'s payload is requested, every
-        earlier seed has been settled and remembered.
-        """
-        for index, record in enumerate(artifact.seeds):
-            if record.state == SEED_SKIPPED:
-                continue
-            if record.state == SEED_USED:
-                session.remember(state.result_of(artifact, index))
-                continue
-            if record.state == SEED_LEARNED:
-                if config.skip_covered_seeds and session.covers(record.text):
-                    state.discard(artifact, index)
-                    record.state = SEED_SKIPPED
-                    # The discarded speculation's spans go with it: a
-                    # serial run never did this work, and the trace
-                    # structure must match the serial run's.
-                    tracer.discard_shard("seed:{}".format(index))
-                else:
-                    self._keep(artifact, index, session)
+                seeds[outcome.index].state = SEED_LEARNED
+                settle()
                 checkpoint()
-                continue
-            if record.state != SEED_VALIDATED:
-                continue
-            if not emit_pending:
-                yield seed_payload(index, record.text, config, oracle)
-                continue
-            if config.skip_covered_seeds and session.covers(record.text):
-                record.state = SEED_SKIPPED
-                checkpoint()
-                continue
-            yield seed_payload(
-                index, record.text, config, oracle,
-                session=task_session,
-                shared_cache=task_session is not None,
-            )
-
-    def _keep(
-        self, artifact: RunArtifact, index: int, session: MembershipSession
-    ) -> None:
-        artifact.seeds[index].state = SEED_USED
-        regex = _RunAccounting.result_of(artifact, index)
-        session.remember(regex)
+        _record_executor(registry, "phase1", executor)
 
     # -- phase 2: pair-sharded wavefront execution -------------------------
 
@@ -528,7 +489,6 @@ class LearningPipeline:
         trees,
         cached: CachingOracle,
         counting: CountingOracle,
-        state: "_RunAccounting",
         checkpoint,
         registry: MetricsRegistry,
         tracer,
@@ -540,14 +500,15 @@ class LearningPipeline:
         The plan — residuals, pair order, check strings — is a pure
         function of the learned trees, so a resumed run rebuilds it
         identically and replays the artifact's committed decisions to
-        restore the union-find without a single query. The serial path
-        evaluates each pair inline through the parent oracle stack
-        (counting and caching exactly as the historical loop did); the
-        parallel path evaluates pairs speculatively on workers behind
-        the cross-pair query planner and accounts committed pairs'
-        counted cost analytically, so ``oracle_queries`` /
-        ``unique_queries`` equal a serial run's at any job count while
-        discarded speculation lands in ``speculative_queries``.
+        restore the union-find without a single query. Every pair
+        commits through
+        :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
+        parent's counting/caching stack, so ``oracle_queries`` /
+        ``unique_queries`` are counted in one place on every backend.
+        With one worker, pairs are evaluated inline as they commit;
+        with several, workers evaluate pairs ahead of the commits
+        behind the cross-pair query planner, and discarded speculation
+        lands in ``speculative_queries``.
         """
         stars = [star for tree in trees for star in stars_of(tree)]
         plan = plan_merges(
@@ -568,82 +529,83 @@ class LearningPipeline:
             "pairs": plan.n_pairs,
             "decisions": committer.decisions,
         }
+
+        def on_commit(event) -> None:
+            artifact.speculative_queries += event.discarded
+            if event.evaluated or event.discarded:
+                checkpoint()
+
         with executor:
-            if executor.name == "serial":
+            if executor.jobs == 1:
+                # Nothing to run ahead: commit inline, after hinting an
+                # evaluated pair's checks to a prefetching stack.
+                prefetch = prefetcher(counting)
                 while not committer.done:
-                    index = committer.committed
-                    pair_shard = "pair:{}".format(index)
+                    pair = committer.next_pair()
+                    pair_shard = "pair:{}".format(pair.index)
                     with tracer.span(
                         "pair", cat="phase2", shard=pair_shard,
-                        args={"index": index},
+                        args={"index": pair.index},
                     ):
+                        if prefetch is not None and not committer.equated(
+                            pair.star_i, pair.star_j
+                        ):
+                            prefetch(pair.checks)
                         event = committer.commit_serial(counting)
-                    if event.evaluated:
-                        checkpoint()
-                    else:
-                        # Skipped for free — a traced serial run keeps
-                        # pair shards only for evaluated pairs, the
-                        # same rule the wavefront applies.
+                    if not event.evaluated:
+                        # Skipped for free — a traced run keeps pair
+                        # shards only for evaluated pairs, the same
+                        # rule the wavefront applies.
                         tracer.discard_shard(pair_shard)
+                    on_commit(event)
             else:
-
-                def on_commit(event) -> None:
-                    if event.discarded:
-                        artifact.speculative_queries += event.discarded
-                    if event.queries:
-                        state.add_counted(event.queries, event.digests)
-                    if event.queries or event.discarded:
-                        checkpoint()
-
                 run_merge_wavefront(
                     executor,
                     plan,
                     committer,
                     self.oracle,
-                    known=cached.known_results(),
+                    counting,
+                    cached,
                     on_commit=on_commit,
                     registry=registry,
                     tracer=tracer,
                     span_parent=stage_span_id,
                 )
-                registry.add("exec.phase2.submitted", executor.submitted)
-                registry.add("exec.phase2.completed", executor.completed)
-                registry.add(
-                    "exec.phase2.pool_restarts", executor.pool_restarts
-                )
-                registry.add(
-                    "exec.phase2.tasks_resubmitted",
-                    executor.tasks_resubmitted,
-                )
-                registry.observe(
-                    "exec.phase2.peak_in_flight", executor.peak_in_flight
-                )
+                _record_executor(registry, "phase2", executor)
         artifact.phase2_result = committer.finish(artifact.grammar)
         artifact.grammar = artifact.phase2_result.grammar
 
 
+def _record_executor(registry: MetricsRegistry, phase: str, executor) -> None:
+    """Record one phase's executor counters under ``exec.<phase>.``."""
+    prefix = "exec.{}.".format(phase)
+    registry.add(prefix + "submitted", executor.submitted)
+    registry.add(prefix + "completed", executor.completed)
+    registry.add(prefix + "pool_restarts", executor.pool_restarts)
+    registry.add(prefix + "tasks_resubmitted", executor.tasks_resubmitted)
+    registry.observe(prefix + "peak_in_flight", executor.peak_in_flight)
+
+
 class _RunAccounting:
-    """Bookkeeping for sharded work done outside the parent oracle stack.
+    """Bookkeeping for phase-1 work done outside the parent oracle stack.
 
-    Tracks, per seed completed *this process*, the phase-1 task's query
-    count and its digest set — plus the counted cost of phase-2 pairs
-    committed from worker verdicts — so the artifact's totals can (a)
-    exclude speculative work the in-order filters discard and (b) count
+    Tracks, per seed completed *this process*, the seed task's query
+    count and its digest set, so the artifact's totals can (a) exclude
+    speculative work the covered-seed rule discards and (b) count
     distinct strings globally across shards (union of per-shard digest
-    sets plus the parent oracle's own).
+    sets plus the parent oracle's own). Phase 2 counts through the
+    parent stack itself.
 
-    The union of shard digests and counted phase-2 digests is kept
-    incrementally: :meth:`absorb` and :meth:`add_counted` add to it,
-    and only :meth:`discard` rebuilds it (at most once per seed), so
-    :meth:`unique` at a checkpoint costs O(the smaller of that union
-    and the parent's digest set) — O(1) on the serial path, where
+    The union of shard digests is kept incrementally: :meth:`absorb`
+    adds to it, and only :meth:`discard` rebuilds it (at most once per
+    seed), so :meth:`unique` at a checkpoint costs O(the smaller of that
+    union and the parent's digest set) — O(1) with one worker, where
     every query goes through the parent's cache.
     """
 
     def __init__(self):
         self.queries_delta = 0
         self._digests: Dict[int, FrozenSet[int]] = {}
-        self._counted_digests: set = set()
         self._union: set = set()
 
     def absorb(self, artifact: RunArtifact, outcome: SeedResult) -> None:
@@ -670,25 +632,12 @@ class _RunAccounting:
         record.queries = 0
         if self._digests.pop(index, None) is not None:
             # Other shards may share its strings: rebuild the union.
-            self._union = set(self._counted_digests)
+            self._union = set()
             for digests in self._digests.values():
                 self._union.update(digests)
         artifact.phase1_results = [
             r for r in artifact.phase1_results if r.seed_index != index
         ]
-
-    def add_counted(self, queries: int, digests: Sequence[int]) -> None:
-        """Absorb a committed phase-2 pair's counted cost.
-
-        Worker-evaluated pairs never touch the parent oracle stack, so
-        their serial-equivalent cost — derived by the committer from
-        the pair's verdicts — is added here: ``queries`` to the counted
-        total, ``digests`` (the counted check prefix) to the distinct
-        -string union. Discarded speculation never reaches this method.
-        """
-        self.queries_delta += queries
-        self._counted_digests.update(digests)
-        self._union.update(digests)
 
     def unique(self, parent_digests: AbstractSet[int]) -> int:
         """Distinct strings queried this process, across all shards:

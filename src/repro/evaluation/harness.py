@@ -480,39 +480,30 @@ def run_suite(
     #: includes serialization/dispatch overhead the artifact's own
     #: stage timings don't see. Provenance only, never compared.
     worker_seconds: Dict[str, float] = {}
-    worker_jobs = min(max(1, jobs), max(1, len(pending)))
     if pending:
-        if worker_jobs > 1:
-            payloads = [
-                subject_payload(name, config)
-                for name, _subject, config in pending
+        worker_jobs = min(jobs, len(pending))
+        if worker_jobs == 1 and jobs > 1:
+            # One uncached subject: spend the jobs inside its pipeline
+            # (seed/pair sharding) instead. Same grammar and counted
+            # queries by the exec-subsystem determinism guarantee.
+            pending = [
+                (name, subject, replace(config, jobs=jobs, backend=backend))
+                for name, subject, config in pending
             ]
-            by_name = {name: subject for name, subject, _cfg in pending}
-            configs = {name: config for name, _subject, config in pending}
-            with make_executor(backend, worker_jobs) as executor:
-                executor_name = executor.name
-                for result in run_subjects(executor, payloads):
-                    cache.absorb(
-                        by_name[result.name],
-                        configs[result.name],
-                        result.artifact,
-                    )
-                    artifacts[result.name] = result.artifact
-                    worker_seconds[result.name] = result.seconds
-                    registry.merge(result.telemetry.get("metrics"))
-        else:
-            for name, subject, config in pending:
-                if jobs > 1:
-                    # One uncached subject: spend the jobs inside the
-                    # pipeline (seed/pair sharding) instead. Same
-                    # grammar and counted queries by the exec-subsystem
-                    # determinism guarantee.
-                    config = replace(config, jobs=jobs, backend=backend)
-                with registry.timer("subject.seconds") as timer:
-                    artifact = learn_subject(subject, config)
-                worker_seconds[name] = timer.seconds
-                cache.absorb(subject, config, artifact)
-                artifacts[name] = artifact
+        payloads = [
+            subject_payload(name, config) for name, _subject, config in pending
+        ]
+        by_name = {
+            name: (subject, config) for name, subject, config in pending
+        }
+        with make_executor(backend, worker_jobs) as executor:
+            executor_name = executor.name
+            for result in run_subjects(executor, payloads):
+                subject, config = by_name[result.name]
+                cache.absorb(subject, config, result.artifact)
+                artifacts[result.name] = result.artifact
+                worker_seconds[result.name] = result.seconds
+                registry.merge(result.telemetry.get("metrics"))
 
     if tracer.enabled:
         # One suite-level timeline: every freshly traced artifact's

@@ -7,11 +7,11 @@ process pool — selected by ``GladeConfig.jobs`` / ``backend`` (CLI
 ``--jobs`` / ``--backend``):
 
 - phase 1 is *seed-sharded* (:mod:`repro.exec.shard`): one task per
-  seed, merged deterministically in seed order;
+  seed, settled deterministically in seed order;
 - phase 2 is *pair-sharded* (:mod:`repro.exec.merge_shard`): one task
   per merge-candidate pair, evaluated speculatively behind a
-  cross-pair query planner and committed deterministically in plan
-  order (the wavefront).
+  cross-pair query planner; every pair commits in plan order through
+  the run's counting stack (the wavefront).
 
 Determinism is preserved at any worker count: star ids come from
 disjoint per-seed blocks, phase-2 residual sampling is seeded

@@ -10,8 +10,8 @@ Three implementations:
 
 - :class:`SerialExecutor` — runs tasks inline, lazily, in submission
   order. The zero-overhead default; laziness matters because the
-  sequential pipeline can decide to *not* submit later tasks based on
-  earlier results (the §6.1 covered-seed skip).
+  pipeline decides from earlier results whether to submit a later task
+  at all (the §6.1 covered-seed skip), and inline it always can.
 - :class:`ThreadExecutor` — a ``ThreadPoolExecutor``. The right choice
   when task time is dominated by releasing the GIL (subprocess oracles,
   I/O); shares the oracle object across tasks.
@@ -176,29 +176,40 @@ class _PoolExecutor(Executor):
         rewritten in place — futures whose task died (or never started)
         are replaced by fresh submissions to the new pool, futures that
         already hold a real result (or a real task exception) are kept
-        so their outcome is delivered exactly once. Returns False when
-        the restart budget is exhausted (caller re-raises).
+        so their outcome is delivered exactly once. If the fresh pool
+        breaks too before every lost task is resubmitted, the rebuild
+        repeats within the same budget. Returns False when the restart
+        budget is exhausted (caller re-raises).
         """
-        if self.pool_restarts >= self.max_pool_restarts:
-            return False
-        self.pool_restarts += 1
         lost = [first_lost]
-        for future in list(entries):
-            salvageable = False
-            if future.done() and not future.cancelled():
-                exc = future.exception()
-                # A worker-raised exception that is *not* the pool
-                # breakage is a genuine task outcome: keep it and let
-                # result() re-raise it for exception-transparency.
-                salvageable = not isinstance(exc, BrokenExecutor)
-            if not salvageable:
-                lost.append(entries.pop(future))
-        broken, self._pool = self._pool, self._make_pool(self.jobs)
-        broken.shutdown(wait=False)
-        for index, payload in lost:
-            entries[self._pool.submit(fn, payload)] = (index, payload)
-        self.tasks_resubmitted += len(lost)
-        return True
+        while self.pool_restarts < self.max_pool_restarts:
+            self.pool_restarts += 1
+            for future in list(entries):
+                salvageable = False
+                if future.done() and not future.cancelled():
+                    exc = future.exception()
+                    # A worker-raised exception that is *not* the pool
+                    # breakage is a genuine task outcome: keep it and
+                    # let result() re-raise it for exception-transparency.
+                    salvageable = not isinstance(exc, BrokenExecutor)
+                if not salvageable:
+                    lost.append(entries.pop(future))
+            broken, self._pool = self._pool, self._make_pool(self.jobs)
+            broken.shutdown(wait=False)
+            for position, (index, payload) in enumerate(lost):
+                try:
+                    future = self._pool.submit(fn, payload)
+                except BrokenExecutor:
+                    # A task already killed a worker of the fresh pool:
+                    # what it has not taken goes round again, with
+                    # whatever it lost.
+                    lost = lost[position:]
+                    break
+                entries[future] = (index, payload)
+                self.tasks_resubmitted += 1
+            else:
+                return True
+        return False
 
     def _submit(
         self,
@@ -311,8 +322,10 @@ def resolve_backend(backend: str, jobs: int, oracle: Any = None) -> str:
     """Map a requested backend (possibly ``auto``) to a concrete one.
 
     One job always resolves to serial — a single-worker pool would
-    only add overhead *and* trade away the §6.1 pre-skip for
-    speculation with nothing to overlap. With several jobs, ``auto``
+    only add overhead, and with one worker the pipeline runs nothing
+    speculatively. Pools keep the §6.1 pre-skip for every seed whose
+    predecessors have all settled when it comes up for submission, and
+    learn the others speculatively. With several jobs, ``auto``
     picks the process backend when the oracle can be pickled (true CPU
     parallelism), falling back to threads for in-process closures that
     cannot cross a process boundary (still a win for GIL-releasing

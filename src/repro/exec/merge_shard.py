@@ -3,8 +3,8 @@
 Phase 2 (:mod:`repro.core.phase2`) considers every unordered pair of
 repetition nodes, so its oracle cost is quadratic in star count — and
 after seed-sharded phase 1, it was the last serial oracle-bound stage.
-This module runs it on the same :class:`~repro.exec.backends.Executor`
-backends:
+With several workers, this module evaluates pairs ahead of the commits
+on the same :class:`~repro.exec.backends.Executor` backends:
 
 - each *pair task* evaluates one candidate pair's §5.3 + mixed
   -adjacency checks, self-contained and picklable: the pair's check
@@ -13,29 +13,29 @@ backends:
   A check string any earlier task (or the parent's membership cache)
   already answered never reaches the oracle again; fresh verdicts
   travel back and widen the table for later submissions.
+- a task asks its pair's checks in order and stops at the first
+  rejection, exactly as the serial loop does, and hints the pair's
+  unknown checks first to a stack that can run them ahead
+  (:func:`~repro.learning.oracle.prefetcher`).
 - tasks run speculatively: a pair is submitted before earlier pairs
   have committed, so its stars may turn out transitively equated by
-  the time its turn comes. :func:`run_merge_wavefront` commits
-  results strictly in plan order through a
-  :class:`~repro.core.phase2.MergeCommitter`, which discards such
-  pairs exactly like the serial loop's ``uf.find`` skip — their cost
-  is reported as speculative, and counted query totals stay equal to
-  a serial run's.
-- a task asks its pair's checks in order and stops at the first
-  rejection, exactly as the serial loop does, so the evaluated prefix
-  *is* the counted prefix. A stack that can run checks ahead is handed
-  the pair's unknown checks first as a hint
-  (:func:`~repro.learning.oracle.prefetcher`).
+  the time its turn comes. :func:`run_merge_wavefront` commits pairs
+  strictly in plan order, each through
+  :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
+  parent's counting/caching stack. Before an evaluated pair commits,
+  its verdicts are recorded in the parent's cache, so the commit asks
+  the same checks a serial run asks, counts them, and hits the cache
+  for every one. An equated pair commits as skipped and its verdicts
+  are booked as speculative.
 
 The division of labor with the pipeline: this module owns scheduling
 (lazy submission through ``Executor.unordered``, the known-verdict
-table, completion buffering); the committer owns ordering, decisions
-and counted-cost accounting; the pipeline persists each commit.
+table, completion buffering); the committer owns ordering and
+decisions; the oracle stack counts; the pipeline persists each commit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
@@ -47,7 +47,13 @@ from repro.core.phase2 import (
     MergePlan,
 )
 from repro.exec.backends import Executor
-from repro.learning.oracle import Oracle, TracingOracle, prefetcher
+from repro.learning.oracle import (
+    CachingOracle,
+    CountingOracle,
+    Oracle,
+    TracingOracle,
+    prefetcher,
+)
 from repro.learning.resilience import add_fault_counters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -66,7 +72,7 @@ class PairOutcome:
     itself (its contribution to the known-verdict table);
     ``invocations`` counts base-oracle calls the task actually
     performed (the planner's work metric — *not* the counted query
-    cost, which the committer derives from ``verdicts``).
+    cost, which the parent's oracle stack counts at commit time).
     """
 
     index: int
@@ -178,23 +184,19 @@ def decode_pair(raw: Dict[str, Any]) -> PairOutcome:
 class WavefrontStats:
     """Aggregate execution report for one wavefront run.
 
-    ``counted_queries`` is deterministic at any job count (it follows
-    from the plan and the oracle's verdicts — the committer's serial
-    accounting rules). The speculation metrics report work actually
-    performed and therefore depend on completion timing: how many
-    pairs were submitted before the commits that made them redundant
-    landed (``speculative_queries``/``pairs_discarded``), and how
-    often the planner table absorbed a check (``invocations`` /
+    Counted queries are not here: commits count through the parent's
+    oracle stack (read ``counting.queries``). These metrics report work
+    actually performed and therefore depend on completion timing: how
+    many pairs were evaluated before the commits that made them
+    redundant landed (``speculative_queries``/``pairs_discarded``), and
+    how often the planner table absorbed a check (``invocations`` /
     ``table_hits``).
     """
 
-    counted_queries: int = 0
     speculative_queries: int = 0
     invocations: int = 0
     table_hits: int = 0
-    pairs_evaluated: int = 0
     pairs_discarded: int = 0
-    seconds: float = field(default=0.0)
 
 
 def run_merge_wavefront(
@@ -202,30 +204,34 @@ def run_merge_wavefront(
     plan: MergePlan,
     committer: MergeCommitter,
     oracle: Oracle,
-    known: Optional[Dict[str, bool]] = None,
+    counting: CountingOracle,
+    cache: CachingOracle,
     dedup: bool = True,
     on_commit: Optional[Callable[..., None]] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Any = None,
+    tracer: Any = NULL_TRACER,
     span_parent: Optional[int] = None,
 ) -> WavefrontStats:
     """Drive phase 2's remaining pairs through an executor.
 
-    Submission is lazy and committed-state-aware: a pair whose stars
-    are already equated when its payload would be pulled is never
-    submitted (it will commit as skipped for free), and each submitted
-    payload carries the verdict table as of submission. Commits happen
-    in plan order as soon as the frontier pair's outcome is available,
-    invoking ``on_commit(event)`` for every committed pair — the
-    pipeline's checkpoint hook. A pair committed as skipped *before*
-    its in-flight speculative result lands produces one extra
+    ``oracle`` is the base oracle pair tasks ask; ``counting`` is the
+    parent's counting layer over ``cache``, its caching layer, through
+    which every pair commits. Submission is lazy and committed-state
+    -aware: a pair whose stars are already equated when its payload
+    would be pulled is never submitted (it will commit as skipped for
+    free), and each submitted payload carries the verdict table as of
+    submission, seeded from ``cache``. Commits happen in plan order as
+    soon as the frontier pair's outcome is available: its verdicts (its
+    checks up to the first rejection) are recorded in ``cache``, then
+    :meth:`~repro.core.phase2.MergeCommitter.commit_serial` asks them
+    through ``counting``. ``on_commit(event)`` runs for every committed
+    pair — the pipeline's checkpoint hook. A pair committed as skipped
+    *before* its in-flight speculative result lands produces one extra
     cost-only event on arrival (``discarded`` set, decision log
     untouched), so discarded work is always booked rather than
     depending on which side of the commit frontier the result landed.
-    ``known`` seeds the verdict table
-    (e.g. from the parent's membership cache); ``dedup=False`` disables
-    the planner table entirely, which is the naive per-pair sharding
-    baseline the benchmark compares against.
+    ``dedup=False`` disables the planner table entirely, which is the
+    naive per-pair sharding baseline the benchmark compares against.
 
     Observability: worker metrics snapshots merge into ``registry`` in
     arrival order (work actually performed); worker *spans* absorb into
@@ -234,43 +240,42 @@ def run_merge_wavefront(
     loop would have skipped contributes no spans, keeping the trace
     structure identical to a serial run's.
     """
-    table: Dict[str, bool] = known if dedup and known is not None else {}
+    table: Dict[str, bool] = cache.known_results() if dedup else {}
     stats = WavefrontStats()
-    started = time.perf_counter()
     outcomes: Dict[int, PairOutcome] = {}
-    live_tracer = tracer if tracer is not None else NULL_TRACER
-    trace = bool(getattr(live_tracer, "enabled", False))
+    trace = tracer.enabled
 
-    def emit(event) -> None:
-        stats.counted_queries += event.queries
+    def emit(event: CommitEvent) -> None:
         stats.speculative_queries += event.discarded
         if event.discarded:
             stats.pairs_discarded += 1
-        elif event.evaluated:
-            stats.pairs_evaluated += 1
         if on_commit is not None:
             on_commit(event)
 
     def drain() -> None:
         """Advance the commit frontier as far as outcomes allow."""
         while not committer.done:
-            if committer.committed in outcomes:
-                # An evaluated outcome commits through the committer
-                # even if the pair has since become transitively
-                # equated — that path books its cost as speculative.
-                outcome = outcomes.pop(committer.committed)
-                event = committer.commit_outcome(outcome.verdicts)
-                if trace and event.decision != PAIR_SKIPPED:
-                    live_tracer.absorb(
-                        "pair:{}".format(outcome.index),
+            pair = committer.next_pair()
+            outcome = outcomes.pop(pair.index, None)
+            if committer.equated(pair.star_i, pair.star_j):
+                # Skipped without a query; an outcome that already
+                # arrived was speculation.
+                event = committer.commit_serial(counting)
+                if outcome is not None:
+                    event.discarded = len(outcome.verdicts)
+            elif outcome is None:
+                break
+            else:
+                for check, verdict in zip(pair.checks, outcome.verdicts):
+                    cache.record(check, verdict)
+                event = committer.commit_serial(counting)
+                if trace:
+                    tracer.absorb(
+                        "pair:{}".format(pair.index),
                         outcome.telemetry.get("spans", ()),
                         parent=span_parent,
                     )
-                emit(event)
-            elif committer.next_is_skip():
-                emit(committer.commit_skip())
-            else:
-                break
+            emit(event)
 
     def payloads() -> Iterator[Dict[str, Any]]:
         # Pulled lazily by the executor, on this thread, between
@@ -327,5 +332,4 @@ def run_merge_wavefront(
                 committer.committed, plan.n_pairs
             )
         )
-    stats.seconds = time.perf_counter() - started
     return stats

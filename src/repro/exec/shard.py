@@ -7,21 +7,22 @@ self-contained tasks an :class:`~repro.exec.backends.Executor` can run
 on any worker, in any order, with a merge that is deterministic in
 *seed order* regardless of completion order:
 
-- every task owns its own query counters, the seed's disjoint star-id
-  block, and a membership session — fresh by default; the serial path
-  shares the pipeline's (in-process, so cross-seed NFA fragment reuse
-  is free and results are unchanged)
-  (:func:`~repro.core.gtree.seed_block_allocator`), so learned trees —
-  including their ``R<id>`` nonterminal names — are identical whether
-  the seed ran first on the main thread or last in a worker process;
+- every task owns its own query counters and the seed's disjoint
+  star-id block (:func:`~repro.core.gtree.seed_block_allocator`), so
+  learned trees — including their ``R<id>`` nonterminal names — are
+  identical whether the seed ran first on the main thread or last in a
+  worker process. With one worker, tasks share the pipeline's caching
+  layer and membership session (in-process, so one memo and one NFA
+  fragment cache serve every seed, and results are unchanged); with
+  several, each task builds its own;
 - task payloads and results are picklable: the result carries the
   generalization tree in the artifact's JSON encoding, the seed's query
   count, the deterministic digests of its distinct query strings (for
   global unique-query accounting, see
   :func:`~repro.learning.oracle.text_digest`), and worker wall-clock;
-- :func:`run_pending` drives a batch through an executor, yielding
-  decoded results in completion order; callers checkpoint each one and
-  sort by ``index`` when merging.
+- :func:`run_pending` drives payloads through an executor, yielding
+  decoded results in completion order; the pipeline settles them in
+  seed order.
 
 The §6.1 covered-seed *decision* stays with the pipeline (it is a
 cross-seed rule applied in seed order); sharding only changes when the
@@ -31,7 +32,7 @@ speculative learning work happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, Iterator
 
 from repro.core.chargen import generalize_characters
 from repro.core.gtree import seed_block_allocator
@@ -80,22 +81,20 @@ def seed_payload(
     config: Any,
     oracle: Oracle,
     session: Any = None,
-    shared_cache: bool = False,
 ) -> Dict[str, Any]:
     """The task payload for one seed (picklable with the defaults).
 
     ``config`` is the run's :class:`~repro.core.glade.GladeConfig` (a
     dataclass of primitives). ``oracle`` is the base membership oracle
-    for workers (each pickled copy builds its own cache); the serial
-    path instead passes its process-local :class:`CachingOracle` with
-    ``shared_cache=True``, so the task skips its own cache layer — one
-    memo across all seeds, no double caching — and returns no digest
-    set (the parent cache's is a superset). ``session`` optionally
-    shares one in-process membership session across tasks — only the
-    serial path does this (sessions are neither thread-safe nor worth
-    pickling), recovering the cross-seed NFA fragment reuse of the
-    pre-sharding sequential loop. Results are identical with or
-    without either sharing knob.
+    for workers (each pickled copy builds its own cache); a one-worker
+    run instead passes its process-local :class:`CachingOracle`, so the
+    task skips its own cache layer — one memo across all seeds, no
+    double caching — and returns no digest set (the parent cache's is a
+    superset). ``session`` optionally shares one in-process membership
+    session across tasks — only a one-worker run does this (sessions
+    are neither thread-safe nor worth pickling), recovering the
+    cross-seed NFA fragment reuse of the pre-sharding sequential loop.
+    Results are identical with or without either kind of sharing.
     """
     return {
         "index": index,
@@ -103,7 +102,6 @@ def seed_payload(
         "config": config,
         "oracle": oracle,
         "session": session,
-        "shared_cache": shared_cache,
     }
 
 
@@ -126,9 +124,9 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     # under ``--trace``.
     registry = MetricsRegistry()
     tracer = Tracer() if getattr(config, "trace", False) else NULL_TRACER
-    if payload.get("shared_cache"):
-        # The payload oracle already is a (shared) caching layer — on
-        # the serial path its stack carries the parent's tracing layer.
+    if isinstance(payload["oracle"], CachingOracle):
+        # The payload oracle already is a (shared) caching layer — in a
+        # one-worker run its stack carries the parent's tracing layer.
         cached = None
         counting = CountingOracle(payload["oracle"])
     else:
@@ -191,13 +189,12 @@ def decode_task(raw: Dict[str, Any]) -> SeedResult:
 
 
 def run_pending(
-    executor: Executor, payloads: Sequence[Dict[str, Any]]
+    executor: Executor, payloads: Iterable[Dict[str, Any]]
 ) -> Iterator[SeedResult]:
     """Run payloads through the executor, yielding results as they finish.
 
-    Completion order is arbitrary for parallel backends; consumers
-    checkpoint each result immediately (a seed checkpoints as soon as
-    *it* finishes) and restore seed order at merge time by sorting on
+    Completion order is arbitrary for parallel backends; the consumer
+    checkpoints each result as it arrives and restores seed order by
     ``SeedResult.index``.
     """
     for _position, raw in executor.unordered(run_seed_task, payloads):

@@ -153,18 +153,25 @@ class CachingOracle:
         """
         return dict(self._cache)
 
-    def _record(self, text: str, result: bool) -> None:
+    def record(self, text: str, verdict: bool) -> None:
+        """Cache ``verdict`` for ``text`` as if the oracle answered it.
+
+        The digest is marked exactly as a miss marks it, so the string
+        counts toward :attr:`seen_digests` and ``unique_queries``. The
+        phase-2 wavefront records a worker-evaluated pair's verdicts
+        this way before committing the pair through this cache.
+        """
         fingerprint = text_digest(text)
         if fingerprint not in self._seen:
             self._seen[fingerprint] = None
             self.unique_queries += 1
-        self._cache[text] = result
+        self._cache[text] = verdict
 
     def __call__(self, text: str) -> bool:
         if text in self._cache:
             return self._cache[text]
         result = self._oracle(text)
-        self._record(text, result)
+        self.record(text, result)
         return result
 
 

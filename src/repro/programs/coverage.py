@@ -157,9 +157,8 @@ def measure_coverage(
     """Run ``subject.accepts`` on each input under tracing.
 
     With ``valid_only`` (the §8.3 restriction to E ∩ L*), an input's
-    coverage only counts if the subject accepted it; the run itself is
-    traced either way, so we re-run accepted inputs to attribute lines
-    precisely.
+    coverage only counts if the subject accepted it. Each input runs
+    once, traced; its lines join the total when it counts.
     """
     tracer = CoverageTracer(subject.modules)
     accumulated: Set[Line] = set()

@@ -17,6 +17,7 @@ import pytest
 
 import repro.artifacts.run as run_mod
 import repro.artifacts.schema as schema_mod
+import repro.core.pipeline as pipeline_mod
 from repro.artifacts import RunArtifact
 from repro.artifacts.run import SeedRecord, artifact_digest, load_artifact
 from repro.artifacts.schema import ArtifactCorrupt, ArtifactError
@@ -29,6 +30,7 @@ from repro.core.glade import GladeConfig
 from repro.core.gtree import GRoot
 from repro.core.phase1 import Phase1Result
 from repro.core.pipeline import LearningPipeline, _RunAccounting
+from repro.exec.backends import Executor
 from repro.exec.shard import SeedResult
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
@@ -192,7 +194,8 @@ class FreshEncodingStore(FileCheckpointStore):
     def __init__(self, path):
         super().__init__(path)
         self.saves = 0
-        self.phase1_counts = set()
+        #: Per save, the seed indices of the saved phase-1 results.
+        self.phase1_seeds = []
 
     def save(self, artifact):
         super().save(artifact)
@@ -201,7 +204,22 @@ class FreshEncodingStore(FileCheckpointStore):
         assert data == json.loads(json.dumps(artifact.to_dict()))
         assert integrity == artifact_digest(data)
         self.saves += 1
-        self.phase1_counts.add(len(artifact.phase1_results))
+        self.phase1_seeds.append(
+            {result["seed_index"] for result in data["phase1_results"]}
+        )
+
+
+class ReversedArrivals(Executor):
+    """Two workers on paper: pulls every payload, runs each, and hands
+    the results back last first."""
+
+    name = "reversed"
+    jobs = 2
+    in_process = True
+
+    def unordered(self, fn, payloads):
+        results = [(i, fn(payload)) for i, payload in enumerate(payloads)]
+        return iter(results[::-1])
 
 
 class TestEverySaveEqualsFreshEncoding:
@@ -216,9 +234,15 @@ class TestEverySaveEqualsFreshEncoding:
         assert artifact.phase2_progress["decisions"]
         assert store.saves > len(artifact.phase2_progress["decisions"])
 
-    def test_thread_run_drops_a_discarded_result(self, tmp_path):
-        # Both seeds are learned speculatively; the covered one's
-        # result then leaves phase1_results.
+    def test_thread_run_drops_a_discarded_result(
+        self, tmp_path, monkeypatch
+    ):
+        # Both seeds are learned speculatively, and the covered seed's
+        # result arrives first: one save holds it, and once seed 0
+        # settles and covers it, a later save drops it again.
+        monkeypatch.setattr(
+            pipeline_mod, "make_executor", lambda *args: ReversedArrivals()
+        )
         store = FreshEncodingStore(tmp_path / "run.json")
         config = GladeConfig(
             alphabet="ab", enable_chargen=False, jobs=2, backend="thread"
@@ -227,8 +251,10 @@ class TestEverySaveEqualsFreshEncoding:
             ab_oracle, config=config, store=store
         ).run(["ab", "abab"])
         assert artifact.seeds[1].state == "skipped"
-        assert len(artifact.phase1_results) == 1
-        assert store.phase1_counts >= {1, 2}
+        assert [r.seed_index for r in artifact.phase1_results] == [0]
+        held = [1 in seeds for seeds in store.phase1_seeds]
+        assert True in held
+        assert False in held[held.index(True):]
 
     def test_resume_from_mid_phase2_checkpoint(self, tmp_path):
         reference, mid = mid_phase2_checkpoint()
@@ -372,13 +398,13 @@ class TestUniqueQueryAccounting:
         )
         state = _RunAccounting()
         parent = {}
-        shards, counted = {}, set()
+        shards = {}
 
         def digests():
             return {rng.randrange(60) for _ in range(rng.randrange(12))}
 
         for _step in range(120):
-            move = rng.choice(("absorb", "counted", "discard", "parent"))
+            move = rng.choice(("absorb", "discard", "parent"))
             if move == "absorb":
                 index = rng.randrange(n_seeds)
                 if index in shards:
@@ -391,17 +417,13 @@ class TestUniqueQueryAccounting:
                     digests=shards[index],
                     seconds=0.0,
                 ))
-            elif move == "counted":
-                added = digests()
-                counted |= added
-                state.add_counted(len(added), sorted(added))
             elif move == "discard":
                 index = rng.randrange(n_seeds)
                 state.discard(artifact, index)
                 shards.pop(index, None)
             else:
                 parent.update(dict.fromkeys(digests()))
-            union = set(parent) | counted
+            union = set(parent)
             for shard in shards.values():
                 union |= shard
             assert state.unique(parent.keys()) == len(union)

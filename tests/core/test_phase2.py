@@ -206,14 +206,6 @@ class TestMergePlan:
         phase2.merge_repetitions(grammar, stars, lambda s: True)
         assert sorted(calls) == sorted(s.star_id for s in stars)
 
-    def test_distinct_checks_counts_cross_pair_duplicates(self):
-        from repro.core.phase2 import plan_merges
-
-        _grammar, stars = _star_row(["ab", "ab", "ab"])
-        plan = plan_merges(stars)
-        total = sum(len(pair.checks) for pair in plan.pairs)
-        assert plan.distinct_checks() < total  # duplicates exist
-
 
 class TestMergeCommitter:
     def setup_plan(self, oracle=None):
@@ -223,58 +215,54 @@ class TestMergeCommitter:
         plan = plan_merges(stars)
         return grammar, plan, MergeCommitter(plan)
 
-    def test_commit_outcome_matches_serial_decisions(self):
+    def test_commit_serial_merges_then_skips_for_free(self):
         from repro.core.phase2 import PAIR_MERGED, PAIR_SKIPPED
+        from repro.learning.oracle import CountingOracle
 
         _grammar, plan, committer = self.setup_plan()
+        counting = CountingOracle(lambda text: True)
+        events = []
         while not committer.done:
-            pair = committer.next_pair()
-            if committer.next_is_skip():
-                committer.commit_skip()
-            else:
-                committer.commit_outcome([True] * len(pair.checks))
+            before = counting.queries
+            events.append((committer.commit_serial(counting), before))
         assert committer.decisions == [
             PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED,
         ]
-
-    def test_discarded_pair_books_speculative_cost(self):
-        from repro.core.phase2 import PAIR_SKIPPED
-
-        _grammar, plan, committer = self.setup_plan()
-        committer.commit_outcome([True] * len(plan.pairs[0].checks))
-        committer.commit_outcome([True] * len(plan.pairs[1].checks))
-        # Pair (1,2) was evaluated speculatively but is now equated.
-        verdicts = [True] * len(plan.pairs[2].checks)
-        event = committer.commit_outcome(verdicts)
-        assert event.decision == PAIR_SKIPPED
-        assert event.discarded == len(verdicts)
-        assert event.queries == 0 and event.digests == ()
+        # Pair (1,2) is transitively equated by its turn: it commits as
+        # skipped, asks nothing and books no speculative cost.
+        skipped, before = events[-1]
+        assert not skipped.evaluated and skipped.discarded == 0
+        assert counting.queries == before
+        assert counting.queries == sum(
+            len(pair.checks) for pair in plan.pairs[:2]
+        )
 
     def test_short_circuit_counts_prefix_only(self):
         from repro.core.phase2 import PAIR_REJECTED
+        from repro.learning.oracle import CountingOracle
 
         _grammar, plan, committer = self.setup_plan()
-        event = committer.commit_outcome([True, False])
+        second = plan.pairs[0].checks[1]
+        counting = CountingOracle(lambda text: text != second)
+        event = committer.commit_serial(counting)
         assert event.decision == PAIR_REJECTED
-        assert event.queries == 2
-        assert len(event.digests) == 2
+        assert counting.queries == 2
 
     def test_replay_reproduces_state_and_decisions(self):
         from repro.core.phase2 import MergeCommitter, plan_merges
+        from repro.learning.oracle import CountingOracle
 
         grammar, stars = _star_row(["ab", "cd", "ab", "cd"])
         plan = plan_merges(stars)
         reference = MergeCommitter(plan)
+        # Merge only equal-name stars: a check mixing both names fails.
+        counting = CountingOracle(
+            lambda text: not ("ab" in text and "cd" in text)
+        )
         while not reference.done:
-            pair = reference.next_pair()
-            if reference.next_is_skip():
-                reference.commit_skip()
-            else:
-                # Merge only equal-name stars.
-                same = (pair.star_i - 500) % 2 == (pair.star_j - 500) % 2
-                reference.commit_outcome(
-                    [True] * len(pair.checks) if same else [True, False]
-                )
+            reference.commit_serial(counting)
+        assert "merged" in reference.decisions
+        assert "rejected" in reference.decisions
 
         replayed = MergeCommitter(plan)
         replayed.replay(reference.decisions)

@@ -133,6 +133,22 @@ class TestSuiteDeterminism:
             parallel
         )
 
+    def test_one_subject_spends_the_jobs_inside_its_pipeline(self):
+        """One uncached subject learns on a one-worker executor, and
+        its pipeline gets the jobs instead; metrics do not change."""
+        cache = harness.SubjectArtifactCache()
+        pooled = harness.run_suite(subjects=["sed"], jobs=2, cache=cache)
+        assert pooled.execution["backend"] == "serial"
+        assert pooled.execution["jobs"] == 2
+        artifact = harness.subject_artifact("sed", cache=cache)
+        assert artifact.execution["jobs"] == 2
+        serial = harness.run_suite(
+            subjects=["sed"], jobs=1, cache=harness.SubjectArtifactCache()
+        )
+        assert canonical_metrics_bytes(serial) == canonical_metrics_bytes(
+            pooled
+        )
+
     def test_suite_covers_every_figure_metric(self):
         suite = harness.run_suite(
             subjects=["sed"], cache=harness.SubjectArtifactCache()

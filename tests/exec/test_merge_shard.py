@@ -3,24 +3,33 @@
 Unit-level coverage for :mod:`repro.exec.merge_shard`: worker tasks
 keep sequential short-circuit semantics, the known-verdict table
 dedupes check strings across pairs, and the wavefront commits in plan
-order — discarding speculatively evaluated pairs exactly as the serial
-loop's transitive skip would, with counted totals equal to the serial
-loop's at any completion order.
+order through the parent's counting/caching stack — discarding
+speculatively evaluated pairs exactly as the serial loop's transitive
+skip would, with counted and unique totals equal to the serial loop's
+at any completion order.
 """
 
 import threading
+
+import pytest
 
 from repro.core.context import Context
 from repro.core.gtree import GConcat, GConst, GRoot, GStar
 from repro.core.phase2 import (
     PAIR_MERGED,
+    PAIR_REJECTED,
     PAIR_SKIPPED,
     MergeCommitter,
     merge_repetitions,
     plan_merges,
 )
 from repro.core.translate import translate_trees
-from repro.exec.backends import Executor, SerialExecutor, ThreadExecutor
+from repro.exec.backends import (
+    Executor,
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+)
 from repro.exec.merge_shard import (
     decode_pair,
     pair_payload,
@@ -60,6 +69,28 @@ def make_stars(names):
     root = GRoot(GConcat(list(stars)))
     grammar = translate_trees([root])
     return grammar, stars
+
+
+def parent_stack(fn=None):
+    """The pipeline's parent stack: a counting layer over a cache.
+
+    Without ``fn`` the cache's base oracle raises, so a wavefront run
+    over it proves that every commit was answered from the cache.
+    """
+
+    def forbidden(text):
+        raise AssertionError("the parent's base oracle was asked")
+
+    cache = CachingOracle(fn if fn is not None else forbidden)
+    return CountingOracle(cache), cache
+
+
+def serial_reference(names, oracle_fn):
+    """``merge_repetitions`` through a counting/caching stack."""
+    grammar, stars = make_stars(names)
+    counting, cache = parent_stack(oracle_fn)
+    result = merge_repetitions(grammar, stars, counting)
+    return result, counting.queries, cache.unique_queries
 
 
 class FakePair:
@@ -125,23 +156,23 @@ class ReorderingExecutor(Executor):
 def test_wavefront_matches_serial_loop_counts_and_grammar():
     names = ["ab", "cd", "ab", "ef"]
     oracle_fn = lambda text: "e" not in text  # noqa: E731
-
-    grammar, stars = make_stars(names)
-    serial_counting = CountingOracle(CachingOracle(oracle_fn))
-    serial = merge_repetitions(grammar, stars, serial_counting)
+    serial, queries, unique = serial_reference(names, oracle_fn)
 
     grammar2, stars2 = make_stars(names)
     plan = plan_merges(stars2, mixed=True, n_samples=2)
     committer = MergeCommitter(plan)
+    counting, cache = parent_stack()
     with ThreadExecutor(4) as executor:
-        stats = run_merge_wavefront(
-            executor, plan, committer, CountingBase(oracle_fn)
+        run_merge_wavefront(
+            executor, plan, committer, CountingBase(oracle_fn),
+            counting, cache,
         )
     result = committer.finish(grammar2)
     assert str(result.grammar) == str(serial.grammar)
     assert result.representative == serial.representative
-    # The wavefront's counted totals equal the serial loop's counter.
-    assert stats.counted_queries == serial_counting.queries
+    # The parent stack counted the serial loop's totals.
+    assert counting.queries == queries
+    assert cache.unique_queries == unique
     assert committer.done
 
 
@@ -153,19 +184,21 @@ def test_reversed_completion_order_discards_transitive_pairs():
     grammar, stars = make_stars(["ab", "ab", "ab"])
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
+    counting, cache = parent_stack()
     with ReorderingExecutor() as executor:
         stats = run_merge_wavefront(
-            executor, plan, committer, lambda text: True
+            executor, plan, committer, lambda text: True, counting, cache
         )
     assert committer.decisions == [PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED]
     assert stats.speculative_queries > 0
     assert stats.pairs_discarded == 1
 
     # Counted totals still equal a serial run's.
-    grammar2, stars2 = make_stars(["ab", "ab", "ab"])
-    serial_counting = CountingOracle(CachingOracle(lambda text: True))
-    serial = merge_repetitions(grammar2, stars2, serial_counting)
-    assert stats.counted_queries == serial_counting.queries
+    serial, queries, unique = serial_reference(
+        ["ab", "ab", "ab"], lambda text: True
+    )
+    assert counting.queries == queries
+    assert cache.unique_queries == unique
     assert str(committer.finish(grammar).grammar) == str(serial.grammar)
 
 
@@ -192,10 +225,11 @@ def test_late_speculative_result_still_booked_as_discarded():
     grammar, stars = make_stars(["ab", "ab", "ab"])
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
+    counting, cache = parent_stack()
     events = []
     with EagerInOrderExecutor() as executor:
         stats = run_merge_wavefront(
-            executor, plan, committer, lambda text: True,
+            executor, plan, committer, lambda text: True, counting, cache,
             on_commit=events.append,
         )
     assert committer.decisions == [PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED]
@@ -207,7 +241,12 @@ def test_late_speculative_result_still_booked_as_discarded():
     assert late.pair.index == 2
     assert late.decision == PAIR_SKIPPED
     assert late.discarded == len(plan.pairs[2].checks)
-    assert late.queries == 0
+    # The skipped pair's strings stay out of the counted totals.
+    _serial, queries, unique = serial_reference(
+        ["ab", "ab", "ab"], lambda text: True
+    )
+    assert counting.queries == queries
+    assert cache.unique_queries == unique
 
 
 def test_planner_table_dedupes_across_pairs():
@@ -220,36 +259,42 @@ def test_planner_table_dedupes_across_pairs():
         plan = plan_merges(stars)
         committer = MergeCommitter(plan)
         oracle = CountingBase(lambda text: True)
+        counting, cache = parent_stack()
         stats = run_merge_wavefront(
-            SerialExecutor(), plan, committer, oracle, dedup=dedup
+            SerialExecutor(), plan, committer, oracle, counting, cache,
+            dedup=dedup,
         )
-        return stats, oracle.calls
+        return stats, oracle.calls, counting.queries
 
-    with_planner, calls_with = run(dedup=True)
-    without, calls_without = run(dedup=False)
+    with_planner, calls_with, counted_with = run(dedup=True)
+    without, calls_without, counted_without = run(dedup=False)
     assert calls_with < calls_without
     assert with_planner.invocations == calls_with
     assert with_planner.table_hits > 0
     # Dedup changes execution cost only — counted totals are identical.
-    assert with_planner.counted_queries == without.counted_queries
+    assert counted_with == counted_without
 
 
 def test_preseeded_table_skips_already_answered_strings():
     grammar, stars = make_stars(["ab", "cd"])
     plan = plan_merges(stars)
-    # Seed the table with every check string, as the pipeline does from
-    # the parent membership cache: zero oracle invocations remain.
-    known = {check: True for pair in plan.pairs for check in pair.checks}
+    # Pre-fill the parent cache with every check string, as phase 1
+    # may have: the verdict table starts from it, so zero oracle
+    # invocations remain.
+    counting, cache = parent_stack()
+    for pair in plan.pairs:
+        for check in pair.checks:
+            cache.record(check, True)
     committer = MergeCommitter(plan)
     oracle = CountingBase(lambda text: True)
     stats = run_merge_wavefront(
-        SerialExecutor(), plan, committer, oracle, known=known
+        SerialExecutor(), plan, committer, oracle, counting, cache
     )
     assert oracle.calls == 0
     assert stats.invocations == 0
     # Counted cost is unchanged: the serial loop would have paid every
     # check through its counter even on cache hits.
-    assert stats.counted_queries > 0
+    assert counting.queries > 0
 
 
 def test_wavefront_resumes_mid_plan():
@@ -261,7 +306,10 @@ def test_wavefront_resumes_mid_plan():
     plan = plan_merges(stars)
     reference = MergeCommitter(plan)
     with ThreadExecutor(2) as executor:
-        run_merge_wavefront(executor, plan, reference, CountingBase(oracle_fn))
+        run_merge_wavefront(
+            executor, plan, reference, CountingBase(oracle_fn),
+            *parent_stack(),
+        )
 
     for cut in (1, 3, len(reference.decisions) - 1):
         grammar2, stars2 = make_stars(names)
@@ -270,7 +318,46 @@ def test_wavefront_resumes_mid_plan():
         resumed.replay(reference.decisions[:cut])
         with ThreadExecutor(2) as executor:
             stats = run_merge_wavefront(
-                executor, plan2, resumed, CountingBase(oracle_fn)
+                executor, plan2, resumed, CountingBase(oracle_fn),
+                *parent_stack(),
             )
         assert resumed.decisions == reference.decisions, cut
         assert stats is not None
+
+
+def no_e(text):
+    """A picklable oracle for the process backend: rejects any ``e``."""
+    return "e" not in text
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize(
+    "make_executor",
+    [
+        lambda: ThreadExecutor(2),
+        lambda: ThreadExecutor(4),
+        lambda: ProcessExecutor(2),
+        ReorderingExecutor,
+        EagerInOrderExecutor,
+    ],
+    ids=["thread2", "thread4", "process2", "reordering", "eager"],
+)
+def test_commits_never_reach_the_parents_base_oracle(make_executor, dedup):
+    # The parent cache's base oracle raises on any call: every commit
+    # must be answered from the verdicts the wavefront recorded, and
+    # the stack must still count the serial loop's totals.
+    names = ["ab", "cd", "ab", "cd", "ef"]
+    _serial, queries, unique = serial_reference(names, no_e)
+    grammar, stars = make_stars(names)
+    plan = plan_merges(stars)
+    committer = MergeCommitter(plan)
+    counting, cache = parent_stack()
+    with make_executor() as executor:
+        run_merge_wavefront(
+            executor, plan, committer, no_e, counting, cache,
+            dedup=dedup,
+        )
+    assert committer.done
+    assert PAIR_REJECTED in committer.decisions
+    assert counting.queries == queries
+    assert cache.unique_queries == unique

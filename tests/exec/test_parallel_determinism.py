@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import repro.core.pipeline as pipeline_mod
 from repro.artifacts import (
     MemoryCheckpointStore,
     SEED_LEARNED,
@@ -23,6 +24,7 @@ from repro.artifacts import (
 )
 from repro.core.glade import GladeConfig
 from repro.core.pipeline import LearningPipeline
+from repro.exec.backends import Executor
 from repro.learning.oracle import SubprocessOracle
 from repro.targets import get_target
 
@@ -146,6 +148,75 @@ def test_speculative_queries_reported_not_counted():
     assert parallel.oracle_queries == serial.oracle_queries
     assert parallel.unique_queries == serial.unique_queries
     assert str(parallel.grammar) == str(serial.grammar)
+
+
+class InlinePool(Executor):
+    """Two workers on paper; runs each task as it is pulled."""
+
+    name = "inline"
+    jobs = 2
+    in_process = True
+
+    def unordered(self, fn, payloads):
+        for index, payload in enumerate(payloads):
+            yield index, fn(payload)
+
+
+class ReversedPool(InlinePool):
+    """Pulls every payload, runs each, and hands the results back last
+    first."""
+
+    def unordered(self, fn, payloads):
+        return iter(list(super().unordered(fn, payloads))[::-1])
+
+
+def test_serial_resume_settles_seeds_learned_ahead(
+    xml, seeds, serial_reference, monkeypatch
+):
+    """A checkpoint where later seeds are ``learned`` while seed 0 is
+    not yet resumes at one job to the uninterrupted run: the resumed
+    results are kept or discarded by the covered-seed rule in order."""
+    store = MemoryCheckpointStore()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            pipeline_mod, "make_executor", lambda *args: ReversedPool()
+        )
+        learn(xml, seeds, 2, "thread", store=store)
+    ahead = [SEED_VALIDATED] + [SEED_LEARNED] * 3
+    snapshot = next(
+        snap for snap in map(store.snapshot, range(len(store.snapshots)))
+        if [s.state for s in snap.seeds] == ahead
+    )
+    snapshot.config.jobs = 1
+    resumed = LearningPipeline(xml.oracle, config=snapshot.config).resume(
+        snapshot
+    )
+    assert SEED_SKIPPED in [s.state for s in resumed.seeds]
+    assert_equivalent(resumed, serial_reference[4], resumed=True)
+
+
+def test_pool_skips_covered_seeds_like_serial(monkeypatch):
+    """A pool pulls a seed after its predecessors settled: a covered
+    seed is then skipped before any query, exactly as serially."""
+    config = GladeConfig(alphabet="ab", enable_chargen=False)
+    serial = LearningPipeline(ab_oracle, config=config).run(["ab", "abab"])
+
+    monkeypatch.setattr(
+        pipeline_mod, "make_executor", lambda *args: InlinePool()
+    )
+    pooled_config = GladeConfig(
+        alphabet="ab", enable_chargen=False, jobs=2, backend="thread"
+    )
+    pooled = LearningPipeline(ab_oracle, config=pooled_config).run(
+        ["ab", "abab"]
+    )
+    assert pooled.execution["backend"] == "inline"
+    assert pooled.seeds[1].state == SEED_SKIPPED
+    assert pooled.seeds[1].queries == 0
+    assert pooled.speculative_queries == 0
+    assert pooled.oracle_queries == serial.oracle_queries
+    assert pooled.unique_queries == serial.unique_queries
+    assert str(pooled.grammar) == str(serial.grammar)
 
 
 def test_phase2_progress_recorded_and_serial_equal(xml, seeds,

@@ -128,19 +128,21 @@ class _SubmitBreaksAfter:
 
 
 class _BreaksAtSubmit(ThreadExecutor):
-    """A thread executor whose first pool breaks at submit time."""
+    """A thread executor whose first pools break at submit time.
 
-    def __init__(self, jobs, ok):
-        self._ok = ok
+    ``oks`` gives, pool by pool, how many submits each accepts before
+    it breaks; the pools after those are healthy.
+    """
+
+    def __init__(self, jobs, *oks):
+        self._oks = list(oks)
         super().__init__(jobs)
 
     def _make_pool(self, jobs):
         pool = super()._make_pool(jobs)
-        if self._ok is None:
+        if not self._oks:
             return pool
-        broken = _SubmitBreaksAfter(pool, self._ok)
-        self._ok = None  # the replacement pool is healthy
-        return broken
+        return _SubmitBreaksAfter(pool, self._oks.pop(0))
 
 
 class TestSubmitTimeBreakage:
@@ -151,6 +153,17 @@ class TestSubmitTimeBreakage:
         # caller.
         payloads = list(range(6))
         expected = {i: i * i for i in payloads}
-        with _BreaksAtSubmit(2, ok=3) as executor:
+        with _BreaksAtSubmit(2, 3) as executor:
             assert dict(executor.unordered(square, payloads)) == expected
         assert executor.pool_restarts == 1
+
+    def test_breakage_while_resubmitting_spends_another_restart(self):
+        # The replacement pool refuses its first submit, as a fresh
+        # process pool does once a resubmitted task killed one of its
+        # workers before every lost task was back in. The restart
+        # budget must absorb it: a third pool takes every lost task.
+        payloads = list(range(6))
+        expected = {i: i * i for i in payloads}
+        with _BreaksAtSubmit(2, 3, 0) as executor:
+            assert dict(executor.unordered(square, payloads)) == expected
+        assert executor.pool_restarts == 2
