@@ -37,7 +37,7 @@ def main() -> None:
     )
 
     coverable = coverable_lines(subject.modules[0])
-    seed_lines = measure_coverage(subject, subject.seeds)
+    seed_lines = measure_coverage(subject, subject.seeds).lines
 
     fuzzers = {
         "naive": NaiveFuzzer(
@@ -52,13 +52,14 @@ def main() -> None:
     print("\nfuzzer  valid%   incremental-coverage")
     baseline = None
     for name, samples in fuzzers.items():
-        covered = measure_coverage(subject, samples)
+        # One traced run per sample gives both its lines and its verdict.
+        covered, accepted = measure_coverage(subject, samples)
         report = CoverageReport(
             coverable, seed_lines, covered | seed_lines
         )
         if name == "naive":
             baseline = report
-        valid = sum(subject.accepts(s) for s in samples) / len(samples)
+        valid = accepted / len(samples)
         print(
             "{:6s}  {:5.1f}%   {:.3f}  (x{:.2f} vs naive)".format(
                 name,

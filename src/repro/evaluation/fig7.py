@@ -80,7 +80,9 @@ class SubjectHarness:
         self.coverable: Set[Line] = set()
         for module in self.subject.modules:
             self.coverable |= coverable_lines(module)
-        self.seed_lines = measure_coverage(self.subject, self.subject.seeds)
+        self.seed_lines = measure_coverage(
+            self.subject, self.subject.seeds
+        ).lines
 
     def generate(self, fuzzer: str, n_samples: int) -> List[str]:
         # stable_seed, not hash(): str hashes are salted per process,
@@ -109,14 +111,11 @@ class SubjectHarness:
         raise ValueError("unknown fuzzer {!r}".format(fuzzer))
 
     def report(self, samples: Sequence[str]) -> Tuple[CoverageReport, float]:
-        covered = measure_coverage(self.subject, samples)
+        covered, accepted = measure_coverage(self.subject, samples)
         report = CoverageReport(
             self.coverable, self.seed_lines, covered | self.seed_lines
         )
-        valid = sum(
-            1 for sample in samples if self.subject.accepts(sample)
-        ) / max(1, len(samples))
-        return report, valid
+        return report, accepted / max(1, len(samples))
 
 
 def run_fig7a(

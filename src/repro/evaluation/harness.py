@@ -345,14 +345,12 @@ def derive_subject_metrics(
             )
         )
     samples = fuzzer.generate(params.fuzz_samples)
-    valid_fraction = sum(
-        1 for sample in samples if subject.accepts(sample)
-    ) / max(1, len(samples))
     coverable = set()
     for module in subject.modules:
         coverable |= coverable_lines(module)
-    seed_lines = measure_coverage(subject, subject.seeds)
-    covered = measure_coverage(subject, samples)
+    seed_lines = measure_coverage(subject, subject.seeds).lines
+    covered, accepted = measure_coverage(subject, samples)
+    valid_fraction = accepted / max(1, len(samples))
     report = CoverageReport(coverable, seed_lines, covered | seed_lines)
     fuzz_new_lines = len(report.incremental_lines())
 

@@ -4,8 +4,8 @@ Substitution note (DESIGN.md §2): afl-fuzz instruments a binary and
 mutates byte buffers, keeping inputs that light up new branch tuples. We
 reproduce the algorithm in-process:
 
-- **feedback**: line-to-line edges from the coverage tracer, the analog
-  of afl's branch bitmap;
+- **feedback**: line-to-line edges within one frame, recorded by
+  :class:`EdgeTracer`, the analog of afl's branch bitmap;
 - **queue**: seeds first, then every input that produced a new edge;
 - **stages** per queue entry: a bounded deterministic stage (single-bit
   flips of each character's code point, afl's ``bitflip 1/1``), then a
@@ -21,12 +21,64 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from types import FrameType
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.determinism import resolve_rng
 from repro.programs.coverage import CoverageTracer
 
+# An edge is (filename, previous lineno, lineno) within one frame.
+Edge = Tuple[str, int, int]
+
 _INTERESTING = ["0", "1", "9", "255", "-1", " ", "\n", "a", "<", "(", '"']
+
+
+class EdgeTracer(CoverageTracer):
+    """Record executed lines and line-to-line edges in selected files.
+
+    Each fresh frame activation gets its own local trace function,
+    which remembers that frame's last line, so an edge never joins two
+    activations — not even when a new frame reuses a finished one's
+    address. A generator resuming fires another ``call`` event on the
+    frame it had; that frame still holds its local trace function
+    (``f_trace``), which is handed back, so the generator's edges carry
+    on across each ``yield``.
+    """
+
+    def __init__(self, modules):
+        super().__init__(modules)
+        self.edges: Set[Edge] = set()
+
+    def reset(self) -> None:
+        super().reset()
+        self.edges.clear()
+
+    def _trace_function(self) -> Callable:
+        files = self.files
+        record_line = self.lines.add
+        record_edge = self.edges.add
+
+        def global_trace(frame: FrameType, event: str, arg):
+            if frame.f_trace is not None:
+                return frame.f_trace
+            filename = frame.f_code.co_filename
+            if filename not in files:
+                return None
+            previous = None
+
+            def local_trace(frame: FrameType, event: str, arg):
+                nonlocal previous
+                if event == "line":
+                    lineno = frame.f_lineno
+                    record_line((filename, lineno))
+                    if previous is not None:
+                        record_edge((filename, previous, lineno))
+                    previous = lineno
+                return local_trace
+
+            return local_trace
+
+        return global_trace
 
 
 @dataclass
@@ -55,9 +107,9 @@ class AFLFuzzer:
         self.max_input_length = max_input_length
         self.havoc_per_entry = havoc_per_entry
         self.det_flip_limit = det_flip_limit
-        self.tracer = CoverageTracer(subject.modules)
+        self.tracer = EdgeTracer(subject.modules)
         self.queue: List[str] = []
-        self.seen_edges: Set[Tuple[str, int, int]] = set()
+        self.seen_edges: Set[Edge] = set()
         self.stats = AFLStats()
 
     # ------------------------------------------------------------------

@@ -15,13 +15,23 @@ This matches the "standard techniques [28]" fuzzer the paper builds.
 fuzzer also loads persisted run artifacts directly
 (:meth:`GrammarFuzzer.from_artifact`) — fuzzing is decoupled from the
 learning run that produced the grammar.
+
+A mutation costs the path to the node it replaces, not the whole tree.
+Every :class:`ParseTree` counts its nonterminal nodes, so a mutation
+draws the node's pre-order index with ``rng.choice(range(tree.size()))``,
+walks down by subtree counts and rebuilds only the path, sharing every
+other subtree with the tree it came from (trees are immutable).
+``Random.choice`` draws an index below ``len(seq)`` for any sequence, so
+this consumes exactly the bits of ``rng.choice(tree.nodes())``: the
+chosen node, the generated strings and the generator state afterwards
+are those of a mutation that lists and copies the whole tree.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.determinism import resolve_rng
 from repro.languages.cfg import Grammar, ParseTree
@@ -101,25 +111,28 @@ class GrammarFuzzer:
 
     def _mutate(self, tree: ParseTree) -> ParseTree:
         """Replace one random node's subtree with a fresh sample."""
-        target = self.rng.choice(tree.nodes())
-        replacement = self.sampler.sample_tree(target.symbol)
-        if target is tree:
-            return replacement
-        return _splice(tree, target, replacement)
-
-
-def _splice(
-    tree: ParseTree, target: ParseTree, replacement: ParseTree
-) -> ParseTree:
-    """Return a copy of ``tree`` with ``target`` (by identity) replaced."""
-    if tree is target:
+        index = self.rng.choice(range(tree.size()))
+        # Walk to the index-th node in pre-order, recording each
+        # (parent, position) on the way down.
+        path: List[Tuple[ParseTree, int]] = []
+        node = tree
+        while index:
+            index -= 1
+            for position, child in enumerate(node.children):
+                if isinstance(child, ParseTree):
+                    size = child.size()
+                    if index < size:
+                        path.append((node, position))
+                        node = child
+                        break
+                    index -= size
+        replacement = self.sampler.sample_tree(node.symbol)
+        for parent, position in reversed(path):
+            children = list(parent.children)
+            children[position] = replacement
+            replacement = ParseTree(
+                symbol=parent.symbol,
+                production=parent.production,
+                children=children,
+            )
         return replacement
-    children = []
-    for child in tree.children:
-        if isinstance(child, ParseTree):
-            children.append(_splice(child, target, replacement))
-        else:
-            children.append(child)
-    return ParseTree(
-        symbol=tree.symbol, production=tree.production, children=children
-    )

@@ -229,11 +229,25 @@ class ParseTree:
     Children are either nested :class:`ParseTree` nodes (for nonterminal
     symbols) or plain strings (for terminals, with a CharSet symbol
     contributing the single character that was matched or sampled).
+
+    A tree is immutable once built: every builder (the Earley parser,
+    the sampler, the fuzzer's mutation) constructs the children first,
+    and no code changes ``children`` afterwards, so trees may share
+    subtrees. Construction counts the nonterminal nodes from the
+    children's counts, so :meth:`size` is O(1).
     """
 
     symbol: Nonterminal
     production: Production
     children: List[Union["ParseTree", str]] = field(default_factory=list)
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = 1
+        for child in self.children:
+            if isinstance(child, ParseTree):
+                size += child._size
+        self._size = size
 
     # text() and nodes() walk the tree on an explicit stack: a tree can
     # be as deep as its text is long.
@@ -266,7 +280,7 @@ class ParseTree:
 
     def size(self) -> int:
         """Return the number of nonterminal nodes in the tree."""
-        return len(self.nodes())
+        return self._size
 
 
 def grammar_union(

@@ -1,11 +1,12 @@
-"""Line and edge coverage for pure-Python programs under test.
+"""Line coverage for pure-Python programs under test.
 
 The paper measures gcov line coverage of C programs (§8.3). Our subjects
 are pure-Python parsers, so we reproduce the same metric with
 ``sys.settrace``: a tracer restricted to the subject's module files
-records executed source lines. Edge coverage — pairs of consecutive line
-numbers — feeds the afl-like fuzzer's novelty bitmap, mirroring afl's
-branch tuples.
+records executed source lines. Edge coverage — pairs of consecutive
+lines in one frame — feeds only the afl-like fuzzer's novelty bitmap,
+so its tracer lives with that fuzzer (:mod:`repro.fuzzing.afl`) and the
+line tracer here pays for nothing but lines.
 
 ``coverable_lines`` plays the role of gcov's "lines that can execute":
 the line numbers of executable statements found by walking the module's
@@ -19,54 +20,51 @@ import ast
 import inspect
 import sys
 from types import FrameType, ModuleType
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, NamedTuple, Set, Tuple
 
-# A covered line is (filename, lineno); an edge is (filename, prev, cur).
+# A covered line is (filename, lineno).
 Line = Tuple[str, int]
-Edge = Tuple[str, int, int]
 
 
 class CoverageTracer:
-    """Record executed lines (and line-to-line edges) in selected files."""
+    """Record executed lines in selected files."""
 
     def __init__(self, modules: Iterable[ModuleType]):
         self.files: FrozenSet[str] = frozenset(
             module.__file__ for module in modules
         )
         self.lines: Set[Line] = set()
-        self.edges: Set[Edge] = set()
-        self._previous: Dict[int, int] = {}  # frame id -> last lineno
 
     def reset(self) -> None:
         self.lines.clear()
-        self.edges.clear()
 
-    def _local_trace(self, frame: FrameType, event: str, arg):
-        if event == "line":
-            filename = frame.f_code.co_filename
-            lineno = frame.f_lineno
-            self.lines.add((filename, lineno))
-            frame_id = id(frame)
-            previous = self._previous.get(frame_id)
-            if previous is not None:
-                self.edges.add((filename, previous, lineno))
-            self._previous[frame_id] = lineno
-        return self._local_trace
+    def _trace_function(self) -> Callable:
+        """The global trace function for one run: frames in the selected
+        files get a local trace function that records their lines.
+        Closures, because they run on every line the subject executes."""
+        files = self.files
+        record = self.lines.add
 
-    def _global_trace(self, frame: FrameType, event: str, arg):
-        if frame.f_code.co_filename in self.files:
-            return self._local_trace
-        return None
+        def local_trace(frame: FrameType, event: str, arg):
+            if event == "line":
+                record((frame.f_code.co_filename, frame.f_lineno))
+            return local_trace
+
+        def global_trace(frame: FrameType, event: str, arg):
+            if frame.f_code.co_filename in files:
+                return local_trace
+            return None
+
+        return global_trace
 
     def run(self, fn, *args, **kwargs):
         """Run ``fn`` under tracing, accumulating coverage; return its result."""
         old = sys.gettrace()
-        sys.settrace(self._global_trace)
+        sys.settrace(self._trace_function())
         try:
             return fn(*args, **kwargs)
         finally:
             sys.settrace(old)
-            self._previous.clear()
 
 
 def coverable_lines(module: ModuleType) -> Set[Line]:
@@ -149,22 +147,36 @@ class CoverageReport:
         return self.valid_incremental_coverage() / base
 
 
+class Coverage(NamedTuple):
+    """What :func:`measure_coverage` saw: the counted lines, and how
+    many inputs the subject accepted."""
+
+    lines: Set[Line]
+    accepted: int
+
+
 def measure_coverage(
     subject,
     inputs: Iterable[str],
     valid_only: bool = True,
-) -> Set[Line]:
+) -> Coverage:
     """Run ``subject.accepts`` on each input under tracing.
 
     With ``valid_only`` (the §8.3 restriction to E ∩ L*), an input's
     coverage only counts if the subject accepted it. Each input runs
-    once, traced; its lines join the total when it counts.
+    once, traced; its lines join the total when it counts. The traced
+    run's verdict is the subject's verdict (every subject's budget
+    counts steps, not time), so callers take validity from
+    ``accepted`` instead of running the inputs again.
     """
     tracer = CoverageTracer(subject.modules)
     accumulated: Set[Line] = set()
+    accepted = 0
     for text in inputs:
         tracer.reset()
         ok = tracer.run(subject.accepts, text)
+        if ok:
+            accepted += 1
         if ok or not valid_only:
             accumulated |= tracer.lines
-    return accumulated
+    return Coverage(accumulated, accepted)

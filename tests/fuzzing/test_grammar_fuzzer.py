@@ -71,6 +71,78 @@ class TestGeneration:
         assert len(values) == 5
 
 
+class TestMutation:
+    """Mutants rebuild the path to the replaced node and share the rest."""
+
+    def test_size_counts_nodes_of_parsed_sampled_and_mutated_trees(self):
+        fuzzer = GrammarFuzzer(
+            paren_grammar(), ["(())()", "()"], random.Random(4)
+        )
+        trees = list(fuzzer.seed_trees)
+        trees += [fuzzer.sampler.sample_tree() for _ in range(20)]
+        tree = fuzzer.seed_trees[0]
+        for _ in range(50):
+            tree = fuzzer._mutate(tree)
+            trees.append(tree)
+        for tree in trees:
+            for node in tree.nodes():
+                assert node.size() == len(node.nodes())
+
+    def test_generation_leaves_seed_trees_unchanged(self):
+        fuzzer = GrammarFuzzer(
+            paren_grammar(), ["(()())", "()(())"], random.Random(6)
+        )
+
+        def snapshot(tree):
+            return tree.text(), [
+                (node, tuple(node.children)) for node in tree.nodes()
+            ]
+
+        before = [snapshot(tree) for tree in fuzzer.seed_trees]
+        fuzzer.generate(200)
+        after = [snapshot(tree) for tree in fuzzer.seed_trees]
+        for (text, nodes), (text_after, nodes_after) in zip(before, after):
+            assert text_after == text
+            assert len(nodes_after) == len(nodes)
+            for (node, children), (node_after, children_after) in zip(
+                nodes, nodes_after
+            ):
+                assert node_after is node
+                assert len(children_after) == len(children)
+                assert all(a is b for a, b in zip(children, children_after))
+
+    def test_mutant_shares_untouched_subtrees_with_seed(self):
+        fuzzer = GrammarFuzzer(paren_grammar(), ["(())(())"], random.Random(8))
+        seed = fuzzer.seed_trees[0]
+        seed_nodes = {id(node) for node in seed.nodes()}
+        mutants = [fuzzer._mutate(seed) for _ in range(20)]
+        shared = [
+            mutant for mutant in mutants
+            if any(id(node) in seed_nodes for node in mutant.nodes())
+        ]
+        assert shared
+
+
+class TestLargeInput:
+    def test_deep_seed_tree_fuzzes_without_recursion(self, tmp_path):
+        from repro.artifacts import RunArtifact, SeedRecord, save_artifact
+        from repro.artifacts.run import SEED_USED
+
+        # S -> S 'a' | ε parses a^n into a left spine n + 1 nodes deep.
+        grammar = Grammar(S, [Production(S, (S, "a")), Production(S, ())])
+        seed = "a" * 10_000
+        artifact = RunArtifact(
+            seeds=[SeedRecord(text=seed, state=SEED_USED)], grammar=grammar
+        )
+        path = tmp_path / "run.json"
+        save_artifact(artifact, path)
+        fuzzer = GrammarFuzzer.from_artifact(path, rng=random.Random(0))
+        assert fuzzer.seed_trees[0].text() == seed
+        assert fuzzer.seed_trees[0].size() == 10_001
+        for text in fuzzer.generate(20):
+            assert set(text) <= {"a"}
+
+
 class TestFromArtifact:
     """§7: fuzzing consumes the persisted learning artifact directly."""
 

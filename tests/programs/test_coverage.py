@@ -30,12 +30,6 @@ class TestTracer:
         transliterate_lines = set(tracer.lines)
         assert substitute_lines != transliterate_lines
 
-    def test_edges_recorded(self):
-        subject = get_subject("grep")
-        tracer = CoverageTracer(subject.modules)
-        tracer.run(subject.accepts, "a*b")
-        assert tracer.edges
-
     def test_non_subject_code_not_traced(self):
         subject = get_subject("xml")
         tracer = CoverageTracer(subject.modules)
@@ -101,11 +95,21 @@ class TestMeasureCoverage:
             subject, ["<r/>", "<<<broken"], valid_only=True
         )
         # The invalid input contributes nothing under valid-only.
-        assert valid_cov == mixed_cov
+        assert valid_cov.lines == mixed_cov.lines
 
     def test_invalid_runs_counted_when_asked(self):
         subject = get_subject("xml")
         strict = measure_coverage(subject, ["<<<broken"], valid_only=True)
         loose = measure_coverage(subject, ["<<<broken"], valid_only=False)
-        assert strict == set()
-        assert loose
+        assert strict.lines == set()
+        assert loose.lines
+
+    @pytest.mark.parametrize("valid_only", [True, False])
+    def test_accepted_count_matches_untraced_verdicts(self, valid_only):
+        subject = get_subject("sed")
+        inputs = list(subject.seeds) + ["s/a", "y/ab/c/", "", "p;p"]
+        coverage = measure_coverage(subject, inputs, valid_only=valid_only)
+        assert coverage.accepted == sum(
+            1 for text in inputs if subject.accepts(text)
+        )
+        assert 0 < coverage.accepted < len(inputs)
