@@ -251,10 +251,11 @@ def main(argv=None):
         # counted queries at every job count, or the bench fails.
         if row["grammar"] != base["grammar"]:
             failures.append("grammar differs at {} jobs".format(row["jobs"]))
-        if row["oracle_queries"] != base["oracle_queries"]:
-            failures.append(
-                "oracle_queries differ at {} jobs".format(row["jobs"])
-            )
+        for key in ("oracle_queries", "unique_queries"):
+            if row[key] != base[key]:
+                failures.append(
+                    "{} differ at {} jobs".format(key, row["jobs"])
+                )
     # Tracer on vs off is gated the same way: observation only.
     failures.extend(trace_drift_failures(trace_rows))
     if args.min_speedup and speedup < args.min_speedup:
@@ -275,6 +276,7 @@ def main(argv=None):
             "deterministic": all(
                 row["grammar"] == base["grammar"]
                 and row["oracle_queries"] == base["oracle_queries"]
+                and row["unique_queries"] == base["unique_queries"]
                 for row in rows
             ),
             "phase1_speedup": speedup,

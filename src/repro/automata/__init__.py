@@ -1,17 +1,10 @@
-"""Finite automata: DFAs, determinization, minimization."""
+"""Finite automata: DFAs and minimization."""
 
-from repro.automata.determinize import (
-    bounded_subset_construction,
-    regex_to_dfa,
-)
-from repro.automata.dfa import DFA, dfa_from_table
+from repro.automata.dfa import DFA
 from repro.automata.minimize import hopcroft_blocks, minimize_dfa
 
 __all__ = [
     "DFA",
-    "bounded_subset_construction",
-    "dfa_from_table",
     "hopcroft_blocks",
     "minimize_dfa",
-    "regex_to_dfa",
 ]

@@ -241,19 +241,3 @@ class DFA:
                         Production(nt(state), (char, nt(nxt)))
                     )
         return Grammar(nt(trimmed.start), productions)
-
-
-def dfa_from_table(
-    alphabet: Iterable[str],
-    table: Dict[int, Dict[str, int]],
-    start: int,
-    accepting: Iterable[int],
-) -> DFA:
-    """Convenience constructor from ``{state: {char: next_state}}``."""
-    transitions = {
-        (state, char): dst
-        for state, row in table.items()
-        for char, dst in row.items()
-    }
-    states = set(table) | {d for d in transitions.values()}
-    return DFA(alphabet, states, start, accepting, transitions)

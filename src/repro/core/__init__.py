@@ -17,11 +17,10 @@ from repro.core.gtree import (
     GStar,
     HoleKind,
     constants_of,
-    holes_of,
     stars_of,
 )
 from repro.core.phase1 import Phase1Result, synthesize_regex
-from repro.core.phase2 import Phase2Result, merge_repetitions
+from repro.core.phase2 import Phase2Result
 from repro.core.translate import star_nonterminal, translate_trees
 
 __all__ = [
@@ -40,9 +39,7 @@ __all__ = [
     "Phase2Result",
     "constants_of",
     "generalize_characters",
-    "holes_of",
     "learn_grammar",
-    "merge_repetitions",
     "star_nonterminal",
     "stars_of",
     "synthesize_regex",

@@ -290,8 +290,3 @@ def stars_of(root: GNode) -> List[GStar]:
 def constants_of(root: GNode) -> List[GConst]:
     """Return every :class:`GConst` in the tree, in pre-order."""
     return [node for node in root.walk() if isinstance(node, GConst)]
-
-
-def holes_of(root: GNode) -> List[GHole]:
-    """Return every unexpanded :class:`GHole` (empty once phase 1 ends)."""
-    return [node for node in root.walk() if isinstance(node, GHole)]

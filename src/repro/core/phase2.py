@@ -56,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.gtree import GStar
 from repro.core.translate import star_nonterminal
@@ -150,9 +150,7 @@ def residual_seed(star: GStar, run_index: int) -> int:
     return int.from_bytes(digest, "big") ^ (run_index * 7919 + 13)
 
 
-def _star_residuals(
-    star: GStar, n_samples: int, rng_seed: Optional[int] = None
-) -> List[str]:
+def _star_residuals(star: GStar, n_samples: int, rng_seed: int) -> List[str]:
     """Residual strings ρ ∈ L(R) for a repetition subexpression.
 
     §5.3 requires residuals from the *generalized* language L(R′) — the
@@ -173,38 +171,10 @@ def _star_residuals(
         inner = star.inner.to_regex()
         add(_boundary_string(inner, min))
         add(_boundary_string(inner, max))
-        if rng_seed is None:
-            rng_seed = residual_seed(star, 0)
         rng = random.Random(rng_seed)
         for _ in range(n_samples):
             add(sample_regex(inner, rng, max_reps=2))
     return residuals
-
-
-def merge_checks(
-    star_i: GStar,
-    star_j: GStar,
-    mixed: bool = True,
-    n_samples: int = 2,
-    seed_i: Optional[int] = None,
-    seed_j: Optional[int] = None,
-) -> Tuple[str, ...]:
-    """The §5.3 substitution checks, plus mixed-adjacency residuals.
-
-    ``mixed=False`` with ``n_samples=0`` gives the paper's literal two
-    checks (used by the merge-check ablation bench). ``seed_i`` /
-    ``seed_j`` are the stars' run-local residual-sampling seeds;
-    :func:`plan_merges` passes each star's :func:`residual_seed` at its
-    merge-order index, direct callers get the index-0 default.
-    """
-    return _checks_from_residuals(
-        star_i,
-        star_j,
-        _star_residuals(star_i, n_samples, seed_i),
-        _star_residuals(star_j, n_samples, seed_j),
-        mixed=mixed,
-        n_samples=n_samples,
-    )
 
 
 def _checks_from_residuals(
@@ -396,8 +366,12 @@ class MergeCommitter:
 
         Skipped pairs cost nothing; evaluated pairs ask their checks in
         order through the oracle stack (which does its own counting and
-        caching) up to the first rejection. Callers hint the checks to
-        a prefetching stack beforehand, if they want them run ahead.
+        caching) up to the first rejection. This is the only way a pair
+        commits, on every backend: the pipeline's inline loop calls it
+        as each pair's turn comes, and the wavefront calls it after
+        recording a worker-evaluated pair's verdicts in the cache, so
+        its checks count here and hit the cache. No check is hinted to
+        a prefetching stack.
         """
         pair = self.next_pair()
         if self.equated(pair.star_i, pair.star_j):
@@ -423,21 +397,3 @@ class MergeCommitter:
         return Phase2Result(
             grammar=merged_grammar, representative=representative
         )
-
-
-def merge_repetitions(
-    grammar: Grammar,
-    stars: Sequence[GStar],
-    oracle: Oracle,
-    mixed_checks: bool = True,
-) -> Phase2Result:
-    """Run phase two serially: try every pair, equate those that check out."""
-    plan = plan_merges(
-        stars,
-        mixed=mixed_checks,
-        n_samples=2 if mixed_checks else 0,
-    )
-    committer = MergeCommitter(plan)
-    while not committer.done:
-        committer.commit_serial(oracle)
-    return committer.finish(grammar)

@@ -31,7 +31,18 @@ are evaluated ahead of the commits behind a cross-pair verdict table;
 a pair transitively equated by the time it commits is skipped exactly
 like the serial loop's skip, with its speculative cost routed to
 ``speculative_queries``. So phase 2's grammar and counted metrics are
-independent of the job count.
+independent of the job count. Phase 2 runs ahead only through its
+jobs: it hands no prefetch hint to the oracle, since a pair's checks
+stop at the first rejection.
+
+Both phases count distinct strings in one place, the run's
+:class:`~repro.learning.oracle.CachingOracle`. Phase 2 asks through
+it. A pooled seed task asks through its own cache and returns that
+cache's verdicts; they are held apart while the seed is unsettled, and
+fold into the run's cache once, when the seed settles as kept (a
+discarded seed's are dropped). A checkpoint's ``unique_queries`` is
+the cache's size plus the unsettled seeds' strings not yet in it, so
+once phase 1 has settled, a checkpoint counts in O(1).
 
 After every completed stage — after *every seed* inside phase one, and
 after *every evaluated pair* inside phase two — the pipeline writes
@@ -52,21 +63,15 @@ the base, and the current process adds on top. For ``oracle_queries``
 (the paper's cost metric, counted *including* cache hits) the
 accumulated total equals an uninterrupted run's exactly;
 ``unique_queries`` may count a string once per process that queried it,
-since the membership cache does not persist across restarts.
+since the membership cache does not persist across restarts. It never
+undercounts: a seed checkpointed as learned keeps its strings in the
+base even if the resumed run then discards it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
-from typing import (
-    AbstractSet,
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    Optional,
-    Sequence,
-)
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.artifacts.run import (
     SEED_LEARNED,
@@ -91,7 +96,7 @@ from repro.learning.oracle import (
     CountingOracle,
     Oracle,
     TracingOracle,
-    prefetcher,
+    text_digest,
 )
 from repro.learning.resilience import OracleFailedError, add_fault_counters
 from repro.obs.export import build_telemetry
@@ -218,7 +223,7 @@ class LearningPipeline:
         base_unique = artifact.unique_queries
         clock = StageClock(artifact.timings)
 
-        state = _RunAccounting()
+        state = _RunAccounting(cached)
         # Building the telemetry section snapshots (copies, sorts)
         # every span collected so far — O(spans). Worth it per
         # checkpoint when a real store persists the result (a killed
@@ -239,9 +244,7 @@ class LearningPipeline:
                 artifact.oracle_queries = (
                     base_queries + counting.queries + state.queries_delta
                 )
-                artifact.unique_queries = base_unique + state.unique(
-                    cached.seen_digests
-                )
+                artifact.unique_queries = base_unique + state.unique()
                 if tracer.enabled and (persistent or final):
                     artifact.telemetry = build_telemetry(tracer, registry)
                 self.store.save(artifact)
@@ -439,6 +442,7 @@ class LearningPipeline:
                         tracer.discard_shard("seed:{}".format(frontier))
                     else:
                         record.state = SEED_USED
+                        state.keep(frontier)
                 if record.state == SEED_USED:
                     session.remember(state.result_of(artifact, frontier))
                 elif record.state != SEED_SKIPPED:
@@ -537,9 +541,7 @@ class LearningPipeline:
 
         with executor:
             if executor.jobs == 1:
-                # Nothing to run ahead: commit inline, after hinting an
-                # evaluated pair's checks to a prefetching stack.
-                prefetch = prefetcher(counting)
+                # Nothing to run ahead: commit inline.
                 while not committer.done:
                     pair = committer.next_pair()
                     pair_shard = "pair:{}".format(pair.index)
@@ -547,10 +549,6 @@ class LearningPipeline:
                         "pair", cat="phase2", shard=pair_shard,
                         args={"index": pair.index},
                     ):
-                        if prefetch is not None and not committer.equated(
-                            pair.star_i, pair.star_j
-                        ):
-                            prefetch(pair.checks)
                         event = committer.commit_serial(counting)
                     if not event.evaluated:
                         # Skipped for free — a traced run keeps pair
@@ -589,24 +587,20 @@ def _record_executor(registry: MetricsRegistry, phase: str, executor) -> None:
 class _RunAccounting:
     """Bookkeeping for phase-1 work done outside the parent oracle stack.
 
-    Tracks, per seed completed *this process*, the seed task's query
-    count and its digest set, so the artifact's totals can (a) exclude
-    speculative work the covered-seed rule discards and (b) count
-    distinct strings globally across shards (union of per-shard digest
-    sets plus the parent oracle's own). Phase 2 counts through the
-    parent stack itself.
-
-    The union of shard digests is kept incrementally: :meth:`absorb`
-    adds to it, and only :meth:`discard` rebuilds it (at most once per
-    seed), so :meth:`unique` at a checkpoint costs O(the smaller of that
-    union and the parent's digest set) — O(1) with one worker, where
-    every query goes through the parent's cache.
+    ``queries_delta`` counts the queries of seed tasks completed *this
+    process* (the parent's counting layer never saw them), less those
+    of seeds the covered-seed rule discards. A pooled seed task's
+    verdicts are held here while the seed is unsettled: a discarded
+    seed's strings must not count. :meth:`keep` folds a kept seed's
+    verdicts into the run's cache once, so from then on the cache alone
+    counts them. A task that shared the run's cache (one worker)
+    returns no verdicts: the cache already holds them.
     """
 
-    def __init__(self):
+    def __init__(self, cached: CachingOracle):
         self.queries_delta = 0
-        self._digests: Dict[int, FrozenSet[int]] = {}
-        self._union: set = set()
+        self._cached = cached
+        self._unsettled: Dict[int, Dict[str, bool]] = {}
 
     def absorb(self, artifact: RunArtifact, outcome: SeedResult) -> None:
         """Record a freshly completed seed task (any backend)."""
@@ -614,10 +608,15 @@ class _RunAccounting:
         record.queries = outcome.queries
         record.seconds = outcome.seconds
         self.queries_delta += outcome.queries
-        self._digests[outcome.index] = outcome.digests
-        self._union.update(outcome.digests)
+        if outcome.verdicts:
+            self._unsettled[outcome.index] = outcome.verdicts
         artifact.phase1_results.append(outcome.result)
         artifact.phase1_results.sort(key=lambda r: r.seed_index)
+
+    def keep(self, index: int) -> None:
+        """Fold a seed settled as kept into the run's cache."""
+        for text, verdict in self._unsettled.pop(index, {}).items():
+            self._cached.record(text, verdict)
 
     def discard(self, artifact: RunArtifact, index: int) -> None:
         """Drop a speculative result the covered-seed rule rejected.
@@ -630,21 +629,23 @@ class _RunAccounting:
         self.queries_delta -= record.queries
         artifact.speculative_queries += record.queries
         record.queries = 0
-        if self._digests.pop(index, None) is not None:
-            # Other shards may share its strings: rebuild the union.
-            self._union = set()
-            for digests in self._digests.values():
-                self._union.update(digests)
+        self._unsettled.pop(index, None)
         artifact.phase1_results = [
             r for r in artifact.phase1_results if r.seed_index != index
         ]
 
-    def unique(self, parent_digests: AbstractSet[int]) -> int:
-        """Distinct strings queried this process, across all shards:
-        the size of ``parent_digests`` ∪ the shard union, found by
-        looking each member of the smaller set up in the larger."""
-        small, large = sorted((parent_digests, self._union), key=len)
-        return len(large) + sum(1 for digest in small if digest not in large)
+    def unique(self) -> int:
+        """Distinct strings queried this process: the run cache's, plus
+        the unsettled seeds' strings it does not hold yet. With no seed
+        unsettled (all of phase 2), this is the cache's size alone."""
+        seen = self._cached.seen_digests
+        pending = {
+            digest
+            for verdicts in self._unsettled.values()
+            for digest in map(text_digest, verdicts)
+            if digest not in seen
+        }
+        return len(seen) + len(pending)
 
     @staticmethod
     def result_of(artifact: RunArtifact, index: int):

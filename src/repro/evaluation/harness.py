@@ -288,6 +288,13 @@ def search_valid_sample(
     first long-enough valid one.
     """
     fuzzer = GrammarFuzzer.from_artifact(artifact, random.Random(seed))
+    return _first_valid_sample(fuzzer, accepts, n_candidates, min_length)
+
+
+def _first_valid_sample(
+    fuzzer: GrammarFuzzer, accepts, n_candidates: int, min_length: int
+) -> Tuple[str, bool, int]:
+    """:func:`search_valid_sample`'s loop over a ready fuzzer."""
     best = ""
     for tried in range(1, n_candidates + 1):
         candidate = fuzzer.generate_one()
@@ -354,13 +361,15 @@ def derive_subject_metrics(
     report = CoverageReport(coverable, seed_lines, covered | seed_lines)
     fuzz_new_lines = len(report.incremental_lines())
 
-    # Fig 8: a large valid sample exists.
-    sample, sample_valid, _tried = search_valid_sample(
-        artifact,
+    # Fig 8: a large valid sample exists. The search draws from its own
+    # RNG, as search_valid_sample does, over the seed trees parsed above.
+    sample, sample_valid, _tried = _first_valid_sample(
+        fuzzer.with_rng(
+            random.Random(stable_seed("sample", name, params.rng_seed))
+        ),
         subject.accepts,
-        n_candidates=params.sample_candidates,
-        seed=stable_seed("sample", name, params.rng_seed),
-        min_length=params.sample_min_length,
+        params.sample_candidates,
+        params.sample_min_length,
     )
 
     metrics = SubjectMetrics(

@@ -14,9 +14,10 @@ on the same :class:`~repro.exec.backends.Executor` backends:
   already answered never reaches the oracle again; fresh verdicts
   travel back and widen the table for later submissions.
 - a task asks its pair's checks in order and stops at the first
-  rejection, exactly as the serial loop does, and hints the pair's
-  unknown checks first to a stack that can run them ahead
-  (:func:`~repro.learning.oracle.prefetcher`).
+  rejection, exactly as the serial loop does. It hands no prefetch
+  hint to the oracle: most pairs stop early, so running the whole check
+  list ahead would mostly spend runs nobody asks for. Phase 2 runs
+  ahead only through the executor's jobs.
 - tasks run speculatively: a pair is submitted before earlier pairs
   have committed, so its stars may turn out transitively equated by
   the time its turn comes. :func:`run_merge_wavefront` commits pairs
@@ -52,7 +53,6 @@ from repro.learning.oracle import (
     CountingOracle,
     Oracle,
     TracingOracle,
-    prefetcher,
 )
 from repro.learning.resilience import add_fault_counters
 from repro.obs.metrics import MetricsRegistry
@@ -138,9 +138,6 @@ def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         with tracer.span(
             "pair", cat="phase2", args={"index": payload["index"]}
         ):
-            prefetch = prefetcher(oracle)
-            if prefetch is not None:
-                prefetch([check for check in checks if check not in known])
             for check in checks:
                 verdict = known.get(check)
                 if verdict is None:

@@ -17,9 +17,10 @@ on any worker, in any order, with a merge that is deterministic in
   several, each task builds its own;
 - task payloads and results are picklable: the result carries the
   generalization tree in the artifact's JSON encoding, the seed's query
-  count, the deterministic digests of its distinct query strings (for
-  global unique-query accounting, see
-  :func:`~repro.learning.oracle.text_digest`), and worker wall-clock;
+  count, its own cache's verdicts (which the pipeline folds into the
+  run's cache if the seed is kept, see
+  :meth:`~repro.learning.oracle.CachingOracle.record`), and worker
+  wall-clock;
 - :func:`run_pending` drives payloads through an executor, yielding
   decoded results in completion order; the pipeline settles them in
   seed order.
@@ -32,7 +33,7 @@ speculative learning work happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator
+from typing import Any, Dict, Iterable, Iterator
 
 from repro.core.chargen import generalize_characters
 from repro.core.gtree import seed_block_allocator
@@ -59,7 +60,9 @@ TASK_ENTRY_POINTS = ("run_seed_task",)
 class SeedResult:
     """One seed's merged phase-1 outcome, decoded on the parent side.
 
-    ``seconds`` is a derived view of ``telemetry`` — the task's
+    ``verdicts`` is the task's own cache (every distinct string it
+    asked, with its verdict), empty when the task shared the parent's
+    cache. ``seconds`` is a derived view of ``telemetry`` — the task's
     metrics-registry snapshot (plus its spans under ``--trace``) — kept
     as a named field because the pipeline's artifact merge reads it.
     """
@@ -67,7 +70,7 @@ class SeedResult:
     index: int
     result: Phase1Result
     queries: int
-    digests: FrozenSet[int]
+    verdicts: Dict[str, bool]
     seconds: float
     #: The task's wire telemetry: ``{"metrics": <registry snapshot>,
     #: "spans": [...]}``; spans (phase one's ``step`` events among
@@ -89,8 +92,8 @@ def seed_payload(
     for workers (each pickled copy builds its own cache); a one-worker
     run instead passes its process-local :class:`CachingOracle`, so the
     task skips its own cache layer — one memo across all seeds, no
-    double caching — and returns no digest set (the parent cache's is a
-    superset). ``session`` optionally shares one in-process membership
+    double caching — and returns no verdicts (the parent cache already
+    holds them). ``session`` optionally shares one in-process membership
     session across tasks — only a one-worker run does this (sessions
     are neither thread-safe nor worth pickling), recovering the
     cross-seed NFA fragment reuse of the pre-sharding sequential loop.
@@ -110,8 +113,9 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     This is the worker entry point for every backend (module-level so
     process pools can pickle it by reference). The returned dict is the
-    wire format: the tree in artifact JSON encoding, query stats, and
-    timings — everything the parent needs to merge deterministically.
+    wire format: the tree in artifact JSON encoding, the query count,
+    the task cache's verdicts, and timings — everything the parent
+    needs to merge deterministically.
     """
     # Imported here (not at module top) to keep the worker import
     # surface explicit; artifacts.schema itself imports core modules.
@@ -160,7 +164,7 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "index": index,
         "result": phase1_result_to_dict(result),
         "queries": counting.queries,
-        "digests": tuple(cached.seen_digests) if cached is not None else (),
+        "verdicts": cached.known_results() if cached is not None else {},
         "telemetry": {
             "metrics": registry.snapshot(),
             "spans": tracer.snapshot(),
@@ -182,7 +186,7 @@ def decode_task(raw: Dict[str, Any]) -> SeedResult:
         index=raw["index"],
         result=phase1_result_from_dict(raw["result"]),
         queries=raw["queries"],
-        digests=frozenset(raw["digests"]),
+        verdicts=raw["verdicts"],
         seconds=histogram_total(telemetry.get("metrics"), "seed.seconds"),
         telemetry=telemetry,
     )

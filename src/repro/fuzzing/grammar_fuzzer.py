@@ -29,6 +29,7 @@ are those of a mutation that lists and copies the whole tree.
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -92,6 +93,21 @@ class GrammarFuzzer:
         grammar = artifact.require_grammar()
         seeds = artifact.seeds_used() + artifact.seeds_skipped()
         return cls(grammar, seeds, rng=rng, **kwargs)
+
+    def with_rng(self, rng: random.Random) -> "GrammarFuzzer":
+        """A fuzzer over this one's grammar and parsed seeds that draws
+        from ``rng``.
+
+        Parsing the seeds is the costly part of construction, and
+        neither it nor the sampler's set-up draws from the RNG, so the
+        copy generates exactly what a fuzzer built afresh with ``rng``
+        would. Parse trees are immutable, so the two share them.
+        """
+        twin = copy.copy(self)
+        twin.rng = rng
+        twin.sampler = copy.copy(self.sampler)
+        twin.sampler.rng = rng
+        return twin
 
     def generate_one(self) -> str:
         """Generate a single fuzzed input."""

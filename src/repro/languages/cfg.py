@@ -282,6 +282,37 @@ class ParseTree:
         """Return the number of nonterminal nodes in the tree."""
         return self._size
 
+    # Equality and repr replace the dataclass-generated ones, which
+    # recurse once per tree level.
+
+    def __eq__(self, other: object) -> bool:
+        """Same symbol, production and children, compared node by node
+        on an explicit stack."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            left, right = stack.pop()
+            if left is right:
+                continue
+            if (
+                left.symbol != right.symbol
+                or left.production != right.production
+                or len(left.children) != len(right.children)
+            ):
+                return False
+            for a, b in zip(left.children, right.children):
+                if isinstance(a, ParseTree) and isinstance(b, ParseTree):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return "ParseTree({}, {} children, size {})".format(
+            self.production, len(self.children), self._size
+        )
+
 
 def grammar_union(
     grammars: Sequence[Grammar], start_name: str = "S"

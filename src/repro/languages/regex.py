@@ -370,11 +370,6 @@ def format_char_class(chars: FrozenSet[str]) -> str:
     return "[" + "".join(pieces) + "]"
 
 
-def regex_size(expr: Regex) -> int:
-    """Return the number of AST nodes in the expression."""
-    return sum(1 for _ in expr.walk())
-
-
 def to_python_re(expr: Regex) -> str:
     """Translate the AST to Python :mod:`re` syntax (for oracle testing)."""
     import re as _re

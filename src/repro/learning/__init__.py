@@ -2,7 +2,6 @@
 
 from repro.learning.lstar import (
     LStarResult,
-    PerfectEquivalenceOracle,
     SamplingEquivalenceOracle,
     lstar,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Oracle",
     "OracleFailedError",
     "OracleTransientError",
-    "PerfectEquivalenceOracle",
     "RPNIResult",
     "ResilientOracle",
     "RetryPolicy",

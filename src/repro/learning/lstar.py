@@ -4,9 +4,7 @@ L-Star learns a DFA from a membership oracle and an equivalence oracle
 via an observation table. The paper's experiments cannot consult a true
 equivalence oracle (the target is a blackbox program), so — following
 §8.2 — equivalence is approximated by random sampling: the hypothesis is
-accepted if no counterexample is found among 50 sampled strings. A
-perfect equivalence oracle over reference DFAs is also provided for unit
-tests, where L-Star's exact-learning guarantee must hold.
+accepted if no counterexample is found among 50 sampled strings.
 """
 
 from __future__ import annotations
@@ -21,16 +19,6 @@ from repro.learning.oracle import Oracle
 
 # An equivalence oracle returns a counterexample string, or None to accept.
 EquivalenceOracle = Callable[[DFA], Optional[str]]
-
-
-class PerfectEquivalenceOracle:
-    """Exact equivalence against a reference DFA (for unit tests)."""
-
-    def __init__(self, reference: DFA):
-        self.reference = reference
-
-    def __call__(self, hypothesis: DFA) -> Optional[str]:
-        return self.reference.difference_witness(hypothesis)
 
 
 class SamplingEquivalenceOracle:

@@ -9,11 +9,12 @@ deadlines) uniformly.
 
 Every layer answers one query at a time, and the learner asks its checks
 one at a time, stopping at the first rejection, so counted queries are
-the paper's. A set of independent checks (a candidate's residuals, one
-position's character probes, a merge pair's checks) may additionally be
-passed ahead as a hint (:func:`prefetcher`): a multi-worker
+the paper's. In phase one, a set of independent checks (a candidate's
+residuals, one position's character probes) may additionally be passed
+ahead as a hint (:func:`prefetcher`): a multi-worker
 :class:`SubprocessOracle` runs them in parallel, and the calls that
-follow take the finished runs instead of spawning.
+follow take the finished runs instead of spawning. Phase two hints
+nothing; it runs ahead only through its jobs.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ Oracle = Callable[[str], bool]
 def text_digest(text: str) -> int:
     """A deterministic 64-bit fingerprint of a query string.
 
-    Used to count *distinct* queried strings without retaining them —
-    including across worker processes, where sets of digests from
-    independent shards are unioned. Python's builtin ``hash`` is salted
-    per process, so it cannot be merged across workers; a truncated
-    blake2b can. A collision undercounting the metric is astronomically
-    unlikely.
+    :class:`CachingOracle` keys its distinct-string count by it, and the
+    pipeline uses it to find which of an unsettled seed's strings the
+    run's cache does not hold yet. Unlike Python's builtin ``hash``, it
+    is not salted per process, so equal strings get equal digests in
+    every process. A collision undercounting the metric is
+    astronomically unlikely.
     """
     digest = hashlib.blake2b(
         text.encode("utf-8", "surrogatepass"), digest_size=8
@@ -124,32 +125,36 @@ class CachingOracle:
     def __init__(self, oracle: Oracle):
         self._oracle = oracle
         self._cache: Dict[str, bool] = {}
-        # Distinct strings are also tracked by deterministic digest, so
-        # the sets can be unioned across worker processes for global
-        # unique-query accounting (see :func:`text_digest`). A dict
-        # used as a set: its keys view is the read-only live view
-        # :attr:`seen_digests` hands out.
+        # Distinct strings are also tracked by deterministic digest
+        # (see :func:`text_digest`). A dict used as a set: its keys
+        # view is the read-only live view :attr:`seen_digests` hands
+        # out.
         self._seen: Dict[int, None] = {}
         self.unique_queries = 0
 
     @property
     def seen_digests(self) -> AbstractSet[int]:
-        """Digests of every distinct string forwarded to the oracle.
+        """Digests of every distinct string forwarded to the oracle or
+        recorded (:meth:`record`).
 
         A live read-only view, not a copy: it grows with later queries,
-        so callers read it at once (the pipeline's checkpoint counts
-        through it; a seed task ships ``tuple(...)`` of it). Taking it
-        costs O(1), however many strings were queried.
+        so callers read it at once. The pipeline's checkpoint takes its
+        ``len`` as the run's distinct-query count, and tests an
+        unsettled seed's strings against it. Taking it costs O(1),
+        however many strings were queried.
         """
         return self._seen.keys()
 
     def known_results(self) -> Dict[str, bool]:
         """A snapshot of every cached (string, verdict) pair.
 
-        This is how the phase-2 query planner pre-seeds its cross-pair
-        verdict table: check strings phase 1 already answered through
-        this cache never reach the oracle again, even from worker
-        processes that do not share the cache object.
+        A pooled seed task returns its own cache's snapshot, which the
+        pipeline folds into the run's cache (:meth:`record`) if the
+        seed is kept. The phase-2 query planner pre-seeds its
+        cross-pair verdict table from the run's cache the same way, so
+        check strings phase 1 already answered — on any job count —
+        never reach the oracle again, even from worker processes that
+        do not share the cache object.
         """
         return dict(self._cache)
 
@@ -158,8 +163,9 @@ class CachingOracle:
 
         The digest is marked exactly as a miss marks it, so the string
         counts toward :attr:`seen_digests` and ``unique_queries``. The
-        phase-2 wavefront records a worker-evaluated pair's verdicts
-        this way before committing the pair through this cache.
+        pipeline records a kept seed task's verdicts this way, and the
+        phase-2 wavefront a worker-evaluated pair's, before committing
+        the pair through this cache.
         """
         fingerprint = text_digest(text)
         if fingerprint not in self._seen:
@@ -474,8 +480,9 @@ def prefetcher(oracle: Oracle) -> Optional[Callable[[Iterable[str]], None]]:
     :class:`SubprocessOracle` with more than one worker. The hint hands
     it independent checks to :meth:`~SubprocessOracle.prefetch`, minus
     those a :class:`CachingOracle` on the way holds; a
-    :class:`TracingOracle` on the way times it. Learner sites resolve
-    it once per seed, constant set or merge pair.
+    :class:`TracingOracle` on the way times it. Phase one's learner
+    sites resolve it once per seed or constant set; phase two hands no
+    hint.
     """
     caches = []
     tracing: Optional[TracingOracle] = None

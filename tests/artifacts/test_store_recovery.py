@@ -32,6 +32,7 @@ from repro.core.phase1 import Phase1Result
 from repro.core.pipeline import LearningPipeline, _RunAccounting
 from repro.exec.backends import Executor
 from repro.exec.shard import SeedResult
+from repro.learning.oracle import CachingOracle
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
 
@@ -391,43 +392,115 @@ def test_each_result_and_grammar_is_encoded_once(tmp_path, monkeypatch):
 class TestUniqueQueryAccounting:
     @pytest.mark.parametrize("seed", range(8))
     def test_incremental_union_matches_brute_force(self, seed):
+        """Random absorb, keep, discard and parent-growth sequences: the
+        count is the union of the parent's strings and every kept or
+        unsettled shard, and a kept shard's verdicts are in the cache."""
         rng = random.Random(seed)
         n_seeds = 6
         artifact = RunArtifact(
             seeds=[SeedRecord(text=str(i)) for i in range(n_seeds)]
         )
-        state = _RunAccounting()
-        parent = {}
-        shards = {}
 
-        def digests():
-            return {rng.randrange(60) for _ in range(rng.randrange(12))}
+        def oracle(text):
+            return int(text) % 3 == 0
+
+        cached = CachingOracle(oracle)
+        state = _RunAccounting(cached)
+        parent = set()
+        kept = set()
+        unsettled = {}
+        settled = set()
+
+        def strings():
+            return {str(rng.randrange(60)) for _ in range(rng.randrange(12))}
 
         for _step in range(120):
-            move = rng.choice(("absorb", "discard", "parent"))
+            move = rng.choice(("absorb", "keep", "discard", "parent"))
+            index = rng.randrange(n_seeds)
             if move == "absorb":
-                index = rng.randrange(n_seeds)
-                if index in shards:
+                if index in unsettled or index in settled:
                     continue
-                shards[index] = frozenset(digests())
+                unsettled[index] = strings()
                 state.absorb(artifact, SeedResult(
                     index=index,
                     result=Phase1Result(root=GRoot(), seed_index=index),
                     queries=rng.randrange(1, 9),
-                    digests=shards[index],
+                    verdicts={text: oracle(text) for text in unsettled[index]},
                     seconds=0.0,
                 ))
+            elif move == "keep":
+                if index not in unsettled:
+                    continue
+                state.keep(index)
+                kept |= unsettled.pop(index)
+                settled.add(index)
             elif move == "discard":
-                index = rng.randrange(n_seeds)
+                if index in settled:
+                    continue
                 state.discard(artifact, index)
-                shards.pop(index, None)
+                unsettled.pop(index, None)
+                settled.add(index)
             else:
-                parent.update(dict.fromkeys(digests()))
-            union = set(parent)
-            for shard in shards.values():
+                for text in strings():
+                    cached(text)
+                    parent.add(text)
+            union = parent | kept
+            for shard in unsettled.values():
                 union |= shard
-            assert state.unique(parent.keys()) == len(union)
-            assert state.unique(set(parent)) == len(union)
+            assert state.unique() == len(union)
+            known = cached.known_results()
+            assert all(known[text] == oracle(text) for text in kept)
+
+    def test_phase2_checkpoints_count_in_constant_time(self, monkeypatch):
+        """After pooled phase 1, a phase-2 checkpoint touches the run
+        cache's digest view a fixed number of times, however many
+        strings the run has asked."""
+        from repro.targets import get_target
+
+        ops = []
+
+        class CountingView:
+            def __init__(self, view):
+                self._view = view
+
+            def __len__(self):
+                ops.append("len")
+                return len(self._view)
+
+            def __contains__(self, digest):
+                ops.append("in")
+                return digest in self._view
+
+            def __iter__(self):
+                for digest in self._view:
+                    ops.append("iter")
+                    yield digest
+
+        monkeypatch.setattr(
+            pipeline_mod.CachingOracle,
+            "seen_digests",
+            property(lambda cache: CountingView(cache._seen.keys())),
+        )
+        per_checkpoint = []
+
+        class Probe(CheckpointStore):
+            def save(self, artifact):
+                if artifact.stage == "translate":  # inside phase 2
+                    per_checkpoint.append(len(ops))
+                ops.clear()
+
+            def load(self):
+                return None
+
+        xml = get_target("xml")
+        seeds = sorted(xml.sample_seeds(4, seed=0), key=len)
+        config = GladeConfig(alphabet=xml.alphabet, jobs=2, backend="thread")
+        artifact = LearningPipeline(
+            xml.oracle, config=config, store=Probe()
+        ).run(seeds)
+        assert artifact.unique_queries > 500
+        assert len(per_checkpoint) > 20
+        assert max(per_checkpoint) <= 2
 
     def test_every_serial_save_counts_distinct_strings_asked(self):
         asked = set()

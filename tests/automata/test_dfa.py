@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.automata.dfa import DFA, dfa_from_table
+from repro.automata.dfa import DFA
 from repro.languages.earley import recognize
 from repro.languages.sampler import GrammarSampler
+
+from tests.reference_automata import dfa_from_table
 
 
 def even_as() -> DFA:

@@ -8,8 +8,10 @@ delegates to it) is checked for language equivalence and minimality.
 
 from hypothesis import given, strategies as st
 
-from repro.automata.dfa import DFA, dfa_from_table
+from repro.automata.dfa import DFA
 from repro.automata.minimize import hopcroft_blocks, minimize_dfa
+
+from tests.reference_automata import dfa_from_table
 
 
 def moore_blocks(n_states, n_symbols, delta, accepting):

@@ -12,10 +12,11 @@ from repro.core.gtree import (
     HoleKind,
     Slot,
     constants_of,
-    holes_of,
     stars_of,
 )
 from repro.languages import regex as rx
+
+from tests.reference_walks import holes_of
 
 
 def test_const_to_regex_plain():

@@ -2,13 +2,15 @@
 
 
 from repro.core.context import Context
-from repro.core.gtree import GHole, HoleKind, holes_of
+from repro.core.gtree import GHole, HoleKind
 from repro.core.phase1 import (
     _alt_decompositions,
     _rep_decompositions,
     synthesize_regex,
 )
 from repro.learning.oracle import CountingOracle
+
+from tests.reference_walks import holes_of
 
 
 class TestDecompositionOrdering:

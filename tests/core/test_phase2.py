@@ -7,10 +7,11 @@ import pytest
 from repro.core.context import Context
 from repro.core.glade import GladeConfig, learn_grammar
 from repro.core.gtree import GConcat, GConst, GRoot, GStar
-from repro.core.phase2 import merge_repetitions
 from repro.core.translate import translate_trees
 from repro.languages.earley import recognize
 from repro.languages.sampler import GrammarSampler
+
+from tests.reference_phase2 import merge_checks, merge_repetitions
 
 
 def _two_star_tree():
@@ -168,7 +169,7 @@ class TestMergePlan:
         # The planner's precomputed residuals must reproduce the
         # historical per-pair sampling byte for byte (residual_seed
         # semantics: rep string ⊕ merge-order index).
-        from repro.core.phase2 import merge_checks, plan_merges, residual_seed
+        from repro.core.phase2 import plan_merges, residual_seed
 
         _grammar, stars = _star_row(["ab", "cd", "ef"])
         plan = plan_merges(stars)
@@ -203,7 +204,7 @@ class TestMergePlan:
 
         monkeypatch.setattr(phase2, "_star_residuals", counting)
         grammar, stars = _star_row(["ab", "cd", "ef", "gh"])
-        phase2.merge_repetitions(grammar, stars, lambda s: True)
+        merge_repetitions(grammar, stars, lambda s: True)
         assert sorted(calls) == sorted(s.star_id for s in stars)
 
 

@@ -63,7 +63,7 @@ def test_token_star_learned_exactly(token, repeats):
     "potentially precision-preserving" — and NOT asserted; see
     test_learned_language_contains_seed for the guaranteed direction.)
     """
-    from repro.automata.determinize import regex_to_dfa
+    from tests.reference_automata import regex_to_dfa
 
     target = rx.star(rx.Lit(token))
     seed_input = token * repeats

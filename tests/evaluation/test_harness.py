@@ -185,6 +185,41 @@ class TestSuiteDeterminism:
         with pytest.raises(ArtifactError, match="1 retained seed"):
             harness.derive_subject_metrics("sed", artifact, params)
 
+    def test_derivation_parses_each_retained_seed_once(self, monkeypatch):
+        """Figure 7's fuzzer and Figure 8's search share one parse per
+        retained seed. The search still draws from its own RNG, so it
+        finds search_valid_sample's sample."""
+        import repro.fuzzing.grammar_fuzzer as fuzzer_mod
+
+        artifact = harness.subject_artifact("sed")
+        params = SuiteParams(
+            eval_samples=4, fuzz_samples=4, sample_candidates=20
+        )
+        parsed = []
+        parse = fuzzer_mod.parse
+
+        def counting(grammar, text):
+            parsed.append(text)
+            return parse(grammar, text)
+
+        monkeypatch.setattr(fuzzer_mod, "parse", counting)
+        metrics, _perf = harness.derive_subject_metrics(
+            "sed", artifact, params
+        )
+        monkeypatch.undo()
+        retained = artifact.seeds_used() + artifact.seeds_skipped()
+        assert sorted(parsed) == sorted(retained)
+        sample, valid, _tried = harness.search_valid_sample(
+            artifact,
+            get_subject("sed").accepts,
+            n_candidates=params.sample_candidates,
+            seed=harness.stable_seed("sample", "sed", params.rng_seed),
+            min_length=params.sample_min_length,
+        )
+        assert (len(sample), valid) == (
+            metrics.sample_length, metrics.sample_valid
+        )
+
     @pytest.mark.slow
     def test_all_subjects_learn_once_and_match_across_jobs(self):
         """Acceptance criterion at full scale: all eight subjects,

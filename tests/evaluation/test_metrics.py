@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.automata.determinize import regex_to_dfa
 from repro.evaluation.metrics import (
     DFAView,
     EvalScores,
@@ -16,6 +15,8 @@ from repro.evaluation.metrics import (
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar, Nonterminal, Production
 from repro.targets import get_target
+
+from tests.reference_automata import regex_to_dfa
 
 S = Nonterminal("S")
 

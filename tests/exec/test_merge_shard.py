@@ -20,7 +20,6 @@ from repro.core.phase2 import (
     PAIR_REJECTED,
     PAIR_SKIPPED,
     MergeCommitter,
-    merge_repetitions,
     plan_merges,
 )
 from repro.core.translate import translate_trees
@@ -37,6 +36,7 @@ from repro.exec.merge_shard import (
     run_pair_task,
 )
 from repro.learning.oracle import CachingOracle, CountingOracle
+from tests.reference_phase2 import merge_repetitions
 
 
 class CountingBase:

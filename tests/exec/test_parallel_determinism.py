@@ -15,6 +15,7 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.artifacts import (
+    CheckpointStore,
     MemoryCheckpointStore,
     SEED_LEARNED,
     SEED_SKIPPED,
@@ -326,8 +327,8 @@ _BALANCED = (
 def test_subprocess_workers_change_no_grammar_or_count():
     """Oracle workers run checks ahead; they never change what counts.
 
-    ``max_workers=4`` prefetches every candidate's checks, character
-    probes and merge pair on the subprocess pool, serially and under a
+    ``max_workers=4`` prefetches phase one's candidate checks and
+    character probes on the subprocess pool, serially and under a
     thread-backend sharded run, yet the learner still asks one check at
     a time with the short-circuit — so grammar, ``oracle_queries`` and
     ``unique_queries`` equal the one-worker run's.
@@ -350,3 +351,54 @@ def test_subprocess_workers_change_no_grammar_or_count():
     reference = learn_with(1)
     assert learn_with(4) == reference
     assert learn_with(4, jobs=2, backend="thread") == reference
+
+
+def _balanced(text):
+    depth = 0
+    for char in text:
+        depth += (char == "(") - (char == ")")
+        if depth < 0:
+            return False
+    return bool(text) and set(text) <= set("a()") and depth == 0
+
+
+class HintRecorder(SubprocessOracle):
+    """A two-worker :class:`SubprocessOracle` that answers in process and
+    records, per prefetch hint, the last stage the run had completed."""
+
+    def __init__(self):
+        super().__init__(["unused"], max_workers=2)
+        self.artifact = None
+        self.hints = []
+
+    def _run(self, text):
+        return _balanced(text)
+
+    def prefetch(self, texts):
+        self.hints.append(self.artifact.stage)
+        super().prefetch(texts)
+
+
+@pytest.mark.parametrize("jobs, backend", [(1, "serial"), (2, "thread")])
+def test_phase2_hands_no_prefetch_hint(jobs, backend):
+    """Phase 2 runs ahead only through its jobs: a pair stops at its
+    first rejection, so its checks are not hinted to the oracle. Phase
+    1 still hints its candidate checks and character probes."""
+    oracle = HintRecorder()
+
+    class StageOf(CheckpointStore):
+        def save(self, artifact):
+            oracle.artifact = artifact
+
+        def load(self):
+            return None
+
+    config = GladeConfig(alphabet="a()", jobs=jobs, backend=backend)
+    artifact = LearningPipeline(oracle, config=config, store=StageOf()).run(
+        ["(a)", "a()"]
+    )
+    oracle.close()
+    decisions = artifact.phase2_progress["decisions"]
+    assert set(decisions) & {"merged", "rejected"}  # pairs were evaluated
+    assert "validate" in oracle.hints  # phase 1
+    assert "translate" not in oracle.hints  # phase 2

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.fuzzing.grammar_fuzzer import GrammarFuzzer
-from repro.languages.cfg import Grammar, Nonterminal, Production
+from repro.languages.cfg import Grammar, Nonterminal, ParseTree, Production
 from repro.languages.earley import recognize
 
 S = Nonterminal("S")
@@ -123,6 +123,26 @@ class TestMutation:
         assert shared
 
 
+class TestWithRng:
+    def test_copy_draws_like_a_fresh_fuzzer_without_parsing(
+        self, monkeypatch
+    ):
+        import repro.fuzzing.grammar_fuzzer as fuzzer_mod
+
+        seeds = ["(())()", "()"]
+        fuzzer = GrammarFuzzer(paren_grammar(), seeds, random.Random(1))
+        first = fuzzer.generate(5)
+        monkeypatch.setattr(fuzzer_mod, "parse", None)  # no parse allowed
+        twin = fuzzer.with_rng(random.Random(2))
+        monkeypatch.undo()
+        assert twin.seed_trees is fuzzer.seed_trees
+        fresh = GrammarFuzzer(paren_grammar(), seeds, random.Random(2))
+        assert twin.generate(30) == fresh.generate(30)
+        # The original keeps its own stream.
+        again = GrammarFuzzer(paren_grammar(), seeds, random.Random(1))
+        assert first + fuzzer.generate(5) == again.generate(10)
+
+
 class TestLargeInput:
     def test_deep_seed_tree_fuzzes_without_recursion(self, tmp_path):
         from repro.artifacts import RunArtifact, SeedRecord, save_artifact
@@ -141,6 +161,83 @@ class TestLargeInput:
         assert fuzzer.seed_trees[0].size() == 10_001
         for text in fuzzer.generate(20):
             assert set(text) <= {"a"}
+
+
+class TestScaling:
+    """Nodes built per mutation, counted at n and 2n nodes, not timed: a
+    mutation rebuilds only the path to the node it replaces."""
+
+    class RecordingRandom(random.Random):
+        """Records the pre-order index each mutation draws."""
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.indices = []
+
+        def choice(self, seq):
+            value = super().choice(seq)
+            if isinstance(seq, range):
+                self.indices.append(value)
+            return value
+
+    @staticmethod
+    def balanced(depth):
+        """A text whose parse is a complete binary tree of that depth."""
+        text = "x"
+        for _ in range(depth):
+            text = "(" + text + text + ")"
+        return text
+
+    @staticmethod
+    def preorder_depths(tree):
+        depths = []
+        stack = [(tree, 0)]
+        while stack:
+            node, depth = stack.pop()
+            depths.append(depth)
+            for child in reversed(node.children):
+                if isinstance(child, ParseTree):
+                    stack.append((child, depth + 1))
+        return depths
+
+    def rebuilt_and_paths(self, depth, monkeypatch):
+        """Over 200 mutations of one seed tree: nodes the mutations built
+        outside their sampled replacements, and their path lengths."""
+        grammar = Grammar(
+            S, [Production(S, ("(", S, S, ")")), Production(S, ("x",))]
+        )
+        rng = self.RecordingRandom(depth)
+        fuzzer = GrammarFuzzer(grammar, [self.balanced(depth)], rng)
+        seed = fuzzer.seed_trees[0]
+        depths = self.preorder_depths(seed)
+        built = [0]
+        post_init = ParseTree.__post_init__
+
+        def counting(tree):
+            built[0] += 1
+            post_init(tree)
+
+        sample_tree = fuzzer.sampler.sample_tree
+
+        def sample_counted(symbol=None):
+            tree = sample_tree(symbol)
+            built[0] -= tree.size()  # the replacement, not the path
+            return tree
+
+        monkeypatch.setattr(ParseTree, "__post_init__", counting)
+        monkeypatch.setattr(fuzzer.sampler, "sample_tree", sample_counted)
+        for _ in range(200):
+            fuzzer._mutate(seed)
+        monkeypatch.undo()
+        assert seed.size() == len(depths) == 2 ** (depth + 1) - 1
+        return built[0], sum(depths[index] for index in rng.indices)
+
+    def test_nodes_built_per_mutation_follow_the_path(self, monkeypatch):
+        small_built, small_path = self.rebuilt_and_paths(9, monkeypatch)
+        large_built, large_path = self.rebuilt_and_paths(10, monkeypatch)
+        # 1,023 and 2,047 nodes; paths of about 8 and 9 nodes.
+        assert small_built == small_path > 0
+        assert large_built == large_path > 0
 
 
 class TestFromArtifact:

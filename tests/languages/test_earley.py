@@ -258,6 +258,33 @@ class TestLongInputs:
         assert nodes[0] is tree
         assert nodes[1] is tree.children[0]
 
+    def test_deep_tree_equality_and_repr(self):
+        # Both run without recursion: the dataclass defaults took one
+        # frame per tree level and raised RecursionError at 5,000
+        # characters.
+        s = Nonterminal("S")
+        grammar = Grammar(
+            s,
+            [
+                Production(s, (s, "a")),
+                Production(s, (s, "b")),
+                Production(s, ()),
+            ],
+        )
+        text = "a" * 10_000
+        tree = parse(grammar, text)
+        same = parse(grammar, text)
+        assert tree is not same
+        assert tree == same
+        assert not tree != same
+        # Differs only at the deepest terminal, 10,000 levels down.
+        deep = parse(grammar, "b" + text[1:])
+        assert tree != deep
+        assert tree != parse(grammar, text[1:])
+        assert tree != text
+        assert len(repr(tree)) < 100
+        assert "10001" in repr(tree)
+
     def test_right_recursion_at_1500_chars(self):
         # Quadratic (no Leo optimization), but no RecursionError.
         s = Nonterminal("S")
@@ -273,3 +300,34 @@ class TestLongInputs:
         assert [id(n) for n in tree.nodes()] == [
             id(n) for n in preorder(tree)
         ]
+
+
+class TestScaling:
+    """Work counted at n and 2n characters, not time: per character it
+    stays flat on the left-recursive shape learned grammars use."""
+
+    @staticmethod
+    def items_processed(make_grammar, text, monkeypatch):
+        """Earley items the recognizer processes: each reads its state's
+        kind once."""
+        grammar = make_grammar()
+        reads = [0]
+
+        class CountingKinds(list):
+            def __getitem__(self, state):
+                reads[0] += 1
+                return list.__getitem__(self, state)
+
+        tables = earley._tables(grammar)
+        monkeypatch.setattr(tables, "kind", CountingKinds(tables.kind))
+        assert recognize(grammar, text)
+        return reads[0]
+
+    def test_left_recursion_items_per_character_stay_flat(self, monkeypatch):
+        n = 2_000
+        small = self.items_processed(left_recursive, "a" * n, monkeypatch)
+        large = self.items_processed(
+            left_recursive, "a" * (2 * n), monkeypatch
+        )
+        assert small / n < 10
+        assert large / (2 * n) <= 1.01 * small / n

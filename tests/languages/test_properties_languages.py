@@ -13,12 +13,13 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.determinize import regex_to_dfa
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar, Nonterminal, Production
 from repro.languages.earley import recognize
 from repro.languages.sampler import GrammarSampler, sample_regex
 from repro.languages.to_grammar import regex_to_grammar
+
+from tests.reference_automata import regex_to_dfa
 
 _ALPHABET = "ab"
 

@@ -10,6 +10,7 @@ import pytest
 from repro.languages import regex as rx
 
 from tests.reference_nfa import compile_regex
+from tests.reference_walks import regex_size
 
 
 class TestConstruction:
@@ -195,7 +196,7 @@ class TestAlphabetAndWalk:
 
     def test_regex_size(self):
         expr = rx.alt(rx.Lit("a"), rx.star(rx.Lit("b")))
-        assert rx.regex_size(expr) == 4
+        assert regex_size(expr) == 4
 
 
 class TestPrinting:

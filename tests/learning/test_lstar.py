@@ -5,14 +5,11 @@ import random
 
 import pytest
 
-from repro.automata.determinize import regex_to_dfa
 from repro.languages import regex as rx
 from repro.languages.sampler import sample_regex
-from repro.learning.lstar import (
-    PerfectEquivalenceOracle,
-    SamplingEquivalenceOracle,
-    lstar,
-)
+from repro.learning.lstar import SamplingEquivalenceOracle, lstar
+
+from tests.reference_automata import PerfectEquivalenceOracle, regex_to_dfa
 
 
 def exact_learn(expr, alphabet):

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from repro.automata.determinize import regex_to_dfa
 from repro.languages import regex as rx
 from repro.learning.oracle import LearningTimeout
 from repro.learning.rpni import rpni
+
+from tests.reference_automata import regex_to_dfa
 
 
 class TestCharacteristicSamples:

@@ -1,10 +1,15 @@
-"""Subset construction: regex → DFA.
+"""Exact DFA construction: the test-side reference for regular languages.
+
+The package learns DFAs (L-Star, RPNI) but never needs an exact DFA
+for a known language. The unit tests do: an exact reference DFA is a
+*perfect* equivalence oracle for L-Star, where its exact-learning
+guarantee must hold (the paper's experiments use the sampling
+approximation instead, §8.2), and a language to compare learned
+regexes, RPNI's output and the precision metric against.
 
 :func:`regex_to_dfa` determinizes the membership engine's composed
 automaton with :func:`bounded_subset_construction` and minimizes the
-result. It builds exact reference DFAs for regular target languages —
-a *perfect* equivalence oracle for L-Star in the unit tests (the
-paper's experiments use the sampling approximation instead, §8.2).
+result; :func:`dfa_from_table` builds a DFA from a transition table.
 """
 
 from __future__ import annotations
@@ -93,3 +98,30 @@ def regex_to_dfa(
     }
     final = [state for state in range(n_states) if accepting[state]]
     return DFA(chars, range(n_states), 0, final, transitions).minimize()
+
+
+def dfa_from_table(
+    alphabet: Iterable[str],
+    table: Dict[int, Dict[str, int]],
+    start: int,
+    accepting: Iterable[int],
+) -> DFA:
+    """Convenience constructor from ``{state: {char: next_state}}``."""
+    transitions = {
+        (state, char): dst
+        for state, row in table.items()
+        for char, dst in row.items()
+    }
+    states = set(table) | {d for d in transitions.values()}
+    return DFA(alphabet, states, start, accepting, transitions)
+
+
+class PerfectEquivalenceOracle:
+    """Exact equivalence against a reference DFA: L-Star's equivalence
+    query answered with a shortest counterexample, or None."""
+
+    def __init__(self, reference: DFA):
+        self.reference = reference
+
+    def __call__(self, hypothesis: DFA) -> Optional[str]:
+        return self.reference.difference_witness(hypothesis)
