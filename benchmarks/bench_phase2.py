@@ -1,17 +1,23 @@
-"""Benchmark: pair-sharded phase-2 wall-clock at jobs ∈ {1, 2, 4}.
+"""Benchmark: run-sharded phase-2 wall-clock at jobs ∈ {1, 2, 4}.
 
-ISSUE 4 acceptance criteria: on the XML target, phase 2 at 4 jobs must
-show at least a 2x wall-clock speedup over the serial loop under a
-latency-modeled oracle, with byte-identical merge outcomes and equal
-counted query totals at every job count — and the cross-pair query
-planner must measurably reduce base-oracle invocations versus naive
-per-pair evaluation (the PR 3 phase-1-style sharding baseline, where
-every worker task re-queries duplicate check strings itself).
+Acceptance criteria: on the XML target, phase 2 at 4 jobs must show at
+least a 2x wall-clock speedup over one job under a latency-modeled
+oracle, with byte-identical merge outcomes and equal counted query
+totals at every job count; at one job the base oracle must see no more
+strings than the run counts as unique (one job never speculates); and
+the cross-pair query planner must measurably reduce base-oracle
+invocations versus naive per-pair evaluation (one pair per task, where
+every task re-queries duplicate check strings itself).
+
+Every row runs the pipeline's phase-2 loop, ``run_merge_wavefront``:
+the serial executor at one job, the chosen pool backend at more.
 
 The workload isolates phase 2: phase 1 runs once, latency-free, to
-produce the repetition stars; each job count then merges the same star
-set against the XML recognizer wrapped with a configurable per-query
-latency (default 2 ms — far below a real ``subprocess`` exec).
+produce the repetition stars and the verdicts it asked; each job count
+then merges the same star set against the XML recognizer wrapped with
+a configurable per-query latency (default 2 ms — far below a real
+``subprocess`` exec), starting, as the pipeline's phase 2 does, from a
+cache that holds phase 1's verdicts.
 
 Run standalone (the CI benchmark smoke job does, with
 ``--json BENCH_phase2.json``)::
@@ -45,37 +51,56 @@ class LatencyOracle:
 
     A module-level class (not a closure) so the process backend can
     pickle it; ``time.sleep`` releases the GIL, so the thread backend
-    overlaps queries exactly as real subprocess oracles do. Invocation
-    counting is deliberately *not* thread-safe-exact here — the
-    deterministic invocation metric is taken from the wavefront's own
-    stats, this counter only sanity-checks magnitudes.
+    overlaps queries exactly as real subprocess oracles do. ``calls``
+    counts this object's own invocations: exact at one job, where
+    tasks run inline, but not thread-safe-exact, and pickled copies in
+    worker processes count apart. The pooled rows' invocation metric is
+    taken from the wavefront's own stats.
     """
 
     def __init__(self, latency: float):
         self.latency = latency
+        self.calls = 0
 
     def __call__(self, text: str) -> bool:
         from repro.targets.xmllang import xml_oracle
 
+        self.calls += 1
         if self.latency > 0.0:
             time.sleep(self.latency)
         return xml_oracle(text)
 
 
 def learn_stars():
-    """Phase 1 once, latency-free: the star set every row merges."""
+    """Phase 1 once, latency-free: the star set every row merges, and
+    the verdicts phase 1 asked (one job, so exactly its cache's)."""
     target = get_target("xml")
     seeds = sorted(target.sample_seeds(N_SEEDS, seed=0), key=len)
     config = GladeConfig(alphabet=target.alphabet, enable_phase2=False)
-    artifact = LearningPipeline(target.oracle, config=config).run(seeds)
+    verdicts = {}
+
+    def recording(text):
+        verdicts[text] = target.oracle(text)
+        return verdicts[text]
+
+    artifact = LearningPipeline(recording, config=config).run(seeds)
     trees = artifact.trees()
     stars = [star for tree in trees for star in stars_of(tree)]
-    return artifact.grammar, stars
+    return artifact.grammar, stars, verdicts
+
+
+def phase2_stack(oracle, verdicts):
+    """The pipeline's parent stack as phase 2 finds it: a counting
+    layer over a cache that already holds phase 1's verdicts."""
+    cached = CachingOracle(oracle)
+    for text, verdict in verdicts.items():
+        cached.record(text, verdict)
+    return CountingOracle(cached), cached
 
 
 def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
                           backend: str = "thread"):
-    grammar, stars = learn_stars()
+    grammar, stars, verdicts = learn_stars()
     rows = []
     for jobs in JOBS:
         oracle = LatencyOracle(latency)
@@ -83,34 +108,26 @@ def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
         started = time.perf_counter()
         # Every row commits through the pipeline's counting/caching
         # stack, which counts the pairs.
-        cached = CachingOracle(oracle)
-        counting = CountingOracle(cached)
+        counting, cached = phase2_stack(oracle, verdicts)
         committer = MergeCommitter(plan)
-        if jobs == 1:
-            # The pipeline's one-worker path: inline evaluation, full
-            # short-circuit economy.
-            while not committer.done:
-                committer.commit_serial(counting)
-            invocations = cached.unique_queries
-            speculative = 0
-        else:
-            with make_executor(backend, jobs, oracle) as executor:
-                stats = run_merge_wavefront(
-                    executor, plan, committer, oracle, counting, cached
-                )
-            invocations = stats.invocations
-            speculative = stats.speculative_queries
+        with make_executor(backend, jobs, oracle) as executor:
+            stats = run_merge_wavefront(
+                executor, plan, committer, oracle, counting, cached
+            )
         result = committer.finish(grammar)
         counted = counting.queries
         elapsed = time.perf_counter() - started
         rows.append(
             {
                 "jobs": jobs,
-                "backend": "serial" if jobs == 1 else backend,
+                "backend": executor.name,
                 "seconds": elapsed,
                 "oracle_queries": counted,
-                "speculative_queries": speculative,
-                "invocations": invocations,
+                # Phase 2's own distinct strings: the cache's growth.
+                "unique_queries": cached.unique_queries - len(verdicts),
+                "speculative_queries": stats.speculative_queries,
+                "invocations": stats.invocations,
+                "base_calls": oracle.calls,
                 "pairs": plan.n_pairs,
                 "decisions": list(committer.decisions),
                 "grammar": str(result.grammar),
@@ -123,19 +140,17 @@ def run_planner_ablation(latency: float = DEFAULT_LATENCY,
                          backend: str = "thread", jobs: int = 4):
     """Base-oracle invocations at ``jobs`` with and without the planner.
 
-    ``dedup=False`` is the naive sharding baseline: every pair task
-    evaluates its own checks in isolation (PR 3's phase-1 pattern
-    applied to phase 2), re-querying check strings that other pairs —
-    or the same run's earlier pairs — already answered.
+    ``dedup=False`` is the naive sharding baseline: one pair per task,
+    each evaluating its own checks in isolation, re-querying check
+    strings that phase 1 or other pairs already answered.
     """
-    grammar, stars = learn_stars()
+    grammar, stars, verdicts = learn_stars()
     out = {}
     for dedup in (True, False):
         oracle = LatencyOracle(latency)
         plan = plan_merges(stars)
         committer = MergeCommitter(plan)
-        cached = CachingOracle(oracle)
-        counting = CountingOracle(cached)
+        counting, cached = phase2_stack(oracle, verdicts)
         with make_executor(backend, jobs, oracle) as executor:
             stats = run_merge_wavefront(
                 executor, plan, committer, oracle, counting, cached,
@@ -187,9 +202,21 @@ def format_comparison(rows, ablation):
 
 
 def check_determinism(rows, ablation):
-    """Gate failures: non-identical outcomes across job counts."""
+    """Gate failures: non-identical outcomes across job counts, a
+    speculating one-job row, or a planner that saves nothing."""
     failures = []
     base = rows[0]
+    if (
+        base["base_calls"] > base["unique_queries"]
+        or base["speculative_queries"]
+    ):
+        failures.append(
+            "one job speculated: {} base-oracle calls for {} unique "
+            "queries, {} speculative".format(
+                base["base_calls"], base["unique_queries"],
+                base["speculative_queries"],
+            )
+        )
     for row in rows[1:]:
         if row["grammar"] != base["grammar"]:
             failures.append("grammar differs at {} jobs".format(row["jobs"]))

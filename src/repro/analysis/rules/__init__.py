@@ -6,7 +6,7 @@ each one):
 
 - **DET001** — salted builtin ``hash()`` reaching seeds, digests or
   ordering (the fig7 / ``CachingOracle`` bug class; use
-  ``stable_seed`` / ``text_digest``).
+  ``stable_seed``).
 - **DET002** — ambient-module or unseeded RNG in library code.
 - **DET003** — wall-clock values flowing into deterministic artifact
   metric fields (the ``artifacts/suite.py`` contract).

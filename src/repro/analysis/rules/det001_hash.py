@@ -6,9 +6,9 @@ between two runs — and between the parent and a process-pool worker.
 This bit the reproduction twice before the rule existed: fig7 seeded
 its fuzzing RNG with ``hash((name, seed))`` and ``CachingOracle``
 fingerprinted query strings with ``hash(text)``, both silently
-process-dependent. The deterministic replacements are
-:func:`repro.evaluation.harness.stable_seed` (for PRNG seeds) and
-:func:`repro.learning.oracle.text_digest` (for string fingerprints).
+process-dependent. The deterministic replacement is
+:func:`repro.evaluation.harness.stable_seed`, a blake2b fingerprint of
+its parts (for PRNG seeds and string fingerprints alike).
 
 Flagged: a builtin ``hash()`` call that either
 
@@ -131,6 +131,6 @@ class SaltedHashRule(Rule):
                 module,
                 node,
                 "builtin hash() is process-salted; use "
-                "stable_seed()/text_digest() instead",
+                "stable_seed() instead",
                 detail="; ".join(reasons),
             )

@@ -147,17 +147,6 @@ class DFA:
                 transitions.setdefault((state, char), dead)
         return DFA(self.alphabet, states, start, self.accepting, transitions)
 
-    def complement(self) -> "DFA":
-        """Return a DFA accepting the complement language (over alphabet*)."""
-        total = self.completed()
-        return DFA(
-            total.alphabet,
-            total.states,
-            total.start,
-            total.states - total.accepting,
-            total.transitions,
-        )
-
     def minimize(self) -> "DFA":
         """Return the minimal equivalent DFA (Hopcroft refinement).
 
@@ -166,56 +155,6 @@ class DFA:
         from repro.automata.minimize import minimize_dfa
 
         return minimize_dfa(self)
-
-    def product(self, other: "DFA", accept_op) -> "DFA":
-        """Lazy product construction over reachable state pairs.
-
-        ``accept_op(a, b)`` decides acceptance from the two components'
-        acceptance bits; pairs may include None (the dead state).
-        """
-        alphabet = self.alphabet | other.alphabet
-        index: Dict[Tuple, int] = {}
-        transitions: Dict[Tuple[int, str], int] = {}
-        accepting: Set[int] = set()
-
-        def intern(pair: Tuple) -> int:
-            if pair not in index:
-                index[pair] = len(index)
-            return index[pair]
-
-        start_pair = (self.start, other.start)
-        start = intern(start_pair)
-        queue = deque([start_pair])
-        seen = {start_pair}
-        while queue:
-            a, b = queue.popleft()
-            state = intern((a, b))
-            a_ok = a is not None and a in self.accepting
-            b_ok = b is not None and b in other.accepting
-            if accept_op(a_ok, b_ok):
-                accepting.add(state)
-            for char in alphabet:
-                na, nb = self.step(a, char), other.step(b, char)
-                if na is None and nb is None:
-                    continue
-                transitions[(state, char)] = intern((na, nb))
-                if (na, nb) not in seen:
-                    seen.add((na, nb))
-                    queue.append((na, nb))
-        return DFA(alphabet, set(index.values()), start, accepting, transitions)
-
-    def difference_witness(self, other: "DFA") -> Optional[str]:
-        """Return a string on which the two automata disagree, or None.
-
-        A None result proves language equivalence (this is the perfect
-        equivalence oracle used in unit tests; the paper's experiments
-        replace it with random sampling, cf. §8.2).
-        """
-        sym_diff = self.product(other, lambda a, b: a != b)
-        return sym_diff.find_accepted_string()
-
-    def equivalent(self, other: "DFA") -> bool:
-        return self.difference_witness(other) is None
 
     def to_grammar(self, name_prefix: str = "Q") -> Grammar:
         """Convert to a right-linear grammar (for uniform sampling, §8.1).

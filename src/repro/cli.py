@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     learn.add_argument(
         "--jobs", type=int, default=1,
         help="parallel workers for seed-sharded phase 1 and "
-        "pair-sharded phase 2; the learned grammar and counted query "
+        "run-sharded phase 2; the learned grammar and counted query "
         "totals are identical at any job count (jobs > 1 trades "
         "speculative oracle work for wall-clock)",
     )

@@ -67,14 +67,14 @@ class GladeConfig:
     #: Extended merge checks (see repro.core.phase2); False gives the
     #: paper's literal two checks — exposed for the ablation bench.
     mixed_merge_checks: bool = True
-    #: Worker count for seed-sharded phase 1 and pair-sharded phase 2
+    #: Worker count for seed-sharded phase 1 and run-sharded phase 2
     #: (see :mod:`repro.exec`). Learned grammars and counted query
     #: totals are identical at any worker count: both phases settle
     #: and commit in order on the run's counting stack. jobs > 1
     #: trades speculative oracle work (a seed submitted while a
-    #: predecessor that covers it was still in flight, merge pairs the
-    #: transitive skip would have avoided — evaluated anyway and
-    #: discarded) for wall-clock.
+    #: predecessor that covers it was still in flight, merge pairs in a
+    #: run the transitive skip would have avoided — evaluated anyway
+    #: and discarded) for wall-clock.
     jobs: int = 1
     #: Execution backend: "auto", "serial", "thread", or "process".
     #: "auto" picks serial for one job, else process when the oracle is

@@ -39,10 +39,10 @@ serially or sharded across workers with identical results:
   *wavefront*), each through :meth:`~MergeCommitter.commit_serial` on
   the run's counting/caching oracle stack. A pair whose stars are
   already transitively equated at commit time is skipped without a
-  query, exactly like the serial loop's ``uf.find`` skip. Workers only
-  evaluate pairs ahead of the commits and pre-fill the cache, so the
-  merge outcome — and the counted query cost — is identical at any
-  worker count.
+  query, exactly like the serial loop's ``uf.find`` skip. Run tasks
+  (:mod:`repro.exec.merge_shard`) only evaluate pairs ahead of the
+  commits and pre-fill the cache, so the merge outcome — and the
+  counted query cost — is identical at any worker count.
 
 The committer's per-pair decisions (``merged`` / ``rejected`` /
 ``skipped``) double as the phase's checkpoint format: replaying them
@@ -329,9 +329,13 @@ class MergeCommitter:
     def done(self) -> bool:
         return self.committed >= self.plan.n_pairs
 
+    def representative(self, star: int) -> int:
+        """The star's union-find root after the pairs committed so far."""
+        return self._uf.find(star)
+
     def equated(self, star_i: int, star_j: int) -> bool:
         """True if the two stars are already transitively merged."""
-        return self._uf.find(star_i) == self._uf.find(star_j)
+        return self.representative(star_i) == self.representative(star_j)
 
     def next_pair(self) -> MergePair:
         return self.plan.pairs[self.committed]
@@ -367,9 +371,8 @@ class MergeCommitter:
         Skipped pairs cost nothing; evaluated pairs ask their checks in
         order through the oracle stack (which does its own counting and
         caching) up to the first rejection. This is the only way a pair
-        commits, on every backend: the pipeline's inline loop calls it
-        as each pair's turn comes, and the wavefront calls it after
-        recording a worker-evaluated pair's verdicts in the cache, so
+        commits, on every backend: the wavefront calls it after
+        recording a run task's verdicts for the pair in the cache, so
         its checks count here and hit the cache. No check is hinted to
         a prefetching stack.
         """

@@ -21,19 +21,22 @@ speculative queries are excluded from ``oracle_queries`` (and reported
 as ``speculative_queries``), which keeps counted metrics identical to a
 serial run. The serial backend never speculates.
 
-Phase two is *pair-sharded* on the same backends
+Phase two runs one loop on the same backends at every job count
 (:mod:`repro.exec.merge_shard`): merge-candidate pairs are planned up
 front (:func:`repro.core.phase2.plan_merges` samples each star's
-residuals once), and every pair commits strictly in plan order through
+residuals once), tasks evaluate runs of consecutive pairs, and every
+pair commits strictly in plan order through
 :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the run's
-counting/caching stack, which counts it. With several workers, pairs
-are evaluated ahead of the commits behind a cross-pair verdict table;
-a pair transitively equated by the time it commits is skipped exactly
-like the serial loop's skip, with its speculative cost routed to
-``speculative_queries``. So phase 2's grammar and counted metrics are
-independent of the job count. Phase 2 runs ahead only through its
-jobs: it hands no prefetch hint to the oracle, since a pair's checks
-stop at the first rejection.
+counting/caching stack, which counts it. With one worker, a run asks
+through the run's cache once every earlier pair has committed, so it
+evaluates exactly the pairs a serial loop evaluates. With several,
+runs are evaluated ahead of the commits behind a cross-pair verdict
+table; a pair transitively equated by the time it commits is skipped
+exactly like the serial loop's skip, with its speculative cost routed
+to ``speculative_queries``. So phase 2's grammar and counted metrics
+are independent of the job count. Phase 2 runs ahead only through its
+runs and jobs: it hands no prefetch hint to the oracle, since a pair's
+checks stop at the first rejection.
 
 Both phases count distinct strings in one place, the run's
 :class:`~repro.learning.oracle.CachingOracle`. Phase 2 asks through
@@ -96,7 +99,6 @@ from repro.learning.oracle import (
     CountingOracle,
     Oracle,
     TracingOracle,
-    text_digest,
 )
 from repro.learning.resilience import OracleFailedError, add_fault_counters
 from repro.obs.export import build_telemetry
@@ -484,7 +486,7 @@ class LearningPipeline:
                 checkpoint()
         _record_executor(registry, "phase1", executor)
 
-    # -- phase 2: pair-sharded wavefront execution -------------------------
+    # -- phase 2: run-sharded wavefront execution --------------------------
 
     def _run_phase2(
         self,
@@ -509,10 +511,12 @@ class LearningPipeline:
         :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
         parent's counting/caching stack, so ``oracle_queries`` /
         ``unique_queries`` are counted in one place on every backend.
-        With one worker, pairs are evaluated inline as they commit;
-        with several, workers evaluate pairs ahead of the commits
-        behind the cross-pair query planner, and discarded speculation
-        lands in ``speculative_queries``.
+        One loop serves every job count: run tasks evaluate runs of
+        pairs ahead of the commits. With one worker, a run asks through
+        the run's cache only after every earlier pair has committed;
+        with several, runs ask the base oracle behind the cross-pair
+        query planner, and discarded speculation lands in
+        ``speculative_queries``.
         """
         stars = [star for tree in trees for star in stars_of(tree)]
         plan = plan_merges(
@@ -540,36 +544,19 @@ class LearningPipeline:
                 checkpoint()
 
         with executor:
-            if executor.jobs == 1:
-                # Nothing to run ahead: commit inline.
-                while not committer.done:
-                    pair = committer.next_pair()
-                    pair_shard = "pair:{}".format(pair.index)
-                    with tracer.span(
-                        "pair", cat="phase2", shard=pair_shard,
-                        args={"index": pair.index},
-                    ):
-                        event = committer.commit_serial(counting)
-                    if not event.evaluated:
-                        # Skipped for free — a traced run keeps pair
-                        # shards only for evaluated pairs, the same
-                        # rule the wavefront applies.
-                        tracer.discard_shard(pair_shard)
-                    on_commit(event)
-            else:
-                run_merge_wavefront(
-                    executor,
-                    plan,
-                    committer,
-                    self.oracle,
-                    counting,
-                    cached,
-                    on_commit=on_commit,
-                    registry=registry,
-                    tracer=tracer,
-                    span_parent=stage_span_id,
-                )
-                _record_executor(registry, "phase2", executor)
+            run_merge_wavefront(
+                executor,
+                plan,
+                committer,
+                self.oracle,
+                counting,
+                cached,
+                on_commit=on_commit,
+                registry=registry,
+                tracer=tracer,
+                span_parent=stage_span_id,
+            )
+        _record_executor(registry, "phase2", executor)
         artifact.phase2_result = committer.finish(artifact.grammar)
         artifact.grammar = artifact.phase2_result.grammar
 
@@ -640,10 +627,10 @@ class _RunAccounting:
         unsettled (all of phase 2), this is the cache's size alone."""
         seen = self._cached.seen_digests
         pending = {
-            digest
+            text
             for verdicts in self._unsettled.values()
-            for digest in map(text_digest, verdicts)
-            if digest not in seen
+            for text in verdicts
+            if text not in seen
         }
         return len(seen) + len(pending)
 

@@ -491,7 +491,7 @@ def run_suite(
         worker_jobs = min(jobs, len(pending))
         if worker_jobs == 1 and jobs > 1:
             # One uncached subject: spend the jobs inside its pipeline
-            # (seed/pair sharding) instead. Same grammar and counted
+            # (seed/run sharding) instead. Same grammar and counted
             # queries by the exec-subsystem determinism guarantee.
             pending = [
                 (name, subject, replace(config, jobs=jobs, backend=backend))

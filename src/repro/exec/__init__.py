@@ -8,10 +8,10 @@ process pool — selected by ``GladeConfig.jobs`` / ``backend`` (CLI
 
 - phase 1 is *seed-sharded* (:mod:`repro.exec.shard`): one task per
   seed, settled deterministically in seed order;
-- phase 2 is *pair-sharded* (:mod:`repro.exec.merge_shard`): one task
-  per merge-candidate pair, evaluated speculatively behind a
-  cross-pair query planner; every pair commits in plan order through
-  the run's counting stack (the wavefront).
+- phase 2 is *run-sharded* (:mod:`repro.exec.merge_shard`): one task
+  per run of consecutive merge-candidate pairs, evaluated behind a
+  cross-pair query planner (speculatively at several jobs); every pair
+  commits in plan order through the run's counting stack.
 
 Determinism is preserved at any worker count: star ids come from
 disjoint per-seed blocks, phase-2 residual sampling is seeded
@@ -31,12 +31,9 @@ from repro.exec.backends import (
     resolve_backend,
 )
 from repro.exec.merge_shard import (
-    PairOutcome,
     WavefrontStats,
-    decode_pair,
-    pair_payload,
     run_merge_wavefront,
-    run_pair_task,
+    run_pairs_task,
 )
 from repro.exec.shard import (
     SeedResult,
@@ -49,19 +46,16 @@ from repro.exec.shard import (
 __all__ = [
     "BACKENDS",
     "Executor",
-    "PairOutcome",
     "ProcessExecutor",
     "SeedResult",
     "SerialExecutor",
     "ThreadExecutor",
     "WavefrontStats",
-    "decode_pair",
     "decode_task",
     "make_executor",
-    "pair_payload",
     "resolve_backend",
     "run_merge_wavefront",
-    "run_pair_task",
+    "run_pairs_task",
     "run_pending",
     "run_seed_task",
     "seed_payload",

@@ -3,22 +3,24 @@
 An :class:`Executor` runs independent task payloads through one worker
 function and yields ``(index, result)`` pairs as tasks complete — in
 arbitrary order for the parallel backends, which is fine because the
-consumers (:mod:`repro.exec.shard`, the pipeline) merge results back
-into deterministic seed order.
+consumers (:mod:`repro.exec.shard`, :mod:`repro.exec.merge_shard`)
+merge results back into deterministic seed or plan order.
 
 Three implementations:
 
 - :class:`SerialExecutor` — runs tasks inline, lazily, in submission
   order. The zero-overhead default; laziness matters because the
   pipeline decides from earlier results whether to submit a later task
-  at all (the §6.1 covered-seed skip), and inline it always can.
+  at all (the §6.1 covered-seed skip, phase 2's equated-pair skip), and
+  inline it always can.
 - :class:`ThreadExecutor` — a ``ThreadPoolExecutor``. The right choice
   when task time is dominated by releasing the GIL (subprocess oracles,
   I/O); shares the oracle object across tasks.
 - :class:`ProcessExecutor` — a ``ProcessPoolExecutor``. True CPU
   parallelism for in-process oracles; the worker function and every
-  payload must be picklable (the shard module's task payloads are plain
-  dicts of primitives plus the oracle).
+  payload must be picklable (the shard modules' task payloads are plain
+  dicts of primitives plus the oracle, pickled on a pool-internal
+  thread, so they hold snapshots, never live tables).
 
 ``resolve_backend`` maps the user-facing ``--backend auto`` setting to
 a concrete backend for a given job count and oracle.
@@ -47,11 +49,6 @@ class Executor:
     name: str = "?"
     #: Worker count, recorded in the run artifact.
     jobs: int = 1
-    #: True when workers share the parent's address space (tasks may
-    #: then be handed live objects; otherwise payloads are serialized,
-    #: possibly on a pool-internal thread, so they must be immutable
-    #: snapshots). The conservative default is False.
-    in_process: bool = False
 
     #: Lifetime utilization counters (read by the observability layer
     #: after a stage finishes; purely informational). ``peak_in_flight``
@@ -121,7 +118,6 @@ class SerialExecutor(Executor):
 
     name = "serial"
     jobs = 1
-    in_process = True
 
     def unordered(
         self, fn: Callable[[Any], Any], payloads: Iterable[Any]
@@ -301,7 +297,6 @@ class ThreadExecutor(_PoolExecutor):
     """Run tasks on a thread pool (oracle object shared across tasks)."""
 
     name = "thread"
-    in_process = True
 
     def _make_pool(self, jobs: int):
         return ThreadPoolExecutor(

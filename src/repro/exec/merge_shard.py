@@ -1,44 +1,38 @@
-"""Pair-sharded phase 2: speculative check tasks, in-order commits.
+"""Run-sharded phase 2: runs of consecutive pairs, in-order commits.
 
 Phase 2 (:mod:`repro.core.phase2`) considers every unordered pair of
-repetition nodes, so its oracle cost is quadratic in star count — and
-after seed-sharded phase 1, it was the last serial oracle-bound stage.
-With several workers, this module evaluates pairs ahead of the commits
-on the same :class:`~repro.exec.backends.Executor` backends:
+repetition nodes, so its oracle cost is quadratic in star count. This
+module is its one loop, at every job count:
 
-- each *pair task* evaluates one candidate pair's §5.3 + mixed
-  -adjacency checks, self-contained and picklable: the pair's check
-  strings, the base oracle, and a read-only snapshot of the *known
-  -verdict table* — the cross-pair query planner's dedup structure.
-  A check string any earlier task (or the parent's membership cache)
-  already answered never reaches the oracle again; fresh verdicts
-  travel back and widen the table for later submissions.
-- a task asks its pair's checks in order and stops at the first
-  rejection, exactly as the serial loop does. It hands no prefetch
-  hint to the oracle: most pairs stop early, so running the whole check
-  list ahead would mostly spend runs nobody asks for. Phase 2 runs
-  ahead only through the executor's jobs.
-- tasks run speculatively: a pair is submitted before earlier pairs
-  have committed, so its stars may turn out transitively equated by
-  the time its turn comes. :func:`run_merge_wavefront` commits pairs
-  strictly in plan order, each through
-  :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
-  parent's counting/caching stack. Before an evaluated pair commits,
-  its verdicts are recorded in the parent's cache, so the commit asks
-  the same checks a serial run asks, counts them, and hits the cache
-  for every one. An equated pair commits as skipped and its verdicts
-  are booked as speculative.
-
-The division of labor with the pipeline: this module owns scheduling
-(lazy submission through ``Executor.unordered``, the known-verdict
-table, completion buffering); the committer owns ordering and
-decisions; the oracle stack counts; the pipeline persists each commit.
+- a *run task* evaluates consecutive unequated pairs in plan order. It
+  asks each pair's checks in order, stops at the first rejection as
+  the serial loop does, and skips a pair whose stars are already
+  equated: it carries its stars' committed representatives and unites
+  the run's own merges into them. It hands the oracle no prefetch hint.
+- a run holds ⌈remaining pairs / (4·jobs)⌉ pairs, at most
+  :data:`MAX_RUN` (guided self-scheduling, Polychronopoulos & Kuck
+  1987), so a task costs well above a pool round trip and a killed
+  worker loses at most one run.
+- at one job a task asks through the run's
+  :class:`~repro.learning.oracle.CachingOracle`, once every earlier run
+  has committed, so it evaluates exactly the pairs the serial loop
+  does. At several jobs it asks the base oracle behind its own cache,
+  seeded with a snapshot of the planner's *known-verdict table* for
+  its checks (what the parent's cache and finished tasks answered);
+  its fresh verdicts widen the table.
+- :func:`run_merge_wavefront` commits pairs strictly in plan order,
+  each through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
+  on the parent's counting/caching stack, after recording the pair's
+  verdicts in that cache: the commit asks what a serial run asks,
+  counts it, and hits the cache every time. A pair a speculative run
+  evaluated but that is equated by its turn commits as skipped, and
+  its verdicts are booked as speculative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.phase2 import (
     PAIR_SKIPPED,
@@ -60,104 +54,78 @@ from repro.obs.trace import NULL_TRACER, Tracer
 
 #: Worker functions executor backends run as task payloads (walked by
 #: detlint's PAR001 shared-state race detector).
-TASK_ENTRY_POINTS = ("run_pair_task",)
+TASK_ENTRY_POINTS = ("run_pairs_task",)
+
+#: Most pairs one task carries.
+MAX_RUN = 64
 
 
-@dataclass
-class PairOutcome:
-    """One pair task's result, decoded on the parent side.
+def run_length(remaining: int, jobs: int) -> int:
+    """Pairs in the next run: ⌈remaining / (4·jobs)⌉, from one to
+    :data:`MAX_RUN`."""
+    return max(1, min(MAX_RUN, -(-remaining // (4 * jobs))))
 
-    ``verdicts`` parallels the pair's checks, truncated at the first
-    rejection; ``learned`` holds the verdicts this task had to evaluate
-    itself (its contribution to the known-verdict table);
-    ``invocations`` counts base-oracle calls the task actually
-    performed (the planner's work metric — *not* the counted query
-    cost, which the parent's oracle stack counts at commit time).
+
+def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Evaluate one run of pairs (worker entry; module-level so process
+    pools pickle it by reference).
+
+    Returns each pair's verdicts (truncated at the first rejection, or
+    None for a pair skipped as equated), the verdicts it asked the base
+    oracle for (``learned``; none when it shares the run's cache), its
+    base-oracle calls (``invocations``: the planner's work metric, not
+    the counted cost) and its telemetry, with each evaluated pair's
+    spans under the shard ``pair:<index>``.
     """
-
-    index: int
-    verdicts: Tuple[bool, ...]
-    learned: Dict[str, bool]
-    invocations: int
-    #: The task's wire telemetry: ``{"metrics": <registry snapshot>,
-    #: "spans": [...]}`` (spans empty unless the run traces).
-    telemetry: Dict[str, Any] = field(default_factory=dict)
-
-
-def pair_payload(
-    pair: MergePair,
-    oracle: Oracle,
-    known: Dict[str, bool],
-    trace: bool = False,
-) -> Dict[str, Any]:
-    """The task payload for one merge-candidate pair.
-
-    ``known`` is the planner's verdict table view for this task.
-    In-process executors are handed the live table — workers publish
-    fresh verdicts into it as they are produced, so *concurrently
-    running* pair tasks dedupe against each other, not just against
-    completed ones. Out-of-process executors get a per-pair snapshot
-    filtered to the pair's own check strings (built on the consumer
-    thread — a live dict must never cross a serialization boundary,
-    since process pools pickle queued payloads on an internal thread
-    while the consumer keeps extending the table); their workers'
-    writes stay local and reach the parent (and later submissions)
-    through the returned ``learned`` dict. Entries are only ever
-    added, and a racing double-evaluation of the same string yields
-    the same verdict (the oracle is a pure function), so sharing is
-    benign.
-    """
-    return {
-        "index": pair.index,
-        "checks": pair.checks,
-        "oracle": oracle,
-        "known": known,
-        "trace": trace,
-    }
-
-
-def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate one pair's checks against the oracle (worker entry).
-
-    Module-level so process pools can pickle it by reference. Verdicts
-    for strings in the known table are reused without touching the
-    oracle, and the task stops at the first rejection exactly like
-    :meth:`~repro.core.phase2.MergeCommitter.commit_serial`.
-    """
-    checks: Tuple[str, ...] = payload["checks"]
-    known: Dict[str, bool] = payload["known"]
     oracle: Oracle = payload["oracle"]
+    known: Dict[str, bool] = payload["known"]
     registry = MetricsRegistry()
-    tracer = Tracer() if payload.get("trace") else NULL_TRACER
-    if tracer.enabled:
-        oracle = TracingOracle(oracle, registry, tracer)
-    learned: Dict[str, bool] = {}
-    invocations = 0
-    verdicts = []
-    with registry.timer("pair.seconds"):
-        with tracer.span(
-            "pair", cat="phase2", args={"index": payload["index"]}
-        ):
-            for check in checks:
-                verdict = known.get(check)
-                if verdict is None:
-                    verdict = learned.get(check)
-                if verdict is None:
-                    verdict = bool(oracle(check))
-                    learned[check] = verdict
-                    known[check] = verdict  # publish to siblings
-                    invocations += 1
-                verdicts.append(verdict)
-                if not verdict:
-                    break
+    tracer = Tracer() if payload["trace"] else NULL_TRACER
+    shared = isinstance(oracle, CachingOracle)
+    if shared:
+        # One job: the run's cache, whose stack carries the parent's
+        # tracing layer.
+        cache = oracle
+    else:
+        if tracer.enabled:
+            oracle = TracingOracle(oracle, registry, tracer)
+        cache = CachingOracle(oracle)
+        for check, verdict in known.items():
+            cache.record(check, verdict)
+    asked = cache.unique_queries
+    roots = dict(payload["roots"])
+    results: Dict[int, Optional[Tuple[bool, ...]]] = {}
+    with registry.timer("pair_run.seconds"):
+        for index, star_i, star_j, checks in payload["pairs"]:
+            root_i, root_j = roots[star_i], roots[star_j]
+            if root_i == root_j:
+                results[index] = None
+                continue
+            verdicts = []
+            with tracer.span(
+                "pair", cat="phase2", shard="pair:{}".format(index),
+                args={"index": index},
+            ):
+                for check in checks:
+                    verdicts.append(bool(cache(check)))
+                    if not verdicts[-1]:
+                        break
+            results[index] = tuple(verdicts)
+            if all(verdicts):
+                for star, root in roots.items():
+                    if root == root_j:
+                        roots[star] = root_i
     registry.add("exec.phase2.tasks")
     # Fault counters (retries, injections) travel in the task snapshot.
     add_fault_counters(payload["oracle"], registry)
     return {
-        "index": payload["index"],
-        "verdicts": tuple(verdicts),
-        "learned": learned,
-        "invocations": invocations,
+        "verdicts": results,
+        "learned": {} if shared else {
+            check: verdict
+            for check, verdict in cache.known_results().items()
+            if check not in known
+        },
+        "invocations": cache.unique_queries - asked,
         "telemetry": {
             "metrics": registry.snapshot(),
             "spans": tracer.snapshot(),
@@ -165,29 +133,16 @@ def run_pair_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def decode_pair(raw: Dict[str, Any]) -> PairOutcome:
-    """Decode a worker's wire-format result (``pair.seconds`` stays in
-    the task's metrics snapshot, which the run's registry merges)."""
-    return PairOutcome(
-        index=raw["index"],
-        verdicts=tuple(raw["verdicts"]),
-        learned=dict(raw["learned"]),
-        invocations=raw["invocations"],
-        telemetry=raw.get("telemetry") or {},
-    )
-
-
 @dataclass
 class WavefrontStats:
-    """Aggregate execution report for one wavefront run.
+    """Work one wavefront performed, which depends on completion timing.
 
     Counted queries are not here: commits count through the parent's
-    oracle stack (read ``counting.queries``). These metrics report work
-    actually performed and therefore depend on completion timing: how
-    many pairs were evaluated before the commits that made them
-    redundant landed (``speculative_queries``/``pairs_discarded``), and
-    how often the planner table absorbed a check (``invocations`` /
-    ``table_hits``).
+    oracle stack (read ``counting.queries``). ``speculative_queries`` /
+    ``pairs_discarded`` cover pairs evaluated before the commits that
+    made them redundant landed; ``invocations`` / ``table_hits`` count
+    checks the base oracle answered and checks a cache or the planner
+    table absorbed.
     """
 
     speculative_queries: int = 0
@@ -211,41 +166,28 @@ def run_merge_wavefront(
 ) -> WavefrontStats:
     """Drive phase 2's remaining pairs through an executor.
 
-    ``oracle`` is the base oracle pair tasks ask; ``counting`` is the
-    parent's counting layer over ``cache``, its caching layer, through
-    which every pair commits. Submission is lazy and committed-state
-    -aware: a pair whose stars are already equated when its payload
-    would be pulled is never submitted (it will commit as skipped for
-    free), and each submitted payload carries the verdict table as of
-    submission, seeded from ``cache``. Commits happen in plan order as
-    soon as the frontier pair's outcome is available: its verdicts (its
-    checks up to the first rejection) are recorded in ``cache``, then
-    :meth:`~repro.core.phase2.MergeCommitter.commit_serial` asks them
-    through ``counting``. ``on_commit(event)`` runs for every committed
-    pair — the pipeline's checkpoint hook. A pair committed as skipped
-    *before* its in-flight speculative result lands produces one extra
-    cost-only event on arrival (``discarded`` set, decision log
-    untouched), so discarded work is always booked rather than
-    depending on which side of the commit frontier the result landed.
-    ``dedup=False`` disables the planner table entirely, which is the
-    naive per-pair sharding baseline the benchmark compares against.
-
-    Observability: worker metrics snapshots merge into ``registry`` in
-    arrival order (work actually performed); worker *spans* absorb into
-    ``tracer`` only when the pair commits with a real decision, in
-    commit order under a ``pair:<index>`` shard — a pair the serial
-    loop would have skipped contributes no spans, keeping the trace
-    structure identical to a serial run's.
+    ``oracle`` is the base oracle; ``counting`` is the parent's counting
+    layer over ``cache``, through which every pair commits. Runs are
+    built lazily, on this thread, between results, from the committed
+    state: a pair already equated then is never submitted.
+    ``on_commit(event)`` runs for every committed pair (the pipeline's
+    checkpoint hook), and once more, as a cost-only event (``discarded``
+    set, decision log untouched), for a pair that committed as skipped
+    before its run landed. ``dedup=False`` is the benchmark's naive
+    baseline: one pair per task, asking the base oracle with no verdict
+    table. Worker metrics merge into ``registry`` in arrival order; a
+    pair's spans absorb into ``tracer`` only when it commits with a
+    real decision, so the trace has a serial run's structure.
     """
-    table: Dict[str, bool] = cache.known_results() if dedup else {}
+    shared = dedup and executor.jobs == 1
+    table = cache.known_results() if dedup and not shared else None
     stats = WavefrontStats()
-    outcomes: Dict[int, PairOutcome] = {}
-    trace = tracer.enabled
+    outcomes: Dict[int, Any] = {}
+    spans: Dict[str, List[Dict[str, Any]]] = {}
 
     def emit(event: CommitEvent) -> None:
         stats.speculative_queries += event.discarded
-        if event.discarded:
-            stats.pairs_discarded += 1
+        stats.pairs_discarded += bool(event.discarded)
         if on_commit is not None:
             on_commit(event)
 
@@ -253,76 +195,89 @@ def run_merge_wavefront(
         """Advance the commit frontier as far as outcomes allow."""
         while not committer.done:
             pair = committer.next_pair()
-            outcome = outcomes.pop(pair.index, None)
+            shard = "pair:{}".format(pair.index)
             if committer.equated(pair.star_i, pair.star_j):
-                # Skipped without a query; an outcome that already
-                # arrived was speculation.
                 event = committer.commit_serial(counting)
-                if outcome is not None:
-                    event.discarded = len(outcome.verdicts)
-            elif outcome is None:
+                verdicts = outcomes.pop(pair.index, None)
+                spans.pop(shard, None)
+                if verdicts is not None:
+                    event.discarded = len(verdicts)
+            elif pair.index not in outcomes:
                 break
             else:
-                for check, verdict in zip(pair.checks, outcome.verdicts):
+                for check, verdict in zip(
+                    pair.checks, outcomes.pop(pair.index)
+                ):
                     cache.record(check, verdict)
                 event = committer.commit_serial(counting)
-                if trace:
-                    tracer.absorb(
-                        "pair:{}".format(pair.index),
-                        outcome.telemetry.get("spans", ()),
-                        parent=span_parent,
-                    )
+                tracer.absorb(shard, spans.pop(shard, ()), span_parent)
             emit(event)
 
     def payloads() -> Iterator[Dict[str, Any]]:
-        # Pulled lazily by the executor, on this thread, between
-        # results — so both the skip test and the table view see
-        # every commit and every completed task so far.
-        for pair in plan.pairs[committer.committed:]:
-            if committer.equated(pair.star_i, pair.star_j):
-                continue
-            if not dedup:
-                view: Dict[str, bool] = {}
-            elif executor.in_process:
-                view = table
-            else:
-                # Snapshot just this pair's relevant verdicts: cheap
-                # (O(checks), not O(table)) and safe to serialize.
-                view = {
+        pairs = plan.pairs
+        position = committer.committed
+        while position < len(pairs):
+            size = (
+                run_length(len(pairs) - position, executor.jobs)
+                if dedup else 1
+            )
+            run: List[MergePair] = []
+            while position < len(pairs) and len(run) < size:
+                pair = pairs[position]
+                position += 1
+                if not committer.equated(pair.star_i, pair.star_j):
+                    run.append(pair)
+            if not run:
+                return
+            yield {
+                "pairs": [
+                    (pair.index, pair.star_i, pair.star_j, pair.checks)
+                    for pair in run
+                ],
+                "roots": {
+                    star: committer.representative(star)
+                    for pair in run
+                    for star in (pair.star_i, pair.star_j)
+                },
+                "oracle": cache if shared else oracle,
+                # A snapshot: process pools pickle payloads on an
+                # internal thread while this one extends the table.
+                "known": {} if table is None else {
                     check: table[check]
+                    for pair in run
                     for check in pair.checks
                     if check in table
-                }
-            yield pair_payload(pair, oracle, view, trace=trace)
+                },
+                "trace": tracer.enabled,
+            }
 
     drain()
-    for _position, raw in executor.unordered(run_pair_task, payloads()):
-        outcome = decode_pair(raw)
-        stats.invocations += outcome.invocations
-        stats.table_hits += len(outcome.verdicts) - outcome.invocations
+    for _position, raw in executor.unordered(run_pairs_task, payloads()):
+        evaluated = [v for v in raw["verdicts"].values() if v is not None]
+        stats.invocations += raw["invocations"]
+        stats.table_hits += sum(map(len, evaluated)) - raw["invocations"]
         if registry is not None:
             # Arrival order: metrics record work actually performed
             # (speculation included), unlike the counted accounting.
-            registry.merge(outcome.telemetry.get("metrics"))
+            registry.merge(raw["telemetry"]["metrics"])
             registry.observe("phase2.queue_depth", len(outcomes))
-        if dedup:
-            table.update(outcome.learned)
-        if outcome.index < committer.committed:
-            # The pair already committed as transitively skipped while
-            # this task was still in flight. Its work is speculation
-            # all the same: book it (a cost-only event — the decision
-            # log is untouched) instead of stranding the outcome.
-            emit(
-                CommitEvent(
-                    pair=plan.pairs[outcome.index],
+        if table is not None:
+            table.update(raw["learned"])
+        for span in raw["telemetry"]["spans"]:
+            spans.setdefault(span["shard"], []).append(span)
+        for index, verdicts in raw["verdicts"].items():
+            if index >= committer.committed:
+                outcomes[index] = verdicts
+            elif verdicts is not None:
+                # The pair committed as transitively skipped while its
+                # run was in flight: book its work as speculation.
+                spans.pop("pair:{}".format(index), None)
+                emit(CommitEvent(
+                    pair=plan.pairs[index],
                     decision=PAIR_SKIPPED,
-                    discarded=len(outcome.verdicts),
-                )
-            )
-        else:
-            outcomes[outcome.index] = outcome
+                    discarded=len(verdicts),
+                ))
         drain()
-    drain()
     if not committer.done:
         raise AssertionError(
             "wavefront ended with {} of {} pairs committed".format(

@@ -3,7 +3,7 @@
 The unified evaluation harness (:mod:`repro.evaluation.harness`) learns
 each of the §8.3 subjects' grammars independently — there is no shared
 state between subjects at all, which makes the fan-out simpler than the
-seed/pair shards: a task is just the subject's *name* plus the learning
+seed/run shards: a task is just the subject's *name* plus the learning
 configuration, and the worker reconstructs everything else from the
 program registry. That keeps payloads trivially picklable for the
 process backend (the subject's ``accepts`` is a module-level function,

@@ -37,7 +37,6 @@ from repro.languages.regex import (
     concat,
     literal,
     star,
-    to_python_re,
 )
 from repro.languages.sampler import GrammarSampler, sample_regex
 
@@ -70,5 +69,4 @@ __all__ = [
     "recognize",
     "sample_regex",
     "star",
-    "to_python_re",
 ]

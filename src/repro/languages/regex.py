@@ -368,41 +368,3 @@ def format_char_class(chars: FrozenSet[str]) -> str:
         else:
             pieces.append(a + "-" + b)
     return "[" + "".join(pieces) + "]"
-
-
-def to_python_re(expr: Regex) -> str:
-    """Translate the AST to Python :mod:`re` syntax (for oracle testing)."""
-    import re as _re
-
-    if isinstance(expr, Epsilon):
-        return ""
-    if isinstance(expr, EmptySet):
-        # A pattern that matches nothing.
-        return r"(?!)"
-    if isinstance(expr, Lit):
-        return _re.escape(expr.text)
-    if isinstance(expr, CharClass):
-        if len(expr.chars) == 1:
-            return _re.escape(next(iter(expr.chars)))
-        body = "".join(
-            "\\" + c if c in r"\^]-" else c for c in sorted(expr.chars)
-        )
-        return "[" + body + "]"
-    if isinstance(expr, Concat):
-        return "".join(_wrap_re(p) for p in expr.parts)
-    if isinstance(expr, Alt):
-        return "|".join(
-            "(?:" + to_python_re(o) + ")" for o in expr.options
-        )
-    if isinstance(expr, Star):
-        return _wrap_re(expr.inner) + "*"
-    raise TypeError("unknown regex node: {!r}".format(expr))
-
-
-def _wrap_re(expr: Regex) -> str:
-    body = to_python_re(expr)
-    if isinstance(expr, (Alt, Concat, Star)) or (
-        isinstance(expr, Lit) and len(expr.text) > 1
-    ):
-        return "(?:" + body + ")"
-    return body

@@ -14,12 +14,11 @@ residuals, one position's character probes) may additionally be passed
 ahead as a hint (:func:`prefetcher`): a multi-worker
 :class:`SubprocessOracle` runs them in parallel, and the calls that
 follow take the finished runs instead of spawning. Phase two hints
-nothing; it runs ahead only through its jobs.
+nothing; it runs ahead only through its run tasks.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import tempfile
@@ -30,22 +29,6 @@ from functools import partial
 from typing import AbstractSet, Callable, Dict, Iterable, Optional
 
 Oracle = Callable[[str], bool]
-
-
-def text_digest(text: str) -> int:
-    """A deterministic 64-bit fingerprint of a query string.
-
-    :class:`CachingOracle` keys its distinct-string count by it, and the
-    pipeline uses it to find which of an unsettled seed's strings the
-    run's cache does not hold yet. Unlike Python's builtin ``hash``, it
-    is not salted per process, so equal strings get equal digests in
-    every process. A collision undercounting the metric is
-    astronomically unlikely.
-    """
-    digest = hashlib.blake2b(
-        text.encode("utf-8", "surrogatepass"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
 
 
 class LearningTimeout(Exception):
@@ -117,33 +100,31 @@ class CachingOracle:
     times (e.g. the ε check of every star candidate); caching keeps the
     *distinct*-query count equal to what the algorithm fundamentally
     needs. ``unique_queries`` reports that count: the number of distinct
-    strings ever forwarded to the wrapped oracle. The cache is
-    unbounded, and every distinct string's digest is kept beside it
-    (:attr:`seen_digests`).
+    strings ever forwarded to the wrapped oracle or recorded, which is
+    the size of the (unbounded) cache.
     """
 
     def __init__(self, oracle: Oracle):
         self._oracle = oracle
         self._cache: Dict[str, bool] = {}
-        # Distinct strings are also tracked by deterministic digest
-        # (see :func:`text_digest`). A dict used as a set: its keys
-        # view is the read-only live view :attr:`seen_digests` hands
-        # out.
-        self._seen: Dict[int, None] = {}
-        self.unique_queries = 0
 
     @property
-    def seen_digests(self) -> AbstractSet[int]:
-        """Digests of every distinct string forwarded to the oracle or
-        recorded (:meth:`record`).
+    def unique_queries(self) -> int:
+        return len(self._cache)
 
-        A live read-only view, not a copy: it grows with later queries,
-        so callers read it at once. The pipeline's checkpoint takes its
-        ``len`` as the run's distinct-query count, and tests an
-        unsettled seed's strings against it. Taking it costs O(1),
-        however many strings were queried.
+    @property
+    def seen_digests(self) -> AbstractSet[str]:
+        """Every distinct string forwarded to the oracle or recorded
+        (:meth:`record`): the cache's live, read-only key view.
+
+        It grows with later queries, so callers read it at once; taking
+        it costs O(1). The pipeline's checkpoint tests an unsettled
+        seed's strings against it. The name is from when the cache kept
+        a digest of each string beside it; it stays because the
+        repository benchmark's ``pipeline.digest`` probe wraps this
+        property by name.
         """
-        return self._seen.keys()
+        return self._cache.keys()
 
     def known_results(self) -> Dict[str, bool]:
         """A snapshot of every cached (string, verdict) pair.
@@ -159,25 +140,19 @@ class CachingOracle:
         return dict(self._cache)
 
     def record(self, text: str, verdict: bool) -> None:
-        """Cache ``verdict`` for ``text`` as if the oracle answered it.
-
-        The digest is marked exactly as a miss marks it, so the string
-        counts toward :attr:`seen_digests` and ``unique_queries``. The
-        pipeline records a kept seed task's verdicts this way, and the
-        phase-2 wavefront a worker-evaluated pair's, before committing
+        """Cache ``verdict`` for ``text`` as if the oracle answered it,
+        so the string counts toward ``unique_queries``. The pipeline
+        records a kept seed task's verdicts this way, and the phase-2
+        wavefront a run task's verdicts for a pair, before committing
         the pair through this cache.
         """
-        fingerprint = text_digest(text)
-        if fingerprint not in self._seen:
-            self._seen[fingerprint] = None
-            self.unique_queries += 1
         self._cache[text] = verdict
 
     def __call__(self, text: str) -> bool:
         if text in self._cache:
             return self._cache[text]
         result = self._oracle(text)
-        self.record(text, result)
+        self._cache[text] = result
         return result
 
 

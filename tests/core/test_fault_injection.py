@@ -137,3 +137,32 @@ class TestTerminalFailureIsResumable:
         assert serialized(resumed) == serialized(reference)
         # The failure telemetry survives the resume.
         assert resumed.execution["faults"]["gave_up"] == 1
+
+
+def test_worker_death_inside_a_phase2_run_recovers(xml, seeds, tmp_path):
+    """A process worker dies inside a phase-2 run task: the pool
+    restarts, the run is resubmitted, and the resumed run lands on the
+    serial run's grammar, decision log and counted queries."""
+    store = MemoryCheckpointStore()
+    serial = learn(xml, seeds, store=store)
+    translated = next(
+        snapshot for snapshot in map(
+            store.snapshot, range(len(store.snapshots))
+        )
+        if snapshot.stage == "translate"
+    )
+    assert not translated.phase2_progress.get("decisions")
+    translated.config.jobs = 2
+    translated.config.backend = "process"
+    plan = FaultPlan(kill=frozenset({3}), marker_dir=str(tmp_path))
+    resumed = LearningPipeline(
+        ChaosOracle(xml.oracle, plan), config=translated.config
+    ).resume(translated)
+    assert resumed.execution["recovery"]["pool_restarts"] >= 1
+    assert (tmp_path / "kill-3").exists()
+    assert serialized(resumed) == serialized(serial)
+    assert (
+        resumed.phase2_progress["decisions"]
+        == serial.phase2_progress["decisions"]
+    )
+    assert resumed.oracle_queries == serial.oracle_queries

@@ -63,14 +63,14 @@ def test_token_star_learned_exactly(token, repeats):
     "potentially precision-preserving" — and NOT asserted; see
     test_learned_language_contains_seed for the guaranteed direction.)
     """
-    from tests.reference_automata import regex_to_dfa
+    from tests.reference_automata import equivalent, regex_to_dfa
 
     target = rx.star(rx.Lit(token))
     seed_input = token * repeats
     result = synthesize_regex(seed_input, target.matches)
     learned_dfa = regex_to_dfa(result.regex(), "abc")
     target_dfa = regex_to_dfa(target, "abc")
-    assert learned_dfa.equivalent(target_dfa)
+    assert equivalent(learned_dfa, target_dfa)
 
 
 @given(target=target_regexes(), seed=st.integers(0, 1000))

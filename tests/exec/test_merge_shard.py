@@ -1,19 +1,22 @@
-"""Pair-sharded phase 2: tasks, the query planner, and the wavefront.
+"""Run-sharded phase 2: run tasks, the query planner, and the wavefront.
 
-Unit-level coverage for :mod:`repro.exec.merge_shard`: worker tasks
-keep sequential short-circuit semantics, the known-verdict table
-dedupes check strings across pairs, and the wavefront commits in plan
-order through the parent's counting/caching stack — discarding
-speculatively evaluated pairs exactly as the serial loop's transitive
-skip would, with counted and unique totals equal to the serial loop's
-at any completion order.
+Unit-level coverage for :mod:`repro.exec.merge_shard`: run tasks keep
+sequential short-circuit semantics and skip pairs their stars' merges
+already equate, the known-verdict table dedupes check strings across
+pairs, and the wavefront commits in plan order through the parent's
+counting/caching stack — discarding speculatively evaluated pairs
+exactly as the serial loop's transitive skip would, with counted and
+unique totals equal to the serial loop's at any completion order.
 """
 
 import threading
 
 import pytest
 
+import repro.exec.merge_shard as merge_shard_mod
+from repro.artifacts import CheckpointStore
 from repro.core.context import Context
+from repro.core.glade import GladeConfig
 from repro.core.gtree import GConcat, GConst, GRoot, GStar
 from repro.core.phase2 import (
     PAIR_MERGED,
@@ -22,6 +25,7 @@ from repro.core.phase2 import (
     MergeCommitter,
     plan_merges,
 )
+from repro.core.pipeline import LearningPipeline
 from repro.core.translate import translate_trees
 from repro.exec.backends import (
     Executor,
@@ -30,12 +34,13 @@ from repro.exec.backends import (
     ThreadExecutor,
 )
 from repro.exec.merge_shard import (
-    decode_pair,
-    pair_payload,
+    MAX_RUN,
+    run_length,
     run_merge_wavefront,
-    run_pair_task,
+    run_pairs_task,
 )
 from repro.learning.oracle import CachingOracle, CountingOracle
+from repro.programs import get_subject
 from tests.reference_phase2 import merge_repetitions
 
 
@@ -93,48 +98,111 @@ def serial_reference(names, oracle_fn):
     return result, counting.queries, cache.unique_queries
 
 
-class FakePair:
-    def __init__(self, index, checks):
-        self.index = index
-        self.checks = tuple(checks)
+def run_task(pairs, oracle, known=None, roots=None):
+    """Run one task over ``(index, star_i, star_j, checks)`` pairs;
+    stars start unequated unless ``roots`` says otherwise."""
+    if roots is None:
+        roots = {star: star for _, i, j, _ in pairs for star in (i, j)}
+    return run_pairs_task({
+        "pairs": [(index, i, j, tuple(c)) for index, i, j, c in pairs],
+        "roots": roots,
+        "oracle": oracle,
+        "known": known or {},
+        "trace": False,
+    })
 
 
 class TestPairTask:
     def test_sequential_short_circuits_at_first_rejection(self):
         oracle = CountingBase(lambda text: text != "no")
-        payload = pair_payload(FakePair(3, ["a", "no", "later"]), oracle, {})
-        outcome = decode_pair(run_pair_task(payload))
-        assert outcome.index == 3
-        assert outcome.verdicts == (True, False)
-        assert outcome.invocations == 2
+        outcome = run_task([(3, 0, 1, ["a", "no", "later"])], oracle)
+        assert outcome["verdicts"] == {3: (True, False)}
+        assert outcome["invocations"] == 2
         assert oracle.calls == 2  # "later" never reached the oracle
-        assert outcome.learned == {"a": True, "no": False}
+        assert outcome["learned"] == {"a": True, "no": False}
 
     def test_known_table_answers_without_oracle(self):
         oracle = CountingBase(lambda text: True)
         known = {"a": True, "b": True, "c": True}
-        payload = pair_payload(FakePair(0, ["a", "b", "c"]), oracle, known)
-        outcome = decode_pair(run_pair_task(payload))
-        assert outcome.verdicts == (True, True, True)
-        assert outcome.invocations == 0
+        outcome = run_task([(0, 0, 1, ["a", "b", "c"])], oracle, known)
+        assert outcome["verdicts"] == {0: (True, True, True)}
+        assert outcome["invocations"] == 0
         assert oracle.calls == 0
-        assert outcome.learned == {}
+        assert outcome["learned"] == {}
 
     def test_known_rejection_short_circuits_for_free(self):
         oracle = CountingBase(lambda text: True)
-        payload = pair_payload(
-            FakePair(0, ["bad", "x"]), oracle, {"bad": False}
+        outcome = run_task(
+            [(0, 0, 1, ["bad", "x"])], oracle, {"bad": False}
         )
-        outcome = decode_pair(run_pair_task(payload))
-        assert outcome.verdicts == (False,)
+        assert outcome["verdicts"] == {0: (False,)}
         assert oracle.calls == 0
 
     def test_duplicate_checks_within_a_task_query_once(self):
         oracle = CountingBase(lambda text: True)
-        payload = pair_payload(FakePair(0, ["a", "a", "b"]), oracle, {})
-        outcome = decode_pair(run_pair_task(payload))
-        assert outcome.verdicts == (True, True, True)
-        assert outcome.invocations == 2
+        outcome = run_task([(0, 0, 1, ["a", "a", "b"])], oracle)
+        assert outcome["verdicts"] == {0: (True, True, True)}
+        assert outcome["invocations"] == 2
+
+
+class TestRunTask:
+    def test_run_skips_pairs_its_own_merges_equate(self):
+        # (0,1) and (0,2) merge, so (1,2) is equated within the run
+        # and asks nothing; (1,3) is still evaluated.
+        oracle = CountingBase(lambda text: True)
+        outcome = run_task(
+            [
+                (0, 0, 1, ["a"]),
+                (1, 0, 2, ["b"]),
+                (2, 1, 2, ["c"]),
+                (3, 1, 3, ["d"]),
+            ],
+            oracle,
+        )
+        assert outcome["verdicts"] == {
+            0: (True,), 1: (True,), 2: None, 3: (True,),
+        }
+        assert oracle.calls == 3
+
+    def test_rejected_pair_equates_nothing(self):
+        oracle = CountingBase(lambda text: text != "no")
+        outcome = run_task(
+            [(0, 0, 1, ["no"]), (1, 1, 2, ["a"]), (2, 0, 2, ["b"])],
+            oracle,
+        )
+        assert outcome["verdicts"] == {0: (False,), 1: (True,), 2: (True,)}
+
+    def test_run_skips_pairs_committed_merges_equate(self):
+        oracle = CountingBase(lambda text: True)
+        outcome = run_task(
+            [(5, 1, 2, ["a"]), (6, 2, 3, ["b"])],
+            oracle,
+            roots={1: 0, 2: 0, 3: 3},
+        )
+        assert outcome["verdicts"] == {5: None, 6: (True,)}
+        assert oracle.calls == 1
+
+    def test_one_job_task_asks_through_the_runs_cache(self):
+        # Handed the run's cache, the task reports only the strings it
+        # added to it, and returns no verdicts: the cache holds them.
+        base = CountingBase(lambda text: text != "no")
+        cache = CachingOracle(base)
+        cache("a")
+        outcome = run_task(
+            [(0, 0, 1, ["a", "b"]), (1, 0, 2, ["b", "no", "c"])], cache
+        )
+        assert outcome["verdicts"] == {0: (True, True), 1: (True, False)}
+        assert outcome["invocations"] == 2
+        assert base.calls == 3
+        assert outcome["learned"] == {}
+        assert cache.known_results() == {"a": True, "b": True, "no": False}
+
+
+def test_run_length_is_guided_self_scheduling():
+    assert run_length(406, 2) == 51
+    assert run_length(7, 2) == 1
+    assert run_length(1, 4) == 1
+    assert run_length(10_000, 1) == MAX_RUN
 
 
 class ReorderingExecutor(Executor):
@@ -250,16 +318,17 @@ def test_late_speculative_result_still_booked_as_discarded():
 
 
 def test_planner_table_dedupes_across_pairs():
-    # With the serial executor the wavefront runs pairs one at a time,
-    # so the invocation counts are deterministic: the shared verdict
-    # table must strictly reduce base-oracle work versus naive
-    # per-pair evaluation (duplicate check strings across pairs).
+    # With the serial executor the wavefront runs one task at a time,
+    # so the invocation counts are deterministic: the shared verdicts
+    # (at one job, the run's cache itself) must strictly reduce
+    # base-oracle work versus naive per-pair evaluation (duplicate
+    # check strings across pairs).
     def run(dedup):
         grammar, stars = make_stars(["ab", "cd", "ab", "cd"])
         plan = plan_merges(stars)
         committer = MergeCommitter(plan)
         oracle = CountingBase(lambda text: True)
-        counting, cache = parent_stack()
+        counting, cache = parent_stack(oracle)
         stats = run_merge_wavefront(
             SerialExecutor(), plan, committer, oracle, counting, cache,
             dedup=dedup,
@@ -361,3 +430,61 @@ def test_commits_never_reach_the_parents_base_oracle(make_executor, dedup):
     assert PAIR_REJECTED in committer.decisions
     assert counting.queries == queries
     assert cache.unique_queries == unique
+
+
+# -- work-count guards: tasks and base-oracle calls, not time ------------
+
+
+def learn_xml_subject(jobs, backend, oracle=None, store=None):
+    subject = get_subject("xml")
+    config = GladeConfig(alphabet=subject.alphabet, jobs=jobs, backend=backend)
+    return LearningPipeline(
+        oracle or subject.accepts, config=config, store=store
+    ).run(subject.seeds)
+
+
+def test_pooled_phase2_sends_runs_not_pairs(monkeypatch):
+    """At two jobs, phase 2 submits at most a quarter as many tasks as
+    it evaluates pairs (one task per pair would submit one each)."""
+    tasks = []
+
+    def counted(payload):
+        tasks.append(len(payload["pairs"]))
+        return run_pairs_task(payload)
+
+    monkeypatch.setattr(merge_shard_mod, "run_pairs_task", counted)
+    artifact = learn_xml_subject(2, "thread")
+    decisions = artifact.phase2_progress["decisions"]
+    evaluated = sum(decision != PAIR_SKIPPED for decision in decisions)
+    assert len(decisions) == 406 and evaluated == 309
+    assert 0 < 4 * len(tasks) <= evaluated
+
+
+def test_one_job_phase2_asks_only_what_it_counts():
+    """At one job, phase 2 sends the base oracle exactly the distinct
+    strings it adds to the run's cache, and speculates on nothing."""
+    accepts = get_subject("xml").accepts
+    asked = []
+
+    def recording(text):
+        asked.append(text)
+        return accepts(text)
+
+    class Probe(CheckpointStore):
+        at_phase2 = None
+
+        def save(self, artifact):
+            if artifact.stage == "translate" and self.at_phase2 is None:
+                self.at_phase2 = (len(asked), artifact.unique_queries)
+
+        def load(self):
+            return None
+
+    probe = Probe()
+    artifact = learn_xml_subject(1, "serial", oracle=recording, store=probe)
+    calls_before, unique_before = probe.at_phase2
+    phase2_asked = asked[calls_before:]
+    assert phase2_asked
+    assert len(set(phase2_asked)) == len(phase2_asked)
+    assert len(phase2_asked) == artifact.unique_queries - unique_before
+    assert artifact.speculative_queries == 0

@@ -156,7 +156,6 @@ class InlinePool(Executor):
 
     name = "inline"
     jobs = 2
-    in_process = True
 
     def unordered(self, fn, payloads):
         for index, payload in enumerate(payloads):

@@ -17,6 +17,7 @@ from repro.languages.engine import Engine, MembershipSession
 from repro.languages.sampler import sample_regex
 
 from tests.reference_nfa import compile_regex
+from tests.reference_walks import to_python_re
 
 _ALPHABET = "ab"
 
@@ -167,7 +168,7 @@ def test_engine_agrees_with_scratch_compilation(expr, probe):
 @given(expr=regex_trees(), probe=probes)
 @settings(max_examples=100, deadline=None)
 def test_engine_agrees_with_python_re(expr, probe):
-    compiled = re.compile(rx.to_python_re(expr))
+    compiled = re.compile(to_python_re(expr))
     assert Engine().matcher(expr)(probe) == bool(compiled.fullmatch(probe))
 
 

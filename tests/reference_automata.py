@@ -1,15 +1,18 @@
 """Exact DFA construction: the test-side reference for regular languages.
 
 The package learns DFAs (L-Star, RPNI) but never needs an exact DFA
-for a known language. The unit tests do: an exact reference DFA is a
-*perfect* equivalence oracle for L-Star, where its exact-learning
-guarantee must hold (the paper's experiments use the sampling
-approximation instead, §8.2), and a language to compare learned
-regexes, RPNI's output and the precision metric against.
+for a known language, nor to compare two DFAs' languages. The unit
+tests do: an exact reference DFA is a *perfect* equivalence oracle for
+L-Star, where its exact-learning guarantee must hold (the paper's
+experiments use the sampling approximation instead, §8.2), and a
+language to compare learned regexes, RPNI's output and the precision
+metric against.
 
 :func:`regex_to_dfa` determinizes the membership engine's composed
 automaton with :func:`bounded_subset_construction` and minimizes the
 result; :func:`dfa_from_table` builds a DFA from a transition table.
+:func:`product`, :func:`complement`, :func:`difference_witness` and
+:func:`equivalent` compare languages.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
@@ -116,6 +120,66 @@ def dfa_from_table(
     return DFA(alphabet, states, start, accepting, transitions)
 
 
+def complement(dfa: DFA) -> DFA:
+    """A DFA accepting the complement language (over alphabet*)."""
+    total = dfa.completed()
+    return DFA(
+        total.alphabet,
+        total.states,
+        total.start,
+        total.states - total.accepting,
+        total.transitions,
+    )
+
+
+def product(left: DFA, right: DFA, accept_op) -> DFA:
+    """Lazy product construction over reachable state pairs.
+
+    ``accept_op(a, b)`` decides acceptance from the two components'
+    acceptance bits; pairs may include None (the dead state).
+    """
+    alphabet = left.alphabet | right.alphabet
+    index: Dict[Tuple, int] = {}
+    transitions: Dict[Tuple[int, str], int] = {}
+    accepting: Set[int] = set()
+
+    def intern(pair: Tuple) -> int:
+        if pair not in index:
+            index[pair] = len(index)
+        return index[pair]
+
+    start_pair = (left.start, right.start)
+    start = intern(start_pair)
+    queue = deque([start_pair])
+    seen = {start_pair}
+    while queue:
+        a, b = queue.popleft()
+        state = intern((a, b))
+        a_ok = a is not None and a in left.accepting
+        b_ok = b is not None and b in right.accepting
+        if accept_op(a_ok, b_ok):
+            accepting.add(state)
+        for char in alphabet:
+            na, nb = left.step(a, char), right.step(b, char)
+            if na is None and nb is None:
+                continue
+            transitions[(state, char)] = intern((na, nb))
+            if (na, nb) not in seen:
+                seen.add((na, nb))
+                queue.append((na, nb))
+    return DFA(alphabet, set(index.values()), start, accepting, transitions)
+
+
+def difference_witness(left: DFA, right: DFA) -> Optional[str]:
+    """A shortest string on which the two automata disagree, or None
+    (which proves language equivalence)."""
+    return product(left, right, lambda a, b: a != b).find_accepted_string()
+
+
+def equivalent(left: DFA, right: DFA) -> bool:
+    return difference_witness(left, right) is None
+
+
 class PerfectEquivalenceOracle:
     """Exact equivalence against a reference DFA: L-Star's equivalence
     query answered with a shortest counterexample, or None."""
@@ -124,4 +188,4 @@ class PerfectEquivalenceOracle:
         self.reference = reference
 
     def __call__(self, hypothesis: DFA) -> Optional[str]:
-        return self.reference.difference_witness(hypothesis)
+        return difference_witness(self.reference, hypothesis)
