@@ -13,11 +13,9 @@ Every row runs the pipeline's phase-2 loop, ``run_merge_wavefront``:
 the serial executor at one job, the chosen pool backend at more.
 
 The workload isolates phase 2: phase 1 runs once, latency-free, to
-produce the repetition stars and the verdicts it asked; each job count
-then merges the same star set against the XML recognizer wrapped with
-a configurable per-query latency (default 2 ms — far below a real
-``subprocess`` exec), starting, as the pipeline's phase 2 does, from a
-cache that holds phase 1's verdicts.
+produce the repetition stars; each job count then merges the same star
+set against the XML recognizer wrapped with a configurable per-query
+latency (default 2 ms — far below a real ``subprocess`` exec).
 
 Run standalone (the CI benchmark smoke job does, with
 ``--json BENCH_phase2.json``)::
@@ -72,35 +70,19 @@ class LatencyOracle:
 
 
 def learn_stars():
-    """Phase 1 once, latency-free: the star set every row merges, and
-    the verdicts phase 1 asked (one job, so exactly its cache's)."""
+    """Phase 1 once, latency-free: the star set every row merges."""
     target = get_target("xml")
     seeds = sorted(target.sample_seeds(N_SEEDS, seed=0), key=len)
     config = GladeConfig(alphabet=target.alphabet, enable_phase2=False)
-    verdicts = {}
-
-    def recording(text):
-        verdicts[text] = target.oracle(text)
-        return verdicts[text]
-
-    artifact = LearningPipeline(recording, config=config).run(seeds)
+    artifact = LearningPipeline(target.oracle, config=config).run(seeds)
     trees = artifact.trees()
     stars = [star for tree in trees for star in stars_of(tree)]
-    return artifact.grammar, stars, verdicts
-
-
-def phase2_stack(oracle, verdicts):
-    """The pipeline's parent stack as phase 2 finds it: a counting
-    layer over a cache that already holds phase 1's verdicts."""
-    cached = CachingOracle(oracle)
-    for text, verdict in verdicts.items():
-        cached.record(text, verdict)
-    return CountingOracle(cached), cached
+    return artifact.grammar, stars
 
 
 def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
                           backend: str = "thread"):
-    grammar, stars, verdicts = learn_stars()
+    grammar, stars = learn_stars()
     rows = []
     for jobs in JOBS:
         oracle = LatencyOracle(latency)
@@ -108,7 +90,8 @@ def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
         started = time.perf_counter()
         # Every row commits through the pipeline's counting/caching
         # stack, which counts the pairs.
-        counting, cached = phase2_stack(oracle, verdicts)
+        cached = CachingOracle(oracle)
+        counting = CountingOracle(cached)
         committer = MergeCommitter(plan)
         with make_executor(backend, jobs, oracle) as executor:
             stats = run_merge_wavefront(
@@ -123,8 +106,7 @@ def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
                 "backend": executor.name,
                 "seconds": elapsed,
                 "oracle_queries": counted,
-                # Phase 2's own distinct strings: the cache's growth.
-                "unique_queries": cached.unique_queries - len(verdicts),
+                "unique_queries": cached.unique_queries,
                 "speculative_queries": stats.speculative_queries,
                 "invocations": stats.invocations,
                 "base_calls": oracle.calls,
@@ -142,15 +124,16 @@ def run_planner_ablation(latency: float = DEFAULT_LATENCY,
 
     ``dedup=False`` is the naive sharding baseline: one pair per task,
     each evaluating its own checks in isolation, re-querying check
-    strings that phase 1 or other pairs already answered.
+    strings that other pairs already answered.
     """
-    grammar, stars, verdicts = learn_stars()
+    grammar, stars = learn_stars()
     out = {}
     for dedup in (True, False):
         oracle = LatencyOracle(latency)
         plan = plan_merges(stars)
         committer = MergeCommitter(plan)
-        counting, cached = phase2_stack(oracle, verdicts)
+        cached = CachingOracle(oracle)
+        counting = CountingOracle(cached)
         with make_executor(backend, jobs, oracle) as executor:
             stats = run_merge_wavefront(
                 executor, plan, committer, oracle, counting, cached,

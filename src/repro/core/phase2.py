@@ -335,7 +335,7 @@ class MergeCommitter:
 
     def equated(self, star_i: int, star_j: int) -> bool:
         """True if the two stars are already transitively merged."""
-        return self.representative(star_i) == self.representative(star_j)
+        return self._uf.find(star_i) == self._uf.find(star_j)
 
     def next_pair(self) -> MergePair:
         return self.plan.pairs[self.committed]

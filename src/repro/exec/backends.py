@@ -70,10 +70,10 @@ class Executor:
         """Yield ``(index, fn(payload))`` in completion order.
 
         ``index`` is the payload's position in ``payloads`` (submission
-        order). Payloads are pulled lazily, at most ``2 * jobs`` tasks
-        are in flight at once, and the iterator is advanced only when a
-        submission slot frees up, on the *consumer's* thread — after
-        the consumer has processed every previously yielded result. So
+        order). Payloads are pulled lazily, at most ``jobs`` tasks are
+        in flight at once, and the iterator is advanced only when a
+        worker frees up, on the *consumer's* thread — after the
+        consumer has processed every previously yielded result. So
         ``payloads`` may be a generator whose elements depend on results
         the consumer has already received: a scheduler can make
         submission decisions (skip a task, enrich its payload) from
@@ -230,11 +230,12 @@ class _PoolExecutor(Executor):
     def unordered(
         self, fn: Callable[[Any], Any], payloads: Iterable[Any]
     ) -> Iterator[Tuple[int, Any]]:
-        # Twice the worker count keeps every worker busy while the
-        # consumer processes a result, without racing far ahead of the
-        # consumer (each in-flight task past an in-order commit
-        # frontier is potential speculative waste).
-        window = 2 * self.jobs
+        # One task per worker: a payload is built when a worker can
+        # start it, so it reflects every result consumed so far, and
+        # nothing waits in the pool's queue on stale state (each
+        # in-flight task past an in-order commit frontier is potential
+        # speculative waste).
+        window = self.jobs
         iterator = iter(payloads)
         entries = {}
         position = 0

@@ -19,12 +19,15 @@ module is its one loop, at every job count:
   does. At several jobs it asks the base oracle behind its own cache,
   seeded with a snapshot of the planner's *known-verdict table* for
   its checks (what the parent's cache and finished tasks answered);
-  its fresh verdicts widen the table.
+  its fresh verdicts widen the table. The executor pulls a payload only
+  when a worker can start it, so the snapshot holds every verdict
+  returned until then; runs still in flight share nothing.
 - :func:`run_merge_wavefront` commits pairs strictly in plan order,
   each through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
-  on the parent's counting/caching stack, after recording the pair's
-  verdicts in that cache: the commit asks what a serial run asks,
-  counts it, and hits the cache every time. A pair a speculative run
+  on the parent's counting/caching stack, once the pair's verdicts are
+  in that cache (a one-job run asked through it; other verdicts are
+  recorded first): the commit asks what a serial run asks, counts it,
+  and hits the cache every time. A pair a speculative run
   evaluated but that is equated by its turn commits as skipped, and
   its verdicts are booked as speculative.
 """
@@ -196,21 +199,26 @@ def run_merge_wavefront(
         while not committer.done:
             pair = committer.next_pair()
             shard = "pair:{}".format(pair.index)
-            if committer.equated(pair.star_i, pair.star_j):
-                event = committer.commit_serial(counting)
-                verdicts = outcomes.pop(pair.index, None)
+            if pair.index in outcomes:
+                verdicts = outcomes.pop(pair.index)
+                # A shared run asked through ``cache`` already, and an
+                # equated pair's verdicts are speculation, not asked.
+                if verdicts and not shared and not committer.equated(
+                    pair.star_i, pair.star_j
+                ):
+                    for check, verdict in zip(pair.checks, verdicts):
+                        cache.record(check, verdict)
+            elif committer.equated(pair.star_i, pair.star_j):
+                verdicts = None
+            else:
+                break
+            event = committer.commit_serial(counting)
+            if event.evaluated:
+                tracer.absorb(shard, spans.pop(shard, ()), span_parent)
+            else:
                 spans.pop(shard, None)
                 if verdicts is not None:
                     event.discarded = len(verdicts)
-            elif pair.index not in outcomes:
-                break
-            else:
-                for check, verdict in zip(
-                    pair.checks, outcomes.pop(pair.index)
-                ):
-                    cache.record(check, verdict)
-                event = committer.commit_serial(counting)
-                tracer.absorb(shard, spans.pop(shard, ()), span_parent)
             emit(event)
 
     def payloads() -> Iterator[Dict[str, Any]]:
@@ -222,11 +230,15 @@ def run_merge_wavefront(
                 if dedup else 1
             )
             run: List[MergePair] = []
+            roots: Dict[int, int] = {}
             while position < len(pairs) and len(run) < size:
                 pair = pairs[position]
                 position += 1
-                if not committer.equated(pair.star_i, pair.star_j):
+                root_i = committer.representative(pair.star_i)
+                root_j = committer.representative(pair.star_j)
+                if root_i != root_j:
                     run.append(pair)
+                    roots[pair.star_i], roots[pair.star_j] = root_i, root_j
             if not run:
                 return
             yield {
@@ -234,11 +246,7 @@ def run_merge_wavefront(
                     (pair.index, pair.star_i, pair.star_j, pair.checks)
                     for pair in run
                 ],
-                "roots": {
-                    star: committer.representative(star)
-                    for pair in run
-                    for star in (pair.star_i, pair.star_j)
-                },
+                "roots": roots,
                 "oracle": cache if shared else oracle,
                 # A snapshot: process pools pickle payloads on an
                 # internal thread while this one extends the table.

@@ -179,7 +179,7 @@ def test_jobs_must_be_positive():
 
 class TestUnorderedStream:
     """``unordered`` over a payload stream: lazy submission bounded at
-    ``2 * jobs`` in flight — the wavefront scheduler's substrate."""
+    ``jobs`` in flight — the wavefront scheduler's substrate."""
 
     @pytest.mark.parametrize(
         "make", [SerialExecutor, lambda: ThreadExecutor(2),
@@ -203,7 +203,7 @@ class TestUnorderedStream:
                 list(executor.unordered(explode, iter([7])))
 
     def test_window_bounds_in_flight_submissions(self):
-        # One worker gives a window of 2: at most 2 payloads may ever
+        # One worker gives a window of 1: at most 1 payload may ever
         # have been pulled beyond the number of results already yielded.
         pulls = []
 
@@ -215,10 +215,10 @@ class TestUnorderedStream:
         with ThreadExecutor(1) as executor:
             seen = 0
             for _index, _result in executor.unordered(square, payloads()):
-                assert len(pulls) <= seen + 2
+                assert len(pulls) <= seen + 1
                 seen += 1
         assert seen == 6
-        assert executor.peak_in_flight == 2
+        assert executor.peak_in_flight == 1
 
     def test_pulls_happen_on_consumer_thread_after_each_result(self):
         # The payload generator must observe state the consumer updated
@@ -239,9 +239,8 @@ class TestUnorderedStream:
             for _index, (value, snapshot) in executor.unordered(
                 task, payloads()
             ):
-                # With a window of 2, payload k was generated after
-                # exactly k - 1 earlier results were consumed and
-                # recorded (payloads 0 and 1 fill the first window).
-                assert len(snapshot) == max(0, value - 1)
+                # With a window of 1, payload k was generated after
+                # exactly k earlier results were consumed and recorded.
+                assert len(snapshot) == value
                 committed.append(value)
         assert len(committed) == 6

@@ -148,7 +148,7 @@ class _BreaksAtSubmit(ThreadExecutor):
 class TestSubmitTimeBreakage:
     def test_breakage_at_submit_restarts_the_pool(self):
         # No worker dies here and nothing depends on timing: the pool
-        # refuses the fourth submit, inside the first window of 2 * 2,
+        # refuses the fourth submit, after two results came back,
         # which must route through a restart instead of raising to the
         # caller.
         payloads = list(range(6))
