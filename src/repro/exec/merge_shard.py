@@ -34,6 +34,7 @@ module is its one loop, at every job count:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -105,9 +106,13 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 results[index] = None
                 continue
             verdicts = []
-            with tracer.span(
-                "pair", cat="phase2", shard="pair:{}".format(index),
-                args={"index": index},
+            # Untraced runs skip building the span's shard name and args.
+            with (
+                tracer.span(
+                    "pair", cat="phase2", shard="pair:{}".format(index),
+                    args={"index": index},
+                )
+                if tracer.enabled else nullcontext()
             ):
                 for check in checks:
                     verdicts.append(bool(cache(check)))
@@ -198,7 +203,6 @@ def run_merge_wavefront(
         """Advance the commit frontier as far as outcomes allow."""
         while not committer.done:
             pair = committer.next_pair()
-            shard = "pair:{}".format(pair.index)
             if pair.index in outcomes:
                 verdicts = outcomes.pop(pair.index)
                 # A shared run asked through ``cache`` already, and an
@@ -213,12 +217,13 @@ def run_merge_wavefront(
             else:
                 break
             event = committer.commit_serial(counting)
-            if event.evaluated:
-                tracer.absorb(shard, spans.pop(shard, ()), span_parent)
-            else:
-                spans.pop(shard, None)
-                if verdicts is not None:
-                    event.discarded = len(verdicts)
+            if not event.evaluated and verdicts is not None:
+                event.discarded = len(verdicts)
+            if tracer.enabled:
+                shard = "pair:{}".format(pair.index)
+                pair_spans = spans.pop(shard, ())
+                if event.evaluated:
+                    tracer.absorb(shard, pair_spans, span_parent)
             emit(event)
 
     def payloads() -> Iterator[Dict[str, Any]]:
@@ -273,8 +278,9 @@ def run_merge_wavefront(
             table.update(raw["learned"])
         for span in raw["telemetry"]["spans"]:
             spans.setdefault(span["shard"], []).append(span)
+        committed = committer.committed
         for index, verdicts in raw["verdicts"].items():
-            if index >= committer.committed:
+            if index >= committed:
                 outcomes[index] = verdicts
             elif verdicts is not None:
                 # The pair committed as transitively skipped while its
