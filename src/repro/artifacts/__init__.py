@@ -5,11 +5,13 @@ hands learned grammars to fuzzers — and this package makes that real
 for the reproduction: a versioned JSON schema for everything GLADE
 learns (:mod:`repro.artifacts.schema`), a top-level
 :class:`~repro.artifacts.run.RunArtifact` carrying seeds, config,
-query statistics and per-stage timings, and pluggable
-:mod:`checkpoint stores <repro.artifacts.store>` that let an
-interrupted multi-hour oracle run resume where it left off.
+query statistics and per-stage timings, the checkpoint file format
+(:mod:`repro.artifacts.journal`: a snapshot plus an append-only
+journal), and pluggable :mod:`checkpoint stores <repro.artifacts.store>`
+that let an interrupted multi-hour oracle run resume where it left off.
 """
 
+from repro.artifacts.journal import load_artifact, save_artifact
 from repro.artifacts.run import (
     SEED_LEARNED,
     SEED_PENDING,
@@ -19,8 +21,6 @@ from repro.artifacts.run import (
     STAGES,
     RunArtifact,
     SeedRecord,
-    load_artifact,
-    save_artifact,
 )
 from repro.artifacts.schema import (
     SCHEMA_VERSION,

@@ -11,23 +11,26 @@ and from the versioned JSON encoding of
 :mod:`repro.artifacts.schema`.
 
 The same object doubles as the checkpoint format: the pipeline saves it
-after every completed stage (per seed during phase one), and
+after every completed stage, every seed during phase one and every
+committed pair during phase two, and
 :meth:`~repro.core.pipeline.LearningPipeline.resume` picks up from
-whatever the last save recorded.
+whatever the last save recorded. :meth:`RunArtifact.sections` lists the
+encoding's top-level sections once for both :meth:`to_dict` and the
+checkpoint file of :mod:`repro.artifacts.journal`, which stores a
+snapshot of :meth:`to_dict` and then only what each save changed.
+While a traced run goes on, ``telemetry`` holds a
+:class:`~repro.obs.export.LiveTelemetry`, which the encoding builds
+into the section.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import pathlib
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+import copy
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.artifacts.schema import (
     SCHEMA_VERSION,
-    ArtifactCorrupt,
     ArtifactError,
     from_known_fields,
     grammar_from_dict,
@@ -42,6 +45,7 @@ from repro.core.phase1 import Phase1Result
 from repro.core.phase2 import Phase2Result
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar
+from repro.obs.export import LiveTelemetry
 
 #: Pipeline stages in execution order; ``RunArtifact.stage`` names the
 #: last *completed* one ("init" before any stage has finished).
@@ -112,9 +116,10 @@ class RunArtifact:
     timings: Dict[str, float] = field(default_factory=dict)
     #: Versioned observability section (schema v4, ``--trace`` runs
     #: only): spans and the metrics-registry snapshot, see
-    #: :mod:`repro.obs.export`. Wall-clock telemetry by nature — never
-    #: part of any deterministic comparison surface.
-    telemetry: Optional[Dict[str, Any]] = None
+    #: :mod:`repro.obs.export`; a ``LiveTelemetry`` while the pipeline
+    #: runs. Wall-clock telemetry by nature — never part of any
+    #: deterministic comparison surface.
+    telemetry: Optional[Any] = None
     schema_version: int = SCHEMA_VERSION
 
     # -- derived views ----------------------------------------------------
@@ -169,19 +174,18 @@ class RunArtifact:
         """The encoding's top-level sections, as ``(key, value, codec)``.
 
         ``codec`` is None when ``value`` already is JSON data. Otherwise
-        ``value`` holds recorded learning results — the
-        ``Phase1Result`` list, the ``Grammar``, the ``Phase2Result``,
-        each possibly None — and ``codec`` encodes one result. Both
-        :meth:`to_dict` and :class:`ArtifactEncoder` read this list, so
-        the two encodings cannot drift apart.
+        it encodes ``value`` (each item of a list value) into JSON data;
+        a None value stays None. Both :meth:`to_dict` and the checkpoint
+        journal (:mod:`repro.artifacts.journal`) read this list, so the
+        two encodings cannot drift apart.
         """
         return [
             ("schema_version", self.schema_version, None),
             ("kind", "glade-run", None),
             ("status", self.status, None),
             ("stage", self.stage, None),
-            ("seeds", [asdict(record) for record in self.seeds], None),
-            ("config", asdict(self.config), None),
+            ("seeds", self.seeds, _fields),
+            ("config", self.config, _fields),
             ("oracle", self.oracle_spec, None),
             ("phase1_results", self.phase1_results, phase1_result_to_dict),
             ("grammar", self.grammar, grammar_to_dict),
@@ -189,21 +193,17 @@ class RunArtifact:
             ("oracle_queries", self.oracle_queries, None),
             ("unique_queries", self.unique_queries, None),
             ("speculative_queries", self.speculative_queries, None),
-            ("execution", dict(self.execution), None),
-            ("phase2_progress", _copy_progress(self.phase2_progress), None),
-            ("timings", dict(self.timings), None),
-            ("telemetry", self.telemetry, None),
+            ("execution", self.execution, copy.deepcopy),
+            ("phase2_progress", self.phase2_progress, _copy_progress),
+            ("timings", self.timings, dict),
+            ("telemetry", self.telemetry, _telemetry_section),
         ]
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {}
-        for key, value, codec in self.sections():
-            if codec is not None and isinstance(value, list):
-                value = [codec(item) for item in value]
-            elif codec is not None and value is not None:
-                value = codec(value)
-            data[key] = value
-        return data
+        return {
+            key: section_data(value, codec)
+            for key, value, codec in self.sections()
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunArtifact":
@@ -285,6 +285,15 @@ class RunArtifact:
             )
 
 
+def section_data(value: Any, codec: Optional[Callable]) -> Any:
+    """One :meth:`RunArtifact.sections` entry's JSON data."""
+    if codec is not None and isinstance(value, list):
+        return [codec(item) for item in value]
+    if codec is not None and value is not None:
+        return codec(value)
+    return value
+
+
 def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
     """Upgrade a schema-v1 artifact dict to the current encoding.
 
@@ -316,6 +325,20 @@ def _upgrade_v1(data: Dict[str, Any]) -> Dict[str, Any]:
     return upgraded
 
 
+def _fields(record: Any) -> Dict[str, Any]:
+    """A flat dataclass's fields as a new dict: ``asdict`` without its
+    deep copy, which the scalar fields of seed records and the config
+    do not need."""
+    return {item.name: getattr(record, item.name) for item in fields(record)}
+
+
+def _telemetry_section(telemetry: Any) -> Dict[str, Any]:
+    """A telemetry section, built in full from a live one."""
+    if isinstance(telemetry, LiveTelemetry):
+        return telemetry.section()
+    return telemetry
+
+
 def _copy_progress(progress: Dict[str, Any]) -> Dict[str, Any]:
     """Copy a phase-2 progress record, snapshotting the decision list.
 
@@ -326,158 +349,3 @@ def _copy_progress(progress: Dict[str, Any]) -> Dict[str, Any]:
     if "decisions" in copied:
         copied["decisions"] = list(copied["decisions"])
     return copied
-
-
-#: The canonical JSON encoding the integrity digest is defined over:
-#: sorted keys, no whitespace, ASCII output. Without ``indent`` CPython
-#: runs it on the C encoder.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _sha256(canonical: str) -> str:
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def artifact_digest(data: Dict[str, Any]) -> str:
-    """Content digest of an artifact dict (integrity key excluded).
-
-    Computed over the canonical compact JSON encoding with sorted keys,
-    so the digest is byte-stable across writers; the ``integrity`` key
-    itself is excluded to avoid self-reference. A mismatch on load
-    means the file was truncated or bit-flipped after the atomic
-    rename — the checkpoint store then falls back to the previous
-    generation rather than resuming from corrupted state.
-    """
-    return _sha256(
-        _CANONICAL.encode({k: v for k, v in data.items() if k != "integrity"})
-    )
-
-
-class _Encoded(str):
-    """Canonical JSON text, joined into an object verbatim."""
-
-
-def _members(data: Dict[str, Any]) -> List[str]:
-    """A JSON object's ``"key":value`` members in canonical (key) order;
-    :class:`_Encoded` values are already canonical text."""
-    return [
-        _CANONICAL.encode(key) + ":" + (
-            value if isinstance(value, _Encoded) else _CANONICAL.encode(value)
-        )
-        for key, value in sorted(data.items())
-    ]
-
-
-class ArtifactEncoder:
-    """Encode artifacts to file text, reusing the text of unchanged results.
-
-    Recorded learning results — each ``Phase1Result``, the ``Grammar``
-    and the ``Phase2Result`` — are never changed once recorded: trees
-    are edited only while their seed is learned, and translation, phase
-    two and finalize build new grammars. So the encoder keeps each one's
-    canonical text from the previous call, keyed by identity and
-    holding a reference to the object (an id cannot be reused while it
-    is cached), and drops it once the object has left the artifact (a
-    discarded speculative seed takes its result with it). Each call
-    encodes only the small sections that do change — seeds, config,
-    counters, ``execution``, ``phase2_progress``, ``timings`` and
-    ``telemetry`` — so a checkpoint costs what changed, plus the hash and
-    the write.
-    """
-
-    def __init__(self) -> None:
-        self._texts: Dict[int, Tuple[Any, str]] = {}
-
-    def encode(self, artifact: RunArtifact) -> str:
-        """The artifact's file text: its canonical encoding with the
-        ``integrity`` digest added, one top-level key per line."""
-        previous, self._texts = self._texts, {}
-        data: Dict[str, Any] = {}
-        for key, value, codec in artifact.sections():
-            if codec is not None and isinstance(value, list):
-                text = "[" + ",".join(
-                    self._recorded(item, codec, previous) for item in value
-                ) + "]"
-            elif codec is not None and value is not None:
-                text = self._recorded(value, codec, previous)
-            else:
-                text = _CANONICAL.encode(value)
-            data[key] = _Encoded(text)
-        data["integrity"] = _sha256("{" + ",".join(_members(data)) + "}")
-        return "{\n" + ",\n".join(_members(data)) + "\n}\n"
-
-    def _recorded(self, obj: Any, codec: Callable, previous) -> _Encoded:
-        entry = self._texts.get(id(obj)) or previous.get(id(obj))
-        if entry is None:
-            if isinstance(obj, Phase2Result):
-                # The merged grammar is also the artifact's grammar
-                # section until finalize: encode it once, through here.
-                data = codec(obj, encode_grammar=lambda grammar: (
-                    self._recorded(grammar, grammar_to_dict, previous)
-                ))
-                text = "{" + ",".join(_members(data)) + "}"
-            else:
-                text = _CANONICAL.encode(codec(obj))
-            entry = (obj, _Encoded(text))
-        self._texts[id(obj)] = entry
-        return entry[1]
-
-
-def save_artifact(
-    artifact: RunArtifact,
-    path: Union[str, os.PathLike],
-    encoder: Optional[ArtifactEncoder] = None,
-) -> None:
-    """Write an artifact as JSON, atomically (write-temp + rename).
-
-    The artifact is encoded once, canonically (sorted keys, compact,
-    ASCII — the encoding :func:`artifact_digest` is defined over); the
-    digest of those bytes becomes the ``integrity`` key that
-    :func:`load_artifact` verifies, and the file holds the same
-    members, one top-level key per line. ``encoder`` carries reusable
-    section text from one save to the next (a checkpoint store keeps
-    one); without it everything is encoded afresh. Pre-digest artifacts
-    stay loadable.
-    """
-    path = pathlib.Path(path)
-    if encoder is None:
-        encoder = ArtifactEncoder()
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(encoder.encode(artifact))
-    os.replace(tmp_path, path)
-
-
-def load_artifact(path: Union[str, os.PathLike]) -> RunArtifact:
-    """Load an artifact written by :func:`save_artifact`.
-
-    Raises :class:`~repro.artifacts.schema.ArtifactCorrupt` when the
-    file's embedded content digest does not match its payload (plain
-    :class:`~repro.artifacts.schema.ArtifactError` for undecodable
-    JSON — also a corruption signal for a file this module wrote).
-    """
-    return decode_artifact(
-        pathlib.Path(path).read_text(), "artifact {}".format(path)
-    )
-
-
-def decode_artifact(text: str, source: str) -> RunArtifact:
-    """Decode an artifact's JSON text, verifying its integrity digest.
-
-    The one loader behind :func:`load_artifact` and in-memory
-    checkpoints; ``source`` names the text in error messages.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(
-            "{} is not valid JSON: {}".format(source, exc)
-        )
-    if isinstance(data, dict):
-        stored = data.pop("integrity", None)
-        if stored is not None and stored != artifact_digest(data):
-            raise ArtifactCorrupt(
-                "{} failed its integrity check (stored digest does not "
-                "match content): the file was truncated or corrupted "
-                "after writing".format(source)
-            )
-    return RunArtifact.from_dict(data)

@@ -27,7 +27,7 @@ compatibility policy).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.context import Context
 from repro.core.gtree import (
@@ -325,22 +325,14 @@ def phase1_result_from_dict(data: Dict[str, Any]) -> Phase1Result:
     return Phase1Result(root=root, seed_index=data.get("seed_index", -1))
 
 
-def phase2_result_to_dict(
-    result: Phase2Result,
-    encode_grammar: Optional[Callable[[Grammar], Any]] = None,
-) -> Dict[str, Any]:
+def phase2_result_to_dict(result: Phase2Result) -> Dict[str, Any]:
     """Encode the merge phase's outcome.
 
     ``representative`` is stored as a pair list because JSON object keys
-    must be strings. ``encode_grammar`` replaces :func:`grammar_to_dict`
-    for the merged grammar: the artifact encoder passes one that reuses
-    the text of the artifact's own ``grammar`` section, which holds the
-    same object.
+    must be strings.
     """
-    if encode_grammar is None:
-        encode_grammar = grammar_to_dict
     return {
-        "grammar": encode_grammar(result.grammar),
+        "grammar": grammar_to_dict(result.grammar),
         "representative": sorted(result.representative.items()),
     }
 

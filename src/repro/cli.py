@@ -13,8 +13,9 @@ Synthesize a grammar for a real executable, GLADE-style::
 directory of whole-file seeds, e.g. multi-line programs). The command is
 run once per membership query with the candidate on stdin; exit status 0
 means "accepted" (§2 of the paper). With ``--out``, a checkpoint is
-written after every completed pipeline stage (per seed during phase
-one), so a killed run loses nothing::
+written after every completed pipeline stage, every seed during phase
+one and every merge pair during phase two (a snapshot, then one
+appended journal line per save), so a killed run loses nothing::
 
     python -m repro resume run.json        # continue where it died
     python -m repro sample run.json -n 10  # draw fresh samples
@@ -195,11 +196,14 @@ def _cmd_learn(args, parser) -> int:
     )
     store = None
     if args.out:
-        if pathlib.Path(args.out).exists() and not args.force:
+        store = FileCheckpointStore(args.out)
+        if not args.force:
             # Never silently clobber checkpointed work — that is the
-            # one thing the artifact exists to preserve.
+            # one thing the artifact exists to preserve. The store loads
+            # what `repro resume` would: a damaged file's previous
+            # generation too, and a lone previous generation.
             try:
-                existing = load_artifact(args.out)
+                existing = store.load()
             except ArtifactError:
                 existing = None
             if existing is not None and existing.status == "in_progress":
@@ -209,7 +213,6 @@ def _cmd_learn(args, parser) -> int:
                         args.out, args.out
                     )
                 )
-        store = FileCheckpointStore(args.out)
     pipeline = LearningPipeline(
         oracle, config=config, store=store, oracle_spec=oracle_spec
     )
@@ -223,7 +226,7 @@ def _cmd_learn(args, parser) -> int:
 
 def _cmd_resume(args, parser) -> int:
     # Loading through the store (not load_artifact directly) gets the
-    # corruption fallback: a truncated/bit-flipped checkpoint resumes
+    # corruption fallback: a truncated/bit-flipped snapshot resumes
     # from the rotated last-good generation instead of dying.
     store = FileCheckpointStore(args.artifact)
     artifact = store.load()
@@ -236,6 +239,14 @@ def _cmd_resume(args, parser) -> int:
             "# warning: {} failed its integrity check; resumed from "
             "the last-good checkpoint {} (work after that save will "
             "be redone)".format(args.artifact, store.recovered_from)
+        )
+    if store.cut_records:
+        print(
+            "# warning: cut {} torn or corrupt journal record(s) from "
+            "the end of {}; resumed from the last good record (work "
+            "after it will be redone)".format(
+                store.cut_records, store.recovered_from or args.artifact
+            )
         )
     if artifact.status == "complete":
         print("# run already complete; nothing to resume")

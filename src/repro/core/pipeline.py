@@ -48,15 +48,21 @@ the cache's size plus the unsettled seeds' strings not yet in it, so
 once phase 1 has settled, a checkpoint counts in O(1).
 
 After every completed stage — after *every seed* inside phase one, and
-after *every evaluated pair* inside phase two — the pipeline writes
-the full :class:`~repro.artifacts.run.RunArtifact` through its
-:class:`~repro.artifacts.store.CheckpointStore`. A crashed or killed
-run resumes from the last checkpoint: learned trees are rehydrated
-from the artifact, finished seeds are never re-learned, committed
-merge decisions are replayed rather than re-checked, and no oracle
-query is re-issued for checkpointed work. Because every stage is
-deterministic given the oracle's answers (star ids come from per-seed
-blocks and phase-two residual sampling is seeded run-locally, see
+after *every evaluated pair* inside phase two — the pipeline hands the
+:class:`~repro.artifacts.run.RunArtifact` to its
+:class:`~repro.artifacts.store.CheckpointStore`. A persisting store
+writes a snapshot when the stage or status changes and otherwise
+appends only what changed (:mod:`repro.artifacts.journal`), so a
+checkpoint costs what changed since the previous one. In a traced run
+the artifact carries a :class:`~repro.obs.export.LiveTelemetry` until
+the last save, and a journal record holds only the spans closed since
+the previous one. A crashed or killed run resumes from the last
+checkpoint: learned trees are rehydrated from the artifact, finished
+seeds are never re-learned, committed merge decisions are replayed
+rather than re-checked, and no oracle query is re-issued for
+checkpointed work. Because every stage is deterministic given the
+oracle's answers (star ids come from per-seed blocks and phase-two
+residual sampling is seeded run-locally, see
 :func:`repro.core.phase2.residual_seed`), a resumed run — at any
 worker count — produces a grammar byte-identical to an uninterrupted
 one, with the same accumulated query count.
@@ -101,7 +107,7 @@ from repro.learning.oracle import (
     TracingOracle,
 )
 from repro.learning.resilience import OracleFailedError, add_fault_counters
-from repro.obs.export import build_telemetry
+from repro.obs.export import LiveTelemetry, build_telemetry
 from repro.obs.metrics import (
     MetricsRegistry,
     StageClock,
@@ -226,12 +232,10 @@ class LearningPipeline:
         clock = StageClock(artifact.timings)
 
         state = _RunAccounting(cached)
-        # Building the telemetry section snapshots (copies, sorts)
-        # every span collected so far — O(spans). Worth it per
-        # checkpoint when a real store persists the result (a killed
-        # traced run keeps its trace); pure overhead when checkpoints
-        # are discarded, so the no-op store builds it once at the end.
-        persistent = not isinstance(self.store, NullCheckpointStore)
+        if tracer.enabled:
+            # Saves encode the section from the live tracer: a journal
+            # record takes only the spans closed since the previous one.
+            artifact.telemetry = LiveTelemetry(tracer, registry)
 
         def checkpoint(final: bool = False) -> None:
             """Bring the artifact's counters up to date and save it.
@@ -240,6 +244,8 @@ class LearningPipeline:
             histogram (its count is the number of checkpoints). A save's
             own time lands there only after the save, so the telemetry a
             save writes — the final one's too — lacks that save's time.
+            After the last save of a leg (``final``) the artifact keeps
+            the built telemetry section, which is what that save wrote.
             """
             with registry.timer("pipeline.checkpoint"):
                 artifact.timings = clock.timings()
@@ -247,9 +253,9 @@ class LearningPipeline:
                     base_queries + counting.queries + state.queries_delta
                 )
                 artifact.unique_queries = base_unique + state.unique()
-                if tracer.enabled and (persistent or final):
-                    artifact.telemetry = build_telemetry(tracer, registry)
                 self.store.save(artifact)
+                if final and tracer.enabled:
+                    artifact.telemetry = build_telemetry(tracer, registry)
 
         try:
             if not artifact.stage_done("validate"):
@@ -323,7 +329,7 @@ class LearningPipeline:
                 artifact, counting, registry,
                 fault_baseline, exec_baseline,
             )
-            checkpoint()
+            checkpoint(final=True)
             raise
 
         return artifact

@@ -36,7 +36,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.artifacts.run import RunArtifact, load_artifact, save_artifact
+from repro.artifacts.journal import load_artifact, save_artifact
+from repro.artifacts.run import RunArtifact
 from repro.artifacts.schema import ArtifactError
 from repro.artifacts.suite import (
     SubjectMetrics,

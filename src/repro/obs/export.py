@@ -2,10 +2,12 @@
 
 ``build_telemetry`` packages a run's spans and metrics into the
 versioned JSON section stored on ``RunArtifact.telemetry`` /
-``SuiteResult.telemetry``. The section lives *outside* the
-deterministic compared-metrics surface: ``canonical_metrics_bytes``
-never sees it, and the eval-gate comparison ignores it — timestamps
-and durations are wall-clock by nature.
+``SuiteResult.telemetry``; while a traced run goes on, its artifact
+holds a :class:`LiveTelemetry` that builds the section on demand. The
+section lives *outside* the deterministic compared-metrics surface:
+``canonical_metrics_bytes`` never sees it, and the eval-gate
+comparison ignores it — timestamps and durations are wall-clock by
+nature.
 
 ``chrome_trace`` converts a telemetry section to the Chrome
 ``trace_event`` JSON object format (the one Perfetto and
@@ -40,16 +42,46 @@ def build_telemetry(
     registry: Optional[MetricsRegistry] = None,
 ) -> Dict[str, Any]:
     """The versioned JSON telemetry section for an artifact."""
-    section: Dict[str, Any] = {
-        "version": TELEMETRY_VERSION,
-        "spans": tracer.snapshot(),
-    }
+    section = _section_head(tracer, registry)
+    section["spans"] = tracer.snapshot()
+    return section
+
+
+def _section_head(
+    tracer: Union[Tracer, NullTracer],
+    registry: Optional[MetricsRegistry],
+) -> Dict[str, Any]:
+    """The telemetry section without its spans."""
+    section: Dict[str, Any] = {"version": TELEMETRY_VERSION}
     if tracer.dropped:
         # Never let a truncated trace read as a complete one.
         section["dropped_spans"] = tracer.dropped
     if registry is not None:
         section["metrics"] = registry.snapshot()
     return section
+
+
+class LiveTelemetry:
+    """The telemetry section of a traced run that is still going.
+
+    The pipeline keeps one on its artifact until the run's last save,
+    then keeps the built section. :meth:`section` builds the section in
+    full. A checkpoint journal stores :meth:`head` and asks the tracer
+    for the spans closed since its previous record (``Tracer.since``).
+    """
+
+    __slots__ = ("tracer", "registry")
+
+    def __init__(self, tracer: Tracer, registry: MetricsRegistry) -> None:
+        self.tracer = tracer
+        self.registry = registry
+
+    def section(self) -> Dict[str, Any]:
+        return build_telemetry(self.tracer, self.registry)
+
+    def head(self) -> Dict[str, Any]:
+        """The section without its spans."""
+        return _section_head(self.tracer, self.registry)
 
 
 def span_structure(

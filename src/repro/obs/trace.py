@@ -12,6 +12,12 @@ deterministic function of the run, independent of backend and job
 count, even though every timestamp is wall-clock; the determinism
 tests compare exactly that structure.
 
+Beside the buffers, a tracer keeps a log of every span it holds, in
+append order, and of every shard it discarded. :meth:`Tracer.since`
+hands out what changed after a mark, a position in that log, so a
+checkpoint journal records only the spans closed since its last
+record.
+
 ``NULL_TRACER`` is the disabled mode: every operation is a no-op on a
 shared singleton, so call sites pay one attribute check and an empty
 ``with`` block when tracing is off.
@@ -148,6 +154,10 @@ class Tracer:
 
     def __init__(self, max_spans: int = MAX_SPANS) -> None:
         self._shards: Dict[str, List[Dict[str, Any]]] = {"": []}
+        #: Every span appended, with its shard key, in append order.
+        self._log: List[Tuple[str, Dict[str, Any]]] = []
+        #: Every discarded shard, with the log length at its discard.
+        self._discards: List[Tuple[str, int]] = []
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 1
@@ -248,6 +258,7 @@ class Tracer:
                 return
             self._count += 1
             self._shards.setdefault(shard, []).append(record)
+            self._log.append((shard, record))
 
     # -- shard merging --------------------------------------------------
 
@@ -312,9 +323,40 @@ class Tracer:
             if not spans:
                 return 0
             self._count -= len(spans)
+            self._discards.append((shard, len(self._log)))
             return len(spans)
 
     # -- export ---------------------------------------------------------
+
+    def since(
+        self, mark: Tuple[int, int]
+    ) -> Tuple[List[Dict[str, Any]], List[str], Tuple[int, int]]:
+        """What changed after ``mark``: the spans appended since that
+        are still held (each annotated with its ``shard`` key, in append
+        order), the shards discarded since, and the new mark. A mark is
+        a position in the span log; ``(0, 0)`` is its start.
+
+        Dropping the discarded shards from a :meth:`snapshot` taken at
+        ``mark``, then appending the spans to their shards, gives the
+        snapshot now: a span is left out exactly when a later discard
+        dropped its shard.
+        """
+        with self._lock:
+            start, discarded_from = mark
+            discards = self._discards[discarded_from:]
+            latest = {shard: at for shard, at in discards}
+            spans = [
+                dict(record, shard=shard)
+                for position, (shard, record) in enumerate(
+                    self._log[start:], start
+                )
+                if latest.get(shard, 0) <= position
+            ]
+            return (
+                spans,
+                [shard for shard, _at in discards],
+                (len(self._log), len(self._discards)),
+            )
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """All spans, main shard first then shards in natural order,

@@ -1,11 +1,13 @@
 """Checkpoint hardening: content digests and generation fallback.
 
 Acceptance criteria for the durable-store layer: a truncated or
-bit-flipped checkpoint is *detected* on load (never deserialized into a
+bit-flipped snapshot is *detected* on load (never deserialized into a
 half-wrong artifact), the store falls back to the last-good generation,
 and resuming from that generation re-issues zero oracle queries for
-stages it already records. Checkpoints reuse the text of unchanged
-results, so every save is also checked against a fresh encoding.
+stages it already records. Most saves append only what changed to the
+file, so every save is also checked against a fresh encoding of the
+whole artifact. The journal's own crash tests are in
+``test_journal.py``.
 """
 
 import hashlib
@@ -15,11 +17,13 @@ import random
 
 import pytest
 
+import repro.artifacts.journal as journal_mod
 import repro.artifacts.run as run_mod
 import repro.artifacts.schema as schema_mod
 import repro.core.pipeline as pipeline_mod
 from repro.artifacts import RunArtifact
-from repro.artifacts.run import SeedRecord, artifact_digest, load_artifact
+from repro.artifacts.journal import artifact_digest, load_artifact
+from repro.artifacts.run import SeedRecord
 from repro.artifacts.schema import ArtifactCorrupt, ArtifactError
 from repro.artifacts.store import (
     CheckpointStore,
@@ -34,7 +38,11 @@ from repro.exec.backends import Executor
 from repro.exec.shard import SeedResult
 from repro.learning.oracle import CachingOracle
 
-from tests.core.helpers import XML_ALPHABET, xml_like_oracle
+from tests.core.helpers import (
+    XML_ALPHABET,
+    SingleLetterRuns,
+    xml_like_oracle,
+)
 
 SEEDS = ["<a>ab</a>", "xy"]
 
@@ -144,17 +152,46 @@ class TestGenerationFallback:
         store = FileCheckpointStore(tmp_path / "missing.json")
         assert store.load() is None
 
-    def test_keep_previous_false_raises_on_corruption(self, tmp_path):
+    def test_corrupt_file_without_previous_generation_raises(
+        self, tmp_path
+    ):
         path = tmp_path / "run.json"
-        store = FileCheckpointStore(path, keep_previous=False)
-        config = GladeConfig(alphabet=XML_ALPHABET)
-        LearningPipeline(
-            xml_like_oracle, config=config, store=store
-        ).run(SEEDS)
-        assert not (tmp_path / "run.json.prev").exists()
+        learn_to(path)
+        (tmp_path / "run.json.prev").unlink()
         path.write_text(path.read_text()[:40])
         with pytest.raises(ArtifactError):
-            FileCheckpointStore(path, keep_previous=False).load()
+            FileCheckpointStore(path).load()
+
+    def test_journal_saves_leave_previous_generation_alone(self, tmp_path):
+        # Only snapshots rotate: inside a stage, .prev keeps the
+        # generation before the stage's snapshot, and the file grows.
+        path = tmp_path / "run.json"
+        seen = []
+
+        class Watching(FileCheckpointStore):
+            def save(self, artifact):
+                super().save(artifact)
+                prev = tmp_path / "run.json.prev"
+                seen.append((
+                    artifact.stage,
+                    prev.read_text() if prev.exists() else None,
+                    path.read_text(),
+                ))
+
+        LearningPipeline(
+            xml_like_oracle,
+            config=GladeConfig(alphabet=XML_ALPHABET),
+            store=Watching(path),
+        ).run(SEEDS)
+        within = [
+            (before, after)
+            for before, after in zip(seen, seen[1:])
+            if before[0] == after[0]
+        ]
+        assert len(within) > 3
+        for (_stage, prev, text), (_same, prev_after, text_after) in within:
+            assert prev_after == prev
+            assert text_after.startswith(text) and text_after != text
 
 
 class TestResumeAfterCorruption:
@@ -188,9 +225,10 @@ def ab_oracle(text):
 
 
 class FreshEncodingStore(FileCheckpointStore):
-    """Checks at every save that the file holds exactly what a fresh,
-    uncached encoding of the artifact would: the same data, and an
-    ``integrity`` digest that verifies."""
+    """Checks at every save that the file decodes to exactly what a
+    fresh encoding of the whole artifact would be: its snapshot's
+    ``integrity`` digest verifies, every journal record chains, and the
+    replayed data equals ``artifact.to_dict()``."""
 
     def __init__(self, path):
         super().__init__(path)
@@ -200,10 +238,12 @@ class FreshEncodingStore(FileCheckpointStore):
 
     def save(self, artifact):
         super().save(artifact)
-        data = json.loads(pathlib.Path(self.path).read_text())
-        integrity = data.pop("integrity")
+        text = pathlib.Path(self.path).read_text()
+        data, cut = journal_mod.read_checkpoint(text, "checkpoint")
+        assert cut == 0
         assert data == json.loads(json.dumps(artifact.to_dict()))
-        assert integrity == artifact_digest(data)
+        snapshot = json.JSONDecoder().raw_decode(text)[0]
+        assert snapshot.pop("integrity") == artifact_digest(snapshot)
         self.saves += 1
         self.phase1_seeds.append(
             {result["seed_index"] for result in data["phase1_results"]}
@@ -255,6 +295,28 @@ class TestEverySaveEqualsFreshEncoding:
         held = [1 in seeds for seeds in store.phase1_seeds]
         assert True in held
         assert False in held[held.index(True):]
+
+    def test_traced_thread_run_drops_a_discarded_shard(
+        self, tmp_path, monkeypatch
+    ):
+        # As above, traced: the journal records the covered seed's spans
+        # as they arrive, then the discard of its shard.
+        monkeypatch.setattr(
+            pipeline_mod, "make_executor", lambda *args: ReversedArrivals()
+        )
+        store = FreshEncodingStore(tmp_path / "run.json")
+        config = GladeConfig(
+            alphabet="ab", enable_chargen=False, jobs=2, backend="thread",
+            trace=True,
+        )
+        artifact = LearningPipeline(
+            ab_oracle, config=config, store=store
+        ).run(["ab", "abab"])
+        assert artifact.seeds[1].state == "skipped"
+        shards = {span["shard"] for span in artifact.telemetry["spans"]}
+        assert "seed:0" in shards and "seed:1" not in shards
+        held = [1 in seeds for seeds in store.phase1_seeds]
+        assert True in held and False in held[held.index(True):]
 
     def test_resume_from_mid_phase2_checkpoint(self, tmp_path):
         reference, mid = mid_phase2_checkpoint()
@@ -344,22 +406,28 @@ class TestFileFormat:
             memory.snapshot(0)
 
 
-def test_each_result_and_grammar_is_encoded_once(tmp_path, monkeypatch):
-    """Over one file-backed learn, every Phase1Result and every grammar
-    object is encoded at most once, however many saves there are."""
+def test_results_and_grammars_are_encoded_per_snapshot(
+    tmp_path, monkeypatch
+):
+    """Over one file-backed learn, Phase1Result and grammar encodings are
+    bounded by the stage snapshots, not by the saves: a result is
+    encoded once when a journal record adds it and once per later
+    snapshot, and a grammar once per snapshot that holds it."""
     encoded = {"phase1": [], "grammar": []}
 
     def counting(kind, codec):
         def wrapper(obj, *args, **kwargs):
-            encoded[kind].append(obj)  # keeps ids unique while counted
+            encoded[kind].append(obj)
             return codec(obj, *args, **kwargs)
         return wrapper
 
+    # The artifact's codecs only: seed tasks encode their results for
+    # the trip back to the parent through the schema module itself.
+    monkeypatch.setattr(
+        run_mod, "phase1_result_to_dict",
+        counting("phase1", schema_mod.phase1_result_to_dict),
+    )
     for module in (run_mod, schema_mod):
-        monkeypatch.setattr(
-            module, "phase1_result_to_dict",
-            counting("phase1", schema_mod.phase1_result_to_dict),
-        )
         monkeypatch.setattr(
             module, "grammar_to_dict",
             counting("grammar", schema_mod.grammar_to_dict),
@@ -372,19 +440,33 @@ def test_each_result_and_grammar_is_encoded_once(tmp_path, monkeypatch):
             saved.append(artifact.stage)
 
     store = CountingStore(tmp_path / "run.json")
+    oracle = SingleLetterRuns(6)
     artifact = LearningPipeline(
-        xml_like_oracle,
-        config=GladeConfig(alphabet=XML_ALPHABET),
+        oracle,
+        config=GladeConfig(alphabet=oracle.alphabet),
         store=store,
-    ).run(SEEDS)
+    ).run(oracle.seeds)
     assert artifact.status == "complete"
-    for kind in ("phase1", "grammar"):
-        objects = encoded[kind]
-        assert objects
-        assert len(objects) == len({id(obj) for obj in objects}), kind
-        assert len(objects) < len(saved)
-    # Translate, phase 2 and finalize each built one grammar.
-    assert len(encoded["grammar"]) == 3
+    snapshots = 1 + sum(
+        before != after for before, after in zip(saved, saved[1:])
+    )
+    # validate, phase1, translate, phase2 and finalize.
+    assert snapshots == 5
+    assert len(saved) > 10 * snapshots
+    results = artifact.phase1_results
+    assert results
+    per_result = {}
+    for obj in encoded["phase1"]:
+        per_result[id(obj)] = per_result.get(id(obj), 0) + 1
+    assert set(per_result) == {id(result) for result in results}
+    # Added by a journal record in phase 1, then in the phase1,
+    # translate, phase2 and finalize snapshots.
+    assert max(per_result.values()) <= 1 + 4
+    assert len(encoded["phase1"]) < len(saved)
+    # Grammars are encoded by the translate, phase2 and finalize
+    # snapshots alone, at most twice each (the grammar section and the
+    # phase-2 result's merged grammar), never by a journal record.
+    assert len(encoded["grammar"]) <= 2 * 3
     assert load_artifact(store.path).grammar is not None
 
 

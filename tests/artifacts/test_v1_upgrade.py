@@ -25,7 +25,7 @@ from repro.artifacts import (
     load_artifact,
     save_artifact,
 )
-from repro.artifacts.run import artifact_digest
+from repro.artifacts.journal import artifact_digest
 from repro.cli import main as cli_main
 from repro.core.glade import GladeConfig
 from repro.core.gtree import stars_of

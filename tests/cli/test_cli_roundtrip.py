@@ -24,6 +24,8 @@ import time
 
 import pytest
 
+from repro.artifacts import ArtifactError, FileCheckpointStore
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 ORACLE = '''\
@@ -66,15 +68,18 @@ def learn_args(oracle_path, out_path):
     return args
 
 
-def read_killed_checkpoint(path):
-    """The newest checkpoint a SIGKILLed ``learn --out`` left at ``path``.
-
-    A kill between the store's rotation and its write leaves only the
-    last-good ``.prev`` generation, which ``resume`` then loads.
-    """
-    if not path.exists():
-        path = path.with_name(path.name + ".prev")
-    return json.loads(path.read_text())
+def read_checkpoint(path):
+    """The checkpoint at ``path`` as ``repro resume`` loads it (the
+    journal replayed onto the snapshot, or the previous generation when
+    a kill between its rotation and its replace left none), as JSON
+    data; None if there is none yet."""
+    try:
+        artifact = FileCheckpointStore(path).load()
+    except (ArtifactError, OSError):
+        return None  # a rotation raced the read; retry
+    if artifact is None:
+        return None
+    return json.loads(json.dumps(artifact.to_dict()))
 
 
 def log_lines(tmp_path, log_name):
@@ -128,20 +133,16 @@ def test_learn_kill_resume_sample_roundtrip(tmp_path, oracle_path):
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if killed_out.exists():
-                try:
-                    snapshot = json.loads(killed_out.read_text())
-                except (FileNotFoundError, json.JSONDecodeError):
-                    snapshot = None  # mid-rotation or mid-replace; retry
-                if (
-                    snapshot
-                    and snapshot["status"] == "in_progress"
-                    and len(snapshot["phase1_results"]) >= 1
-                ):
-                    proc.send_signal(signal.SIGKILL)
-                    proc.wait(timeout=30)
-                    killed_mid_run = True
-                    break
+            snapshot = read_checkpoint(killed_out)
+            if (
+                snapshot
+                and snapshot["status"] == "in_progress"
+                and len(snapshot["phase1_results"]) >= 1
+            ):
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=30)
+                killed_mid_run = True
+                break
             time.sleep(0.005)
         assert killed_mid_run, "learn finished before it could be killed"
     finally:
@@ -149,7 +150,7 @@ def test_learn_kill_resume_sample_roundtrip(tmp_path, oracle_path):
             proc.kill()
             proc.wait(timeout=30)
 
-    checkpoint = read_killed_checkpoint(killed_out)
+    checkpoint = read_checkpoint(killed_out)
     assert checkpoint["status"] == "in_progress"
     done_states = {"used", "skipped"}
     finished = [s for s in checkpoint["seeds"] if s["state"] in done_states]
@@ -234,20 +235,16 @@ def test_parallel_learn_kill_resume_matches_serial(tmp_path, oracle_path):
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if par_out.exists():
-                try:
-                    snapshot = json.loads(par_out.read_text())
-                except (FileNotFoundError, json.JSONDecodeError):
-                    snapshot = None  # mid-rotation or mid-replace; retry
-                if (
-                    snapshot
-                    and snapshot["status"] == "in_progress"
-                    and len(snapshot["phase1_results"]) >= 1
-                ):
-                    proc.send_signal(signal.SIGKILL)
-                    proc.wait(timeout=30)
-                    killed_mid_run = True
-                    break
+            snapshot = read_checkpoint(par_out)
+            if (
+                snapshot
+                and snapshot["status"] == "in_progress"
+                and len(snapshot["phase1_results"]) >= 1
+            ):
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=30)
+                killed_mid_run = True
+                break
             time.sleep(0.005)
         assert killed_mid_run, "learn finished before it could be killed"
     finally:
@@ -334,6 +331,39 @@ def test_learn_refuses_to_clobber_in_progress_artifact(
     forced = run_cli(args + ["--force"], env)
     assert forced.returncode == 0, forced.stderr
     assert json.loads(out.read_text())["status"] == "complete"
+
+
+@pytest.mark.parametrize("current", ["truncated", "missing"])
+def test_learn_refuses_to_clobber_recoverable_previous_generation(
+    tmp_path, oracle_path, current
+):
+    """A damaged or missing ``X`` beside an in-progress ``X.prev`` is a
+    run ``repro resume X`` recovers, so ``learn --out X`` must refuse
+    it too."""
+    from repro.artifacts import RunArtifact, SeedRecord, save_artifact
+
+    env = cli_env(tmp_path, "clobber.log")
+    out = tmp_path / "run.json"
+    previous = tmp_path / "run.json.prev"
+    save_artifact(RunArtifact(seeds=[SeedRecord(text="xx")]), previous)
+    if current == "truncated":
+        save_artifact(RunArtifact(seeds=[SeedRecord(text="xx")]), out)
+        out.write_text(out.read_text()[:40])
+    kept = previous.read_text()
+
+    args = [
+        "learn",
+        "--command", "{} {}".format(sys.executable, oracle_path),
+        "--seed", "xx",
+        "--alphabet", "xyz",
+        "--samples", "0",
+        "--out", str(out),
+    ]
+    refused = run_cli(args, env)
+    assert refused.returncode != 0
+    assert "resume" in refused.stderr
+    assert previous.read_text() == kept
+    assert read_checkpoint(out)["status"] == "in_progress"
 
 
 def test_malformed_artifact_is_reported_cleanly(tmp_path):
@@ -456,23 +486,19 @@ def test_phase2_kill_resume_matches_serial(tmp_path):
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if kill_out.exists():
-                try:
-                    snapshot = json.loads(kill_out.read_text())
-                except (FileNotFoundError, json.JSONDecodeError):
-                    snapshot = None  # mid-rotation or mid-replace; retry
-                if snapshot and snapshot["status"] == "in_progress":
-                    decisions = snapshot.get("phase2_progress", {}).get(
-                        "decisions", []
-                    )
-                    pairs = snapshot.get("phase2_progress", {}).get(
-                        "pairs", 0
-                    )
-                    if 0 < len(decisions) < pairs:
-                        proc.send_signal(signal.SIGKILL)
-                        proc.wait(timeout=30)
-                        killed_mid_phase2 = True
-                        break
+            snapshot = read_checkpoint(kill_out)
+            if snapshot and snapshot["status"] == "in_progress":
+                decisions = snapshot.get("phase2_progress", {}).get(
+                    "decisions", []
+                )
+                pairs = snapshot.get("phase2_progress", {}).get(
+                    "pairs", 0
+                )
+                if 0 < len(decisions) < pairs:
+                    proc.send_signal(signal.SIGKILL)
+                    proc.wait(timeout=30)
+                    killed_mid_phase2 = True
+                    break
             time.sleep(0.002)
         assert killed_mid_phase2, "learn finished before a mid-phase-2 kill"
     finally:
@@ -480,7 +506,7 @@ def test_phase2_kill_resume_matches_serial(tmp_path):
             proc.kill()
             proc.wait(timeout=30)
 
-    checkpoint = read_killed_checkpoint(kill_out)
+    checkpoint = read_checkpoint(kill_out)
     assert checkpoint["status"] == "in_progress"
     committed = checkpoint["phase2_progress"]["decisions"]
     assert 0 < len(committed) < checkpoint["phase2_progress"]["pairs"]

@@ -22,3 +22,17 @@ def xml_like_oracle(text: str) -> bool:
 
 
 XML_ALPHABET = "abcdefghijklmnopqrstuvwxyz<>/"
+
+
+class SingleLetterRuns:
+    """The language of nonempty runs of one letter from the first ``n``
+    letters (``aa``, ``bbb``, ...), learned from one two-letter seed per
+    letter. Each seed yields one star, so phase 2 plans a merge pair for
+    every two stars, and a run's length grows with ``n``."""
+
+    def __init__(self, n: int):
+        self.alphabet = "abcdefghijklmnopqrstuvwxyz"[:n]
+        self.seeds = [letter * 2 for letter in self.alphabet]
+
+    def __call__(self, text: str) -> bool:
+        return bool(text) and len(set(text)) == 1 and text[0] in self.alphabet

@@ -1,6 +1,9 @@
 """Unit tests for the tracing/metrics primitives themselves."""
 
 import pickle
+import random
+
+import pytest
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -8,7 +11,7 @@ from repro.obs.metrics import (
     counters_with_prefix,
     histogram_total,
 )
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer, _natural_key
 
 
 def spans_by_name(tracer):
@@ -93,6 +96,53 @@ class TestTracer:
             NULL_TRACER.event("instant")
         assert NULL_TRACER.snapshot() == []
         assert NULL_TRACER.discard_shard("seed:0") == 0
+
+
+class TestSince:
+    """``Tracer.since`` against ``snapshot``: dropping the discarded
+    shards from the snapshot at a mark, then appending the handed-out
+    spans to their shards, must give the snapshot now."""
+
+    @staticmethod
+    def replay(snapshot, spans, discarded):
+        shards = {}
+        for span in snapshot:
+            shards.setdefault(span["shard"], []).append(span)
+        for shard in discarded:
+            shards.pop(shard, None)
+        for span in spans:
+            shards.setdefault(span["shard"], []).append(span)
+        return [
+            span for shard in sorted(shards, key=_natural_key)
+            for span in shards[shard]
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_replay_from_a_mark_gives_the_snapshot(self, seed):
+        rng = random.Random(seed)
+        tracer = Tracer()
+        shards = ["", "seed:0", "seed:1", "seed:10", "pair:2"]
+        before, mark = [], (0, 0)
+        for step in range(200):
+            move = rng.choice(("span", "span", "absorb", "discard", "since"))
+            shard = rng.choice(shards)
+            if move == "span":
+                with tracer.span("s{}".format(step), shard=shard or None):
+                    pass
+            elif move == "absorb":
+                worker = Tracer()
+                with worker.span("task"):
+                    tracer.event("inside")
+                tracer.absorb(shard, worker.snapshot())
+            elif move == "discard":
+                tracer.discard_shard(shard)
+            else:
+                spans, discarded, mark = tracer.since(mark)
+                now = tracer.snapshot()
+                assert self.replay(before, spans, discarded) == now
+                before = now
+        spans, discarded, _mark = tracer.since((0, 0))
+        assert self.replay([], spans, discarded) == tracer.snapshot()
 
 
 class TestMetricsRegistry:
