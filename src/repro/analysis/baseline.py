@@ -107,14 +107,6 @@ def load_baseline(path: Union[str, pathlib.Path]) -> Set[str]:
     return fingerprints
 
 
-def empty_baseline_dict() -> Dict[str, object]:
-    return {
-        "kind": BASELINE_KIND,
-        "version": BASELINE_VERSION,
-        "findings": [],
-    }
-
-
 def apply_baseline(
     findings: Sequence[Finding], fingerprints: Set[str]
 ) -> List[Finding]:

@@ -260,12 +260,6 @@ class ProjectIndex:
     def modules_in_order(self) -> List[ModuleSource]:
         return sorted(self.modules.values(), key=lambda m: m.relpath)
 
-    def module_for_relpath(self, relpath: str) -> Optional[ModuleSource]:
-        for module in self.modules.values():
-            if module.relpath == relpath:
-                return module
-        return None
-
     # -- construction ------------------------------------------------
 
     def _index_module(self, module: ModuleSource) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 #: Matches the whole-file form; group 1 is the rule list.
 _FILE_RE = re.compile(r"#\s*detlint:\s*disable-file(?:=([\w,\s-]+))?")
@@ -55,11 +55,6 @@ class SuppressionTable:
         if rules is None:
             return False
         return ALL_RULES in rules or rule in rules
-
-    def suppressed_rules(self, line: int) -> FrozenSet[str]:
-        return frozenset(self.by_line.get(line, ())) | frozenset(
-            self.file_wide
-        )
 
 
 def collect_suppressions(source: str) -> SuppressionTable:

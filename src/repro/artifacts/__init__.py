@@ -33,8 +33,6 @@ from repro.artifacts.schema import (
     phase1_result_to_dict,
     phase2_result_from_dict,
     phase2_result_to_dict,
-    regex_from_dict,
-    regex_to_dict,
 )
 from repro.artifacts.store import (
     CheckpointStore,
@@ -67,7 +65,5 @@ __all__ = [
     "phase1_result_to_dict",
     "phase2_result_from_dict",
     "phase2_result_to_dict",
-    "regex_from_dict",
-    "regex_to_dict",
     "save_artifact",
 ]

@@ -1,17 +1,14 @@
 """Versioned JSON encoding of learned objects (the artifact schema).
 
-Everything GLADE learns — regex ASTs, generalization trees, grammars,
-and the per-phase results — can be rendered to plain JSON-compatible
-dictionaries and reconstructed exactly. The format is deliberately
-dumb: every node is a dict with a ``"t"`` tag plus named fields, so the
-artifact files are diffable and other tools can consume them without
-importing this package.
+Everything GLADE learns — generalization trees (and with them the
+regexes they derive), grammars, and the per-phase results — can be
+rendered to plain JSON-compatible dictionaries and reconstructed
+exactly. The format is deliberately dumb: every node is a dict with a
+``"t"`` tag plus named fields, so the artifact files are diffable and
+other tools can consume them without importing this package.
 
 Round-trip guarantees (enforced by ``tests/artifacts/``):
 
-- ``regex_from_dict(regex_to_dict(r))`` is *structurally equal* to
-  ``r`` (regex ASTs define structural equality, so this implies
-  semantic identity);
 - ``gtree_from_dict(gtree_to_dict(t))`` reproduces the tree shape,
   every constant's character classes, every star's ``star_id`` /
   repetition string / context, and hence ``to_regex()`` output;
@@ -44,7 +41,6 @@ from repro.core.gtree import (
 )
 from repro.core.phase1 import Phase1Result
 from repro.core.phase2 import Phase2Result
-from repro.languages import regex as rx
 from repro.languages.cfg import (
     CharSet,
     Grammar,
@@ -106,54 +102,6 @@ def _tag(data: Dict[str, Any], what: str) -> str:
         return data["t"]
     except (TypeError, KeyError):
         raise ArtifactError("malformed {} node: {!r}".format(what, data))
-
-
-# --------------------------------------------------------------------------
-# Regex ASTs
-
-
-def regex_to_dict(expr: rx.Regex) -> Dict[str, Any]:
-    """Encode a regex AST as a JSON-compatible dict."""
-    if isinstance(expr, rx.Epsilon):
-        return {"t": "eps"}
-    if isinstance(expr, rx.EmptySet):
-        return {"t": "empty"}
-    if isinstance(expr, rx.Lit):
-        return {"t": "lit", "text": expr.text}
-    if isinstance(expr, rx.CharClass):
-        return {"t": "class", "chars": "".join(expr.sorted_chars)}
-    if isinstance(expr, rx.Concat):
-        return {"t": "cat", "parts": [regex_to_dict(p) for p in expr.parts]}
-    if isinstance(expr, rx.Alt):
-        return {"t": "alt", "options": [regex_to_dict(o) for o in expr.options]}
-    if isinstance(expr, rx.Star):
-        return {"t": "star", "inner": regex_to_dict(expr.inner)}
-    raise TypeError("unknown regex node: {!r}".format(expr))
-
-
-def regex_from_dict(data: Dict[str, Any]) -> rx.Regex:
-    """Decode a regex AST; inverse of :func:`regex_to_dict`.
-
-    Raw node constructors are used (not the smart constructors), so the
-    reconstructed AST is structurally identical — no re-flattening or
-    literal fusion is applied.
-    """
-    tag = _tag(data, "regex")
-    if tag == "eps":
-        return rx.EPSILON
-    if tag == "empty":
-        return rx.EMPTY
-    if tag == "lit":
-        return rx.Lit(data["text"])
-    if tag == "class":
-        return rx.CharClass(frozenset(data["chars"]))
-    if tag == "cat":
-        return rx.Concat([regex_from_dict(p) for p in data["parts"]])
-    if tag == "alt":
-        return rx.Alt([regex_from_dict(o) for o in data["options"]])
-    if tag == "star":
-        return rx.Star(regex_from_dict(data["inner"]))
-    raise ArtifactError("unknown regex tag: {!r}".format(tag))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ what changed rather than the whole run so far.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.artifacts.journal import (
     JournalWriter,
@@ -64,14 +64,41 @@ class NullCheckpointStore(CheckpointStore):
         return None
 
 
+class _SaveTexts:
+    """The text of a checkpoint file after each save, built on demand.
+
+    ``parts`` holds every snapshot's text and every journal line once,
+    in save order; item ``i`` joins save ``i``'s snapshot with the
+    journal lines written since it, up to save ``i``.
+    """
+
+    def __init__(self) -> None:
+        self.parts: List[str] = []
+        #: Each save's slice of ``parts``: (its snapshot, end).
+        self._bounds: List[Tuple[int, int]] = []
+
+    def append(self, snapshot: bool, text: str) -> None:
+        start = len(self.parts) if snapshot else self._bounds[-1][0]
+        self.parts.append(text)
+        self._bounds.append((start, len(self.parts)))
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __getitem__(self, index: int) -> str:
+        start, end = self._bounds[index]
+        return "".join(self.parts[start:end])
+
+
 class MemoryCheckpointStore(CheckpointStore):
     """Keep the checkpoint file's text after every save in memory, for
     tests.
 
-    ``snapshots`` grows by one entry per save: the whole text
-    :class:`FileCheckpointStore` would hold after that save, a snapshot
-    and the journal lines written since it. ``snapshot(i)`` decodes
-    entry ``i`` through the loader
+    ``snapshots[i]`` is the whole text :class:`FileCheckpointStore`
+    would hold after save ``i``, a snapshot and the journal lines
+    written since it, joined when asked for: the store keeps each
+    snapshot and journal line once, not a copy of the file per save.
+    ``snapshot(i)`` decodes that text through the loader
     :func:`~repro.artifacts.journal.load_artifact` uses, digests and
     journal replay included, into a fresh :class:`RunArtifact` —
     resuming from it reproduces a crash that lost everything after that
@@ -79,14 +106,11 @@ class MemoryCheckpointStore(CheckpointStore):
     """
 
     def __init__(self):
-        self.snapshots: List[str] = []
+        self.snapshots = _SaveTexts()
         self._writer = JournalWriter()
 
     def save(self, artifact: RunArtifact) -> None:
-        snapshot, text = self._writer.encode(artifact)
-        if not snapshot:
-            text = self.snapshots[-1] + text
-        self.snapshots.append(text)
+        self.snapshots.append(*self._writer.encode(artifact))
 
     def load(self) -> Optional[RunArtifact]:
         if not self.snapshots:

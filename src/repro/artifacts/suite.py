@@ -41,6 +41,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Union
 
+from repro.artifacts.journal import replace_file
 from repro.artifacts.schema import ArtifactError, from_known_fields
 
 SUITE_SCHEMA_VERSION = 1
@@ -226,11 +227,9 @@ def save_suite(
     suite: SuiteResult, path: Union[str, os.PathLike]
 ) -> None:
     """Write a suite artifact as JSON, atomically (temp + rename)."""
-    path = pathlib.Path(path)
-    payload = json.dumps(suite.to_dict(), indent=1, sort_keys=True)
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(payload + "\n")
-    os.replace(tmp_path, path)
+    replace_file(
+        path, json.dumps(suite.to_dict(), indent=1, sort_keys=True) + "\n"
+    )
 
 
 def load_suite(path: Union[str, os.PathLike]) -> SuiteResult:

@@ -148,16 +148,22 @@ def _add_sampling_options(parser, default_count: int) -> None:
     )
 
 
+def _check_jobs(parser, jobs: int, backend: str, fix: str) -> None:
+    """Reject a job count below one, and several jobs on the serial
+    backend (``fix`` says how to mend that)."""
+    if jobs < 1:
+        parser.error("--jobs must be at least 1")
+    if backend == "serial" and jobs > 1:
+        parser.error(
+            "--backend serial is single-worker; {} or pick "
+            "thread/process (or auto)".format(fix)
+        )
+
+
 def _cmd_learn(args, parser) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if args.backend == "serial" and args.jobs > 1:
-        parser.error(
-            "--backend serial is single-worker; drop --jobs or pick "
-            "thread/process (or auto)"
-        )
+    _check_jobs(parser, args.jobs, args.backend, "drop --jobs")
     pairs = _load_seeds(args)
     if not pairs:
         parser.error("no seeds given (use --seed/--seed-file/--seed-dir)")
@@ -266,18 +272,15 @@ def _cmd_resume(args, parser) -> int:
     if args.timeout is not None:
         spec["timeout_seconds"] = args.timeout
     if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error("--jobs must be at least 1")
         artifact.config.jobs = args.jobs
     if args.backend is not None:
         artifact.config.backend = args.backend
     if args.trace:
         artifact.config.trace = True
-    if artifact.config.backend == "serial" and artifact.config.jobs > 1:
-        parser.error(
-            "--backend serial is single-worker; use --jobs 1 or pick "
-            "thread/process (or auto)"
-        )
+    _check_jobs(
+        parser, artifact.config.jobs, artifact.config.backend,
+        "use --jobs 1",
+    )
     oracle = _oracle_from_spec(spec)
     pipeline = LearningPipeline(
         oracle,
@@ -341,13 +344,7 @@ def _cmd_eval(args, parser) -> int:
     from repro.artifacts.suite import SuiteParams, load_suite, save_suite
     from repro.evaluation import harness
 
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if args.backend == "serial" and args.jobs > 1:
-        parser.error(
-            "--backend serial is single-worker; drop --jobs or pick "
-            "thread/process (or auto)"
-        )
+    _check_jobs(parser, args.jobs, args.backend, "drop --jobs")
     if args.check and args.baseline is None:
         parser.error("--check requires --baseline")
     try:

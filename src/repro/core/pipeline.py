@@ -7,10 +7,11 @@ plus the §6 extensions) into named stages:
              ──► translate (§5.1) ──► phase2 (§5 merging) ──► finalize
 
 Phase one is *seed-sharded* (:mod:`repro.exec`): every seed's work is a
-self-contained task — its own query counters, the seed's disjoint
-star-id block — executed on a pluggable backend (``GladeConfig.jobs``
-/ ``backend``). Results settle in seed order regardless of completion
-order, so the learned grammar is byte-identical at any worker count.
+self-contained task — its own oracle stack and query counters, the
+seed's disjoint star-id block — executed on a pluggable backend
+(``GladeConfig.jobs`` / ``backend``). Results settle in seed order
+regardless of completion order, so the learned grammar is
+byte-identical at any worker count.
 The §6.1 covered-seed rule runs in one in-order loop on every backend:
 a seed whose predecessors have all settled is skipped before any
 oracle query is spent on it if a kept seed's language covers it (the
@@ -27,25 +28,28 @@ front (:func:`repro.core.phase2.plan_merges` samples each star's
 residuals once), tasks evaluate runs of consecutive pairs, and every
 pair commits strictly in plan order through
 :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the run's
-counting/caching stack, which counts it. With one worker, a run asks
-through the run's cache once every earlier pair has committed, so it
-evaluates exactly the pairs a serial loop evaluates. With several,
-runs are evaluated ahead of the commits behind a cross-pair verdict
-table; a pair transitively equated by the time it commits is skipped
-exactly like the serial loop's skip, with its speculative cost routed
-to ``speculative_queries``. So phase 2's grammar and counted metrics
-are independent of the job count. Phase 2 runs ahead only through its
-runs and jobs: it hands no prefetch hint to the oracle, since a pair's
-checks stop at the first rejection.
+counting/caching stack, which counts it. A run asks the base oracle
+behind its own cache, which answers from what a cross-pair verdict
+table holds for its checks. With one worker, a run starts once every earlier
+pair has committed, so it evaluates exactly the pairs a serial loop
+evaluates and asks only strings the run's cache lacks. With several,
+runs are evaluated ahead of the commits; a pair transitively equated
+by the time it commits is skipped exactly like the serial loop's skip,
+with its speculative cost routed to ``speculative_queries``. So phase
+2's grammar and counted metrics are independent of the job count.
+Phase 2 runs ahead only through its runs and jobs: it hands no
+prefetch hint to the oracle, since a pair's checks stop at the first
+rejection.
 
 Both phases count distinct strings in one place, the run's
-:class:`~repro.learning.oracle.CachingOracle`. Phase 2 asks through
-it. A pooled seed task asks through its own cache and returns that
-cache's verdicts; they are held apart while the seed is unsettled, and
-fold into the run's cache once, when the seed settles as kept (a
-discarded seed's are dropped). A checkpoint's ``unique_queries`` is
-the cache's size plus the unsettled seeds' strings not yet in it, so
-once phase 1 has settled, a checkpoint counts in O(1).
+:class:`~repro.learning.oracle.CachingOracle`. Every task asks through
+its own cache and returns the verdicts it learned. A merge pair's
+verdicts enter the run's cache when the pair commits. A seed's are held
+apart while the seed is unsettled, and fold into the run's cache once,
+when the seed settles as kept (a discarded seed's are dropped). A
+checkpoint's ``unique_queries`` is the cache's size plus the unsettled
+seeds' strings not yet in it, so once phase 1 has settled, a
+checkpoint counts in O(1).
 
 After every completed stage — after *every seed* inside phase one, and
 after *every evaluated pair* inside phase two — the pipeline hands the
@@ -421,11 +425,11 @@ class LearningPipeline:
         # Parent-side session: tracks kept (USED) languages for the
         # §6.1 covered-seed test. Oracle-free.
         session = MembershipSession()
-        # With one worker nothing runs speculatively, so tasks share the
-        # parent's cache (one memo across seeds, every query counted)
-        # and its session (one NFA fragment cache). With several, each
-        # task builds its own stack over the base oracle.
-        shared = executor.jobs == 1
+        # One job runs each task here, after every earlier seed has
+        # settled: hand it the run's verdicts, so it asks only what the
+        # run has not, and the session, so one NFA fragment cache serves
+        # every seed. Pooled tasks start empty.
+        in_process = executor.jobs == 1
         seeds = artifact.seeds
         frontier = 0  # every seed before it is settled
         # Seeds found uncovered when submitted with every predecessor
@@ -469,9 +473,9 @@ class LearningPipeline:
                         continue
                     uncovered.add(index)
                 yield seed_payload(
-                    index, record.text, config,
-                    cached if shared else self.oracle,
-                    session=session if shared else None,
+                    index, record.text, config, self.oracle,
+                    known=cached.known_results() if in_process else None,
+                    session=session if in_process else None,
                 )
 
         with executor:
@@ -517,12 +521,11 @@ class LearningPipeline:
         :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
         parent's counting/caching stack, so ``oracle_queries`` /
         ``unique_queries`` are counted in one place on every backend.
-        One loop serves every job count: run tasks evaluate runs of
-        pairs ahead of the commits. With one worker, a run asks through
-        the run's cache only after every earlier pair has committed;
-        with several, runs ask the base oracle behind the cross-pair
-        query planner, and discarded speculation lands in
-        ``speculative_queries``.
+        One loop serves every job count: run tasks ask the base oracle
+        behind the cross-pair query planner. With one worker, a run
+        starts only after every earlier pair has committed; with
+        several, runs are evaluated ahead of the commits, and discarded
+        speculation lands in ``speculative_queries``.
         """
         stars = [star for tree in trees for star in stars_of(tree)]
         plan = plan_merges(
@@ -582,12 +585,10 @@ class _RunAccounting:
 
     ``queries_delta`` counts the queries of seed tasks completed *this
     process* (the parent's counting layer never saw them), less those
-    of seeds the covered-seed rule discards. A pooled seed task's
-    verdicts are held here while the seed is unsettled: a discarded
-    seed's strings must not count. :meth:`keep` folds a kept seed's
-    verdicts into the run's cache once, so from then on the cache alone
-    counts them. A task that shared the run's cache (one worker)
-    returns no verdicts: the cache already holds them.
+    of seeds the covered-seed rule discards. A seed task's verdicts are
+    held here while the seed is unsettled: a discarded seed's strings
+    must not count. :meth:`keep` folds a kept seed's verdicts into the
+    run's cache once, so from then on the cache alone counts them.
     """
 
     def __init__(self, cached: CachingOracle):
@@ -608,8 +609,7 @@ class _RunAccounting:
 
     def keep(self, index: int) -> None:
         """Fold a seed settled as kept into the run's cache."""
-        for text, verdict in self._unsettled.pop(index, {}).items():
-            self._cached.record(text, verdict)
+        self._cached.record(self._unsettled.pop(index, {}))
 
     def discard(self, artifact: RunArtifact, index: int) -> None:
         """Drop a speculative result the covered-seed rule rejected.

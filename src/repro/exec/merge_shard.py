@@ -13,21 +13,20 @@ module is its one loop, at every job count:
   :data:`MAX_RUN` (guided self-scheduling, Polychronopoulos & Kuck
   1987), so a task costs well above a pool round trip and a killed
   worker loses at most one run.
-- at one job a task asks through the run's
-  :class:`~repro.learning.oracle.CachingOracle`, once every earlier run
-  has committed, so it evaluates exactly the pairs the serial loop
-  does. At several jobs it asks the base oracle behind its own cache,
-  seeded with a snapshot of the planner's *known-verdict table* for
-  its checks (what the parent's cache and finished tasks answered);
-  its fresh verdicts widen the table. The executor pulls a payload only
-  when a worker can start it, so the snapshot holds every verdict
-  returned until then; runs still in flight share nothing.
+- a task asks the base oracle behind its own
+  :class:`~repro.learning.oracle.CachingOracle`, which answers from a
+  snapshot of the planner's *known verdicts* for its checks: what the
+  parent's cache holds and what finished tasks learned. The executor
+  pulls a payload only when a worker can start it, so the snapshot
+  holds every verdict returned until then; runs still in flight share
+  nothing. At one job that is every earlier run, all committed, so a
+  run evaluates exactly the pairs the serial loop does and asks only
+  what the run's cache lacks.
 - :func:`run_merge_wavefront` commits pairs strictly in plan order,
   each through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
   on the parent's counting/caching stack, once the pair's verdicts are
-  in that cache (a one-job run asked through it; other verdicts are
-  recorded first): the commit asks what a serial run asks, counts it,
-  and hits the cache every time. A pair a speculative run
+  recorded in that cache: the commit asks what a serial run asks,
+  counts it, and hits the cache every time. A pair a speculative run
   evaluated but that is equated by its turn commits as skipped, and
   its verdicts are booked as speculative.
 """
@@ -76,27 +75,16 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns each pair's verdicts (truncated at the first rejection, or
     None for a pair skipped as equated), the verdicts it asked the base
-    oracle for (``learned``; none when it shares the run's cache), its
-    base-oracle calls (``invocations``: the planner's work metric, not
-    the counted cost) and its telemetry, with each evaluated pair's
-    spans under the shard ``pair:<index>``.
+    oracle for (``learned``), its base-oracle calls (``invocations``:
+    the planner's work metric, not the counted cost) and its telemetry,
+    with each evaluated pair's spans under the shard ``pair:<index>``.
     """
     oracle: Oracle = payload["oracle"]
-    known: Dict[str, bool] = payload["known"]
     registry = MetricsRegistry()
     tracer = Tracer() if payload["trace"] else NULL_TRACER
-    shared = isinstance(oracle, CachingOracle)
-    if shared:
-        # One job: the run's cache, whose stack carries the parent's
-        # tracing layer.
-        cache = oracle
-    else:
-        if tracer.enabled:
-            oracle = TracingOracle(oracle, registry, tracer)
-        cache = CachingOracle(oracle)
-        for check, verdict in known.items():
-            cache.record(check, verdict)
-    asked = cache.unique_queries
+    if tracer.enabled:
+        oracle = TracingOracle(oracle, registry, tracer)
+    cache = CachingOracle(oracle, payload["known"])
     roots = dict(payload["roots"])
     results: Dict[int, Optional[Tuple[bool, ...]]] = {}
     with registry.timer("pair_run.seconds"):
@@ -128,12 +116,8 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     add_fault_counters(payload["oracle"], registry)
     return {
         "verdicts": results,
-        "learned": {} if shared else {
-            check: verdict
-            for check, verdict in cache.known_results().items()
-            if check not in known
-        },
-        "invocations": cache.unique_queries - asked,
+        "learned": cache.known_results(),
+        "invocations": cache.unique_queries,
         "telemetry": {
             "metrics": registry.snapshot(),
             "spans": tracer.snapshot(),
@@ -187,8 +171,10 @@ def run_merge_wavefront(
     pair's spans absorb into ``tracer`` only when it commits with a
     real decision, so the trace has a serial run's structure.
     """
-    shared = dedup and executor.jobs == 1
-    table = cache.known_results() if dedup and not shared else None
+    # The planner's known verdicts: the run's cache (phase 1's and the
+    # committed pairs') and what finished tasks learned beyond it.
+    answered = cache.known_results()
+    learned: Dict[str, bool] = {}
     stats = WavefrontStats()
     outcomes: Dict[int, Any] = {}
     spans: Dict[str, List[Dict[str, Any]]] = {}
@@ -205,13 +191,11 @@ def run_merge_wavefront(
             pair = committer.next_pair()
             if pair.index in outcomes:
                 verdicts = outcomes.pop(pair.index)
-                # A shared run asked through ``cache`` already, and an
-                # equated pair's verdicts are speculation, not asked.
-                if verdicts and not shared and not committer.equated(
+                # An equated pair's verdicts are speculation, not asked.
+                if verdicts and not committer.equated(
                     pair.star_i, pair.star_j
                 ):
-                    for check, verdict in zip(pair.checks, verdicts):
-                        cache.record(check, verdict)
+                    cache.record(zip(pair.checks, verdicts))
             elif committer.equated(pair.star_i, pair.star_j):
                 verdicts = None
             else:
@@ -225,6 +209,19 @@ def run_merge_wavefront(
                 if event.evaluated:
                     tracer.absorb(shard, pair_spans, span_parent)
             emit(event)
+
+    def known_for(run: List[MergePair]) -> Dict[str, bool]:
+        """The planner's verdicts for a run's checks, as a snapshot:
+        process pools pickle payloads on an internal thread while this
+        one adds verdicts."""
+        known = {}
+        for pair in run:
+            for check in pair.checks:
+                if check in answered:
+                    known[check] = answered[check]
+                elif check in learned:
+                    known[check] = learned[check]
+        return known
 
     def payloads() -> Iterator[Dict[str, Any]]:
         pairs = plan.pairs
@@ -252,15 +249,8 @@ def run_merge_wavefront(
                     for pair in run
                 ],
                 "roots": roots,
-                "oracle": cache if shared else oracle,
-                # A snapshot: process pools pickle payloads on an
-                # internal thread while this one extends the table.
-                "known": {} if table is None else {
-                    check: table[check]
-                    for pair in run
-                    for check in pair.checks
-                    if check in table
-                },
+                "oracle": oracle,
+                "known": known_for(run) if dedup else {},
                 "trace": tracer.enabled,
             }
 
@@ -274,8 +264,7 @@ def run_merge_wavefront(
             # (speculation included), unlike the counted accounting.
             registry.merge(raw["telemetry"]["metrics"])
             registry.observe("phase2.queue_depth", len(outcomes))
-        if table is not None:
-            table.update(raw["learned"])
+        learned.update(raw["learned"])
         for span in raw["telemetry"]["spans"]:
             spans.setdefault(span["shard"], []).append(span)
         committed = committer.committed

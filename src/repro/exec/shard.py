@@ -7,18 +7,21 @@ self-contained tasks an :class:`~repro.exec.backends.Executor` can run
 on any worker, in any order, with a merge that is deterministic in
 *seed order* regardless of completion order:
 
-- every task owns its own query counters and the seed's disjoint
-  star-id block (:func:`~repro.core.gtree.seed_block_allocator`), so
-  learned trees — including their ``R<id>`` nonterminal names — are
-  identical whether the seed ran first on the main thread or last in a
-  worker process. With one worker, tasks share the pipeline's caching
-  layer and membership session (in-process, so one memo and one NFA
-  fragment cache serve every seed, and results are unchanged); with
-  several, each task builds its own;
+- every task owns its own oracle stack and query counters and the
+  seed's disjoint star-id block
+  (:func:`~repro.core.gtree.seed_block_allocator`), so learned trees —
+  including their ``R<id>`` nonterminal names — are identical whether
+  the seed ran first on the main thread or last in a worker process.
+  Its cache answers from the payload's ``known`` verdicts: at one job,
+  where tasks run in the pipeline's process one at a time, the run's
+  verdicts so far, so the task asks only what the run has not, and it
+  shares the run's membership session, so one NFA fragment cache
+  serves every seed; a pooled task starts empty and builds its own
+  session;
 - task payloads and results are picklable: the result carries the
   generalization tree in the artifact's JSON encoding, the seed's query
-  count, its own cache's verdicts (which the pipeline folds into the
-  run's cache if the seed is kept, see
+  count, the verdicts it asked the oracle for (which the pipeline
+  folds into the run's cache if the seed is kept, see
   :meth:`~repro.learning.oracle.CachingOracle.record`), and worker
   wall-clock;
 - :func:`run_pending` drives payloads through an executor, yielding
@@ -33,7 +36,7 @@ speculative learning work happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.core.chargen import generalize_characters
 from repro.core.gtree import seed_block_allocator
@@ -60,11 +63,11 @@ TASK_ENTRY_POINTS = ("run_seed_task",)
 class SeedResult:
     """One seed's merged phase-1 outcome, decoded on the parent side.
 
-    ``verdicts`` is the task's own cache (every distinct string it
-    asked, with its verdict), empty when the task shared the parent's
-    cache. ``seconds`` is a derived view of ``telemetry`` — the task's
-    metrics-registry snapshot (plus its spans under ``--trace``) — kept
-    as a named field because the pipeline's artifact merge reads it.
+    ``verdicts`` holds every distinct string the task asked the oracle,
+    with its verdict. ``seconds`` is a derived view of ``telemetry`` —
+    the task's metrics-registry snapshot (plus its spans under
+    ``--trace``) — kept as a named field because the pipeline's
+    artifact merge reads it.
     """
 
     index: int
@@ -83,27 +86,29 @@ def seed_payload(
     text: str,
     config: Any,
     oracle: Oracle,
+    known: Optional[Mapping[str, bool]] = None,
     session: Any = None,
 ) -> Dict[str, Any]:
     """The task payload for one seed (picklable with the defaults).
 
     ``config`` is the run's :class:`~repro.core.glade.GladeConfig` (a
-    dataclass of primitives). ``oracle`` is the base membership oracle
-    for workers (each pickled copy builds its own cache); a one-worker
-    run instead passes its process-local :class:`CachingOracle`, so the
-    task skips its own cache layer — one memo across all seeds, no
-    double caching — and returns no verdicts (the parent cache already
-    holds them). ``session`` optionally shares one in-process membership
-    session across tasks — only a one-worker run does this (sessions
-    are neither thread-safe nor worth pickling), recovering the
-    cross-seed NFA fragment reuse of the pre-sharding sequential loop.
-    Results are identical with or without either kind of sharing.
+    dataclass of primitives). ``oracle`` is the base membership oracle;
+    the task builds its own cache over it, answering from ``known``. A
+    one-worker run passes the run cache's live table there
+    (:meth:`CachingOracle.known_results`; the task ends before the
+    run's cache changes again), so the task asks nothing the run
+    already asked, and its membership ``session``, recovering the
+    cross-seed NFA fragment reuse of the pre-sharding sequential loop
+    (sessions are neither thread-safe nor worth pickling, so pooled
+    tasks build their own). Results are identical with or without
+    either.
     """
     return {
         "index": index,
         "text": text,
         "config": config,
         "oracle": oracle,
+        "known": known or {},
         "session": session,
     }
 
@@ -114,7 +119,7 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     This is the worker entry point for every backend (module-level so
     process pools can pickle it by reference). The returned dict is the
     wire format: the tree in artifact JSON encoding, the query count,
-    the task cache's verdicts, and timings — everything the parent
+    the verdicts the task learned, and timings — everything the parent
     needs to merge deterministically.
     """
     # Imported here (not at module top) to keep the worker import
@@ -128,17 +133,11 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     # under ``--trace``.
     registry = MetricsRegistry()
     tracer = Tracer() if getattr(config, "trace", False) else NULL_TRACER
-    if isinstance(payload["oracle"], CachingOracle):
-        # The payload oracle already is a (shared) caching layer — in a
-        # one-worker run its stack carries the parent's tracing layer.
-        cached = None
-        counting = CountingOracle(payload["oracle"])
-    else:
-        base = payload["oracle"]
-        if tracer.enabled:
-            base = TracingOracle(base, registry, tracer)
-        cached = CachingOracle(base)
-        counting = CountingOracle(cached)
+    base = payload["oracle"]
+    if tracer.enabled:
+        base = TracingOracle(base, registry, tracer)
+    cached = CachingOracle(base, payload["known"])
+    counting = CountingOracle(cached)
     with registry.timer("seed.seconds"):
         with tracer.span("seed", cat="phase1", args={"index": index}):
             with tracer.span("synthesize", cat="phase1"):
@@ -156,15 +155,16 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                     )
     result.seed_index = index
     registry.add("exec.phase1.tasks")
-    # Drain the oracle stack's fault counters (retries, timeouts,
-    # injected faults) into this task's snapshot so they merge into the
-    # parent registry; drain semantics keep shared-stack counts exact.
+    # Drain the oracle's fault counters (retries, timeouts, injected
+    # faults) into this task's snapshot so they merge into the parent
+    # registry; drain semantics keep counts exact when tasks share one
+    # oracle object (one job, or the thread backend).
     add_fault_counters(payload["oracle"], registry)
     return {
         "index": index,
         "result": phase1_result_to_dict(result),
         "queries": counting.queries,
-        "verdicts": cached.known_results() if cached is not None else {},
+        "verdicts": cached.known_results(),
         "telemetry": {
             "metrics": registry.snapshot(),
             "spans": tracer.snapshot(),

@@ -13,7 +13,6 @@ from repro.languages.cfg import (
     Nonterminal,
     ParseTree,
     Production,
-    grammar_union,
 )
 from repro.languages.earley import parse, recognize
 from repro.languages.engine import (
@@ -63,7 +62,6 @@ __all__ = [
     "Star",
     "alt",
     "concat",
-    "grammar_union",
     "literal",
     "parse",
     "recognize",

@@ -17,7 +17,7 @@ the Earley parser and the sampler both understand them natively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -312,37 +312,3 @@ class ParseTree:
         return "ParseTree({}, {} children, size {})".format(
             self.production, len(self.children), self._size
         )
-
-
-def grammar_union(
-    grammars: Sequence[Grammar], start_name: str = "S"
-) -> Grammar:
-    """Combine grammars with a fresh start ``S -> S_1 | ... | S_n``.
-
-    Nonterminals are prefixed with their component index to avoid
-    collisions. Used for the multi-seed extension (§6.1), where the
-    per-seed regexes are combined by a top-level alternation.
-    """
-    if not grammars:
-        raise ValueError("grammar_union requires at least one grammar")
-    start = Nonterminal(start_name)
-    productions: List[Production] = []
-    for index, grammar in enumerate(grammars):
-        prefix = "g{}_".format(index)
-
-        def rename(symbol: Symbol, prefix=prefix) -> Symbol:
-            if isinstance(symbol, Nonterminal):
-                return Nonterminal(prefix + symbol.name)
-            return symbol
-
-        for prod in grammar.productions:
-            productions.append(
-                Production(
-                    head=rename(prod.head),
-                    body=tuple(rename(s) for s in prod.body),
-                )
-            )
-        productions.append(
-            Production(head=start, body=(rename(grammar.start),))
-        )
-    return Grammar(start, productions)

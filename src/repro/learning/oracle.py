@@ -26,7 +26,16 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import AbstractSet, Callable, Dict, Iterable, Optional
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 Oracle = Callable[[str], bool]
 
@@ -102,10 +111,20 @@ class CachingOracle:
     needs. ``unique_queries`` reports that count: the number of distinct
     strings ever forwarded to the wrapped oracle or recorded, which is
     the size of the (unbounded) cache.
+
+    ``known`` holds verdicts answered elsewhere: the cache answers from
+    it without asking the oracle, and leaves those strings out of its
+    own table and ``unique_queries``. A seed or merge-pair task starts
+    from the run's verdicts this way, so it asks the oracle only for
+    the rest. The mapping is read, not copied, so it must not change
+    while the cache is in use.
     """
 
-    def __init__(self, oracle: Oracle):
+    def __init__(
+        self, oracle: Oracle, known: Optional[Mapping[str, bool]] = None
+    ):
         self._oracle = oracle
+        self._known: Mapping[str, bool] = known if known is not None else {}
         self._cache: Dict[str, bool] = {}
 
     @property
@@ -127,30 +146,36 @@ class CachingOracle:
         return self._cache.keys()
 
     def known_results(self) -> Dict[str, bool]:
-        """A snapshot of every cached (string, verdict) pair.
+        """Every cached (string, verdict) pair, ``known`` left out.
 
-        A pooled seed task returns its own cache's snapshot, which the
-        pipeline folds into the run's cache (:meth:`record`) if the
-        seed is kept. The phase-2 query planner pre-seeds its
-        cross-pair verdict table from the run's cache the same way, so
-        check strings phase 1 already answered — on any job count —
-        never reach the oracle again, even from worker processes that
-        do not share the cache object.
+        This is the cache's own table, live and not copied, taken in
+        O(1): read it, and change it only through :meth:`record`. A seed
+        or merge-pair task returns its cache's table when it ends: what
+        it asked the oracle. A one-job seed task's cache answers from
+        the run cache's table, and the phase-2 query planner reads it
+        for each run's known verdicts, so neither copies the run's
+        cache.
         """
-        return dict(self._cache)
+        return self._cache
 
-    def record(self, text: str, verdict: bool) -> None:
-        """Cache ``verdict`` for ``text`` as if the oracle answered it,
-        so the string counts toward ``unique_queries``. The pipeline
-        records a kept seed task's verdicts this way, and the phase-2
-        wavefront a run task's verdicts for a pair, before committing
-        the pair through this cache.
+    def record(
+        self,
+        verdicts: Union[Mapping[str, bool], Iterable[Tuple[str, bool]]],
+    ) -> None:
+        """Cache ``verdicts`` (a mapping, or (string, verdict) pairs) as
+        if the oracle answered them, so the strings count toward
+        ``unique_queries``. The pipeline records a kept seed task's
+        verdicts this way, and the phase-2 wavefront a run task's
+        verdicts for a pair, before committing the pair through this
+        cache.
         """
-        self._cache[text] = verdict
+        self._cache.update(verdicts)
 
     def __call__(self, text: str) -> bool:
         if text in self._cache:
             return self._cache[text]
+        if text in self._known:
+            return self._known[text]
         result = self._oracle(text)
         self._cache[text] = result
         return result
@@ -454,7 +479,7 @@ def prefetcher(oracle: Oracle) -> Optional[Callable[[Iterable[str]], None]]:
     Walks ``_oracle`` links (as ``drain_fault_counters`` does) to a
     :class:`SubprocessOracle` with more than one worker. The hint hands
     it independent checks to :meth:`~SubprocessOracle.prefetch`, minus
-    those a :class:`CachingOracle` on the way holds; a
+    those a :class:`CachingOracle` on the way can answer; a
     :class:`TracingOracle` on the way times it. Phase one's learner
     sites resolve it once per seed or constant set; phase two hands no
     hint.
@@ -476,7 +501,10 @@ def prefetcher(oracle: Oracle) -> Optional[Callable[[Iterable[str]], None]]:
 
 
 def _prefetch(target, caches, tracing, texts: Iterable[str]) -> None:
-    fresh = [t for t in texts if not any(t in c._cache for c in caches)]
+    fresh = [
+        t for t in texts
+        if not any(t in c._cache or t in c._known for c in caches)
+    ]
     if tracing is None:
         target.prefetch(fresh)
         return

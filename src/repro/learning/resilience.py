@@ -314,23 +314,6 @@ def parse_fault_spec(spec: str, marker_dir: str = "") -> FaultPlan:
     )
 
 
-def format_fault_spec(plan: FaultPlan) -> str:
-    """Inverse of :func:`parse_fault_spec` (for the oracle spec record)."""
-    parts = []
-    for kind, indices in (
-        ("transient", plan.transient),
-        ("timeout", plan.timeout),
-        ("kill", plan.kill),
-    ):
-        if indices:
-            parts.append(
-                "{}@{}".format(
-                    kind, ",".join(str(i) for i in sorted(indices))
-                )
-            )
-    return ";".join(parts)
-
-
 class ChaosOracle(_FaultCounters):
     """Inject planned faults in front of a real oracle.
 
@@ -484,7 +467,6 @@ __all__ = [
     "ResilientOracle",
     "FaultPlan",
     "parse_fault_spec",
-    "format_fault_spec",
     "ChaosOracle",
     "drain_fault_counters",
     "add_fault_counters",

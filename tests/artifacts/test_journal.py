@@ -303,3 +303,24 @@ def test_mid_stage_saves_write_what_changed(tmp_path, trace):
         mean[letters] = sum(written for written, _size in mid) / len(mid)
         assert mean[letters] * 10 < store.writes[-1][2]
     assert mean[12] <= 1.25 * mean[6]
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+def test_memory_store_holds_each_text_once(trace):
+    """Scaling guard: at n and 2n letters (77 and 293 saves), the memory
+    store holds a small constant times the final file's characters,
+    each snapshot and journal line once. A copy of the file per save
+    would hold hundreds of files, more with every doubling."""
+    ratio = {}
+    for letters in (6, 12):
+        oracle = SingleLetterRuns(letters)
+        store = MemoryCheckpointStore()
+        LearningPipeline(
+            oracle,
+            config=GladeConfig(alphabet=oracle.alphabet, trace=trace),
+            store=store,
+        ).run(oracle.seeds)
+        held = sum(map(len, store.snapshots.parts))
+        ratio[letters] = held / len(store.snapshots[-1])
+        assert ratio[letters] <= 12
+    assert ratio[12] <= 1.5 * ratio[6]

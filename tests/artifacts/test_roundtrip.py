@@ -26,8 +26,6 @@ from repro.artifacts.schema import (
     phase1_result_to_dict,
     phase2_result_from_dict,
     phase2_result_to_dict,
-    regex_from_dict,
-    regex_to_dict,
 )
 from repro.core.context import Context
 from repro.core.glade import GladeConfig, learn_grammar
@@ -36,6 +34,7 @@ from repro.languages import regex as rx
 from repro.languages.cfg import CharSet, Grammar, Nonterminal, Production
 
 from tests.core.helpers import xml_like_oracle
+from tests.reference_codecs import regex_from_dict, regex_to_dict
 
 
 def json_roundtrip(data):

@@ -182,20 +182,23 @@ class TestRunTask:
         assert outcome["verdicts"] == {5: None, 6: (True,)}
         assert oracle.calls == 1
 
-    def test_one_job_task_asks_through_the_runs_cache(self):
-        # Handed the run's cache, the task reports only the strings it
-        # added to it, and returns no verdicts: the cache holds them.
+    def test_one_job_task_asks_only_what_the_runs_verdicts_lack(self):
+        # Handed the base oracle and the run cache's verdicts as its
+        # known table, the task asks the base oracle only for the
+        # strings the run lacks, and returns exactly those.
         base = CountingBase(lambda text: text != "no")
         cache = CachingOracle(base)
         cache("a")
         outcome = run_task(
-            [(0, 0, 1, ["a", "b"]), (1, 0, 2, ["b", "no", "c"])], cache
+            [(0, 0, 1, ["a", "b"]), (1, 0, 2, ["b", "no", "c"])],
+            base,
+            known=cache.known_results(),
         )
         assert outcome["verdicts"] == {0: (True, True), 1: (True, False)}
         assert outcome["invocations"] == 2
         assert base.calls == 3
-        assert outcome["learned"] == {}
-        assert cache.known_results() == {"a": True, "b": True, "no": False}
+        assert outcome["learned"] == {"b": True, "no": False}
+        assert cache.known_results() == {"a": True}
 
 
 def test_run_length_is_guided_self_scheduling():
@@ -319,10 +322,9 @@ def test_late_speculative_result_still_booked_as_discarded():
 
 def test_planner_table_dedupes_across_pairs():
     # With the serial executor the wavefront runs one task at a time,
-    # so the invocation counts are deterministic: the shared verdicts
-    # (at one job, the run's cache itself) must strictly reduce
-    # base-oracle work versus naive per-pair evaluation (duplicate
-    # check strings across pairs).
+    # so the invocation counts are deterministic: the planner's verdict
+    # table must strictly reduce base-oracle work versus naive per-pair
+    # evaluation (duplicate check strings across pairs).
     def run(dedup):
         grammar, stars = make_stars(["ab", "cd", "ab", "cd"])
         plan = plan_merges(stars)
@@ -351,9 +353,9 @@ def test_preseeded_table_skips_already_answered_strings():
     # may have: the verdict table starts from it, so zero oracle
     # invocations remain.
     counting, cache = parent_stack()
-    for pair in plan.pairs:
-        for check in pair.checks:
-            cache.record(check, True)
+    cache.record(
+        (check, True) for pair in plan.pairs for check in pair.checks
+    )
     committer = MergeCommitter(plan)
     oracle = CountingBase(lambda text: True)
     stats = run_merge_wavefront(

@@ -7,9 +7,10 @@ from repro.languages.cfg import (
     Grammar,
     Nonterminal,
     Production,
-    grammar_union,
 )
 from repro.languages.earley import recognize
+
+from tests.reference_grammars import grammar_union
 
 A, B, C = Nonterminal("A"), Nonterminal("B"), Nonterminal("C")
 

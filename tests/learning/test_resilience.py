@@ -13,9 +13,10 @@ from repro.learning.resilience import (
     ResilientOracle,
     RetryPolicy,
     drain_fault_counters,
-    format_fault_spec,
     parse_fault_spec,
 )
+
+from tests.reference_codecs import format_fault_spec
 
 
 class FlakyOracle:

@@ -324,21 +324,23 @@ class TestPrefetcher:
         assert prefetcher(CachingOracle(_oracle())) is None
 
     def test_walks_wrappers_and_skips_cached_texts(self, tmp_path):
-        # The pipeline's traced stack: counter, cache, tracing, retries.
+        # A task's traced stack: counter, cache answering from the run's
+        # known verdicts, tracing, retries.
         log = tmp_path / "runs.log"
         base = _logging_oracle(log, max_workers=2)
         registry = MetricsRegistry()
         cached = CachingOracle(
-            TracingOracle(ResilientOracle(base), registry)
+            TracingOracle(ResilientOracle(base), registry),
+            known={"b": False},
         )
         counting = CountingOracle(cached)
         assert counting("a")
         prefetch = prefetcher(counting)
-        prefetch(["a", "aa", "bc"])
+        prefetch(["a", "aa", "b", "bc"])
         assert sorted(_runs(log)) == ["'a'", "'aa'", "'bc'"]
-        assert counting("aa") and not counting("bc")
+        assert counting("aa") and not counting("bc") and not counting("b")
         assert len(_runs(log)) == 3
-        assert counting.queries == 3 and cached.unique_queries == 3
+        assert counting.queries == 4 and cached.unique_queries == 3
         histograms = registry.snapshot()["histograms"]
         assert histograms["oracle.prefetch_seconds"]["count"] == 1
         base.close()

@@ -1,6 +1,6 @@
 """Tracing must observe without perturbing, at any parallelism.
 
-Two gated properties:
+Three gated properties:
 
 - zero drift: with tracing *on*, the learned grammar and the counted
   query totals are byte-identical to the untraced run, at jobs 1 and 4
@@ -8,10 +8,14 @@ Two gated properties:
 - structural determinism: the *shape* of the trace — shard layout,
   span nesting, names, categories for the deterministic span classes —
   is identical across jobs {1, 2, 4} and the serial/thread/process
-  backends; only timestamps and durations may differ.
+  backends; only timestamps and durations may differ;
+- query placement: every task traces its own oracle stack at any job
+  count, so an oracle span sits under the seed step or merge pair that
+  asked it, at one job as at two.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -90,11 +94,44 @@ def test_span_structure_is_jobs_invariant(
     )
 
 
+@pytest.fixture(scope="module")
+def traced_thread_j2(xml, seeds):
+    return learn(xml, seeds, 2, "thread", trace=True)
+
+
 def test_span_structure_thread_j2_matches_serial(
-    xml, seeds, traced_reference
+    traced_thread_j2, traced_reference
 ):
     # The tier-1 (not slow) representative of the invariance matrix.
-    traced = learn(xml, seeds, 2, "thread", trace=True)
-    assert span_structure(traced.telemetry) == span_structure(
+    assert span_structure(traced_thread_j2.telemetry) == span_structure(
         traced_reference.telemetry
     )
+
+
+def oracle_parents(artifact):
+    """Count oracle spans by (shard kind, name of the parent span)."""
+    spans = artifact.telemetry["spans"]
+    names = {span["id"]: span["name"] for span in spans}
+    return Counter(
+        (span["shard"].split(":")[0], names.get(span["parent"]))
+        for span in spans
+        if span["cat"] == "oracle"
+    )
+
+
+def test_one_job_oracle_spans_sit_under_the_work_that_asked(
+    seeds, traced_reference, traced_thread_j2
+):
+    """Every task asks through its own traced stack at any job count,
+    so a one-job trace puts each query under its seed step or merge
+    pair, as a two-job trace does; only validation asks in the main
+    shard."""
+    parents = oracle_parents(traced_reference)
+    assert set(parents) == set(oracle_parents(traced_thread_j2))
+    assert set(parents) <= {
+        ("", "stage:validate"),
+        ("seed", "synthesize"),
+        ("seed", "chargen"),
+        ("pair", "pair"),
+    }
+    assert parents[("", "stage:validate")] <= len(seeds)
