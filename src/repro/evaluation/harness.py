@@ -296,16 +296,16 @@ def _first_valid_sample(
     fuzzer: GrammarFuzzer, accepts, n_candidates: int, min_length: int
 ) -> Tuple[str, bool, int]:
     """:func:`search_valid_sample`'s loop over a ready fuzzer."""
-    best = ""
+    best, found = "", False
     for tried in range(1, n_candidates + 1):
         candidate = fuzzer.generate_one()
         if not accepts(candidate):
             continue
         if len(candidate) >= min_length:
             return candidate, True, tried
-        if len(candidate) > len(best):
-            best = candidate
-    return best, bool(best), n_candidates
+        if not found or len(candidate) > len(best):
+            best, found = candidate, True
+    return best, found, n_candidates
 
 
 def derive_subject_metrics(

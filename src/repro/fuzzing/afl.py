@@ -54,23 +54,23 @@ class EdgeTracer(CoverageTracer):
         self.edges.clear()
 
     def _trace_function(self) -> Callable:
-        files = self.files
-        record_line = self.lines.add
+        linenos = self.linenos
         record_edge = self.edges.add
 
         def global_trace(frame: FrameType, event: str, arg):
             if frame.f_trace is not None:
                 return frame.f_trace
             filename = frame.f_code.co_filename
-            if filename not in files:
+            if filename not in linenos:
                 return None
+            record_line = linenos[filename].add
             previous = None
 
             def local_trace(frame: FrameType, event: str, arg):
                 nonlocal previous
                 if event == "line":
                     lineno = frame.f_lineno
-                    record_line((filename, lineno))
+                    record_line(lineno)
                     if previous is not None:
                         record_edge((filename, previous, lineno))
                     previous = lineno

@@ -16,15 +16,14 @@ fuzzer also loads persisted run artifacts directly
 (:meth:`GrammarFuzzer.from_artifact`) — fuzzing is decoupled from the
 learning run that produced the grammar.
 
-A mutation costs the path to the node it replaces, not the whole tree.
-Every :class:`ParseTree` counts its nonterminal nodes, so a mutation
-draws the node's pre-order index with ``rng.choice(range(tree.size()))``,
-walks down by subtree counts and rebuilds only the path, sharing every
-other subtree with the tree it came from (trees are immutable).
-``Random.choice`` draws an index below ``len(seq)`` for any sequence, so
-this consumes exactly the bits of ``rng.choice(tree.nodes())``: the
-chosen node, the generated strings and the generator state afterwards
-are those of a mutation that lists and copies the whole tree.
+Each parsed seed is converted once into the sampler's compact tree
+(:mod:`repro.languages.sampler`). A mutation draws the node's pre-order
+index with ``rng.choice(range(size))``, and
+:meth:`~repro.languages.sampler.GrammarSampler.resample` rebuilds only
+the path to it. The draws come in the order, and over sequences of the
+lengths, of a mutation that lists a :class:`ParseTree`'s nodes and
+copies the tree, so the strings and the generator state afterwards are
+that mutation's.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import copy
 import os
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.determinism import resolve_rng
 from repro.languages.cfg import Grammar, ParseTree
@@ -71,6 +70,9 @@ class GrammarFuzzer:
                 self.seed_trees.append(tree)
         if not self.seed_trees:
             raise ValueError("no seed parses under the given grammar")
+        self._compact_seeds = [
+            self.sampler.compact(tree) for tree in self.seed_trees
+        ]
 
     @classmethod
     def from_artifact(
@@ -111,11 +113,12 @@ class GrammarFuzzer:
 
     def generate_one(self) -> str:
         """Generate a single fuzzed input."""
-        tree = self.rng.choice(self.seed_trees)
-        n_mutations = self.rng.randint(0, self.max_mutations)
-        for _ in range(n_mutations):
-            tree = self._mutate(tree)
-        return tree.text()
+        rng, sampler = self.rng, self.sampler
+        tree = rng.choice(self._compact_seeds)
+        for _ in range(rng.randint(0, self.max_mutations)):
+            index = rng.choice(range(sampler.size(tree)))
+            tree = sampler.resample(tree, index)
+        return sampler.text(tree)
 
     def generate(self, count: int) -> List[str]:
         """Generate ``count`` fuzzed inputs."""
@@ -124,31 +127,3 @@ class GrammarFuzzer:
     def __iter__(self) -> Iterator[str]:
         while True:
             yield self.generate_one()
-
-    def _mutate(self, tree: ParseTree) -> ParseTree:
-        """Replace one random node's subtree with a fresh sample."""
-        index = self.rng.choice(range(tree.size()))
-        # Walk to the index-th node in pre-order, recording each
-        # (parent, position) on the way down.
-        path: List[Tuple[ParseTree, int]] = []
-        node = tree
-        while index:
-            index -= 1
-            for position, child in enumerate(node.children):
-                if isinstance(child, ParseTree):
-                    size = child.size()
-                    if index < size:
-                        path.append((node, position))
-                        node = child
-                        break
-                    index -= size
-        replacement = self.sampler.sample_tree(node.symbol)
-        for parent, position in reversed(path):
-            children = list(parent.children)
-            children[position] = replacement
-            replacement = ParseTree(
-                symbol=parent.symbol,
-                production=parent.production,
-                children=children,
-            )
-        return replacement

@@ -231,7 +231,7 @@ class ParseTree:
     contributing the single character that was matched or sampled).
 
     A tree is immutable once built: every builder (the Earley parser,
-    the sampler, the fuzzer's mutation) constructs the children first,
+    the sampler's ``sample_tree``) constructs the children first,
     and no code changes ``children`` afterwards, so trees may share
     subtrees. Construction counts the nonterminal nodes from the
     children's counts, so :meth:`size` is O(1).

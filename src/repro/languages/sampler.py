@@ -10,22 +10,24 @@ distribution only in the far tail.
 
 The induced distribution is what Definition 2.1's precision and recall
 are measured against, and what the grammar-based fuzzer resamples from.
+
+:class:`GrammarSampler` compiles its grammar once into integer tables
+(per nonterminal id, its options: production indexes with pre-split
+bodies). One kernel samples from them into compact trees, immutable
+tuples ``(size, nonterminal id, production index, children)``; only
+this module reads their layout.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.determinism import resolve_rng
 from repro.languages import regex as rx
-from repro.languages.cfg import (
-    CharSet,
-    Grammar,
-    Nonterminal,
-    ParseTree,
-    Production,
-)
+from repro.languages.cfg import CharSet, Grammar, Nonterminal, ParseTree
+
+Tree = Tuple[int, int, int, Tuple[Union["Tree", str], ...]]
 
 
 class GrammarSampler:
@@ -42,75 +44,149 @@ class GrammarSampler:
         self.rng = resolve_rng(rng)
         self.max_depth = max_depth
         self.max_nodes = max_nodes
-        self._nodes_sampled = 0
-        self._height = _derivation_heights(grammar)
-        unproductive = [
-            nt for nt in grammar.nonterminals() if self._height[nt] is None
-        ]
-        if self._height[grammar.start] is None:
+        height = _derivation_heights(grammar)
+        if height[grammar.start] is None:
             raise ValueError(
                 "grammar start symbol derives no terminal string "
-                "(unproductive nonterminals: {})".format(unproductive)
+                "(unproductive nonterminals: {})".format(
+                    [nt for nt, h in height.items() if h is None]
+                )
             )
-        # Per nonterminal, in production order: the productive options,
-        # and those of minimal height (the forced-termination choice).
-        self._options: Dict[Nonterminal, List[Production]] = {}
-        self._shortest: Dict[Nonterminal, List[Production]] = {}
-        for head in grammar.nonterminals():
-            rated = [
-                (prod, self._production_height(prod))
-                for prod in grammar.productions_for(head)
-            ]
-            rated = [(p, h) for p, h in rated if h is not None]
-            if rated:
-                best = min(height for _prod, height in rated)
-                self._options[head] = [prod for prod, _height in rated]
-                self._shortest[head] = [
-                    prod for prod, height in rated if height == best
-                ]
+        productive = [nt for nt, h in height.items() if h is not None]
+        self._ids = {nt: index for index, nt in enumerate(productive)}
+        # Per id, in production order: the productive options, and those
+        # of minimal height (the forced-termination choice).
+        rated: List[list] = [[] for _ in productive]
+        for index, prod in enumerate(grammar.productions):
+            nts = [sym for sym in prod.body if isinstance(sym, Nonterminal)]
+            subs = [height.get(sym) for sym in nts]
+            if None in subs:
+                continue
+            body = tuple(
+                self._ids[sym] if isinstance(sym, Nonterminal)
+                else sym.sorted_chars if isinstance(sym, CharSet) else sym
+                for sym in prod.body
+            )
+            option = (max(subs, default=0), (index, body))
+            rated[self._ids[prod.head]].append(option)
+        self._table = []
+        for options in rated:
+            best = min(options)[0]
+            shortest = [option for h, option in options if h == best]
+            self._table.append(([option for _h, option in options], shortest))
+        self._prod_ids = {p: i for i, p in enumerate(grammar.productions)}
 
     def sample(self, symbol: Optional[Nonterminal] = None) -> str:
         """Sample a random string derivable from ``symbol`` (default start)."""
-        return self.sample_tree(symbol).text()
+        return self.text(self._sample(self._id(symbol)))
 
     def sample_tree(self, symbol: Optional[Nonterminal] = None) -> ParseTree:
         """Sample a random parse tree rooted at ``symbol`` (default start)."""
-        head = symbol if symbol is not None else self.grammar.start
-        self._nodes_sampled = 0
-        return self._sample_nonterminal(head, 0)
+        return self._parse_tree(self._sample(self._id(symbol)))
 
-    def _sample_nonterminal(self, head: Nonterminal, depth: int) -> ParseTree:
-        options = self._options.get(head)
-        if options is None:
-            raise ValueError("nonterminal {} is unproductive".format(head))
-        self._nodes_sampled += 1
-        if depth >= self.max_depth or self._nodes_sampled > self.max_nodes:
-            # Force termination: keep only minimal-height productions.
-            # The node budget bounds *width* too — merged grammars have
-            # several recursive productions per nonterminal, so the
-            # uniform distribution's tree-size tail is heavy (§8.1
-            # sampling note in DESIGN.md).
-            options = self._shortest[head]
-        production = self.rng.choice(options)
-        children: List[Union[ParseTree, str]] = []
-        for sym in production.body:
-            if isinstance(sym, Nonterminal):
-                children.append(self._sample_nonterminal(sym, depth + 1))
-            elif isinstance(sym, CharSet):
-                children.append(self.rng.choice(sym.sorted_chars))
+    def _parse_tree(self, node: Tree) -> ParseTree:
+        production = self.grammar.productions[node[2]]
+        return ParseTree(production.head, production, [
+            c if c.__class__ is str else self._parse_tree(c) for c in node[3]
+        ])
+
+    def compact(self, tree: ParseTree) -> Tree:
+        """A parse tree's compact form. Reverse pre-order builds every
+        node's children before the node, with no recursion."""
+        built: Dict[int, Tree] = {}
+        for node in reversed(tree.nodes()):
+            built[id(node)] = (
+                node.size(),
+                self._ids[node.symbol],
+                self._prod_ids[node.production],
+                tuple(
+                    child if isinstance(child, str) else built[id(child)]
+                    for child in node.children
+                ),
+            )
+        return built[id(tree)]
+
+    def resample(self, tree: Tree, index: int) -> Tree:
+        """``tree`` with its ``index``-th node in pre-order replaced by a
+        fresh sample of its nonterminal. Only the path to the node is
+        rebuilt; every other subtree is shared with ``tree``."""
+        path = []
+        node = tree
+        while index:
+            index -= 1
+            for position, child in enumerate(node[3]):
+                if child.__class__ is tuple:
+                    if index < child[0]:
+                        path.append((node, position))
+                        node = child
+                        break
+                    index -= child[0]
+        fresh = self._sample(node[1])
+        grown = fresh[0] - node[0]
+        for parent, position in reversed(path):
+            children = list(parent[3])
+            children[position] = fresh
+            fresh = (parent[0] + grown, parent[1], parent[2], tuple(children))
+        return fresh
+
+    @staticmethod
+    def size(tree: Tree) -> int:
+        """The number of nonterminal nodes in a compact tree."""
+        return tree[0]
+
+    @staticmethod
+    def text(tree: Tree) -> str:
+        """The terminal string a compact tree derives."""
+        parts = []
+        stack: List[Union[Tree, str]] = [tree]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                parts.append(node)
             else:
-                children.append(sym)
-        return ParseTree(symbol=head, production=production, children=children)
+                stack.extend(node[3][::-1])
+        return "".join(parts)
 
-    def _production_height(self, production: Production) -> Optional[int]:
-        height = 0
-        for sym in production.body:
-            if isinstance(sym, Nonterminal):
-                sub = self._height.get(sym)
-                if sub is None:
-                    return None
-                height = max(height, sub)
-        return height + 1
+    def _id(self, symbol: Optional[Nonterminal]) -> int:
+        head = self.grammar.start if symbol is None else symbol
+        if head not in self._ids:
+            raise ValueError("nonterminal {} is unproductive".format(head))
+        return self._ids[head]
+
+    def _sample(self, head: int) -> Tree:
+        """The kernel: a fresh compact tree rooted at nonterminal id
+        ``head``, drawing from ``self.rng`` in pre-order."""
+        choice = self.rng.choice
+        table = self._table
+        max_depth, max_nodes = self.max_depth, self.max_nodes
+        sampled = 0
+
+        def node(head: int, depth: int) -> Tree:
+            nonlocal sampled
+            sampled += 1
+            options, shortest = table[head]
+            if depth >= max_depth or sampled > max_nodes:
+                # Force termination. The node budget bounds *width* too:
+                # the uniform distribution's tree-size tail is heavy.
+                options = shortest
+            index, body = choice(options)
+            size = 1
+            children = []
+            for item in body:
+                if item.__class__ is int:
+                    child = node(item, depth + 1)
+                    size += child[0]
+                    children.append(child)
+                elif item.__class__ is str:
+                    children.append(item)
+                else:
+                    children.append(choice(item))
+            return size, head, index, tuple(children)
+
+        try:
+            return node(head, 0)
+        finally:
+            del node  # a self-referencing closure: free it without the GC
 
 
 def _derivation_heights(grammar: Grammar) -> Dict[Nonterminal, Optional[int]]:
@@ -125,18 +201,14 @@ def _derivation_heights(grammar: Grammar) -> Dict[Nonterminal, Optional[int]]:
     while changed:
         changed = False
         for prod in grammar.productions:
-            worst = 0
-            feasible = True
-            for sym in prod.body:
-                if isinstance(sym, Nonterminal):
-                    sub = heights.get(sym)
-                    if sub is None:
-                        feasible = False
-                        break
-                    worst = max(worst, sub)
-            if not feasible:
+            subs = [
+                heights.get(sym)
+                for sym in prod.body
+                if isinstance(sym, Nonterminal)
+            ]
+            if None in subs:
                 continue
-            candidate = worst + 1
+            candidate = max(subs, default=0) + 1
             current = heights[prod.head]
             if current is None or candidate < current:
                 heights[prod.head] = candidate

@@ -20,40 +20,40 @@ import ast
 import inspect
 import sys
 from types import FrameType, ModuleType
-from typing import Callable, FrozenSet, Iterable, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Set, Tuple
 
 # A covered line is (filename, lineno).
 Line = Tuple[str, int]
 
 
 class CoverageTracer:
-    """Record executed lines in selected files."""
+    """Record executed lines in selected files: one set of line numbers
+    per file (:attr:`linenos`), which that file's own local trace
+    function fills, so a line event builds no ``(file, line)`` pair."""
 
     def __init__(self, modules: Iterable[ModuleType]):
-        self.files: FrozenSet[str] = frozenset(
-            module.__file__ for module in modules
-        )
-        self.lines: Set[Line] = set()
+        self.linenos: Dict[str, Set[int]] = {
+            module.__file__: set() for module in modules
+        }
+
+    @property
+    def lines(self) -> Set[Line]:
+        return {(f, n) for f, numbers in self.linenos.items() for n in numbers}
 
     def reset(self) -> None:
-        self.lines.clear()
+        for linenos in self.linenos.values():
+            linenos.clear()
 
     def _trace_function(self) -> Callable:
-        """The global trace function for one run: frames in the selected
-        files get a local trace function that records their lines.
-        Closures, because they run on every line the subject executes."""
-        files = self.files
-        record = self.lines.add
-
-        def local_trace(frame: FrameType, event: str, arg):
-            if event == "line":
-                record((frame.f_code.co_filename, frame.f_lineno))
-            return local_trace
+        """The global trace function for one run: it hands each frame in
+        a selected file that file's local trace function."""
+        local = {
+            name: _line_recorder(linenos.add)
+            for name, linenos in self.linenos.items()
+        }
 
         def global_trace(frame: FrameType, event: str, arg):
-            if frame.f_code.co_filename in files:
-                return local_trace
-            return None
+            return local.get(frame.f_code.co_filename)
 
         return global_trace
 
@@ -65,6 +65,15 @@ class CoverageTracer:
             return fn(*args, **kwargs)
         finally:
             sys.settrace(old)
+
+
+def _line_recorder(record: Callable[[int], None]) -> Callable:
+    def local_trace(frame: FrameType, event: str, arg):
+        if event == "line":
+            record(frame.f_lineno)
+        return local_trace
+
+    return local_trace
 
 
 def coverable_lines(module: ModuleType) -> Set[Line]:
@@ -169,8 +178,7 @@ def measure_coverage(
     counts steps, not time), so callers take validity from
     ``accepted`` instead of running the inputs again.
     """
-    tracer = CoverageTracer(subject.modules)
-    accumulated: Set[Line] = set()
+    tracer, counted = (CoverageTracer(subject.modules) for _ in range(2))
     accepted = 0
     for text in inputs:
         tracer.reset()
@@ -178,5 +186,6 @@ def measure_coverage(
         if ok:
             accepted += 1
         if ok or not valid_only:
-            accumulated |= tracer.lines
-    return Coverage(accumulated, accepted)
+            for name, linenos in tracer.linenos.items():
+                counted.linenos[name] |= linenos
+    return Coverage(counted.lines, accepted)

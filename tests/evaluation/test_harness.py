@@ -438,6 +438,25 @@ class TestResolveSubjects:
             harness.resolve_subjects("")
 
 
+class TestValidSampleSearch:
+    def test_valid_empty_sample_is_reported_valid(self):
+        """When the only accepted candidate is the empty string, the
+        search returns it as a valid sample."""
+        from repro.artifacts import RunArtifact, SeedRecord
+        from repro.artifacts.run import SEED_USED
+        from repro.languages.cfg import Grammar, Nonterminal, Production
+
+        s = Nonterminal("S")
+        grammar = Grammar(s, [Production(s, ()), Production(s, ("a", s))])
+        artifact = RunArtifact(
+            seeds=[SeedRecord(text="", state=SEED_USED)], grammar=grammar
+        )
+        sample, valid, tried = harness.search_valid_sample(
+            artifact, lambda text: text == "", n_candidates=30
+        )
+        assert (sample, valid, tried) == ("", True, 30)
+
+
 class TestStableSeed:
     def test_deterministic_and_distinct(self):
         assert harness.stable_seed("a", 1) == harness.stable_seed("a", 1)

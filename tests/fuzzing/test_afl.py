@@ -2,12 +2,12 @@
 
 import importlib.util
 import random
+import sys
 
 import pytest
 
 from repro.fuzzing.afl import AFLFuzzer, EdgeTracer
 from repro.programs import SUBJECT_NAMES, get_subject
-from repro.programs.coverage import CoverageTracer
 
 
 def test_budget_respected():
@@ -65,15 +65,21 @@ def test_deterministic_given_seeded_rng():
 # -- edge feedback ----------------------------------------------------------
 
 
-class FrameKeyedEdgeTracer(CoverageTracer):
+class FrameKeyedEdgeTracer:
     """The reference edge tracer: the previous line is keyed by the frame
     object itself, which the map holds alive for the run, so no two
-    activations can share a key."""
+    activations can share a key. It records ``(filename, lineno)`` pairs
+    directly and shares no code with the package's tracers."""
 
     def __init__(self, modules):
-        super().__init__(modules)
+        self.files = {module.__file__ for module in modules}
+        self.lines = set()
         self.edges = set()
         self._previous = {}
+
+    def reset(self):
+        self.lines.clear()
+        self.edges.clear()
 
     def _trace_function(self):
         def local_trace(frame, event, arg):
@@ -95,9 +101,12 @@ class FrameKeyedEdgeTracer(CoverageTracer):
         return global_trace
 
     def run(self, fn, *args, **kwargs):
+        old = sys.gettrace()
+        sys.settrace(self._trace_function())
         try:
-            return super().run(fn, *args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
+            sys.settrace(old)
             self._previous.clear()
 
 

@@ -71,6 +71,27 @@ class TestGeneration:
         assert len(values) == 5
 
 
+def compact_nodes(tree):
+    """Every node of a compact tree in pre-order. The sampler's trees
+    are ``(size, nonterminal id, production index, children)`` tuples;
+    only the package's sampler and these tests read that layout."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(
+            child for child in reversed(node[3]) if isinstance(child, tuple)
+        )
+    return nodes
+
+
+def mutate(fuzzer, tree):
+    """One mutation, drawn as ``generate_one`` draws it."""
+    sampler = fuzzer.sampler
+    index = fuzzer.rng.choice(range(sampler.size(tree)))
+    return sampler.resample(tree, index)
+
+
 class TestMutation:
     """Mutants rebuild the path to the replaced node and share the rest."""
 
@@ -78,15 +99,19 @@ class TestMutation:
         fuzzer = GrammarFuzzer(
             paren_grammar(), ["(())()", "()"], random.Random(4)
         )
-        trees = list(fuzzer.seed_trees)
-        trees += [fuzzer.sampler.sample_tree() for _ in range(20)]
-        tree = fuzzer.seed_trees[0]
-        for _ in range(50):
-            tree = fuzzer._mutate(tree)
-            trees.append(tree)
-        for tree in trees:
+        for tree in fuzzer.seed_trees:
             for node in tree.nodes():
                 assert node.size() == len(node.nodes())
+        trees = list(fuzzer._compact_seeds)
+        # Resampling the root is a fresh sample of the start symbol.
+        trees += [fuzzer.sampler.resample(trees[0], 0) for _ in range(20)]
+        tree = fuzzer._compact_seeds[0]
+        for _ in range(50):
+            tree = mutate(fuzzer, tree)
+            trees.append(tree)
+        for tree in trees:
+            for node in compact_nodes(tree):
+                assert node[0] == len(compact_nodes(node))
 
     def test_generation_leaves_seed_trees_unchanged(self):
         fuzzer = GrammarFuzzer(
@@ -98,29 +123,62 @@ class TestMutation:
                 (node, tuple(node.children)) for node in tree.nodes()
             ]
 
+        def compact_snapshot(tree):
+            return fuzzer.sampler.text(tree), [
+                (node, node[3]) for node in compact_nodes(tree)
+            ]
+
+        def assert_same(before, after):
+            for (text, nodes), (text_after, nodes_after) in zip(before, after):
+                assert text_after == text
+                assert len(nodes_after) == len(nodes)
+                for (node, children), (node_after, children_after) in zip(
+                    nodes, nodes_after
+                ):
+                    assert node_after is node
+                    assert len(children_after) == len(children)
+                    assert all(
+                        a is b for a, b in zip(children, children_after)
+                    )
+
         before = [snapshot(tree) for tree in fuzzer.seed_trees]
+        compact = list(fuzzer._compact_seeds)
+        compact_before = [compact_snapshot(tree) for tree in compact]
         fuzzer.generate(200)
-        after = [snapshot(tree) for tree in fuzzer.seed_trees]
-        for (text, nodes), (text_after, nodes_after) in zip(before, after):
-            assert text_after == text
-            assert len(nodes_after) == len(nodes)
-            for (node, children), (node_after, children_after) in zip(
-                nodes, nodes_after
-            ):
-                assert node_after is node
-                assert len(children_after) == len(children)
-                assert all(a is b for a, b in zip(children, children_after))
+        assert_same(before, [snapshot(tree) for tree in fuzzer.seed_trees])
+        assert all(a is b for a, b in zip(compact, fuzzer._compact_seeds))
+        assert_same(
+            compact_before,
+            [compact_snapshot(tree) for tree in fuzzer._compact_seeds],
+        )
 
     def test_mutant_shares_untouched_subtrees_with_seed(self):
         fuzzer = GrammarFuzzer(paren_grammar(), ["(())(())"], random.Random(8))
-        seed = fuzzer.seed_trees[0]
-        seed_nodes = {id(node) for node in seed.nodes()}
-        mutants = [fuzzer._mutate(seed) for _ in range(20)]
+        seed = fuzzer._compact_seeds[0]
+        seed_nodes = {id(node) for node in compact_nodes(seed)}
+        mutants = [mutate(fuzzer, seed) for _ in range(20)]
         shared = [
             mutant for mutant in mutants
-            if any(id(node) in seed_nodes for node in mutant.nodes())
+            if any(id(node) in seed_nodes for node in compact_nodes(mutant))
         ]
         assert shared
+
+    def test_generation_builds_no_parse_tree(self, monkeypatch):
+        fuzzer = GrammarFuzzer(
+            paren_grammar(), ["(())()", "()"], random.Random(9)
+        )
+        built = [0]
+        post_init = ParseTree.__post_init__
+
+        def counting(tree):
+            built[0] += 1
+            post_init(tree)
+
+        monkeypatch.setattr(ParseTree, "__post_init__", counting)
+        texts = fuzzer.generate(100)
+        monkeypatch.undo()
+        assert built[0] == 0
+        assert len(set(texts)) > 1
 
 
 class TestWithRng:
@@ -167,19 +225,6 @@ class TestScaling:
     """Nodes built per mutation, counted at n and 2n nodes, not timed: a
     mutation rebuilds only the path to the node it replaces."""
 
-    class RecordingRandom(random.Random):
-        """Records the pre-order index each mutation draws."""
-
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.indices = []
-
-        def choice(self, seq):
-            value = super().choice(seq)
-            if isinstance(seq, range):
-                self.indices.append(value)
-            return value
-
     @staticmethod
     def balanced(depth):
         """A text whose parse is a complete binary tree of that depth."""
@@ -195,42 +240,50 @@ class TestScaling:
         while stack:
             node, depth = stack.pop()
             depths.append(depth)
-            for child in reversed(node.children):
-                if isinstance(child, ParseTree):
+            for child in reversed(node[3]):
+                if isinstance(child, tuple):
                     stack.append((child, depth + 1))
         return depths
 
     def rebuilt_and_paths(self, depth, monkeypatch):
         """Over 200 mutations of one seed tree: nodes the mutations built
-        outside their sampled replacements, and their path lengths."""
+        outside their sampled replacements, and their path lengths.
+
+        Trees are immutable tuples, so a node the mutation built is one
+        of the mutant's nodes that is neither the seed's nor the fresh
+        sample's; below a node of either, every node is theirs too."""
         grammar = Grammar(
             S, [Production(S, ("(", S, S, ")")), Production(S, ("x",))]
         )
-        rng = self.RecordingRandom(depth)
+        rng = random.Random(depth)
         fuzzer = GrammarFuzzer(grammar, [self.balanced(depth)], rng)
-        seed = fuzzer.seed_trees[0]
+        sampler = fuzzer.sampler
+        seed = fuzzer._compact_seeds[0]
         depths = self.preorder_depths(seed)
-        built = [0]
-        post_init = ParseTree.__post_init__
+        seed_nodes = {id(node) for node in compact_nodes(seed)}
+        fresh = []
+        sample = sampler._sample
 
-        def counting(tree):
-            built[0] += 1
-            post_init(tree)
+        def recorded(head):
+            fresh.append(sample(head))
+            return fresh[-1]
 
-        sample_tree = fuzzer.sampler.sample_tree
-
-        def sample_counted(symbol=None):
-            tree = sample_tree(symbol)
-            built[0] -= tree.size()  # the replacement, not the path
-            return tree
-
-        monkeypatch.setattr(ParseTree, "__post_init__", counting)
-        monkeypatch.setattr(fuzzer.sampler, "sample_tree", sample_counted)
+        monkeypatch.setattr(sampler, "_sample", recorded)
+        built = path = 0
         for _ in range(200):
-            fuzzer._mutate(seed)
+            index = rng.choice(range(sampler.size(seed)))
+            mutant = sampler.resample(seed, index)
+            path += depths[index]
+            old = {id(node) for node in compact_nodes(fresh[-1])} | seed_nodes
+            stack = [mutant]
+            while stack:
+                node = stack.pop()
+                if id(node) not in old:
+                    built += 1
+                    stack.extend(c for c in node[3] if isinstance(c, tuple))
         monkeypatch.undo()
-        assert seed.size() == len(depths) == 2 ** (depth + 1) - 1
-        return built[0], sum(depths[index] for index in rng.indices)
+        assert seed[0] == len(depths) == 2 ** (depth + 1) - 1
+        return built, path
 
     def test_nodes_built_per_mutation_follow_the_path(self, monkeypatch):
         small_built, small_path = self.rebuilt_and_paths(9, monkeypatch)

@@ -43,6 +43,63 @@ class TestTracer:
         assert tracer.run(subject.accepts, "<r") is False
 
 
+def load_module(path, name, source):
+    import importlib.util
+
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSeveralFiles:
+    """Each traced file keeps its own line numbers; pairs come out right."""
+
+    def modules(self, tmp_path):
+        inner = load_module(
+            tmp_path / "inner_mod.py",
+            "inner_mod",
+            "def check(text):\n    size = len(text)\n    return size > 1\n",
+        )
+        outer = load_module(
+            tmp_path / "outer_mod.py",
+            "outer_mod",
+            "def accepts(text, check):\n"
+            "    if not text:\n"
+            "        return False\n"
+            "    return check(text)\n",
+        )
+        return inner, outer
+
+    def test_lines_pair_each_file_with_its_own_numbers(self, tmp_path):
+        inner, outer = self.modules(tmp_path)
+        tracer = CoverageTracer([inner, outer])
+        assert tracer.run(outer.accepts, "ab", inner.check) is True
+        assert tracer.lines == {
+            (outer.__file__, 2), (outer.__file__, 4),
+            (inner.__file__, 2), (inner.__file__, 3),
+        }
+
+    def test_measure_coverage_merges_counted_inputs_per_file(self, tmp_path):
+        from types import SimpleNamespace
+
+        inner, outer = self.modules(tmp_path)
+        subject = SimpleNamespace(
+            modules=[inner, outer],
+            accepts=lambda text: outer.accepts(text, inner.check),
+        )
+        strict = measure_coverage(subject, ["", "a", "ab"])
+        assert strict.accepted == 1
+        assert strict.lines == {
+            (outer.__file__, 2), (outer.__file__, 4),
+            (inner.__file__, 2), (inner.__file__, 3),
+        }
+        loose = measure_coverage(subject, ["", "a"], valid_only=False)
+        assert loose.accepted == 0
+        assert loose.lines == strict.lines | {(outer.__file__, 3)}
+
+
 class TestCoverableLines:
     def test_subset_relationship(self):
         subject = get_subject("bison")
