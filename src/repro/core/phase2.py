@@ -31,10 +31,11 @@ Definition 5.2 — e.g. turning the XML example's
 Execution is split into a *plan* and a *commit* so the phase can run
 serially or sharded across workers with identical results:
 
-- :func:`plan_merges` is the oracle-free query planner. It samples each
-  star's residuals exactly once (they used to be re-sampled for every
-  partner) and materializes every pair's check strings up front, in the
-  deterministic merge order.
+- :func:`plan_merges` is the oracle-free query planner. It lists every
+  pair in the deterministic merge order and keeps each star's context
+  and residuals, sampled exactly once; it builds no check string.
+  :func:`pair_checks` yields one pair's checks from them in order, each
+  once, so whoever asks a pair's checks builds only those it asks.
 - :class:`MergeCommitter` commits pairs strictly in plan order (the
   *wavefront*), each through :meth:`~MergeCommitter.commit_serial` on
   the run's counting/caching oracle stack. A pair whose stars are
@@ -56,8 +57,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
+from repro.core.context import Context
 from repro.core.gtree import GStar
 from repro.core.translate import star_nonterminal
 from repro.languages import regex as rx
@@ -177,66 +180,74 @@ def _star_residuals(star: GStar, n_samples: int, rng_seed: int) -> List[str]:
     return residuals
 
 
-def _checks_from_residuals(
-    star_i: GStar,
-    star_j: GStar,
-    res_i: Sequence[str],
-    res_j: Sequence[str],
-    mixed: bool,
-    n_samples: int,
-) -> Tuple[str, ...]:
-    """Assemble one pair's check strings from precomputed residuals."""
-    checks = []
-    # Paper checks: the other star's doubled residuals in each context.
-    for r in res_j:
-        checks.append(star_i.context.wrap(r + r))
-    for r in res_i:
-        checks.append(star_j.context.wrap(r + r))
-    if mixed:
-        # Interleavings the merged star newly generates.
-        for ri in res_i[: 1 + n_samples]:
-            for rj in res_j[: 1 + n_samples]:
-                checks.append(star_i.context.wrap(ri + rj))
-                checks.append(star_i.context.wrap(rj + ri))
-                checks.append(star_j.context.wrap(ri + rj))
-                checks.append(star_j.context.wrap(rj + ri))
-    # Deduplicate, preserving order.
+def pair_checks(
+    stars: Mapping[int, Tuple[Context, List[str]]],
+    star_i: int,
+    star_j: int,
+    mixed_width: int,
+) -> Iterator[str]:
+    """Yield the pair's check strings in order, each once, building
+    each only when it is asked for.
+
+    First the paper's checks: the other star's doubled residuals in each
+    star's context. Then the interleavings a merged star newly
+    generates: each star's first ``mixed_width`` residuals (0 without
+    mixed checks) joined with the other's, both ways, in both contexts.
+    """
+    context_i, res_i = stars[star_i]
+    context_j, res_j = stars[star_j]
     seen = set()
-    unique = []
-    for check in checks:
-        if check not in seen:
-            seen.add(check)
-            unique.append(check)
-    return tuple(unique)
+    for context, residuals in ((context_i, res_j), (context_j, res_i)):
+        for r in residuals:
+            check = context.wrap(r + r)
+            if check not in seen:
+                seen.add(check)
+                yield check
+    for ri in res_i[:mixed_width]:
+        for rj in res_j[:mixed_width]:
+            for context, left, right in (
+                (context_i, ri, rj), (context_i, rj, ri),
+                (context_j, ri, rj), (context_j, rj, ri),
+            ):
+                check = context.wrap(left + right)
+                if check not in seen:
+                    seen.add(check)
+                    yield check
 
 
-@dataclass(frozen=True)
-class MergePair:
-    """One merge candidate in plan order, with its precomputed checks."""
+class MergePair(NamedTuple):
+    """One merge candidate in plan order."""
 
     index: int
     star_i: int
     star_j: int
-    checks: Tuple[str, ...]
 
 
 @dataclass
 class MergePlan:
     """The oracle-free plan for one phase-2 run.
 
-    ``ids`` is the deterministic merge order (sorted star ids) and
-    ``pairs`` every unordered candidate pair with its check strings
-    materialized. The plan is a pure function of the stars, so a
-    resumed run rebuilds the identical plan and can replay committed
-    decisions against it.
+    ``pairs`` is every unordered candidate pair in the deterministic
+    merge order, and ``stars`` each star's context and residuals, keyed
+    by star id in that order (sorted ids). :meth:`checks` builds a
+    pair's check strings from them on demand. The plan is a pure
+    function of the stars, so a resumed run rebuilds the identical plan
+    and can replay committed decisions against it.
     """
 
-    ids: List[int]
     pairs: List[MergePair]
+    stars: Dict[int, Tuple[Context, List[str]]]
+    mixed_width: int
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+    def checks(self, pair: MergePair) -> Iterator[str]:
+        """The pair's checks, built as they are asked for."""
+        return pair_checks(
+            self.stars, pair.star_i, pair.star_j, self.mixed_width
+        )
 
 
 def plan_merges(
@@ -244,40 +255,26 @@ def plan_merges(
     mixed: bool = True,
     n_samples: int = 2,
 ) -> MergePlan:
-    """Plan every pair's checks, sampling each star's residuals once.
+    """Plan every candidate pair, sampling each star's residuals once.
 
     Residual seeds keep :func:`residual_seed` semantics (star rep
-    string ⊕ merge-order index), so the sampled residuals — and hence
-    every check string — are byte-identical to the historical per-pair
-    sampling path.
+    string ⊕ merge-order index). With ``mixed``, each star's first
+    ``1 + n_samples`` residuals also enter the mixed checks.
     """
     ids = sorted(star.star_id for star in stars)
     by_id = {star.star_id: star for star in stars}
-    residuals = {
-        star_id: _star_residuals(
-            by_id[star_id], n_samples, residual_seed(by_id[star_id], position)
+    material = {}
+    for position, star_id in enumerate(ids):
+        star = by_id[star_id]
+        residuals = _star_residuals(
+            star, n_samples, residual_seed(star, position)
         )
-        for position, star_id in enumerate(ids)
-    }
-    pairs: List[MergePair] = []
-    for position, i in enumerate(ids):
-        for j in ids[position + 1 :]:
-            pairs.append(
-                MergePair(
-                    index=len(pairs),
-                    star_i=i,
-                    star_j=j,
-                    checks=_checks_from_residuals(
-                        by_id[i],
-                        by_id[j],
-                        residuals[i],
-                        residuals[j],
-                        mixed=mixed,
-                        n_samples=n_samples,
-                    ),
-                )
-            )
-    return MergePlan(ids=ids, pairs=pairs)
+        material[star_id] = (star.context, residuals)
+    pairs = [
+        MergePair(index, i, j)
+        for index, (i, j) in enumerate(combinations(ids, 2))
+    ]
+    return MergePlan(pairs, material, 1 + n_samples if mixed else 0)
 
 
 @dataclass
@@ -318,7 +315,7 @@ class MergeCommitter:
     def __init__(self, plan: MergePlan):
         self.plan = plan
         self.decisions: List[str] = []
-        self._uf = _UnionFind(plan.ids)
+        self._uf = _UnionFind(plan.stars)
 
     @property
     def committed(self) -> int:
@@ -379,7 +376,7 @@ class MergeCommitter:
         pair = self.next_pair()
         if self.equated(pair.star_i, pair.star_j):
             decision = PAIR_SKIPPED
-        elif all(oracle(check) for check in pair.checks):
+        elif all(oracle(check) for check in self.plan.checks(pair)):
             decision = PAIR_MERGED
         else:
             decision = PAIR_REJECTED
@@ -388,7 +385,7 @@ class MergeCommitter:
 
     def finish(self, grammar: Grammar) -> Phase2Result:
         """Equate merged nonterminals and wrap up the phase."""
-        representative = {i: self._uf.find(i) for i in self.plan.ids}
+        representative = {i: self._uf.find(i) for i in self.plan.stars}
         mapping: Dict[Nonterminal, Nonterminal] = {
             star_nonterminal(i): star_nonterminal(rep)
             for i, rep in representative.items()

@@ -23,23 +23,22 @@ as ``speculative_queries``), which keeps counted metrics identical to a
 serial run. The serial backend never speculates.
 
 Phase two runs one loop on the same backends at every job count
-(:mod:`repro.exec.merge_shard`): merge-candidate pairs are planned up
-front (:func:`repro.core.phase2.plan_merges` samples each star's
-residuals once), tasks evaluate runs of consecutive pairs, and every
-pair commits strictly in plan order through
-:meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the run's
-counting/caching stack, which counts it. A run asks the base oracle
-behind its own cache, which answers from what a cross-pair verdict
-table holds for its checks. With one worker, a run starts once every earlier
-pair has committed, so it evaluates exactly the pairs a serial loop
-evaluates and asks only strings the run's cache lacks. With several,
-runs are evaluated ahead of the commits; a pair transitively equated
-by the time it commits is skipped exactly like the serial loop's skip,
-with its speculative cost routed to ``speculative_queries``. So phase
-2's grammar and counted metrics are independent of the job count.
-Phase 2 runs ahead only through its runs and jobs: it hands no
-prefetch hint to the oracle, since a pair's checks stop at the first
-rejection.
+(:mod:`repro.exec.merge_shard`): :func:`repro.core.phase2.plan_merges`
+lists the pairs and samples each star's residuals once, tasks evaluate
+runs of consecutive pairs, and every pair commits strictly in plan
+order through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
+on the run's counting/caching stack, which counts it. Each builds a
+pair's checks only as it asks them. A run asks the base oracle behind
+its own cache. With one worker, a run starts once every earlier pair
+has committed and reads the run's cache, so it evaluates exactly the
+pairs a serial loop evaluates and asks only strings the cache lacks.
+With several, runs are evaluated ahead of the commits; a pair
+transitively equated by the time it commits is skipped exactly like
+the serial loop's skip, with its speculative cost routed to
+``speculative_queries``. So phase 2's grammar and counted metrics are
+independent of the job count. Phase 2 runs ahead only through its runs
+and jobs: it hands no prefetch hint to the oracle, since a pair's
+checks stop at the first rejection.
 
 Both phases count distinct strings in one place, the run's
 :class:`~repro.learning.oracle.CachingOracle`. Every task asks through
@@ -513,19 +512,15 @@ class LearningPipeline:
         """Merge repetitions on the configured backend, committing (and
         checkpointing) pairs in plan order.
 
-        The plan — residuals, pair order, check strings — is a pure
+        The plan — pair order and each star's residuals — is a pure
         function of the learned trees, so a resumed run rebuilds it
         identically and replays the artifact's committed decisions to
         restore the union-find without a single query. Every pair
         commits through
         :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
         parent's counting/caching stack, so ``oracle_queries`` /
-        ``unique_queries`` are counted in one place on every backend.
-        One loop serves every job count: run tasks ask the base oracle
-        behind the cross-pair query planner. With one worker, a run
-        starts only after every earlier pair has committed; with
-        several, runs are evaluated ahead of the commits, and discarded
-        speculation lands in ``speculative_queries``.
+        ``unique_queries`` are counted in one place on every backend;
+        discarded speculation lands in ``speculative_queries``.
         """
         stars = [star for tree in trees for star in stars_of(tree)]
         plan = plan_merges(

@@ -4,24 +4,28 @@ Phase 2 (:mod:`repro.core.phase2`) considers every unordered pair of
 repetition nodes, so its oracle cost is quadratic in star count. This
 module is its one loop, at every job count:
 
-- a *run task* evaluates consecutive unequated pairs in plan order. It
-  asks each pair's checks in order, stops at the first rejection as
-  the serial loop does, and skips a pair whose stars are already
-  equated: it carries its stars' committed representatives and unites
-  the run's own merges into them. It hands the oracle no prefetch hint.
+- a *run task* evaluates consecutive unequated pairs in plan order,
+  given each pair's ``(index, star_i, star_j)`` and its stars' contexts
+  and residuals. It builds a pair's checks
+  (:func:`~repro.core.phase2.pair_checks`) as it asks them, in order,
+  stops at the first rejection as the serial loop does, and skips a
+  pair whose stars are already equated: it carries its stars'
+  committed representatives and unites the run's own merges into
+  them. It hands the oracle no prefetch hint.
 - a run holds ⌈remaining pairs / (4·jobs)⌉ pairs, at most
   :data:`MAX_RUN` (guided self-scheduling, Polychronopoulos & Kuck
   1987), so a task costs well above a pool round trip and a killed
   worker loses at most one run.
 - a task asks the base oracle behind its own
-  :class:`~repro.learning.oracle.CachingOracle`, which answers from a
-  snapshot of the planner's *known verdicts* for its checks: what the
-  parent's cache holds and what finished tasks learned. The executor
-  pulls a payload only when a worker can start it, so the snapshot
-  holds every verdict returned until then; runs still in flight share
-  nothing. At one job that is every earlier run, all committed, so a
-  run evaluates exactly the pairs the serial loop does and asks only
-  what the run's cache lacks.
+  :class:`~repro.learning.oracle.CachingOracle`, which answers from the
+  planner's *known verdicts*. At one job a run starts once every
+  earlier pair has committed, and reads the run cache's live table: it
+  evaluates exactly the pairs the serial loop does and asks only what
+  the run's cache lacks. A pooled run gets a snapshot of what the
+  parent's cache holds and finished tasks learned, for each pair's
+  checks up to its first known rejection. The executor pulls a payload
+  only when a worker can start it, so the snapshot holds every verdict
+  returned until then; runs still in flight share nothing.
 - :func:`run_merge_wavefront` commits pairs strictly in plan order,
   each through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
   on the parent's counting/caching stack, once the pair's verdicts are
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.phase2 import (
@@ -43,6 +48,7 @@ from repro.core.phase2 import (
     MergeCommitter,
     MergePair,
     MergePlan,
+    pair_checks,
 )
 from repro.exec.backends import Executor
 from repro.learning.oracle import (
@@ -85,10 +91,11 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if tracer.enabled:
         oracle = TracingOracle(oracle, registry, tracer)
     cache = CachingOracle(oracle, payload["known"])
+    stars, mixed_width = payload["stars"], payload["mixed_width"]
     roots = dict(payload["roots"])
     results: Dict[int, Optional[Tuple[bool, ...]]] = {}
     with registry.timer("pair_run.seconds"):
-        for index, star_i, star_j, checks in payload["pairs"]:
+        for index, star_i, star_j in payload["pairs"]:
             root_i, root_j = roots[star_i], roots[star_j]
             if root_i == root_j:
                 results[index] = None
@@ -102,7 +109,7 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 )
                 if tracer.enabled else nullcontext()
             ):
-                for check in checks:
+                for check in pair_checks(stars, star_i, star_j, mixed_width):
                     verdicts.append(bool(cache(check)))
                     if not verdicts[-1]:
                         break
@@ -150,7 +157,6 @@ def run_merge_wavefront(
     oracle: Oracle,
     counting: CountingOracle,
     cache: CachingOracle,
-    dedup: bool = True,
     on_commit: Optional[Callable[..., None]] = None,
     registry: Optional[MetricsRegistry] = None,
     tracer: Any = NULL_TRACER,
@@ -165,11 +171,10 @@ def run_merge_wavefront(
     ``on_commit(event)`` runs for every committed pair (the pipeline's
     checkpoint hook), and once more, as a cost-only event (``discarded``
     set, decision log untouched), for a pair that committed as skipped
-    before its run landed. ``dedup=False`` is the benchmark's naive
-    baseline: one pair per task, asking the base oracle with no verdict
-    table. Worker metrics merge into ``registry`` in arrival order; a
-    pair's spans absorb into ``tracer`` only when it commits with a
-    real decision, so the trace has a serial run's structure.
+    before its run landed. Worker metrics merge into ``registry`` in
+    arrival order; a pair's spans absorb into ``tracer`` only when it
+    commits with a real decision, so the trace has a serial run's
+    structure.
     """
     # The planner's known verdicts: the run's cache (phase 1's and the
     # committed pairs') and what finished tasks learned beyond it.
@@ -195,7 +200,8 @@ def run_merge_wavefront(
                 if verdicts and not committer.equated(
                     pair.star_i, pair.star_j
                 ):
-                    cache.record(zip(pair.checks, verdicts))
+                    checks = islice(plan.checks(pair), len(verdicts))
+                    cache.record(zip(checks, verdicts))
             elif committer.equated(pair.star_i, pair.star_j):
                 verdicts = None
             else:
@@ -213,24 +219,23 @@ def run_merge_wavefront(
     def known_for(run: List[MergePair]) -> Dict[str, bool]:
         """The planner's verdicts for a run's checks, as a snapshot:
         process pools pickle payloads on an internal thread while this
-        one adds verdicts."""
+        one adds verdicts. A pair's checks stop at its first known
+        rejection, since the task cannot ask past it."""
         known = {}
         for pair in run:
-            for check in pair.checks:
-                if check in answered:
-                    known[check] = answered[check]
-                elif check in learned:
-                    known[check] = learned[check]
+            for check in plan.checks(pair):
+                verdict = answered.get(check, learned.get(check))
+                if verdict is not None:
+                    known[check] = verdict
+                    if not verdict:
+                        break
         return known
 
     def payloads() -> Iterator[Dict[str, Any]]:
         pairs = plan.pairs
         position = committer.committed
         while position < len(pairs):
-            size = (
-                run_length(len(pairs) - position, executor.jobs)
-                if dedup else 1
-            )
+            size = run_length(len(pairs) - position, executor.jobs)
             run: List[MergePair] = []
             roots: Dict[int, int] = {}
             while position < len(pairs) and len(run) < size:
@@ -244,13 +249,14 @@ def run_merge_wavefront(
             if not run:
                 return
             yield {
-                "pairs": [
-                    (pair.index, pair.star_i, pair.star_j, pair.checks)
-                    for pair in run
-                ],
+                "pairs": run,
+                "stars": {star: plan.stars[star] for star in roots},
+                "mixed_width": plan.mixed_width,
                 "roots": roots,
                 "oracle": oracle,
-                "known": known_for(run) if dedup else {},
+                # One job: every earlier pair has committed, and the
+                # cache does not change while the run is out.
+                "known": answered if executor.jobs == 1 else known_for(run),
                 "trace": tracer.enabled,
             }
 

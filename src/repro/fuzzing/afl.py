@@ -42,7 +42,8 @@ class EdgeTracer(CoverageTracer):
     address. A generator resuming fires another ``call`` event on the
     frame it had; that frame still holds its local trace function
     (``f_trace``), which is handed back, so the generator's edges carry
-    on across each ``yield``.
+    on across each ``yield``. It returns ``frame.f_trace`` rather than
+    refer to itself, so no traced call leaves a reference cycle.
     """
 
     def __init__(self, modules):
@@ -74,7 +75,7 @@ class EdgeTracer(CoverageTracer):
                     if previous is not None:
                         record_edge((filename, previous, lineno))
                     previous = lineno
-                return local_trace
+                return frame.f_trace
 
             return local_trace
 

@@ -151,10 +151,10 @@ class CachingOracle:
         This is the cache's own table, live and not copied, taken in
         O(1): read it, and change it only through :meth:`record`. A seed
         or merge-pair task returns its cache's table when it ends: what
-        it asked the oracle. A one-job seed task's cache answers from
-        the run cache's table, and the phase-2 query planner reads it
-        for each run's known verdicts, so neither copies the run's
-        cache.
+        it asked the oracle. A one-job seed or merge-run task's cache
+        answers from the run cache's table, and the phase-2 query
+        planner reads it for each pooled run's snapshot, so none copies
+        the run's cache.
         """
         return self._cache
 

@@ -97,7 +97,7 @@ def v4_document(artifact):
             {
                 "star_i": pair.star_i,
                 "star_j": pair.star_j,
-                "checks": list(pair.checks),
+                "checks": list(plan.checks(pair)),
                 "merged": decision == PAIR_MERGED,
             }
             for pair, decision in zip(

@@ -110,7 +110,7 @@ def test_phase2_merge_checks_match_paper(full_result):
     # must be among the constructed checks (our merge adds the
     # mixed-adjacency residuals on top; see repro.core.phase2).
     assert {"hihi", "<a><a>hi</a><a>hi</a></a>"} <= set(
-        plan.pairs[0].checks
+        plan.checks(plan.pairs[0])
     )
 
 

@@ -101,8 +101,10 @@ def test_transitive_merges_skip_redundant_pairs():
     # Only the two merged pairs asked their checks; (b,c) asked none.
     from repro.core.phase2 import plan_merges
 
-    pairs = plan_merges(stars).pairs
-    assert len(queries) == len(pairs[0].checks) + len(pairs[1].checks)
+    plan = plan_merges(stars)
+    assert queries == [
+        *plan.checks(plan.pairs[0]), *plan.checks(plan.pairs[1])
+    ]
 
 
 def test_merge_monotonicity():
@@ -164,31 +166,74 @@ def _star_row(names):
     return translate_trees([root]), stars
 
 
+@pytest.fixture(scope="module")
+def learned_stars():
+    """Phase one's stars on the sed and xml subjects."""
+    from repro.core.gtree import stars_of
+    from repro.core.pipeline import LearningPipeline
+    from repro.programs import get_subject
+
+    stars = {}
+    for name in ("sed", "xml"):
+        subject = get_subject(name)
+        config = GladeConfig(alphabet=subject.alphabet, enable_phase2=False)
+        artifact = LearningPipeline(subject.accepts, config=config).run(
+            subject.seeds
+        )
+        stars[name] = [s for tree in artifact.trees() for s in stars_of(tree)]
+    return stars
+
+
 class TestMergePlan:
-    def test_plan_checks_match_lazy_merge_checks(self):
-        # The planner's precomputed residuals must reproduce the
-        # historical per-pair sampling byte for byte (residual_seed
-        # semantics: rep string ⊕ merge-order index).
+    def test_plan_checks_match_lazy_merge_checks(self, learned_stars):
+        # For every pair of a row of stars and of the learned sed and
+        # xml stars, with and without mixed checks, the lazy generator
+        # yields what the reference builds all at once and then
+        # de-duplicates, from per-pair residual sampling
+        # (residual_seed semantics: rep string ⊕ merge-order index).
         from repro.core.phase2 import plan_merges, residual_seed
 
-        _grammar, stars = _star_row(["ab", "cd", "ef"])
-        plan = plan_merges(stars)
-        ids = sorted(s.star_id for s in stars)
-        by_id = {s.star_id: s for s in stars}
-        seed_of = {
-            star_id: residual_seed(by_id[star_id], position)
-            for position, star_id in enumerate(ids)
-        }
-        expected = []
-        for position, i in enumerate(ids):
-            for j in ids[position + 1:]:
-                expected.append(
+        rows = [_star_row(["ab", "cd", "ef"])[1]]
+        for stars in rows + [learned_stars["sed"], learned_stars["xml"]]:
+            ids = sorted(s.star_id for s in stars)
+            by_id = {s.star_id: s for s in stars}
+            seed_of = {
+                star_id: residual_seed(by_id[star_id], position)
+                for position, star_id in enumerate(ids)
+            }
+            for mixed, n_samples in ((True, 2), (False, 0)):
+                plan = plan_merges(stars, mixed=mixed, n_samples=n_samples)
+                expected = [
                     merge_checks(
-                        by_id[i], by_id[j],
+                        by_id[i], by_id[j], mixed=mixed,
+                        n_samples=n_samples,
                         seed_i=seed_of[i], seed_j=seed_of[j],
                     )
-                )
-        assert [pair.checks for pair in plan.pairs] == expected
+                    for position, i in enumerate(ids)
+                    for j in ids[position + 1:]
+                ]
+                assert len(expected) == plan.n_pairs > 0
+                assert [
+                    tuple(plan.checks(pair)) for pair in plan.pairs
+                ] == expected
+
+    def test_plan_builds_no_check_string(self, monkeypatch):
+        from repro.core.phase2 import plan_merges
+
+        wraps = []
+        original = Context.wrap
+
+        def counting(context, inner):
+            wraps.append(inner)
+            return original(context, inner)
+
+        monkeypatch.setattr(Context, "wrap", counting)
+        _grammar, stars = _star_row(["ab", "cd", "ef", "gh"])
+        plan = plan_merges(stars)
+        assert plan.n_pairs == 6
+        assert wraps == []
+        first = next(plan.checks(plan.pairs[0]))
+        assert wraps == ["cdcd"] and first == "<0>cdcd</0>"
 
     def test_residuals_sampled_once_per_star(self, monkeypatch):
         # The satellite fix: residual sampling is hoisted out of the
@@ -235,7 +280,7 @@ class TestMergeCommitter:
         assert not skipped.evaluated and skipped.discarded == 0
         assert counting.queries == before
         assert counting.queries == sum(
-            len(pair.checks) for pair in plan.pairs[:2]
+            len(list(plan.checks(pair))) for pair in plan.pairs[:2]
         )
 
     def test_short_circuit_counts_prefix_only(self):
@@ -243,7 +288,7 @@ class TestMergeCommitter:
         from repro.learning.oracle import CountingOracle
 
         _grammar, plan, committer = self.setup_plan()
-        second = plan.pairs[0].checks[1]
+        second = list(plan.checks(plan.pairs[0]))[1]
         counting = CountingOracle(lambda text: text != second)
         event = committer.commit_serial(counting)
         assert event.decision == PAIR_REJECTED

@@ -3,10 +3,11 @@
 Unit-level coverage for :mod:`repro.exec.merge_shard`: run tasks keep
 sequential short-circuit semantics and skip pairs their stars' merges
 already equate, the known-verdict table dedupes check strings across
-pairs, and the wavefront commits in plan order through the parent's
-counting/caching stack — discarding speculatively evaluated pairs
-exactly as the serial loop's transitive skip would, with counted and
-unique totals equal to the serial loop's at any completion order.
+pairs, each step builds only the checks it asks, and the wavefront
+commits in plan order through the parent's counting/caching stack —
+discarding speculatively evaluated pairs exactly as the serial loop's
+transitive skip would, with counted and unique totals equal to the
+serial loop's at any completion order.
 """
 
 import threading
@@ -23,6 +24,7 @@ from repro.core.phase2 import (
     PAIR_REJECTED,
     PAIR_SKIPPED,
     MergeCommitter,
+    pair_checks,
     plan_merges,
 )
 from repro.core.pipeline import LearningPipeline
@@ -40,6 +42,7 @@ from repro.exec.merge_shard import (
     run_pairs_task,
 )
 from repro.learning.oracle import CachingOracle, CountingOracle
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.programs import get_subject
 from tests.reference_phase2 import merge_repetitions
 
@@ -98,13 +101,34 @@ def serial_reference(names, oracle_fn):
     return result, counting.queries, cache.unique_queries
 
 
+def star_material(names):
+    """Star ``n``'s context and one residual, both from ``names[n]``:
+    stars with equal names have equal checks."""
+    return {
+        index: (Context("<{}>".format(name), "</{}>".format(name)), [name])
+        for index, name in enumerate(names)
+    }
+
+
+#: Stars 0–3 have distinct checks; star 4 is a copy of star 1.
+STARS = star_material(["a", "b", "c", "d", "b"])
+
+
+def checks_of(star_i, star_j):
+    """The six checks of a pair of :data:`STARS` (mixed width 1)."""
+    return list(pair_checks(STARS, star_i, star_j, 1))
+
+
 def run_task(pairs, oracle, known=None, roots=None):
-    """Run one task over ``(index, star_i, star_j, checks)`` pairs;
-    stars start unequated unless ``roots`` says otherwise."""
+    """Run one task over ``(index, star_i, star_j)`` pairs of
+    :data:`STARS`; stars start unequated unless ``roots`` says
+    otherwise."""
     if roots is None:
-        roots = {star: star for _, i, j, _ in pairs for star in (i, j)}
+        roots = {star: star for _, i, j in pairs for star in (i, j)}
     return run_pairs_task({
-        "pairs": [(index, i, j, tuple(c)) for index, i, j, c in pairs],
+        "pairs": list(pairs),
+        "stars": {star: STARS[star] for star in roots},
+        "mixed_width": 1,
         "roots": roots,
         "oracle": oracle,
         "known": known or {},
@@ -112,20 +136,24 @@ def run_task(pairs, oracle, known=None, roots=None):
     })
 
 
+ALL_TRUE = (True,) * 6
+
+
 class TestPairTask:
     def test_sequential_short_circuits_at_first_rejection(self):
-        oracle = CountingBase(lambda text: text != "no")
-        outcome = run_task([(3, 0, 1, ["a", "no", "later"])], oracle)
+        first, second = checks_of(0, 1)[:2]
+        oracle = CountingBase(lambda text: text != second)
+        outcome = run_task([(3, 0, 1)], oracle)
         assert outcome["verdicts"] == {3: (True, False)}
         assert outcome["invocations"] == 2
-        assert oracle.calls == 2  # "later" never reached the oracle
-        assert outcome["learned"] == {"a": True, "no": False}
+        assert oracle.calls == 2  # the later checks never reached it
+        assert outcome["learned"] == {first: True, second: False}
 
     def test_known_table_answers_without_oracle(self):
         oracle = CountingBase(lambda text: True)
-        known = {"a": True, "b": True, "c": True}
-        outcome = run_task([(0, 0, 1, ["a", "b", "c"])], oracle, known)
-        assert outcome["verdicts"] == {0: (True, True, True)}
+        known = {check: True for check in checks_of(0, 1)}
+        outcome = run_task([(0, 0, 1)], oracle, known)
+        assert outcome["verdicts"] == {0: ALL_TRUE}
         assert outcome["invocations"] == 0
         assert oracle.calls == 0
         assert outcome["learned"] == {}
@@ -133,16 +161,21 @@ class TestPairTask:
     def test_known_rejection_short_circuits_for_free(self):
         oracle = CountingBase(lambda text: True)
         outcome = run_task(
-            [(0, 0, 1, ["bad", "x"])], oracle, {"bad": False}
+            [(0, 0, 1)], oracle, {checks_of(0, 1)[0]: False}
         )
         assert outcome["verdicts"] == {0: (False,)}
         assert oracle.calls == 0
 
     def test_duplicate_checks_within_a_task_query_once(self):
-        oracle = CountingBase(lambda text: True)
-        outcome = run_task([(0, 0, 1, ["a", "a", "b"])], oracle)
-        assert outcome["verdicts"] == {0: (True, True, True)}
-        assert outcome["invocations"] == 2
+        # Star 4 is a copy of star 1, so both pairs ask the same six
+        # strings; the last is rejected, so neither pair equates.
+        last = checks_of(0, 1)[-1]
+        assert checks_of(0, 4) == checks_of(0, 1)
+        oracle = CountingBase(lambda text: text != last)
+        outcome = run_task([(0, 0, 1), (1, 0, 4)], oracle)
+        rejected = ALL_TRUE[:5] + (False,)
+        assert outcome["verdicts"] == {0: rejected, 1: rejected}
+        assert outcome["invocations"] == 6
 
 
 class TestRunTask:
@@ -151,54 +184,50 @@ class TestRunTask:
         # and asks nothing; (1,3) is still evaluated.
         oracle = CountingBase(lambda text: True)
         outcome = run_task(
-            [
-                (0, 0, 1, ["a"]),
-                (1, 0, 2, ["b"]),
-                (2, 1, 2, ["c"]),
-                (3, 1, 3, ["d"]),
-            ],
-            oracle,
+            [(0, 0, 1), (1, 0, 2), (2, 1, 2), (3, 1, 3)], oracle
         )
         assert outcome["verdicts"] == {
-            0: (True,), 1: (True,), 2: None, 3: (True,),
+            0: ALL_TRUE, 1: ALL_TRUE, 2: None, 3: ALL_TRUE,
         }
-        assert oracle.calls == 3
+        assert oracle.calls == 18
 
     def test_rejected_pair_equates_nothing(self):
-        oracle = CountingBase(lambda text: text != "no")
-        outcome = run_task(
-            [(0, 0, 1, ["no"]), (1, 1, 2, ["a"]), (2, 0, 2, ["b"])],
-            oracle,
-        )
-        assert outcome["verdicts"] == {0: (False,), 1: (True,), 2: (True,)}
+        no = checks_of(0, 1)[0]
+        oracle = CountingBase(lambda text: text != no)
+        outcome = run_task([(0, 0, 1), (1, 1, 2), (2, 0, 2)], oracle)
+        assert outcome["verdicts"] == {
+            0: (False,), 1: ALL_TRUE, 2: ALL_TRUE,
+        }
 
     def test_run_skips_pairs_committed_merges_equate(self):
         oracle = CountingBase(lambda text: True)
         outcome = run_task(
-            [(5, 1, 2, ["a"]), (6, 2, 3, ["b"])],
-            oracle,
-            roots={1: 0, 2: 0, 3: 3},
+            [(5, 1, 2), (6, 2, 3)], oracle, roots={1: 0, 2: 0, 3: 3}
         )
-        assert outcome["verdicts"] == {5: None, 6: (True,)}
-        assert oracle.calls == 1
+        assert outcome["verdicts"] == {5: None, 6: ALL_TRUE}
+        assert oracle.calls == 6
 
     def test_one_job_task_asks_only_what_the_runs_verdicts_lack(self):
         # Handed the base oracle and the run cache's verdicts as its
         # known table, the task asks the base oracle only for the
         # strings the run lacks, and returns exactly those.
-        base = CountingBase(lambda text: text != "no")
+        first = checks_of(0, 1)[0]
+        no = checks_of(0, 2)[1]
+        base = CountingBase(lambda text: text != no)
         cache = CachingOracle(base)
-        cache("a")
+        cache(first)
         outcome = run_task(
-            [(0, 0, 1, ["a", "b"]), (1, 0, 2, ["b", "no", "c"])],
-            base,
-            known=cache.known_results(),
+            [(0, 0, 1), (1, 0, 2)], base, known=cache.known_results()
         )
-        assert outcome["verdicts"] == {0: (True, True), 1: (True, False)}
-        assert outcome["invocations"] == 2
-        assert base.calls == 3
-        assert outcome["learned"] == {"b": True, "no": False}
-        assert cache.known_results() == {"a": True}
+        assert outcome["verdicts"] == {0: ALL_TRUE, 1: (True, False)}
+        assert outcome["invocations"] == 7
+        assert base.calls == 8
+        assert outcome["learned"] == {
+            **{check: True for check in checks_of(0, 1)[1:]},
+            checks_of(0, 2)[0]: True,
+            no: False,
+        }
+        assert cache.known_results() == {first: True}
 
 
 def test_run_length_is_guided_self_scheduling():
@@ -305,13 +334,14 @@ def test_late_speculative_result_still_booked_as_discarded():
         )
     assert committer.decisions == [PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED]
     assert stats.pairs_discarded == 1
-    assert stats.speculative_queries == len(plan.pairs[2].checks)
+    third = list(plan.checks(plan.pairs[2]))
+    assert stats.speculative_queries == len(third)
     # Three commits plus one cost-only late event for the third pair.
     assert len(events) == 4
     late = events[-1]
     assert late.pair.index == 2
     assert late.decision == PAIR_SKIPPED
-    assert late.discarded == len(plan.pairs[2].checks)
+    assert late.discarded == len(third)
     # The skipped pair's strings stay out of the counted totals.
     _serial, queries, unique = serial_reference(
         ["ab", "ab", "ab"], lambda text: True
@@ -322,28 +352,21 @@ def test_late_speculative_result_still_booked_as_discarded():
 
 def test_planner_table_dedupes_across_pairs():
     # With the serial executor the wavefront runs one task at a time,
-    # so the invocation counts are deterministic: the planner's verdict
-    # table must strictly reduce base-oracle work versus naive per-pair
-    # evaluation (duplicate check strings across pairs).
-    def run(dedup):
-        grammar, stars = make_stars(["ab", "cd", "ab", "cd"])
-        plan = plan_merges(stars)
-        committer = MergeCommitter(plan)
-        oracle = CountingBase(lambda text: True)
-        counting, cache = parent_stack(oracle)
-        stats = run_merge_wavefront(
-            SerialExecutor(), plan, committer, oracle, counting, cache,
-            dedup=dedup,
-        )
-        return stats, oracle.calls, counting.queries
-
-    with_planner, calls_with, counted_with = run(dedup=True)
-    without, calls_without, counted_without = run(dedup=False)
-    assert calls_with < calls_without
-    assert with_planner.invocations == calls_with
-    assert with_planner.table_hits > 0
-    # Dedup changes execution cost only — counted totals are identical.
-    assert counted_with == counted_without
+    # so the invocation counts are deterministic. The parent's cache
+    # starts empty, so the counted queries are what per-pair evaluation
+    # without the verdict table would ask: the table must strictly
+    # reduce base-oracle work below them (duplicate check strings
+    # across pairs).
+    grammar, stars = make_stars(["ab", "cd", "ab", "cd"])
+    plan = plan_merges(stars)
+    committer = MergeCommitter(plan)
+    oracle = CountingBase(lambda text: True)
+    counting, cache = parent_stack(oracle)
+    stats = run_merge_wavefront(
+        SerialExecutor(), plan, committer, oracle, counting, cache
+    )
+    assert stats.invocations == oracle.calls < counting.queries
+    assert stats.table_hits > 0
 
 
 def test_preseeded_table_skips_already_answered_strings():
@@ -354,7 +377,7 @@ def test_preseeded_table_skips_already_answered_strings():
     # invocations remain.
     counting, cache = parent_stack()
     cache.record(
-        (check, True) for pair in plan.pairs for check in pair.checks
+        (check, True) for pair in plan.pairs for check in plan.checks(pair)
     )
     committer = MergeCommitter(plan)
     oracle = CountingBase(lambda text: True)
@@ -401,7 +424,7 @@ def no_e(text):
     return "e" not in text
 
 
-@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize("traced", [True, False])
 @pytest.mark.parametrize(
     "make_executor",
     [
@@ -413,25 +436,182 @@ def no_e(text):
     ],
     ids=["thread2", "thread4", "process2", "reordering", "eager"],
 )
-def test_commits_never_reach_the_parents_base_oracle(make_executor, dedup):
+def test_commits_never_reach_the_parents_base_oracle(make_executor, traced):
     # The parent cache's base oracle raises on any call: every commit
     # must be answered from the verdicts the wavefront recorded, and
-    # the stack must still count the serial loop's totals.
+    # the stack must still count the serial loop's totals. A traced
+    # run keeps one pair span per evaluated pair, as a serial run does.
     names = ["ab", "cd", "ab", "cd", "ef"]
     _serial, queries, unique = serial_reference(names, no_e)
     grammar, stars = make_stars(names)
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
     counting, cache = parent_stack()
+    tracer = Tracer() if traced else NULL_TRACER
     with make_executor() as executor:
         run_merge_wavefront(
             executor, plan, committer, no_e, counting, cache,
-            dedup=dedup,
+            tracer=tracer,
         )
     assert committer.done
     assert PAIR_REJECTED in committer.decisions
     assert counting.queries == queries
     assert cache.unique_queries == unique
+    evaluated = [
+        index
+        for index, decision in enumerate(committer.decisions)
+        if decision != PAIR_SKIPPED
+    ]
+    pair_spans = [
+        span["args"]["index"]
+        for span in tracer.snapshot()
+        if span["name"] == "pair"
+    ]
+    assert sorted(pair_spans) == (evaluated if traced else [])
+
+
+# -- the lazy plan: a check is built only when it is asked ---------------
+
+
+@pytest.fixture
+def wraps(monkeypatch):
+    """Every ``Context.wrap`` call: each builds one check string."""
+    calls = []
+    original = Context.wrap
+
+    def counting(context, inner):
+        calls.append(inner)
+        return original(context, inner)
+
+    monkeypatch.setattr(Context, "wrap", counting)
+    return calls
+
+
+def rejected_at_first_check():
+    """A one-pair plan and an oracle that rejects the pair's first check
+    (six checks in all)."""
+    _grammar, stars = make_stars(["ab", "cd"])
+    plan = plan_merges(stars)
+    first = next(plan.checks(plan.pairs[0]))
+    return plan, lambda text: text != first
+
+
+def capture_payloads(monkeypatch):
+    """Record every run payload the wavefront hands its executor."""
+    payloads = []
+
+    def capturing(payload):
+        payloads.append(payload)
+        return run_pairs_task(payload)
+
+    monkeypatch.setattr(merge_shard_mod, "run_pairs_task", capturing)
+    return payloads
+
+
+class TestLazyChecks:
+    def test_commit_builds_only_the_rejected_check(self, wraps):
+        plan, oracle = rejected_at_first_check()
+        wraps.clear()
+        event = MergeCommitter(plan).commit_serial(oracle)
+        assert event.decision == PAIR_REJECTED
+        assert len(wraps) == 1
+
+    def test_run_task_builds_only_the_rejected_check(self, wraps):
+        plan, oracle = rejected_at_first_check()
+        pair = plan.pairs[0]
+        wraps.clear()
+        outcome = run_pairs_task({
+            "pairs": [(pair.index, pair.star_i, pair.star_j)],
+            "stars": plan.stars,
+            "mixed_width": plan.mixed_width,
+            "roots": {pair.star_i: pair.star_i, pair.star_j: pair.star_j},
+            "oracle": oracle,
+            "known": {},
+            "trace": False,
+        })
+        assert outcome["verdicts"] == {0: (False,)}
+        assert len(wraps) == 1
+
+    def test_wavefront_record_builds_only_the_rejected_check(
+        self, wraps, monkeypatch
+    ):
+        # At one job the task, the record and the commit each build the
+        # rejected check once, and nothing builds a later check.
+        plan, oracle = rejected_at_first_check()
+        built = {}
+
+        def measured(name, fn):
+            def wrapper(*args):
+                before = len(wraps)
+                try:
+                    return fn(*args)
+                finally:
+                    built[name] = len(wraps) - before
+
+            return wrapper
+
+        monkeypatch.setattr(
+            merge_shard_mod, "run_pairs_task",
+            measured("task", run_pairs_task),
+        )
+        monkeypatch.setattr(
+            MergeCommitter, "commit_serial",
+            measured("commit", MergeCommitter.commit_serial),
+        )
+        counting, cache = parent_stack()
+        committer = MergeCommitter(plan)
+        wraps.clear()
+        run_merge_wavefront(
+            SerialExecutor(), plan, committer, oracle, counting, cache
+        )
+        assert committer.decisions == [PAIR_REJECTED]
+        assert built == {"task": 1, "commit": 1}
+        assert len(wraps) == 3  # the record's is the third
+        assert len(set(wraps)) == 1
+
+    def test_one_job_runs_read_the_run_caches_table(self, monkeypatch):
+        payloads = capture_payloads(monkeypatch)
+        _grammar, stars = make_stars(["ab", "cd", "ab", "cd", "ef"])
+        plan = plan_merges(stars)
+        counting, cache = parent_stack(no_e)
+        run_merge_wavefront(
+            SerialExecutor(), plan, MergeCommitter(plan), no_e,
+            counting, cache,
+        )
+        assert len(payloads) > 1
+        assert all(
+            payload["known"] is cache.known_results() for payload in payloads
+        )
+
+    def test_pooled_snapshot_stops_at_first_known_rejection(
+        self, monkeypatch
+    ):
+        payloads = capture_payloads(monkeypatch)
+        _grammar, stars = make_stars(["ab", "cd", "ef", "gh"])
+        plan = plan_merges(stars)
+        # The parent's cache knows every check of every pair, and
+        # rejects each pair's second.
+        counting, cache = parent_stack()
+        cache.record(
+            (check, position != 1)
+            for pair in plan.pairs
+            for position, check in enumerate(plan.checks(pair))
+        )
+        oracle = CountingBase(lambda text: True)
+        committer = MergeCommitter(plan)
+        with EagerInOrderExecutor() as executor:
+            run_merge_wavefront(
+                executor, plan, committer, oracle, counting, cache
+            )
+        assert committer.decisions == [PAIR_REJECTED] * plan.n_pairs
+        assert oracle.calls == 0
+        assert payloads
+        for payload in payloads:
+            expected = {}
+            for index, _i, _j in payload["pairs"]:
+                first, second = list(plan.checks(plan.pairs[index]))[:2]
+                expected.update({first: True, second: False})
+            assert payload["known"] == expected
 
 
 # -- work-count guards: tasks and base-oracle calls, not time ------------

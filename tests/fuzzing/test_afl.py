@@ -1,5 +1,6 @@
 """Tests for the afl-like coverage-guided fuzzer."""
 
+import gc
 import importlib.util
 import random
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from repro.fuzzing.afl import AFLFuzzer, EdgeTracer
 from repro.programs import SUBJECT_NAMES, get_subject
+from repro.programs.coverage import CoverageTracer
 
 
 def test_budget_respected():
@@ -134,6 +136,33 @@ def test_edges_match_frame_keyed_reference_on_seeds(name):
     got = seed_coverage(EdgeTracer(subject.modules), subject)
     want = seed_coverage(FrameKeyedEdgeTracer(subject.modules), subject)
     assert got == want
+
+
+def unreachable_after(tracer, subject, inputs):
+    """Objects the collector finds unreachable after tracing ``inputs``
+    with automatic collection off."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in inputs:
+            tracer.reset()
+            tracer.run(subject.accepts, text)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_edge_tracing_leaves_no_cycle_per_traced_call():
+    # A local trace function that refers to itself would leave one
+    # cycle per traced call: tens of thousands of objects here, against
+    # the hundreds the line tracer leaves.
+    subject = get_subject("sed")
+    inputs = list(subject.seeds) * 10
+    edge = unreachable_after(EdgeTracer(subject.modules), subject, inputs)
+    line = unreachable_after(CoverageTracer(subject.modules), subject, inputs)
+    assert edge <= line
 
 
 TRACED_SOURCE = '''\

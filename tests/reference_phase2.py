@@ -1,13 +1,15 @@
 """Phase two as a plain loop: the test-side reference for merging.
 
 The package runs phase two through one path, the pipeline: the query
-planner (:func:`~repro.core.phase2.plan_merges`) materializes every
-pair's checks, and each pair commits in plan order through
-:meth:`~repro.core.phase2.MergeCommitter.commit_serial`. This module
-keeps two direct forms the tests compare against: the serial loop over
-the plan without a pipeline (:func:`merge_repetitions`), and one pair's
-checks computed on their own, residuals sampled per pair
-(:func:`merge_checks`).
+planner (:func:`~repro.core.phase2.plan_merges`) lists the pairs and
+each star's residuals, :func:`~repro.core.phase2.pair_checks` builds a
+pair's checks as they are asked, and each pair commits in plan order
+through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`. This
+module keeps two direct forms the tests compare against: the serial
+loop over the plan without a pipeline (:func:`merge_repetitions`), and
+one pair's checks built all at once and then de-duplicated, residuals
+sampled per pair (:func:`merge_checks`), which shares no check-building
+code with the package.
 """
 
 from __future__ import annotations
@@ -18,13 +20,44 @@ from repro.core.gtree import GStar
 from repro.core.phase2 import (
     MergeCommitter,
     Phase2Result,
-    _checks_from_residuals,
     _star_residuals,
     plan_merges,
     residual_seed,
 )
 from repro.languages.cfg import Grammar
 from repro.learning.oracle import Oracle
+
+
+def checks_from_residuals(
+    star_i: GStar,
+    star_j: GStar,
+    res_i: Sequence[str],
+    res_j: Sequence[str],
+    mixed: bool,
+    n_samples: int,
+) -> Tuple[str, ...]:
+    """Build every check of one pair, then drop repeats in order."""
+    checks = []
+    # Paper checks: the other star's doubled residuals in each context.
+    for r in res_j:
+        checks.append(star_i.context.wrap(r + r))
+    for r in res_i:
+        checks.append(star_j.context.wrap(r + r))
+    if mixed:
+        # Interleavings the merged star newly generates.
+        for ri in res_i[: 1 + n_samples]:
+            for rj in res_j[: 1 + n_samples]:
+                checks.append(star_i.context.wrap(ri + rj))
+                checks.append(star_i.context.wrap(rj + ri))
+                checks.append(star_j.context.wrap(ri + rj))
+                checks.append(star_j.context.wrap(rj + ri))
+    seen = set()
+    unique = []
+    for check in checks:
+        if check not in seen:
+            seen.add(check)
+            unique.append(check)
+    return tuple(unique)
 
 
 def merge_checks(
@@ -47,7 +80,7 @@ def merge_checks(
         seed_i = residual_seed(star_i, 0)
     if seed_j is None:
         seed_j = residual_seed(star_j, 0)
-    return _checks_from_residuals(
+    return checks_from_residuals(
         star_i,
         star_j,
         _star_residuals(star_i, n_samples, seed_i),
