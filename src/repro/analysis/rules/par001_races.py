@@ -2,7 +2,8 @@
 
 Task payload functions (registered per module as ``TASK_ENTRY_POINTS``
 in :mod:`repro.exec.shard`, :mod:`repro.exec.merge_shard`, and
-:mod:`repro.exec.subject_shard`) run concurrently on threads or are
+:mod:`repro.exec.subject_shard`, whose task learns a subject and
+derives its evaluation metrics) run concurrently on threads or are
 pickled into worker processes. Anything they (transitively) reach must
 therefore be self-contained: a read of module-level mutable state is a
 thread race and a silent fork-copy divergence in process workers; a

@@ -22,7 +22,6 @@ _HARNESS_EXPORTS = (
     "SubjectArtifactCache",
     "compare",
     "run_suite",
-    "shared_cache",
     "subject_artifact",
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "estimate_recall",
     "evaluate_language",
     "run_suite",
-    "shared_cache",
     "subject_artifact",
 ]

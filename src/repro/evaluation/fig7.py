@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.evaluation.corpora import CORPORA
 from repro.evaluation.harness import (
+    SeedCoverage,
     SubjectArtifactCache,
     stable_seed,
     subject_artifact,
@@ -28,14 +29,8 @@ from repro.evaluation.harness import (
 from repro.evaluation.reporting import format_series, format_table
 from repro.fuzzing import AFLFuzzer, GrammarFuzzer, NaiveFuzzer
 from repro.languages.sampler import GrammarSampler
-from repro.programs import (
-    SUBJECT_NAMES,
-    Subject,
-    coverable_lines,
-    get_subject,
-    measure_coverage,
-)
-from repro.programs.coverage import CoverageReport, Line
+from repro.programs import SUBJECT_NAMES, get_subject
+from repro.programs.coverage import CoverageReport
 from repro.targets import get_target
 
 FUZZERS = ["naive", "afl", "glade"]
@@ -59,7 +54,7 @@ class Fig7Row:
     normalized: float
 
 
-class SubjectHarness:
+class SubjectHarness(SeedCoverage):
     """Shared state for fuzzing one subject: grammar, seeds, coverage.
 
     The GLADE fuzzer's artifact comes from the per-subject artifact
@@ -73,16 +68,10 @@ class SubjectHarness:
         seed: int = 0,
         cache: Optional[SubjectArtifactCache] = None,
     ):
+        super().__init__(get_subject(name))
         self.name = name
-        self.subject: Subject = get_subject(name)
         self.seed = seed
         self.cache = cache
-        self.coverable: Set[Line] = set()
-        for module in self.subject.modules:
-            self.coverable |= coverable_lines(module)
-        self.seed_lines = measure_coverage(
-            self.subject, self.subject.seeds
-        ).lines
 
     def generate(self, fuzzer: str, n_samples: int) -> List[str]:
         # stable_seed, not hash(): str hashes are salted per process,
@@ -109,13 +98,6 @@ class SubjectHarness:
             # to n_samples to keep the execution budget comparable.
             return [rng.choice(corpus) for _ in range(n_samples)]
         raise ValueError("unknown fuzzer {!r}".format(fuzzer))
-
-    def report(self, samples: Sequence[str]) -> Tuple[CoverageReport, float]:
-        covered, accepted = measure_coverage(self.subject, samples)
-        report = CoverageReport(
-            self.coverable, self.seed_lines, covered | self.seed_lines
-        )
-        return report, accepted / max(1, len(samples))
 
 
 def run_fig7a(

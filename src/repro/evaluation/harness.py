@@ -11,14 +11,14 @@ structure explicit for the reproduction:
   combined run (``run_fig6`` then ``run_fig8``, or the full suite)
   learns each subject **exactly once**; re-runs against a cache
   directory pay zero oracle queries for already-learned subjects.
-- :func:`run_suite` — the suite runner behind ``repro eval``: learns
-  each requested subject's grammar once, fanned out across subjects on
-  the pluggable :mod:`exec <repro.exec>` backends, then derives the
-  full per-subject metric set from the shared artifacts into one
-  versioned :class:`~repro.artifacts.suite.SuiteResult`
-  (``BENCH_suite.json``). The ``metrics`` section is byte-identical at
-  any ``jobs`` count (the learning pipeline's determinism guarantee
-  plus fixed-seed, corpus-based metric derivation).
+- :func:`run_suite` — the suite runner behind ``repro eval``: one task
+  per requested subject on the pluggable :mod:`exec <repro.exec>`
+  backends learns the subject's grammar (unless cached) and derives its
+  full metric set; the results form one versioned
+  :class:`~repro.artifacts.suite.SuiteResult` (``BENCH_suite.json``).
+  The ``metrics`` section is byte-identical at any ``jobs`` count (the
+  learning pipeline's determinism guarantee plus fixed-seed,
+  corpus-based metric derivation).
 - :func:`compare` — the tolerance-aware comparator for CI regression
   gating: deterministic metrics (grammar digests, counted queries,
   recall on fixed corpora, ...) compare exactly and block on drift;
@@ -34,7 +34,7 @@ import hashlib
 import pathlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.artifacts.journal import load_artifact, save_artifact
 from repro.artifacts.run import RunArtifact
@@ -52,9 +52,9 @@ from repro.evaluation.corpora import eval_corpus
 from repro.evaluation.metrics import GrammarView, estimate_precision
 from repro.evaluation.reporting import format_table
 from repro.exec.backends import make_executor
-from repro.exec.subject_shard import run_subjects, subject_payload
+from repro.exec.subject_shard import evaluate_subject_task, subject_payload
 from repro.obs.export import build_telemetry
-from repro.obs.metrics import MetricsRegistry, Stopwatch
+from repro.obs.metrics import MetricsRegistry, Stopwatch, histogram_total
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.fuzzing.grammar_fuzzer import GrammarFuzzer
 from repro.programs import (
@@ -64,11 +64,12 @@ from repro.programs import (
     get_subject,
     measure_coverage,
 )
-from repro.programs.coverage import CoverageReport
+from repro.programs.coverage import CoverageReport, Line
 
 __all__ = [
     "SubjectArtifactCache",
     "MetricDelta",
+    "SeedCoverage",
     "SuiteComparison",
     "compare",
     "default_subject_config",
@@ -79,7 +80,6 @@ __all__ = [
     "resolve_subjects",
     "run_suite",
     "search_valid_sample",
-    "shared_cache",
     "stable_seed",
     "subject_artifact",
 ]
@@ -248,11 +248,6 @@ class SubjectArtifactCache:
 _SHARED_CACHE = SubjectArtifactCache()
 
 
-def shared_cache() -> SubjectArtifactCache:
-    """The process-wide default artifact cache."""
-    return _SHARED_CACHE
-
-
 def subject_artifact(
     subject: Union[Subject, str],
     cache: Optional[SubjectArtifactCache] = None,
@@ -271,6 +266,32 @@ def subject_artifact(
 
 
 # -- metric derivation (the figures' measurements, from one artifact) ------
+
+
+class SeedCoverage:
+    """A subject's coverable lines and its seeds' coverage: the base of
+    every §8.3 coverage report (Figure 7 and the suite's
+    ``fuzz_new_lines``).
+
+    It calls this module's ``measure_coverage``: perfbench's traced
+    eval probe times coverage by replacing that name.
+    """
+
+    def __init__(self, subject: Subject):
+        self.subject = subject
+        self.coverable: Set[Line] = set()
+        for module in subject.modules:
+            self.coverable |= coverable_lines(module)
+        self.seed_lines = measure_coverage(subject, subject.seeds).lines
+
+    def report(self, samples: Sequence[str]) -> Tuple[CoverageReport, float]:
+        """The coverage of ``samples`` over the seeds', and the share of
+        ``samples`` the subject accepts."""
+        covered, accepted = measure_coverage(self.subject, samples)
+        report = CoverageReport(
+            self.coverable, self.seed_lines, covered | self.seed_lines
+        )
+        return report, accepted / max(1, len(samples))
 
 
 def search_valid_sample(
@@ -353,13 +374,7 @@ def derive_subject_metrics(
             )
         )
     samples = fuzzer.generate(params.fuzz_samples)
-    coverable = set()
-    for module in subject.modules:
-        coverable |= coverable_lines(module)
-    seed_lines = measure_coverage(subject, subject.seeds).lines
-    covered, accepted = measure_coverage(subject, samples)
-    valid_fraction = accepted / max(1, len(samples))
-    report = CoverageReport(coverable, seed_lines, covered | seed_lines)
+    report, valid_fraction = SeedCoverage(subject).report(samples)
     fuzz_new_lines = len(report.incremental_lines())
 
     # Fig 8: a large valid sample exists. The search draws from its own
@@ -435,21 +450,24 @@ def run_suite(
 ) -> SuiteResult:
     """Learn every requested subject once and derive all suite metrics.
 
-    Learning fans out across *subjects* on the configured backend (one
-    task per uncached subject); with a single uncached subject the job
-    count is passed down into the learning pipeline instead, so
-    ``--jobs`` always buys wall-clock. Metric derivation is a pure
-    function of the artifacts and ``params``, so the resulting
-    ``metrics`` section is byte-identical at any job count
+    Each subject is one task on the configured backend
+    (:mod:`repro.exec.subject_shard`) that learns it, unless the cache
+    holds its artifact, and derives its metrics. Tasks are submitted
+    longest first, by total seed characters (a fixed property of the
+    inputs, never a timing); fresh artifacts join the cache, and results
+    are assembled in subject order. A single-subject suite spends the
+    jobs inside its learning pipeline instead. Metric derivation is a
+    pure function of the artifacts and ``params``, so the ``metrics``
+    section is byte-identical at any job count
     (:func:`repro.artifacts.suite.canonical_metrics_bytes`).
 
     ``trace=True`` turns on structured tracing (:mod:`repro.obs`):
-    each subject learns with ``GladeConfig.trace`` set, fresh
-    artifacts' telemetry is grafted under ``subject:<name>`` shard
-    prefixes into one suite-level trace, and the result carries a
-    ``telemetry`` section. Observation only — grammars, counted
-    queries, and the canonical metrics bytes are identical with
-    tracing on or off.
+    subjects learn with ``GladeConfig.trace`` set, the spans of those
+    learned in this run are grafted under ``subject:<name>`` shard
+    prefixes, each derivation is a ``subject:<name>`` span in the main
+    shard, and the result carries a ``telemetry`` section. Observation
+    only — grammars, counted queries, and the canonical metrics bytes
+    are identical with tracing on or off.
     """
     names = resolve_subjects(subjects)
     if cache is None:
@@ -463,91 +481,63 @@ def run_suite(
     tracer: Any = Tracer() if trace else NULL_TRACER
 
     # Snapshot the cache counters: the execution record reports *this
-    # run's* hits/misses, not the cache's lifetime totals (the shared
-    # cache accumulates across every figure run in the process).
+    # run's* hits/misses, not the cache's lifetime totals.
     hits_before, misses_before = cache.hits, cache.misses
 
-    artifacts: Dict[str, RunArtifact] = {}
-    pending: List[Tuple[str, Subject, GladeConfig]] = []
-    for name in names:
+    payloads = []
+    for name in sorted(
+        names,
+        key=lambda name: sum(map(len, get_subject(name).seeds)),
+        reverse=True,
+    ):
         subject = get_subject(name)
-        config = default_subject_config(subject)
-        if trace:
-            # ``trace`` is deliberately outside _SEMANTIC_CONFIG_FIELDS:
-            # traced and untraced runs share cache entries (a cached
-            # untraced artifact just has no telemetry to graft).
-            config = replace(config, trace=True)
+        # jobs, backend and trace are outside _SEMANTIC_CONFIG_FIELDS:
+        # they never change the learned artifact or its cache entry.
+        config = replace(default_subject_config(subject), trace=trace)
+        if len(names) == 1:
+            # Seed/run sharding: same grammar and counted queries by the
+            # exec-subsystem determinism guarantee.
+            config = replace(config, jobs=jobs, backend=backend)
         cached = cache.lookup(subject, config)
-        if cached is not None:
-            artifacts[name] = cached
-        else:
-            pending.append((name, subject, config))
+        payloads.append(subject_payload(name, config, params, cached))
 
-    executor_name = "serial"
-    #: Per-subject worker wall-clock for subjects learned this run —
-    #: includes serialization/dispatch overhead the artifact's own
-    #: stage timings don't see. Provenance only, never compared.
-    worker_seconds: Dict[str, float] = {}
-    if pending:
-        worker_jobs = min(jobs, len(pending))
-        if worker_jobs == 1 and jobs > 1:
-            # One uncached subject: spend the jobs inside its pipeline
-            # (seed/run sharding) instead. Same grammar and counted
-            # queries by the exec-subsystem determinism guarantee.
-            pending = [
-                (name, subject, replace(config, jobs=jobs, backend=backend))
-                for name, subject, config in pending
-            ]
-        payloads = [
-            subject_payload(name, config) for name, _subject, config in pending
-        ]
-        by_name = {
-            name: (subject, config) for name, subject, config in pending
-        }
-        with make_executor(backend, worker_jobs) as executor:
-            executor_name = executor.name
-            for result in run_subjects(executor, payloads):
-                subject, config = by_name[result.name]
-                cache.absorb(subject, config, result.artifact)
-                artifacts[result.name] = result.artifact
-                worker_seconds[result.name] = result.seconds
-                registry.merge(result.telemetry.get("metrics"))
-
-    if tracer.enabled:
-        # One suite-level timeline: every freshly traced artifact's
-        # spans land under a ``subject:<name>`` shard prefix, in the
-        # deterministic subject order (cached artifacts learned without
-        # tracing simply contribute nothing).
-        for name in names:
-            run_telemetry = artifacts[name].telemetry
-            if run_telemetry:
-                registry.merge(run_telemetry.get("metrics"))
-                tracer.graft(
-                    "subject:" + name, run_telemetry.get("spans", ())
-                )
+    results: Dict[str, Dict[str, Any]] = {}
+    learned: Dict[str, RunArtifact] = {}
+    with make_executor(backend, min(jobs, len(names))) as executor:
+        for _index, raw in executor.unordered(evaluate_subject_task, payloads):
+            name = raw["name"]
+            results[name] = raw
+            if raw["artifact"] is not None:
+                learned[name] = RunArtifact.from_dict(raw["artifact"])
+                cache.absorb(get_subject(name), None, learned[name])
 
     suite = SuiteResult(
         subjects=names,
         params=params,
         execution={
             "jobs": jobs,
-            "backend": executor_name,
+            "backend": executor.name,
             "cache_hits": cache.hits - hits_before,
             "cache_misses": cache.misses - misses_before,
+            # Workers' learning wall-clock: provenance, never compared.
             "worker_seconds": {
-                name: worker_seconds[name]
-                for name in sorted(worker_seconds)
+                name: histogram_total(
+                    results[name]["telemetry"]["metrics"], "subject.seconds"
+                )
+                for name in sorted(learned)
             },
         },
         environment=environment_record(),
     )
     for name in names:
-        with tracer.span("subject:" + name, cat="suite"):
-            metrics, perf = derive_subject_metrics(
-                name, artifacts[name], params
-            )
-        suite.metrics[name] = metrics
-        suite.perf[name] = perf
+        raw = results[name]
+        suite.metrics[name], suite.perf[name] = raw["metrics"], raw["perf"]
+        registry.merge(raw["telemetry"]["metrics"])
+        telemetry = learned[name].telemetry if name in learned else None
+        if telemetry:
+            registry.merge(telemetry.get("metrics"))
+            tracer.graft("subject:" + name, telemetry.get("spans", ()))
+        tracer.graft("", raw["telemetry"]["spans"])
     if tracer.enabled:
         suite.telemetry = build_telemetry(tracer, registry)
     return suite

@@ -13,6 +13,11 @@ process pool — selected by ``GladeConfig.jobs`` / ``backend`` (CLI
   cross-pair query planner (speculatively at several jobs); every pair
   commits in plan order through the run's counting stack.
 
+The evaluation suite (``repro eval``) is *subject-sharded*
+(:mod:`repro.exec.subject_shard`): one task per subject learns its
+grammar, unless the suite's artifact cache holds it, and derives its
+metrics.
+
 Determinism is preserved at any worker count: star ids come from
 disjoint per-seed blocks, phase-2 residual sampling is seeded
 run-locally, and both stages discard speculative work exactly where

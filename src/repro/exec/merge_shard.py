@@ -177,7 +177,8 @@ def run_merge_wavefront(
     structure.
     """
     # The planner's known verdicts: the run's cache (phase 1's and the
-    # committed pairs') and what finished tasks learned beyond it.
+    # committed pairs') and, for pooled runs' snapshots, what finished
+    # tasks learned beyond it.
     answered = cache.known_results()
     learned: Dict[str, bool] = {}
     stats = WavefrontStats()
@@ -270,7 +271,8 @@ def run_merge_wavefront(
             # (speculation included), unlike the counted accounting.
             registry.merge(raw["telemetry"]["metrics"])
             registry.observe("phase2.queue_depth", len(outcomes))
-        learned.update(raw["learned"])
+        if executor.jobs > 1:
+            learned.update(raw["learned"])
         for span in raw["telemetry"]["spans"]:
             spans.setdefault(span["shard"], []).append(span)
         committed = committer.committed

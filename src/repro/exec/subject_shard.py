@@ -1,99 +1,95 @@
-"""Subject-sharded learning: one task per program under test.
+"""Subject-sharded evaluation: one task per program under test.
 
-The unified evaluation harness (:mod:`repro.evaluation.harness`) learns
-each of the §8.3 subjects' grammars independently — there is no shared
+The unified evaluation harness (:mod:`repro.evaluation.harness`)
+evaluates each of the §8.3 subjects independently — there is no shared
 state between subjects at all, which makes the fan-out simpler than the
-seed/run shards: a task is just the subject's *name* plus the learning
-configuration, and the worker reconstructs everything else from the
-program registry. That keeps payloads trivially picklable for the
-process backend (the subject's ``accepts`` is a module-level function,
-so the oracle never crosses the wire at all).
+seed/run shards: a task is the subject's *name*, its learning
+configuration and the suite parameters, plus its artifact when the
+harness's cache holds one. The worker rebuilds the subject from the
+program registry, which keeps payloads picklable for the process
+backend (the oracle never crosses the wire at all).
 
-Results come back as the run artifact's JSON encoding plus the worker's
-wall-clock, so the parent can persist them straight into the harness's
-artifact cache and derive every figure's metrics without re-learning.
-Determinism is inherited from the pipeline: a subject's artifact is
-byte-identical whether it was learned inline, on a thread, or in a
-worker process (per-seed star-id blocks, run-local residual seeds).
+A task learns the subject only when no artifact came with it, then
+derives the subject's metrics. Artifacts travel in their JSON encoding,
+so they cross process boundaries without custom pickling. Determinism
+is inherited from the pipeline and the fixed-seed derivation: artifact
+and metrics are byte-identical whether the task ran inline, on a
+thread, or in a worker process.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, Sequence
+from dataclasses import asdict, replace
+from typing import Any, Dict, Optional
 
 from repro.artifacts.run import RunArtifact
+from repro.artifacts.suite import SuiteParams
 from repro.core.glade import GladeConfig
-from repro.core.pipeline import LearningPipeline
-from repro.exec.backends import Executor
-from repro.obs.metrics import MetricsRegistry, histogram_total
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, Tracer
 
 #: Worker functions executor backends run as task payloads (walked by
 #: detlint's PAR001 shared-state race detector).
-TASK_ENTRY_POINTS = ("learn_subject_task",)
+TASK_ENTRY_POINTS = ("evaluate_subject_task",)
 
 
-@dataclass
-class SubjectResult:
-    """One subject's learning outcome, decoded on the parent side.
+def subject_payload(
+    name: str,
+    config: GladeConfig,
+    params: SuiteParams,
+    artifact: Optional[RunArtifact],
+) -> Dict[str, Any]:
+    """Package one subject's evaluation as a picklable task. A cached
+    artifact travels without its telemetry, which derivation never
+    reads and which holds megabytes of spans on a traced run."""
+    return {
+        "name": name,
+        "config": asdict(config),
+        "params": asdict(params),
+        "artifact": (
+            None if artifact is None
+            else replace(artifact, telemetry=None).to_dict()
+        ),
+    }
 
-    ``seconds`` is a derived view of ``telemetry`` (the worker's
-    metrics-registry snapshot) — the registry is the single timing
-    source; no hand-rolled perf-counter pairs ride the wire.
+
+def evaluate_subject_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point: learn one subject unless its artifact came
+    with the payload (no checkpoint store — the harness's artifact cache
+    is the durability layer), then derive its metrics.
+
+    Returns the learned artifact's encoding (``None`` for a cached
+    subject), the ``SubjectMetrics`` and ``SubjectPerf``, and the
+    telemetry: the registry snapshot (``subject.seconds`` times the
+    learning) and, when traced, the derivation's ``subject:<name>``
+    span.
     """
-
-    name: str
-    artifact: RunArtifact
-    seconds: float
-    #: The worker's wire telemetry: ``{"metrics": <registry snapshot>}``.
-    telemetry: Dict[str, Any] = field(default_factory=dict)
-
-
-def subject_payload(name: str, config: GladeConfig) -> Dict[str, Any]:
-    """Package one subject's learning work as a picklable task."""
-    return {"name": name, "config": asdict(config)}
-
-
-def learn_subject_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: learn one subject's grammar from its name.
-
-    Runs the full staged pipeline (no checkpoint store — the harness's
-    artifact cache is the durability layer) and returns the artifact in
-    its JSON encoding so the result crosses process boundaries without
-    custom pickling.
-    """
+    # Imported here: the harness imports this module.
+    from repro.evaluation.harness import derive_subject_metrics, learn_subject
     from repro.programs import get_subject
 
     name = payload["name"]
     config = GladeConfig(**payload["config"])
-    subject = get_subject(name)
     registry = MetricsRegistry()
     registry.add("exec.subject.tasks")
-    with registry.timer("subject.seconds"):
-        pipeline = LearningPipeline(subject.accepts, config=config)
-        artifact = pipeline.run(subject.seeds)
+    tracer = Tracer() if config.trace else NULL_TRACER
+    cached = payload["artifact"]
+    if cached is None:
+        with registry.timer("subject.seconds"):
+            artifact = learn_subject(get_subject(name), config)
+    else:
+        artifact = RunArtifact.from_dict(cached)
+    with tracer.span("subject:" + name, cat="suite"):
+        metrics, perf = derive_subject_metrics(
+            name, artifact, SuiteParams(**payload["params"])
+        )
     return {
         "name": name,
-        "artifact": artifact.to_dict(),
-        "telemetry": {"metrics": registry.snapshot()},
+        "artifact": artifact.to_dict() if cached is None else None,
+        "metrics": metrics,
+        "perf": perf,
+        "telemetry": {
+            "metrics": registry.snapshot(),
+            "spans": tracer.snapshot(),
+        },
     }
-
-
-def run_subjects(
-    executor: Executor, payloads: Sequence[Dict[str, Any]]
-) -> Iterator[SubjectResult]:
-    """Drive subject tasks through an executor, decoding results.
-
-    Yields in completion order; callers key results by ``name`` (every
-    subject appears at most once per batch), so ordering is free.
-    """
-    for _index, raw in executor.unordered(learn_subject_task, payloads):
-        telemetry = raw.get("telemetry") or {}
-        yield SubjectResult(
-            name=raw["name"],
-            artifact=RunArtifact.from_dict(raw["artifact"]),
-            seconds=histogram_total(
-                telemetry.get("metrics"), "subject.seconds"
-            ),
-            telemetry=telemetry,
-        )

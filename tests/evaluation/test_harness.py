@@ -2,6 +2,7 @@
 determinism across job counts, and the regression comparator."""
 
 import copy
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.artifacts.suite import (
 from repro.evaluation import harness
 from repro.evaluation.fig6 import run_fig6
 from repro.evaluation.fig8 import run_fig8
+from repro.exec.backends import SerialExecutor
 from repro.programs import get_subject
 
 #: The two cheapest subjects; everything here stays tier-1 fast.
@@ -122,16 +124,98 @@ class TestLearnOnceAcrossFigures:
 class TestSuiteDeterminism:
     def test_metrics_byte_identical_across_jobs(self):
         """The acceptance gate at tier-1 scale: two tiny subjects at
-        jobs {1,2} produce byte-identical deterministic metrics."""
+        jobs 1, and at jobs 2 on both pools, produce byte-identical
+        deterministic metrics."""
         serial = harness.run_suite(
             subjects=TINY, jobs=1, cache=harness.SubjectArtifactCache()
         )
-        parallel = harness.run_suite(
-            subjects=TINY, jobs=2, cache=harness.SubjectArtifactCache()
+        for backend in ("thread", "process"):
+            parallel = harness.run_suite(
+                subjects=TINY,
+                jobs=2,
+                backend=backend,
+                cache=harness.SubjectArtifactCache(),
+            )
+            assert parallel.execution["backend"] == backend
+            assert canonical_metrics_bytes(
+                serial
+            ) == canonical_metrics_bytes(parallel), backend
+
+    def test_one_job_suite_derives_inside_the_subject_tasks(
+        self, monkeypatch
+    ):
+        """Each subject's metrics are derived by its own task, not by a
+        loop in the parent."""
+        callers = []
+        derive = harness.derive_subject_metrics
+
+        def spy(name, artifact, params=None):
+            frame, stack = sys._getframe(1), []
+            while frame is not None:
+                stack.append(
+                    (frame.f_globals.get("__name__"), frame.f_code.co_name)
+                )
+                frame = frame.f_back
+            callers.append((name, stack))
+            return derive(name, artifact, params)
+
+        monkeypatch.setattr(harness, "derive_subject_metrics", spy)
+        harness.run_suite(
+            subjects=TINY, jobs=1, cache=harness.SubjectArtifactCache()
         )
-        assert canonical_metrics_bytes(serial) == canonical_metrics_bytes(
-            parallel
+        assert sorted(name for name, _stack in callers) == sorted(TINY)
+        task = ("repro.exec.subject_shard", "evaluate_subject_task")
+        for name, stack in callers:
+            assert task in stack, name
+
+    def test_subjects_are_submitted_longest_first(self, monkeypatch):
+        """Tasks reach the executor by total seed characters, longest
+        first (xml 223, grep 61, sed 60), whatever order was asked."""
+        received = []
+
+        class Submitted(Exception):
+            pass
+
+        class Recording(SerialExecutor):
+            def unordered(self, fn, payloads):
+                received.extend(payload["name"] for payload in payloads)
+                raise Submitted
+
+        monkeypatch.setattr(
+            harness, "make_executor", lambda backend, jobs: Recording()
         )
+        with pytest.raises(Submitted):
+            harness.run_suite(
+                subjects="sed,grep,xml",
+                cache=harness.SubjectArtifactCache(),
+            )
+        assert received == ["xml", "grep", "sed"]
+
+    def test_warm_cache_still_evaluates_on_the_pool(self):
+        """Cached subjects go through the same pooled task: nothing is
+        learned, and the metrics do not move."""
+        cache = harness.SubjectArtifactCache()
+        cold = harness.run_suite(subjects=TINY, jobs=2, cache=cache)
+        warm = harness.run_suite(subjects=TINY, jobs=2, cache=cache)
+        assert warm.execution["cache_misses"] == 0
+        assert warm.execution["cache_hits"] == len(TINY)
+        assert warm.execution["backend"] != "serial"
+        assert warm.execution["worker_seconds"] == {}
+        assert canonical_metrics_bytes(warm) == canonical_metrics_bytes(
+            cold
+        )
+
+    def test_traced_warm_run_traces_only_its_own_work(self):
+        """A subject whose artifact came from the cache contributes its
+        derive span, but no learning spans from the run that cached
+        it."""
+        cache = harness.SubjectArtifactCache()
+        harness.run_suite(subjects=["sed"], cache=cache, trace=True)
+        warm = harness.run_suite(subjects=["sed"], cache=cache, trace=True)
+        spans = warm.telemetry["spans"]
+        assert [(span["shard"], span["name"]) for span in spans] == [
+            ("", "subject:sed")
+        ]
 
     def test_one_subject_spends_the_jobs_inside_its_pipeline(self):
         """One uncached subject learns on a one-worker executor, and

@@ -11,6 +11,7 @@ serial loop's at any completion order.
 """
 
 import threading
+from collections.abc import Mapping
 
 import pytest
 
@@ -582,6 +583,37 @@ class TestLazyChecks:
         assert all(
             payload["known"] is cache.known_results() for payload in payloads
         )
+
+    def test_one_job_wavefront_leaves_learned_verdicts_unread(
+        self, monkeypatch
+    ):
+        # Only pooled snapshots read the planner table, so at one job
+        # the wavefront never reads what a run learned.
+        class Unreadable(Mapping):
+            def _refuse(self, *_args):
+                raise AssertionError("a one-job run's verdicts were read")
+
+            __getitem__ = __iter__ = __len__ = _refuse
+
+        def unreadable(payload):
+            raw = run_pairs_task(payload)
+            raw["learned"] = Unreadable()
+            return raw
+
+        monkeypatch.setattr(merge_shard_mod, "run_pairs_task", unreadable)
+        names = ["ab", "cd", "ab", "cd", "ef"]
+        serial, queries, unique = serial_reference(names, no_e)
+        grammar, stars = make_stars(names)
+        plan = plan_merges(stars, mixed=True, n_samples=2)
+        committer = MergeCommitter(plan)
+        counting, cache = parent_stack(no_e)
+        run_merge_wavefront(
+            SerialExecutor(), plan, committer, no_e, counting, cache
+        )
+        assert committer.committed == plan.n_pairs
+        result = committer.finish(grammar)
+        assert str(result.grammar) == str(serial.grammar)
+        assert (counting.queries, cache.unique_queries) == (queries, unique)
 
     def test_pooled_snapshot_stops_at_first_known_rejection(
         self, monkeypatch
