@@ -35,7 +35,7 @@ from repro.core.phase2 import MergeCommitter, plan_merges
 from repro.core.pipeline import LearningPipeline
 from repro.exec.backends import make_executor
 from repro.exec.merge_shard import run_merge_wavefront
-from repro.learning.oracle import CachingOracle, CountingOracle
+from repro.learning.oracle import CachingOracle
 from repro.targets import get_target
 
 #: Job counts compared; 1 is the serial baseline.
@@ -92,17 +92,18 @@ def run_phase2_comparison(latency: float = DEFAULT_LATENCY,
         oracle = LatencyOracle(latency)
         plan = plan_merges(stars)
         started = time.perf_counter()
-        # Every row commits through the pipeline's counting/caching
-        # stack, which counts the pairs.
+        # Every row commits into the pipeline's run cache; the commit
+        # events count the pairs' queries, as the pipeline books them.
         cached = CachingOracle(oracle)
-        counting = CountingOracle(cached)
         committer = MergeCommitter(plan)
+        events = []
         with make_executor(backend, jobs, oracle) as executor:
             stats = run_merge_wavefront(
-                executor, plan, committer, oracle, counting, cached
+                executor, plan, committer, oracle, cached,
+                on_commit=events.append,
             )
         result = committer.finish(grammar)
-        counted = counting.queries
+        counted = sum(event.queries for event in events)
         elapsed = time.perf_counter() - started
         rows.append(
             {

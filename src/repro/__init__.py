@@ -21,7 +21,6 @@ For fuzzing (§8.3), combine the learned grammar with
 
 from repro.artifacts import (
     FileCheckpointStore,
-    MemoryCheckpointStore,
     NullCheckpointStore,
     RunArtifact,
     SCHEMA_VERSION,
@@ -68,7 +67,6 @@ __all__ = [
     "GrammarSampler",
     "LearningPipeline",
     "MembershipSession",
-    "MemoryCheckpointStore",
     "Nonterminal",
     "NullCheckpointStore",
     "RunArtifact",

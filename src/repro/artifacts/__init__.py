@@ -37,7 +37,6 @@ from repro.artifacts.schema import (
 from repro.artifacts.store import (
     CheckpointStore,
     FileCheckpointStore,
-    MemoryCheckpointStore,
     NullCheckpointStore,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "ArtifactError",
     "CheckpointStore",
     "FileCheckpointStore",
-    "MemoryCheckpointStore",
     "NullCheckpointStore",
     "RunArtifact",
     "SCHEMA_VERSION",

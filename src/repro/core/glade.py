@@ -70,7 +70,7 @@ class GladeConfig:
     #: Worker count for seed-sharded phase 1 and run-sharded phase 2
     #: (see :mod:`repro.exec`). Learned grammars and counted query
     #: totals are identical at any worker count: both phases settle
-    #: and commit in order on the run's counting stack. jobs > 1
+    #: and commit in order, and the run books their counts. jobs > 1
     #: trades speculative oracle work (a seed submitted while a
     #: predecessor that covers it was still in flight, merge pairs in a
     #: run the transitive skip would have avoided — evaluated anyway

@@ -37,13 +37,14 @@ serially or sharded across workers with identical results:
   :func:`pair_checks` yields one pair's checks from them in order, each
   once, so whoever asks a pair's checks builds only those it asks.
 - :class:`MergeCommitter` commits pairs strictly in plan order (the
-  *wavefront*), each through :meth:`~MergeCommitter.commit_serial` on
-  the run's counting/caching oracle stack. A pair whose stars are
-  already transitively equated at commit time is skipped without a
-  query, exactly like the serial loop's ``uf.find`` skip. Run tasks
-  (:mod:`repro.exec.merge_shard`) only evaluate pairs ahead of the
-  commits and pre-fill the cache, so the merge outcome — and the
-  counted query cost — is identical at any worker count.
+  *wavefront*), each through :meth:`~MergeCommitter.commit_serial`, a
+  decision over the verdicts a run task (:mod:`repro.exec.merge_shard`)
+  asked for the pair: merged when every check passed, rejected at the
+  first that failed. The commit asks no oracle. A pair whose stars are
+  already transitively equated at commit time is skipped and counts
+  nothing, exactly like the serial loop's ``uf.find`` skip, so the
+  merge outcome — and the counted query cost — is identical at any
+  worker count.
 
 The committer's per-pair decisions (``merged`` / ``rejected`` /
 ``skipped``) double as the phase's checkpoint format: replaying them
@@ -58,7 +59,16 @@ import hashlib
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.context import Context
 from repro.core.gtree import GStar
@@ -66,7 +76,6 @@ from repro.core.translate import star_nonterminal
 from repro.languages import regex as rx
 from repro.languages.cfg import Grammar, Nonterminal
 from repro.languages.sampler import sample_regex
-from repro.learning.oracle import Oracle
 
 #: Committed-pair decision codes (artifact schema v3 stores these).
 PAIR_MERGED = "merged"
@@ -281,13 +290,16 @@ def plan_merges(
 class CommitEvent:
     """What committing one pair did, for accounting and checkpoints.
 
-    ``discarded`` is the speculative cost of a pair a worker evaluated
+    ``queries`` is the pair's counted cost: the checks a serial run asks
+    for it, up to the first rejection (0 for a skipped pair).
+    ``discarded`` is the speculative cost of a pair a run task evaluated
     but the wavefront skipped: its verdict count, which a serial run
     never spends.
     """
 
     pair: MergePair
     decision: str
+    queries: int = 0
     discarded: int = 0
 
     @property
@@ -301,12 +313,11 @@ class MergeCommitter:
     The committer owns the union-find and the decision log, and
     :meth:`commit_serial` is the one way a pair commits. A pair already
     transitively equated when its turn comes is committed as
-    ``skipped`` without a query — the serial loop's ``uf.find`` skip.
-    Any other pair asks its checks in order through the oracle stack,
-    which counts and caches them, up to the first rejection. Workers
-    that evaluated the pair ahead of time only pre-fill the stack's
-    cache, so the merge outcome and the counted cost are independent of
-    how (and how speculatively) checks were evaluated.
+    ``skipped`` — the serial loop's ``uf.find`` skip. Any other pair is
+    decided by the verdicts its run task asked, in order, up to the
+    first rejection; they are also its counted cost. The committer asks
+    no oracle, so the merge outcome and the counted cost are independent
+    of how (and how speculatively) checks were evaluated.
 
     ``decisions`` is the durable progress record; :meth:`replay`
     restores a committer from it without re-issuing a single query.
@@ -362,26 +373,29 @@ class MergeCommitter:
                 )
             self._apply(self.next_pair(), decision)
 
-    def commit_serial(self, oracle: Oracle) -> CommitEvent:
-        """Commit the next pair, asking its checks through ``oracle``.
+    def commit_serial(
+        self, verdicts: Optional[Sequence[bool]]
+    ) -> CommitEvent:
+        """Commit the next pair on the verdicts a run task asked for it.
 
-        Skipped pairs cost nothing; evaluated pairs ask their checks in
-        order through the oracle stack (which does its own counting and
-        caching) up to the first rejection. This is the only way a pair
-        commits, on every backend: the wavefront calls it after
-        recording a run task's verdicts for the pair in the cache, so
-        its checks count here and hit the cache. No check is hinted to
-        a prefetching stack.
+        ``verdicts`` are the pair's checks' answers in plan order, up to
+        and including the first rejection, or None when no run evaluated
+        the pair (which then must be equated). A pair already equated is
+        skipped, and its verdicts, if any, are booked as discarded
+        speculation; any other pair merges when every verdict passed and
+        is rejected otherwise, counting one query per verdict. This is
+        the only way a pair commits, on every backend.
         """
         pair = self.next_pair()
         if self.equated(pair.star_i, pair.star_j):
-            decision = PAIR_SKIPPED
-        elif all(oracle(check) for check in self.plan.checks(pair)):
-            decision = PAIR_MERGED
+            event = CommitEvent(
+                pair, PAIR_SKIPPED, discarded=len(verdicts or ())
+            )
         else:
-            decision = PAIR_REJECTED
-        self._apply(pair, decision)
-        return CommitEvent(pair=pair, decision=decision)
+            decision = PAIR_MERGED if all(verdicts) else PAIR_REJECTED
+            event = CommitEvent(pair, decision, queries=len(verdicts))
+        self._apply(pair, event.decision)
+        return event
 
     def finish(self, grammar: Grammar) -> Phase2Result:
         """Equate merged nonterminals and wrap up the phase."""

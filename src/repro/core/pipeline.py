@@ -25,13 +25,14 @@ serial run. The serial backend never speculates.
 Phase two runs one loop on the same backends at every job count
 (:mod:`repro.exec.merge_shard`): :func:`repro.core.phase2.plan_merges`
 lists the pairs and samples each star's residuals once, tasks evaluate
-runs of consecutive pairs, and every pair commits strictly in plan
-order through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
-on the run's counting/caching stack, which counts it. Each builds a
-pair's checks only as it asks them. A run asks the base oracle behind
-its own cache. With one worker, a run starts once every earlier pair
-has committed and reads the run's cache, so it evaluates exactly the
-pairs a serial loop evaluates and asks only strings the cache lacks.
+runs of consecutive pairs, building a pair's checks only as they ask
+them, and every pair commits strictly in plan order through
+:meth:`~repro.core.phase2.MergeCommitter.commit_serial`, a decision
+over the verdicts its run returned that asks nothing. A run asks the
+base oracle behind its own cache. With one worker, a run starts once
+every earlier pair has committed and reads the run's cache, so it
+evaluates exactly the pairs a serial loop evaluates and asks only
+strings the cache lacks.
 With several, runs are evaluated ahead of the commits; a pair
 transitively equated by the time it commits is skipped exactly like
 the serial loop's skip, with its speculative cost routed to
@@ -40,7 +41,9 @@ independent of the job count. Phase 2 runs ahead only through its runs
 and jobs: it hands no prefetch hint to the oracle, since a pair's
 checks stop at the first rejection.
 
-Both phases count distinct strings in one place, the run's
+Counted queries are booked in one place, the run's accounting: one
+per validated seed, each seed task's count and each committed pair's
+verdicts. Both phases count distinct strings in one place, the run's
 :class:`~repro.learning.oracle.CachingOracle`. Every task asks through
 its own cache and returns the verdicts it learned. A merge pair's
 verdicts enter the run's cache when the pair commits. A seed's are held
@@ -97,18 +100,13 @@ from repro.artifacts.run import (
 from repro.artifacts.store import CheckpointStore, NullCheckpointStore
 from repro.core.glade import GladeConfig
 from repro.core.gtree import stars_of
-from repro.core.phase2 import MergeCommitter, plan_merges
+from repro.core.phase2 import CommitEvent, MergeCommitter, plan_merges
 from repro.core.translate import translate_trees
 from repro.exec.backends import make_executor
 from repro.exec.merge_shard import run_merge_wavefront
 from repro.exec.shard import SeedResult, run_pending, seed_payload
 from repro.languages.engine import MembershipSession
-from repro.learning.oracle import (
-    CachingOracle,
-    CountingOracle,
-    Oracle,
-    TracingOracle,
-)
+from repro.learning.oracle import CachingOracle, Oracle, TracingOracle
 from repro.learning.resilience import OracleFailedError, add_fault_counters
 from repro.obs.export import LiveTelemetry, build_telemetry
 from repro.obs.metrics import (
@@ -221,15 +219,14 @@ class LearningPipeline:
         seeded = registry.snapshot()
         fault_baseline = counters_with_prefix(seeded, "oracle.fault.")
         exec_baseline = counters_with_prefix(seeded, "exec.")
-        # Counter around cache: ``oracle_queries`` counts every query
-        # including cache hits (the paper's metric); see core/glade.py.
-        # The tracing layer sits *inside* the cache — it observes real
-        # oracle invocations and never changes counting semantics.
+        # ``oracle_queries`` counts every query including cache hits (the
+        # paper's metric); the run's accounting books them. The tracing
+        # layer sits *inside* the cache — it observes real oracle
+        # invocations and never changes counting semantics.
         base_oracle: Any = self.oracle
         if tracer.enabled:
             base_oracle = TracingOracle(base_oracle, registry, tracer)
         cached = CachingOracle(base_oracle)
-        counting = CountingOracle(cached)
         base_queries = artifact.oracle_queries
         base_unique = artifact.unique_queries
         clock = StageClock(artifact.timings)
@@ -252,9 +249,7 @@ class LearningPipeline:
             """
             with registry.timer("pipeline.checkpoint"):
                 artifact.timings = clock.timings()
-                artifact.oracle_queries = (
-                    base_queries + counting.queries + state.queries_delta
-                )
+                artifact.oracle_queries = base_queries + state.queries_delta
                 artifact.unique_queries = base_unique + state.unique()
                 self.store.save(artifact)
                 if final and tracer.enabled:
@@ -268,7 +263,7 @@ class LearningPipeline:
                     for record in artifact.seeds:
                         if record.state != SEED_PENDING:
                             continue
-                        if not counting(record.text):
+                        if not state.validate(record.text):
                             raise SeedRejected(record.text, record.source)
                         record.state = SEED_VALIDATED
                     artifact.stage = "validate"
@@ -301,7 +296,7 @@ class LearningPipeline:
                 ) as stage_span:
                     if config.enable_phase2:
                         self._run_phase2(
-                            artifact, config, trees, cached, counting,
+                            artifact, config, trees, cached, state,
                             checkpoint, registry, tracer, stage_span.id,
                         )
                     artifact.stage = "phase2"
@@ -319,7 +314,7 @@ class LearningPipeline:
                 # Outside the stage block: the final save's telemetry
                 # and timings include the closed finalize span.
                 self._record_fault_tolerance(
-                    artifact, counting, registry,
+                    artifact, cached, registry,
                     fault_baseline, exec_baseline,
                 )
                 checkpoint(final=True)
@@ -329,7 +324,7 @@ class LearningPipeline:
             # fast, but leave a resumable checkpoint — nothing learned
             # so far is lost and no wrong verdict was recorded.
             self._record_fault_tolerance(
-                artifact, counting, registry,
+                artifact, cached, registry,
                 fault_baseline, exec_baseline,
             )
             checkpoint(final=True)
@@ -340,7 +335,7 @@ class LearningPipeline:
     def _record_fault_tolerance(
         self,
         artifact: RunArtifact,
-        counting: CountingOracle,
+        cached: CachingOracle,
         registry: MetricsRegistry,
         fault_baseline: Dict[str, int],
         exec_baseline: Dict[str, int],
@@ -354,7 +349,7 @@ class LearningPipeline:
         ``artifact.execution`` — execution metadata only, never part of
         any compared metric surface.
         """
-        add_fault_counters(counting, registry)
+        add_fault_counters(cached, registry)
         snapshot = registry.snapshot()
         merged = dict(artifact.execution.get("faults") or {})
         for name, value in counters_with_prefix(
@@ -503,7 +498,7 @@ class LearningPipeline:
         config: GladeConfig,
         trees,
         cached: CachingOracle,
-        counting: CountingOracle,
+        state: "_RunAccounting",
         checkpoint,
         registry: MetricsRegistry,
         tracer,
@@ -518,9 +513,10 @@ class LearningPipeline:
         restore the union-find without a single query. Every pair
         commits through
         :meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the
-        parent's counting/caching stack, so ``oracle_queries`` /
-        ``unique_queries`` are counted in one place on every backend;
-        discarded speculation lands in ``speculative_queries``.
+        verdicts its run returned, and the run's accounting books its
+        counted queries, so ``oracle_queries`` / ``unique_queries`` are
+        counted in one place on every backend; discarded speculation
+        lands in ``speculative_queries``.
         """
         stars = [star for tree in trees for star in stars_of(tree)]
         plan = plan_merges(
@@ -542,8 +538,8 @@ class LearningPipeline:
             "decisions": committer.decisions,
         }
 
-        def on_commit(event) -> None:
-            artifact.speculative_queries += event.discarded
+        def on_commit(event: CommitEvent) -> None:
+            state.commit(artifact, event)
             if event.evaluated or event.discarded:
                 checkpoint()
 
@@ -553,7 +549,6 @@ class LearningPipeline:
                 plan,
                 committer,
                 self.oracle,
-                counting,
                 cached,
                 on_commit=on_commit,
                 registry=registry,
@@ -576,20 +571,27 @@ def _record_executor(registry: MetricsRegistry, phase: str, executor) -> None:
 
 
 class _RunAccounting:
-    """Bookkeeping for phase-1 work done outside the parent oracle stack.
+    """The run's counted queries and distinct strings.
 
-    ``queries_delta`` counts the queries of seed tasks completed *this
-    process* (the parent's counting layer never saw them), less those
-    of seeds the covered-seed rule discards. A seed task's verdicts are
-    held here while the seed is unsettled: a discarded seed's strings
-    must not count. :meth:`keep` folds a kept seed's verdicts into the
-    run's cache once, so from then on the cache alone counts them.
+    ``queries_delta`` counts the queries booked *this process*: one per
+    validated seed, each completed seed task's and each committed
+    pair's, less those of seeds the covered-seed rule discards. A seed
+    task's verdicts are held here while the seed is unsettled: a
+    discarded seed's strings must not count. :meth:`keep` folds a kept
+    seed's verdicts into the run's cache once, so from then on the
+    cache alone counts them; a committed pair's verdicts join it when
+    the pair commits.
     """
 
     def __init__(self, cached: CachingOracle):
         self.queries_delta = 0
         self._cached = cached
         self._unsettled: Dict[int, Dict[str, bool]] = {}
+
+    def validate(self, text: str) -> bool:
+        """Ask the run's cache whether a seed is valid: one query."""
+        self.queries_delta += 1
+        return self._cached(text)
 
     def absorb(self, artifact: RunArtifact, outcome: SeedResult) -> None:
         """Record a freshly completed seed task (any backend)."""
@@ -621,6 +623,12 @@ class _RunAccounting:
         artifact.phase1_results = [
             r for r in artifact.phase1_results if r.seed_index != index
         ]
+
+    def commit(self, artifact: RunArtifact, event: CommitEvent) -> None:
+        """Book a committed pair's queries, and a skipped pair's
+        speculative ones."""
+        self.queries_delta += event.queries
+        artifact.speculative_queries += event.discarded
 
     def unique(self) -> int:
         """Distinct strings queried this process: the run cache's, plus

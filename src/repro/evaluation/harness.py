@@ -218,11 +218,18 @@ class SubjectArtifactCache:
         subject: Subject,
         config: Optional[GladeConfig],
         artifact: RunArtifact,
-    ) -> None:
-        """Store a freshly learned artifact, accounting it as a miss."""
+    ) -> RunArtifact:
+        """Store a freshly learned artifact, accounting it as a miss,
+        and return what was stored.
+
+        The cache keeps it without its telemetry, in memory and on disk:
+        nothing reads a cached artifact's telemetry, and a traced run's
+        holds megabytes of spans.
+        """
         if config is None:
             config = default_subject_config(subject)
         key = _cache_key(subject, config)
+        artifact = replace(artifact, telemetry=None)
         self._memory[key] = artifact
         self.misses += 1
         self.queries_spent += artifact.oracle_queries
@@ -230,6 +237,7 @@ class SubjectArtifactCache:
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             save_artifact(artifact, path)
+        return artifact
 
     def get(
         self, subject: Subject, config: Optional[GladeConfig] = None
@@ -238,9 +246,7 @@ class SubjectArtifactCache:
         artifact = self.lookup(subject, config)
         if artifact is not None:
             return artifact
-        artifact = learn_subject(subject, config)
-        self.absorb(subject, config, artifact)
-        return artifact
+        return self.absorb(subject, config, learn_subject(subject, config))
 
 
 #: Process-wide default cache: figure modules share it so a combined

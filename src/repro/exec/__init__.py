@@ -11,7 +11,7 @@ process pool — selected by ``GladeConfig.jobs`` / ``backend`` (CLI
 - phase 2 is *run-sharded* (:mod:`repro.exec.merge_shard`): one task
   per run of consecutive merge-candidate pairs, evaluated behind a
   cross-pair query planner (speculatively at several jobs); every pair
-  commits in plan order through the run's counting stack.
+  commits in plan order on the verdicts its run returned.
 
 The evaluation suite (``repro eval``) is *subject-sharded*
 (:mod:`repro.exec.subject_shard`): one task per subject learns its

@@ -28,11 +28,11 @@ module is its one loop, at every job count:
   returned until then; runs still in flight share nothing.
 - :func:`run_merge_wavefront` commits pairs strictly in plan order,
   each through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`
-  on the parent's counting/caching stack, once the pair's verdicts are
-  recorded in that cache: the commit asks what a serial run asks,
-  counts it, and hits the cache every time. A pair a speculative run
-  evaluated but that is equated by its turn commits as skipped, and
-  its verdicts are booked as speculative.
+  on the verdicts its run returned: the commit asks nothing, and its
+  event counts what a serial run asks. A committed pair's verdicts
+  join the run's cache once; a pair a speculative run evaluated but
+  that is equated by its turn commits as skipped, and its verdicts are
+  booked as speculative.
 """
 
 from __future__ import annotations
@@ -51,12 +51,7 @@ from repro.core.phase2 import (
     pair_checks,
 )
 from repro.exec.backends import Executor
-from repro.learning.oracle import (
-    CachingOracle,
-    CountingOracle,
-    Oracle,
-    TracingOracle,
-)
+from repro.learning.oracle import CachingOracle, Oracle, TracingOracle
 from repro.learning.resilience import add_fault_counters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -136,8 +131,8 @@ def run_pairs_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 class WavefrontStats:
     """Work one wavefront performed, which depends on completion timing.
 
-    Counted queries are not here: commits count through the parent's
-    oracle stack (read ``counting.queries``). ``speculative_queries`` /
+    Counted queries are not here: each commit event carries its pair's
+    (``CommitEvent.queries``). ``speculative_queries`` /
     ``pairs_discarded`` cover pairs evaluated before the commits that
     made them redundant landed; ``invocations`` / ``table_hits`` count
     checks the base oracle answered and checks a cache or the planner
@@ -155,7 +150,6 @@ def run_merge_wavefront(
     plan: MergePlan,
     committer: MergeCommitter,
     oracle: Oracle,
-    counting: CountingOracle,
     cache: CachingOracle,
     on_commit: Optional[Callable[..., None]] = None,
     registry: Optional[MetricsRegistry] = None,
@@ -164,17 +158,17 @@ def run_merge_wavefront(
 ) -> WavefrontStats:
     """Drive phase 2's remaining pairs through an executor.
 
-    ``oracle`` is the base oracle; ``counting`` is the parent's counting
-    layer over ``cache``, through which every pair commits. Runs are
-    built lazily, on this thread, between results, from the committed
-    state: a pair already equated then is never submitted.
-    ``on_commit(event)`` runs for every committed pair (the pipeline's
-    checkpoint hook), and once more, as a cost-only event (``discarded``
-    set, decision log untouched), for a pair that committed as skipped
-    before its run landed. Worker metrics merge into ``registry`` in
-    arrival order; a pair's spans absorb into ``tracer`` only when it
-    commits with a real decision, so the trace has a serial run's
-    structure.
+    ``oracle`` is the base oracle; ``cache`` is the run's cache, which
+    each committed pair's verdicts join. Runs are built lazily, on this
+    thread, between results, from the committed state: a pair already
+    equated then is never submitted.
+    ``on_commit(event)`` runs for every committed pair (the pipeline
+    books its counted queries and checkpoints), and once more, as a
+    cost-only event (``discarded`` set, decision log untouched), for a
+    pair that committed as skipped before its run landed. Worker
+    metrics merge into ``registry`` in arrival order; a pair's spans
+    absorb into ``tracer`` only when it commits with a real decision,
+    so the trace has a serial run's structure.
     """
     # The planner's known verdicts: the run's cache (phase 1's and the
     # committed pairs') and, for pooled runs' snapshots, what finished
@@ -197,19 +191,15 @@ def run_merge_wavefront(
             pair = committer.next_pair()
             if pair.index in outcomes:
                 verdicts = outcomes.pop(pair.index)
-                # An equated pair's verdicts are speculation, not asked.
-                if verdicts and not committer.equated(
-                    pair.star_i, pair.star_j
-                ):
-                    checks = islice(plan.checks(pair), len(verdicts))
-                    cache.record(zip(checks, verdicts))
             elif committer.equated(pair.star_i, pair.star_j):
                 verdicts = None
             else:
                 break
-            event = committer.commit_serial(counting)
-            if not event.evaluated and verdicts is not None:
-                event.discarded = len(verdicts)
+            event = committer.commit_serial(verdicts)
+            if event.queries:
+                # A skipped pair's verdicts are speculation, not asked.
+                checks = islice(plan.checks(pair), event.queries)
+                cache.record(zip(checks, verdicts))
             if tracer.enabled:
                 shard = "pair:{}".format(pair.index)
                 pair_spans = spans.pop(shard, ())

@@ -165,9 +165,8 @@ class CachingOracle:
         """Cache ``verdicts`` (a mapping, or (string, verdict) pairs) as
         if the oracle answered them, so the strings count toward
         ``unique_queries``. The pipeline records a kept seed task's
-        verdicts this way, and the phase-2 wavefront a run task's
-        verdicts for a pair, before committing the pair through this
-        cache.
+        verdicts this way, and the phase-2 wavefront a committed pair's
+        verdicts from its run task.
         """
         self._cache.update(verdicts)
 

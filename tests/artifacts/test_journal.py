@@ -20,13 +20,14 @@ import sys
 import pytest
 
 from repro.artifacts.journal import read_checkpoint
-from repro.artifacts.store import FileCheckpointStore, MemoryCheckpointStore
+from repro.artifacts.store import FileCheckpointStore
 from repro.cli import main as cli_main
 from repro.core.glade import GladeConfig
 from repro.core.pipeline import LearningPipeline
 from repro.obs.export import span_structure
 
 from tests.core.helpers import SingleLetterRuns
+from tests.memory_store import MemoryCheckpointStore
 
 LETTERS = 6
 

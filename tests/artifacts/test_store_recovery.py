@@ -25,14 +25,16 @@ from repro.artifacts import RunArtifact
 from repro.artifacts.journal import artifact_digest, load_artifact
 from repro.artifacts.run import SeedRecord
 from repro.artifacts.schema import ArtifactCorrupt, ArtifactError
-from repro.artifacts.store import (
-    CheckpointStore,
-    FileCheckpointStore,
-    MemoryCheckpointStore,
-)
+from repro.artifacts.store import CheckpointStore, FileCheckpointStore
 from repro.core.glade import GladeConfig
 from repro.core.gtree import GRoot
 from repro.core.phase1 import Phase1Result
+from repro.core.phase2 import (
+    PAIR_MERGED,
+    PAIR_SKIPPED,
+    CommitEvent,
+    MergePair,
+)
 from repro.core.pipeline import LearningPipeline, _RunAccounting
 from repro.exec.backends import Executor
 from repro.exec.shard import SeedResult
@@ -43,6 +45,7 @@ from tests.core.helpers import (
     SingleLetterRuns,
     xml_like_oracle,
 )
+from tests.memory_store import MemoryCheckpointStore
 
 SEEDS = ["<a>ab</a>", "xy"]
 
@@ -474,9 +477,12 @@ def test_results_and_grammars_are_encoded_per_snapshot(
 class TestUniqueQueryAccounting:
     @pytest.mark.parametrize("seed", range(8))
     def test_incremental_union_matches_brute_force(self, seed):
-        """Random absorb, keep, discard and parent-growth sequences: the
-        count is the union of the parent's strings and every kept or
-        unsettled shard, and a kept shard's verdicts are in the cache."""
+        """Random validate, absorb, keep, discard and pair-commit
+        sequences: the counted queries are one per validation, each
+        absorbed seed's unless discarded, and each committed pair's;
+        the distinct count is the union of the validated and committed
+        strings and every kept or unsettled shard; and a kept shard's
+        verdicts are in the cache."""
         rng = random.Random(seed)
         n_seeds = 6
         artifact = RunArtifact(
@@ -492,21 +498,32 @@ class TestUniqueQueryAccounting:
         kept = set()
         unsettled = {}
         settled = set()
+        seed_queries = {}
+        counted = speculative = 0
 
         def strings():
             return {str(rng.randrange(60)) for _ in range(rng.randrange(12))}
 
-        for _step in range(120):
-            move = rng.choice(("absorb", "keep", "discard", "parent"))
+        for _step in range(160):
+            move = rng.choice(
+                ("validate", "absorb", "keep", "discard", "commit")
+            )
             index = rng.randrange(n_seeds)
-            if move == "absorb":
+            if move == "validate":
+                text = str(rng.randrange(60))
+                assert state.validate(text) == oracle(text)
+                parent.add(text)
+                counted += 1
+            elif move == "absorb":
                 if index in unsettled or index in settled:
                     continue
                 unsettled[index] = strings()
+                seed_queries[index] = rng.randrange(1, 9)
+                counted += seed_queries[index]
                 state.absorb(artifact, SeedResult(
                     index=index,
                     result=Phase1Result(root=GRoot(), seed_index=index),
-                    queries=rng.randrange(1, 9),
+                    queries=seed_queries[index],
                     verdicts={text: oracle(text) for text in unsettled[index]},
                     seconds=0.0,
                 ))
@@ -522,14 +539,33 @@ class TestUniqueQueryAccounting:
                 state.discard(artifact, index)
                 unsettled.pop(index, None)
                 settled.add(index)
+                discarded = seed_queries.pop(index, 0)
+                counted -= discarded
+                speculative += discarded
             else:
-                for text in strings():
-                    cached(text)
-                    parent.add(text)
+                # A committed pair's verdicts join the cache as the
+                # wavefront records them; a skipped pair's do not.
+                texts = strings()
+                if rng.random() < 0.3:
+                    event = CommitEvent(
+                        MergePair(0, 0, 1), PAIR_SKIPPED,
+                        discarded=len(texts),
+                    )
+                else:
+                    cached.record((text, oracle(text)) for text in texts)
+                    parent |= texts
+                    event = CommitEvent(
+                        MergePair(0, 0, 1), PAIR_MERGED, queries=len(texts)
+                    )
+                state.commit(artifact, event)
+                counted += event.queries
+                speculative += event.discarded
             union = parent | kept
             for shard in unsettled.values():
                 union |= shard
             assert state.unique() == len(union)
+            assert state.queries_delta == counted
+            assert artifact.speculative_queries == speculative
             known = cached.known_results()
             assert all(known[text] == oracle(text) for text in kept)
 

@@ -17,7 +17,6 @@ import pytest
 from repro.artifacts import (
     SCHEMA_VERSION,
     ArtifactError,
-    MemoryCheckpointStore,
     RunArtifact,
     SEED_USED,
     SEED_VALIDATED,
@@ -35,6 +34,7 @@ from repro.core.pipeline import LearningPipeline
 from repro.obs.trace import Tracer
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
+from tests.memory_store import MemoryCheckpointStore
 
 SEEDS = ["<a>ab</a>", "xy"]
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.artifacts import MemoryCheckpointStore, grammar_to_dict
+from repro.artifacts import grammar_to_dict
 from repro.core.glade import GladeConfig
 from repro.core.pipeline import LearningPipeline
 from repro.learning.resilience import (
@@ -25,6 +25,8 @@ from repro.learning.resilience import (
     parse_fault_spec,
 )
 from repro.targets import get_target
+
+from tests.memory_store import MemoryCheckpointStore
 
 
 @pytest.fixture(scope="module")

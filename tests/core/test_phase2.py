@@ -253,6 +253,17 @@ class TestMergePlan:
         assert sorted(calls) == sorted(s.star_id for s in stars)
 
 
+def ask(plan, pair, oracle):
+    """The pair's verdicts as a run task asks them: its checks in order,
+    up to the first rejection."""
+    verdicts = []
+    for check in plan.checks(pair):
+        verdicts.append(oracle(check))
+        if not verdicts[-1]:
+            break
+    return tuple(verdicts)
+
+
 class TestMergeCommitter:
     def setup_plan(self, oracle=None):
         from repro.core.phase2 import MergeCommitter, plan_merges
@@ -263,50 +274,62 @@ class TestMergeCommitter:
 
     def test_commit_serial_merges_then_skips_for_free(self):
         from repro.core.phase2 import PAIR_MERGED, PAIR_SKIPPED
-        from repro.learning.oracle import CountingOracle
 
         _grammar, plan, committer = self.setup_plan()
-        counting = CountingOracle(lambda text: True)
         events = []
         while not committer.done:
-            before = counting.queries
-            events.append((committer.commit_serial(counting), before))
+            pair = committer.next_pair()
+            verdicts = (
+                None if committer.equated(pair.star_i, pair.star_j)
+                else ask(plan, pair, lambda text: True)
+            )
+            events.append(committer.commit_serial(verdicts))
         assert committer.decisions == [
             PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED,
         ]
         # Pair (1,2) is transitively equated by its turn: it commits as
-        # skipped, asks nothing and books no speculative cost.
-        skipped, before = events[-1]
-        assert not skipped.evaluated and skipped.discarded == 0
-        assert counting.queries == before
-        assert counting.queries == sum(
+        # skipped, counts nothing and books no speculative cost.
+        skipped = events[-1]
+        assert not skipped.evaluated
+        assert (skipped.queries, skipped.discarded) == (0, 0)
+        assert [event.queries for event in events[:2]] == [
             len(list(plan.checks(pair))) for pair in plan.pairs[:2]
-        )
+        ]
+
+    def test_skipped_pairs_verdicts_are_discarded_not_counted(self):
+        from repro.core.phase2 import PAIR_SKIPPED
+
+        _grammar, plan, committer = self.setup_plan()
+        committer.replay(["merged", "merged"])
+        event = committer.commit_serial((True, True, False))
+        assert event.decision == PAIR_SKIPPED
+        assert (event.queries, event.discarded) == (0, 3)
 
     def test_short_circuit_counts_prefix_only(self):
         from repro.core.phase2 import PAIR_REJECTED
-        from repro.learning.oracle import CountingOracle
 
         _grammar, plan, committer = self.setup_plan()
         second = list(plan.checks(plan.pairs[0]))[1]
-        counting = CountingOracle(lambda text: text != second)
-        event = committer.commit_serial(counting)
+        verdicts = ask(plan, plan.pairs[0], lambda text: text != second)
+        assert verdicts == (True, False)
+        event = committer.commit_serial(verdicts)
         assert event.decision == PAIR_REJECTED
-        assert counting.queries == 2
+        assert event.queries == 2
 
     def test_replay_reproduces_state_and_decisions(self):
         from repro.core.phase2 import MergeCommitter, plan_merges
-        from repro.learning.oracle import CountingOracle
 
         grammar, stars = _star_row(["ab", "cd", "ab", "cd"])
         plan = plan_merges(stars)
         reference = MergeCommitter(plan)
+
         # Merge only equal-name stars: a check mixing both names fails.
-        counting = CountingOracle(
-            lambda text: not ("ab" in text and "cd" in text)
-        )
+        def oracle(text):
+            return not ("ab" in text and "cd" in text)
+
         while not reference.done:
-            reference.commit_serial(counting)
+            pair = reference.next_pair()
+            reference.commit_serial(ask(plan, pair, oracle))
         assert "merged" in reference.decisions
         assert "rejected" in reference.decisions
 

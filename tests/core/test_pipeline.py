@@ -11,7 +11,6 @@ through the full JSON encoding, exactly like a crash-and-reload.
 import pytest
 
 from repro.artifacts import (
-    MemoryCheckpointStore,
     RunArtifact,
     SEED_SKIPPED,
     SEED_USED,
@@ -21,6 +20,7 @@ from repro.core.glade import GladeConfig, learn_grammar
 from repro.core.pipeline import LearningPipeline, SeedRejected
 
 from tests.core.helpers import XML_ALPHABET, xml_like_oracle
+from tests.memory_store import MemoryCheckpointStore
 
 SEEDS = ["<a>ab</a>", "xy", "<a><a>q</a></a>"]
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.artifacts.journal import load_artifact
 from repro.artifacts.suite import (
     SubjectMetrics,
     SubjectPerf,
@@ -216,6 +217,25 @@ class TestSuiteDeterminism:
         assert [(span["shard"], span["name"]) for span in spans] == [
             ("", "subject:sed")
         ]
+
+    def test_cache_files_carry_no_telemetry(self, tmp_path):
+        """A traced suite caches each artifact without its telemetry,
+        and a warm re-run over those files derives the same metrics."""
+        cold = harness.run_suite(
+            subjects=TINY,
+            cache=harness.SubjectArtifactCache(tmp_path),
+            trace=True,
+        )
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(files) == len(TINY)
+        assert all(load_artifact(path).telemetry is None for path in files)
+        warm = harness.run_suite(
+            subjects=TINY, cache=harness.SubjectArtifactCache(tmp_path)
+        )
+        assert warm.execution["cache_misses"] == 0
+        assert canonical_metrics_bytes(warm) == canonical_metrics_bytes(
+            cold
+        )
 
     def test_one_subject_spends_the_jobs_inside_its_pipeline(self):
         """One uncached subject learns on a one-worker executor, and

@@ -4,10 +4,10 @@ Unit-level coverage for :mod:`repro.exec.merge_shard`: run tasks keep
 sequential short-circuit semantics and skip pairs their stars' merges
 already equate, the known-verdict table dedupes check strings across
 pairs, each step builds only the checks it asks, and the wavefront
-commits in plan order through the parent's counting/caching stack —
-discarding speculatively evaluated pairs exactly as the serial loop's
-transitive skip would, with counted and unique totals equal to the
-serial loop's at any completion order.
+commits in plan order on the verdicts its runs returned — discarding
+speculatively evaluated pairs exactly as the serial loop's transitive
+skip would, with counted and unique totals equal to the serial loop's
+at any completion order.
 """
 
 import threading
@@ -80,26 +80,37 @@ def make_stars(names):
     return grammar, stars
 
 
-def parent_stack(fn=None):
-    """The pipeline's parent stack: a counting layer over a cache.
+def parent_cache(fn=None):
+    """The pipeline's run cache.
 
     Without ``fn`` the cache's base oracle raises, so a wavefront run
-    over it proves that every commit was answered from the cache.
+    over it proves that nothing asked the parent's oracle.
     """
 
     def forbidden(text):
         raise AssertionError("the parent's base oracle was asked")
 
-    cache = CachingOracle(fn if fn is not None else forbidden)
-    return CountingOracle(cache), cache
+    return CachingOracle(fn if fn is not None else forbidden)
 
 
 def serial_reference(names, oracle_fn):
     """``merge_repetitions`` through a counting/caching stack."""
     grammar, stars = make_stars(names)
-    counting, cache = parent_stack(oracle_fn)
+    cache = CachingOracle(oracle_fn)
+    counting = CountingOracle(cache)
     result = merge_repetitions(grammar, stars, counting)
     return result, counting.queries, cache.unique_queries
+
+
+def run_wavefront(executor, plan, committer, oracle, cache, **kwargs):
+    """Run the wavefront; returns its stats and the counted queries of
+    its commit events, which the pipeline books."""
+    events = []
+    stats = run_merge_wavefront(
+        executor, plan, committer, oracle, cache,
+        on_commit=events.append, **kwargs,
+    )
+    return stats, sum(event.queries for event in events)
 
 
 def star_material(names):
@@ -262,17 +273,16 @@ def test_wavefront_matches_serial_loop_counts_and_grammar():
     grammar2, stars2 = make_stars(names)
     plan = plan_merges(stars2, mixed=True, n_samples=2)
     committer = MergeCommitter(plan)
-    counting, cache = parent_stack()
+    cache = parent_cache()
     with ThreadExecutor(4) as executor:
-        run_merge_wavefront(
-            executor, plan, committer, CountingBase(oracle_fn),
-            counting, cache,
+        _stats, counted = run_wavefront(
+            executor, plan, committer, CountingBase(oracle_fn), cache
         )
     result = committer.finish(grammar2)
     assert str(result.grammar) == str(serial.grammar)
     assert result.representative == serial.representative
-    # The parent stack counted the serial loop's totals.
-    assert counting.queries == queries
+    # The commits counted the serial loop's totals.
+    assert counted == queries
     assert cache.unique_queries == unique
     assert committer.done
 
@@ -285,10 +295,10 @@ def test_reversed_completion_order_discards_transitive_pairs():
     grammar, stars = make_stars(["ab", "ab", "ab"])
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
-    counting, cache = parent_stack()
+    cache = parent_cache()
     with ReorderingExecutor() as executor:
-        stats = run_merge_wavefront(
-            executor, plan, committer, lambda text: True, counting, cache
+        stats, counted = run_wavefront(
+            executor, plan, committer, lambda text: True, cache
         )
     assert committer.decisions == [PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED]
     assert stats.speculative_queries > 0
@@ -298,7 +308,7 @@ def test_reversed_completion_order_discards_transitive_pairs():
     serial, queries, unique = serial_reference(
         ["ab", "ab", "ab"], lambda text: True
     )
-    assert counting.queries == queries
+    assert counted == queries
     assert cache.unique_queries == unique
     assert str(committer.finish(grammar).grammar) == str(serial.grammar)
 
@@ -326,11 +336,11 @@ def test_late_speculative_result_still_booked_as_discarded():
     grammar, stars = make_stars(["ab", "ab", "ab"])
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
-    counting, cache = parent_stack()
+    cache = parent_cache()
     events = []
     with EagerInOrderExecutor() as executor:
         stats = run_merge_wavefront(
-            executor, plan, committer, lambda text: True, counting, cache,
+            executor, plan, committer, lambda text: True, cache,
             on_commit=events.append,
         )
     assert committer.decisions == [PAIR_MERGED, PAIR_MERGED, PAIR_SKIPPED]
@@ -342,12 +352,12 @@ def test_late_speculative_result_still_booked_as_discarded():
     late = events[-1]
     assert late.pair.index == 2
     assert late.decision == PAIR_SKIPPED
-    assert late.discarded == len(third)
+    assert (late.queries, late.discarded) == (0, len(third))
     # The skipped pair's strings stay out of the counted totals.
     _serial, queries, unique = serial_reference(
         ["ab", "ab", "ab"], lambda text: True
     )
-    assert counting.queries == queries
+    assert sum(event.queries for event in events) == queries
     assert cache.unique_queries == unique
 
 
@@ -362,11 +372,10 @@ def test_planner_table_dedupes_across_pairs():
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
     oracle = CountingBase(lambda text: True)
-    counting, cache = parent_stack(oracle)
-    stats = run_merge_wavefront(
-        SerialExecutor(), plan, committer, oracle, counting, cache
+    stats, counted = run_wavefront(
+        SerialExecutor(), plan, committer, oracle, parent_cache(oracle)
     )
-    assert stats.invocations == oracle.calls < counting.queries
+    assert stats.invocations == oracle.calls < counted
     assert stats.table_hits > 0
 
 
@@ -376,20 +385,20 @@ def test_preseeded_table_skips_already_answered_strings():
     # Pre-fill the parent cache with every check string, as phase 1
     # may have: the verdict table starts from it, so zero oracle
     # invocations remain.
-    counting, cache = parent_stack()
+    cache = parent_cache()
     cache.record(
         (check, True) for pair in plan.pairs for check in plan.checks(pair)
     )
     committer = MergeCommitter(plan)
     oracle = CountingBase(lambda text: True)
-    stats = run_merge_wavefront(
-        SerialExecutor(), plan, committer, oracle, counting, cache
+    stats, counted = run_wavefront(
+        SerialExecutor(), plan, committer, oracle, cache
     )
     assert oracle.calls == 0
     assert stats.invocations == 0
     # Counted cost is unchanged: the serial loop would have paid every
     # check through its counter even on cache hits.
-    assert counting.queries > 0
+    assert counted > 0
 
 
 def test_wavefront_resumes_mid_plan():
@@ -403,7 +412,7 @@ def test_wavefront_resumes_mid_plan():
     with ThreadExecutor(2) as executor:
         run_merge_wavefront(
             executor, plan, reference, CountingBase(oracle_fn),
-            *parent_stack(),
+            parent_cache(),
         )
 
     for cut in (1, 3, len(reference.decisions) - 1):
@@ -414,7 +423,7 @@ def test_wavefront_resumes_mid_plan():
         with ThreadExecutor(2) as executor:
             stats = run_merge_wavefront(
                 executor, plan2, resumed, CountingBase(oracle_fn),
-                *parent_stack(),
+                parent_cache(),
             )
         assert resumed.decisions == reference.decisions, cut
         assert stats is not None
@@ -439,24 +448,23 @@ def no_e(text):
 )
 def test_commits_never_reach_the_parents_base_oracle(make_executor, traced):
     # The parent cache's base oracle raises on any call: every commit
-    # must be answered from the verdicts the wavefront recorded, and
-    # the stack must still count the serial loop's totals. A traced
-    # run keeps one pair span per evaluated pair, as a serial run does.
+    # must be decided on the verdicts its run returned, and the commit
+    # events must still count the serial loop's totals. A traced run
+    # keeps one pair span per evaluated pair, as a serial run does.
     names = ["ab", "cd", "ab", "cd", "ef"]
     _serial, queries, unique = serial_reference(names, no_e)
     grammar, stars = make_stars(names)
     plan = plan_merges(stars)
     committer = MergeCommitter(plan)
-    counting, cache = parent_stack()
+    cache = parent_cache()
     tracer = Tracer() if traced else NULL_TRACER
     with make_executor() as executor:
-        run_merge_wavefront(
-            executor, plan, committer, no_e, counting, cache,
-            tracer=tracer,
+        _stats, counted = run_wavefront(
+            executor, plan, committer, no_e, cache, tracer=tracer
         )
     assert committer.done
     assert PAIR_REJECTED in committer.decisions
-    assert counting.queries == queries
+    assert counted == queries
     assert cache.unique_queries == unique
     evaluated = [
         index
@@ -510,12 +518,12 @@ def capture_payloads(monkeypatch):
 
 
 class TestLazyChecks:
-    def test_commit_builds_only_the_rejected_check(self, wraps):
-        plan, oracle = rejected_at_first_check()
+    def test_commit_builds_no_check(self, wraps):
+        plan, _oracle = rejected_at_first_check()
         wraps.clear()
-        event = MergeCommitter(plan).commit_serial(oracle)
-        assert event.decision == PAIR_REJECTED
-        assert len(wraps) == 1
+        event = MergeCommitter(plan).commit_serial((False,))
+        assert (event.decision, event.queries) == (PAIR_REJECTED, 1)
+        assert wraps == []
 
     def test_run_task_builds_only_the_rejected_check(self, wraps):
         plan, oracle = rejected_at_first_check()
@@ -536,8 +544,9 @@ class TestLazyChecks:
     def test_wavefront_record_builds_only_the_rejected_check(
         self, wraps, monkeypatch
     ):
-        # At one job the task, the record and the commit each build the
-        # rejected check once, and nothing builds a later check.
+        # At one job the task and the record each build the rejected
+        # check once, the commit builds none, and nothing builds a
+        # later check.
         plan, oracle = rejected_at_first_check()
         built = {}
 
@@ -559,25 +568,23 @@ class TestLazyChecks:
             MergeCommitter, "commit_serial",
             measured("commit", MergeCommitter.commit_serial),
         )
-        counting, cache = parent_stack()
         committer = MergeCommitter(plan)
         wraps.clear()
         run_merge_wavefront(
-            SerialExecutor(), plan, committer, oracle, counting, cache
+            SerialExecutor(), plan, committer, oracle, parent_cache()
         )
         assert committer.decisions == [PAIR_REJECTED]
-        assert built == {"task": 1, "commit": 1}
-        assert len(wraps) == 3  # the record's is the third
+        assert built == {"task": 1, "commit": 0}
+        assert len(wraps) == 2  # the record's is the second
         assert len(set(wraps)) == 1
 
     def test_one_job_runs_read_the_run_caches_table(self, monkeypatch):
         payloads = capture_payloads(monkeypatch)
         _grammar, stars = make_stars(["ab", "cd", "ab", "cd", "ef"])
         plan = plan_merges(stars)
-        counting, cache = parent_stack(no_e)
+        cache = parent_cache(no_e)
         run_merge_wavefront(
-            SerialExecutor(), plan, MergeCommitter(plan), no_e,
-            counting, cache,
+            SerialExecutor(), plan, MergeCommitter(plan), no_e, cache
         )
         assert len(payloads) > 1
         assert all(
@@ -606,14 +613,14 @@ class TestLazyChecks:
         grammar, stars = make_stars(names)
         plan = plan_merges(stars, mixed=True, n_samples=2)
         committer = MergeCommitter(plan)
-        counting, cache = parent_stack(no_e)
-        run_merge_wavefront(
-            SerialExecutor(), plan, committer, no_e, counting, cache
+        cache = parent_cache(no_e)
+        _stats, counted = run_wavefront(
+            SerialExecutor(), plan, committer, no_e, cache
         )
         assert committer.committed == plan.n_pairs
         result = committer.finish(grammar)
         assert str(result.grammar) == str(serial.grammar)
-        assert (counting.queries, cache.unique_queries) == (queries, unique)
+        assert (counted, cache.unique_queries) == (queries, unique)
 
     def test_pooled_snapshot_stops_at_first_known_rejection(
         self, monkeypatch
@@ -623,7 +630,7 @@ class TestLazyChecks:
         plan = plan_merges(stars)
         # The parent's cache knows every check of every pair, and
         # rejects each pair's second.
-        counting, cache = parent_stack()
+        cache = parent_cache()
         cache.record(
             (check, position != 1)
             for pair in plan.pairs
@@ -632,9 +639,7 @@ class TestLazyChecks:
         oracle = CountingBase(lambda text: True)
         committer = MergeCommitter(plan)
         with EagerInOrderExecutor() as executor:
-            run_merge_wavefront(
-                executor, plan, committer, oracle, counting, cache
-            )
+            run_merge_wavefront(executor, plan, committer, oracle, cache)
         assert committer.decisions == [PAIR_REJECTED] * plan.n_pairs
         assert oracle.calls == 0
         assert payloads
@@ -702,3 +707,65 @@ def test_one_job_phase2_asks_only_what_it_counts():
     assert len(set(phase2_asked)) == len(phase2_asked)
     assert len(phase2_asked) == artifact.unique_queries - unique_before
     assert artifact.speculative_queries == 0
+
+
+def learn_sed_one_job():
+    subject = get_subject("sed")
+    config = GladeConfig(alphabet=subject.alphabet, jobs=1, backend="serial")
+    return LearningPipeline(subject.accepts, config=config).run(subject.seeds)
+
+
+def test_one_job_phase2_builds_each_asked_check_once_outside_its_runs(
+    monkeypatch,
+):
+    """Outside its run tasks, one-job phase 2 builds a check only to
+    record a committed pair's verdicts: no more often than the tasks
+    build them to ask."""
+    where = []  # "phase2", then "task" while a run task runs
+    built = {"task": 0, "phase2": 0}
+    wrap = Context.wrap
+
+    def counted(context, inner):
+        if where:
+            built[where[-1]] += 1
+        return wrap(context, inner)
+
+    def inside(name, fn):
+        def wrapper(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(Context, "wrap", counted)
+    monkeypatch.setattr(
+        LearningPipeline, "_run_phase2",
+        inside("phase2", LearningPipeline._run_phase2),
+    )
+    monkeypatch.setattr(
+        merge_shard_mod, "run_pairs_task", inside("task", run_pairs_task)
+    )
+    learn_sed_one_job()
+    assert built["task"] > 0
+    assert built["phase2"] <= built["task"]
+
+
+def test_one_job_run_cache_is_asked_only_to_validate(monkeypatch):
+    """The pipeline's own cache answers one query per seed, validation;
+    tasks ask through their own caches, and commits ask nothing."""
+    import repro.core.pipeline as pipeline_mod
+
+    asked = []
+
+    class RunCache(CachingOracle):
+        def __call__(self, text):
+            asked.append(text)
+            return super().__call__(text)
+
+    monkeypatch.setattr(pipeline_mod, "CachingOracle", RunCache)
+    artifact = learn_sed_one_job()
+    assert asked == [record.text for record in artifact.seeds]
+    assert len(asked) == 7

@@ -16,7 +16,6 @@ import pytest
 import repro.core.pipeline as pipeline_mod
 from repro.artifacts import (
     CheckpointStore,
-    MemoryCheckpointStore,
     SEED_LEARNED,
     SEED_SKIPPED,
     SEED_USED,
@@ -28,6 +27,8 @@ from repro.core.pipeline import LearningPipeline
 from repro.exec.backends import Executor
 from repro.learning.oracle import SubprocessOracle
 from repro.targets import get_target
+
+from tests.memory_store import MemoryCheckpointStore
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,17 @@
 
 The package runs phase two through one path, the pipeline: the query
 planner (:func:`~repro.core.phase2.plan_merges`) lists the pairs and
-each star's residuals, :func:`~repro.core.phase2.pair_checks` builds a
-pair's checks as they are asked, and each pair commits in plan order
-through :meth:`~repro.core.phase2.MergeCommitter.commit_serial`. This
-module keeps two direct forms the tests compare against: the serial
-loop over the plan without a pipeline (:func:`merge_repetitions`), and
-one pair's checks built all at once and then de-duplicated, residuals
-sampled per pair (:func:`merge_checks`), which shares no check-building
-code with the package.
+each star's residuals, run tasks ask each pair's checks as
+:func:`~repro.core.phase2.pair_checks` builds them, and each pair
+commits in plan order through
+:meth:`~repro.core.phase2.MergeCommitter.commit_serial` on the verdicts
+its run returned. This module keeps two direct forms the tests compare
+against: the serial loop over the plan that asks each pair's checks
+itself and keeps its own union-find (:func:`merge_repetitions`), which
+shares no code with the committer, and one pair's checks built all at
+once and then de-duplicated, residuals sampled per pair
+(:func:`merge_checks`), which shares no check-building code with the
+package.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.gtree import GStar
 from repro.core.phase2 import (
-    MergeCommitter,
     Phase2Result,
     _star_residuals,
     plan_merges,
     residual_seed,
 )
+from repro.core.translate import star_nonterminal
 from repro.languages.cfg import Grammar
 from repro.learning.oracle import Oracle
 
@@ -96,13 +99,30 @@ def merge_repetitions(
     oracle: Oracle,
     mixed_checks: bool = True,
 ) -> Phase2Result:
-    """Run phase two serially: try every pair, equate those that check out."""
+    """Run phase two serially: try every pair not yet equated, asking its
+    checks in order up to the first rejection, and equate those that
+    check out. A class is named by its smallest star id."""
     plan = plan_merges(
         stars,
         mixed=mixed_checks,
         n_samples=2 if mixed_checks else 0,
     )
-    committer = MergeCommitter(plan)
-    while not committer.done:
-        committer.commit_serial(oracle)
-    return committer.finish(grammar)
+    root = {star: star for star in plan.stars}
+    for pair in plan.pairs:
+        root_i, root_j = root[pair.star_i], root[pair.star_j]
+        if root_i == root_j:
+            continue
+        if all(oracle(check) for check in plan.checks(pair)):
+            low, high = min(root_i, root_j), max(root_i, root_j)
+            for star, star_root in root.items():
+                if star_root == high:
+                    root[star] = low
+    mapping = {
+        star_nonterminal(star): star_nonterminal(star_root)
+        for star, star_root in root.items()
+        if star_root != star
+    }
+    return Phase2Result(
+        grammar=grammar.rename_nonterminals(mapping) if mapping else grammar,
+        representative=root,
+    )
